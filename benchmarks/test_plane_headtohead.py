@@ -1,7 +1,7 @@
 """Plane head-to-head — centralized vs. decentralized management plane.
 
 The tentpole question for the plane split: does decomposing the monolith
-into local detectors + a request channel + a global arbiter cost
+into local detectors + a report channel + a global manager cost
 anything, and what does it buy when the management network itself
 degrades?  Three modes at 100 and 1000 hosts, all under the same chaos
 suite (wake-failure burst, permanent failures with MTTR repair, lossy
@@ -11,7 +11,7 @@ migrations, stale telemetry, churn):
 * ``neat``          — decentralized plane, healthy channel: must be
   *bit-identical* to centralized (the decomposition is free);
 * ``neat-degraded`` — decentralized plane behind a 120 s / 20 %-loss
-  request channel: the global arbiter plans on stale partial reports,
+  report channel: the global manager plans on stale partial reports,
   degraded rounds restrict parking to fresh underload evidence, and the
   run must still certify.
 
@@ -56,7 +56,7 @@ PLANE_HOURS = 2.0
 PLANE_SEED = 2013
 PLANE_VMS_PER_HOST = 4
 
-#: The degraded request channel: reports arrive two watchdog ticks late
+#: The degraded report channel: reports arrive two watchdog ticks late
 #: and one in five is lost outright.
 DEGRADED_DELAY_S = 120.0
 DEGRADED_DROPOUT = 0.2

@@ -435,7 +435,6 @@ def cmd_lint(args: argparse.Namespace) -> int:
             cache=not args.no_cache,
             baseline=args.baseline,
             exclude=tuple(args.exclude or ()),
-            workers=args.workers,
         )
     except (FileNotFoundError, ValueError) as exc:
         print("repro lint: {}".format(exc), file=sys.stderr)
@@ -1178,13 +1177,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="NAME",
         help="skip files whose path contains this directory name "
         "(repeatable; explicit file arguments are always linted)",
-    )
-    lint_parser.add_argument(
-        "--workers",
-        type=int,
-        default=0,
-        help="analyze cache-miss files with this many threads "
-        "(finding order is deterministic regardless)",
     )
     lint_parser.set_defaults(func=cmd_lint)
 

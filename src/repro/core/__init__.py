@@ -23,9 +23,7 @@ from repro.core.checkpoint import (
     save_checkpoint,
 )
 from repro.core.config import ManagerConfig
-from repro.core.manager import ManagementLog, PowerAwareManager
-from repro.core.plane.actuator import WakeArbiter
-from repro.core.plane.neat import NeatManager
+from repro.core.plane import ManagementLog, PowerAwareManager, WakeArbiter
 from repro.core.parallel import (
     ScenarioArtifacts,
     ScenarioSpec,
@@ -63,7 +61,6 @@ __all__ = [
     "HistoryPredictor",
     "ManagementLog",
     "ManagerConfig",
-    "NeatManager",
     "PeakWindowPredictor",
     "POLICIES",
     "PowerAwareManager",

@@ -30,7 +30,7 @@ callback order.  Absolute-instant scheduling (``timeout_at``) avoids the
 ``now + (t - now)`` float round-trip that would shift re-armed waits by
 one ulp.
 
-File format (schema 1)
+File format (schema 2)
 ----------------------
 ::
 
@@ -65,8 +65,9 @@ if TYPE_CHECKING:
     from repro.core.config import ManagerConfig
     from repro.core.plane.arbiter import PowerAwareManager
 
-#: Bump on any incompatible change to the manifest or payload layout.
-CHECKPOINT_SCHEMA = 1
+#: Bump on any incompatible change to the manifest or payload layout
+#: (2: one telemetry/report channel class, no neat manager subclass).
+CHECKPOINT_SCHEMA = 2
 
 _MAGIC = b"REPROCKPT1\n"
 
@@ -429,21 +430,17 @@ def rebind_config(
     manager.config = config
     manager.predictor = make_predictor(config.predictor)
     manager.balancer = LoadBalancer(config.balance)
-    # The governor and neat detectors read manager-owned config live.
+    # The governor reads manager-owned config live.
     manager.governor.config = config
     scoreboard = manager.scoreboard
     scoreboard.backoff_base_s = config.wake_backoff_base_s
     scoreboard.backoff_max_s = config.wake_backoff_max_s
     scoreboard.blacklist_after_failures = config.blacklist_after_failures
     scoreboard.blacklist_hold_s = config.blacklist_hold_s
-    detectors = getattr(manager, "detectors", None)
+    detectors = manager.observer.detectors
     if detectors is not None:
-        detectors.underload_threshold = config.neat_underload_threshold
-        detectors.overload_threshold = config.neat_overload_threshold
-    channel = getattr(manager, "channel", None)
-    if channel is not None:
-        channel.delay_s = config.neat_request_delay_s
-        channel.dropout_rate = config.neat_request_dropout
+        detectors.channel.delay_s = config.neat_request_delay_s
+        detectors.channel.dropout_rate = config.neat_request_dropout
     sampler = manager.tick_aggregates
     if sampler is not None:
         sampler._headroom_ceiling = config.balance.dst_ceiling

@@ -119,14 +119,10 @@ class ManagerConfig:
     #: Management-plane architecture (see :mod:`repro.core.plane`):
     #: "centralized" plans on the telemetry view directly; "neat" runs
     #: the OpenStack-Neat-style split — per-host local detectors feeding
-    #: a global arbiter through a delayed, lossy request channel.
+    #: the global manager through a delayed, lossy report channel.
     plane: str = "centralized"
-    #: Neat-mode local detector thresholds: a host flags itself
-    #: underloaded below / overloaded above these utilization fractions.
-    neat_underload_threshold: float = 0.3
-    neat_overload_threshold: float = 0.9
-    #: Neat-mode request channel: delivery delay and i.i.d. report loss
-    #: between local detectors and the global arbiter.  The zero/zero
+    #: Neat-mode report channel: delivery delay and i.i.d. report loss
+    #: between local detectors and the global manager.  The zero/zero
     #: default makes fault-free neat runs byte-identical to centralized.
     neat_request_delay_s: float = 0.0
     neat_request_dropout: float = 0.0
@@ -201,10 +197,6 @@ class ManagerConfig:
             raise ValueError("safe_mode_hold_s must be positive")
         if self.plane not in ("centralized", "neat"):
             raise ValueError("plane must be 'centralized' or 'neat'")
-        if not 0.0 <= self.neat_underload_threshold < self.neat_overload_threshold:
-            raise ValueError(
-                "neat thresholds must satisfy 0 <= underload < overload"
-            )
         if self.neat_request_delay_s < 0:
             raise ValueError("neat_request_delay_s must be >= 0")
         if not 0.0 <= self.neat_request_dropout < 1.0:

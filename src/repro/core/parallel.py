@@ -14,7 +14,10 @@ execution plan:
 * :func:`run_scenarios` — execute many specs, fanned out over a
   ``ProcessPoolExecutor``, with order-stable results, digest-level
   deduplication, and read-through caching via
-  :mod:`repro.core.cache`.
+  :mod:`repro.core.cache`;
+* :class:`BranchSpec` — one warm-checkpoint continuation under a policy,
+  with the same interface, so :func:`branch_scenarios` is a
+  :func:`run_scenarios` call.
 
 Determinism: a spec's outcome depends only on its contents (all
 simulation RNGs are seeded from the spec), so serial and parallel
@@ -42,7 +45,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Dict, Iterable, Iterator, List, Optional, Union
 
 if TYPE_CHECKING:
-    from repro.core.manager import ManagementLog, PowerAwareManager
+    from repro.core.plane import ManagementLog, PowerAwareManager
     from repro.core.runner import ScenarioResult
     from repro.datacenter.cluster import Cluster
     from repro.datacenter.host import Host
@@ -244,7 +247,7 @@ class ScenarioSpec:
         return snapshot_result(run_scenario(self.config, **kwargs))
 
 
-def _execute_spec(spec: ScenarioSpec) -> ScenarioArtifacts:
+def _execute_spec(spec: Union[ScenarioSpec, BranchSpec]) -> ScenarioArtifacts:
     """Module-level worker entry point (must be picklable by name)."""
     return spec.run()
 
@@ -334,14 +337,15 @@ def _resolve_cache(
 
 
 def run_scenarios(
-    specs: Iterable[ScenarioSpec],
+    specs: Iterable[Union[ScenarioSpec, BranchSpec]],
     workers: Optional[int] = None,
     cache: Union[None, bool, ResultCache] = True,
 ) -> List[ScenarioArtifacts]:
     """Run every spec; return artifacts in spec order.
 
     Args:
-        specs: scenario descriptions (order defines result order).
+        specs: scenario or branch descriptions (order defines result
+            order).
         workers: process count; ``None`` uses :func:`default_workers`,
             ``1`` runs inline (no pool, no pickling).
         cache: ``True`` (default) uses the shared disk cache, ``False`` /
@@ -360,8 +364,11 @@ def run_scenarios(
     digests: List[Optional[str]] = [None] * len(specs)
 
     for i, spec in enumerate(specs):
-        if not isinstance(spec, ScenarioSpec):
-            raise TypeError("run_scenarios takes ScenarioSpec items, got {!r}".format(spec))
+        if not isinstance(spec, (ScenarioSpec, BranchSpec)):
+            raise TypeError(
+                "run_scenarios takes ScenarioSpec or BranchSpec items, "
+                "got {!r}".format(spec)
+            )
         try:
             digests[i] = spec.digest()
         except Uncacheable:
@@ -443,17 +450,6 @@ def run_scenarios(
 # ----------------------------------------------------------------------
 
 
-def _execute_branch(
-    checkpoint: str, config: ManagerConfig, horizon_s: Optional[float]
-) -> ScenarioArtifacts:
-    """Module-level branch worker (picklable by name, like _execute_spec)."""
-    from repro.core.runner import branch_scenario
-
-    return snapshot_result(
-        branch_scenario(checkpoint, config, horizon_s=horizon_s)
-    )
-
-
 def branch_digest(
     checkpoint_sha256: str, config: ManagerConfig, horizon_s: Optional[float]
 ) -> str:
@@ -470,6 +466,35 @@ def branch_digest(
     )
 
 
+@dataclass
+class BranchSpec:
+    """One ``branch_scenario(checkpoint, config, horizon_s)`` call, as data.
+
+    Offers the :class:`ScenarioSpec` interface (``name``, ``digest``,
+    ``run``), so :func:`run_scenarios` fans branches out like specs.
+    """
+
+    checkpoint: str
+    #: The checkpoint's content digest (from its manifest): the cache key.
+    checkpoint_sha256: str
+    config: ManagerConfig
+    horizon_s: Optional[float] = None
+
+    @property
+    def name(self) -> str:
+        return self.config.name
+
+    def digest(self) -> str:
+        return branch_digest(self.checkpoint_sha256, self.config, self.horizon_s)
+
+    def run(self) -> ScenarioArtifacts:
+        from repro.core.runner import branch_scenario
+
+        return snapshot_result(
+            branch_scenario(self.checkpoint, self.config, horizon_s=self.horizon_s)
+        )
+
+
 def branch_scenarios(
     checkpoint: Union[str, "os.PathLike[str]"],
     configs: Iterable[ManagerConfig],
@@ -479,65 +504,17 @@ def branch_scenarios(
 ) -> List[ScenarioArtifacts]:
     """Fan one warm checkpoint out across policy variants.
 
-    Loads the checkpoint manifest once (cheap — header only) for the
-    content digest, then runs each config's continuation through the same
-    pool/cache machinery as :func:`run_scenarios`: cache hits skip the
-    simulation, misses run in parallel workers, results come back in
-    config order, and every finished branch is stored the moment it
-    completes.
+    Reads the checkpoint manifest once (cheap — header only) for the
+    content digest, then runs one :class:`BranchSpec` per config through
+    :func:`run_scenarios`: cache hits skip the simulation, misses run in
+    parallel workers, and results come back in config order.
     """
-    from pathlib import Path
-
     from repro.core.checkpoint import read_manifest
 
-    checkpoint = Path(checkpoint)
-    manifest = read_manifest(checkpoint)
-    configs = list(configs)
-    store = _resolve_cache(cache)
-    results: List[Optional[ScenarioArtifacts]] = [None] * len(configs)
-    digests: List[Optional[str]] = [None] * len(configs)
-    for i, config in enumerate(configs):
-        try:
-            digests[i] = branch_digest(manifest["sha256"], config, horizon_s)
-        except Uncacheable:
-            digests[i] = None
-        if store is not None and digests[i] is not None:
-            results[i] = store.get(digests[i])
-
-    to_run = [i for i in range(len(configs)) if results[i] is None]
-    if to_run:
-        n_workers = default_workers() if workers is None else max(1, workers)
-        n_workers = min(n_workers, len(to_run))
-        if n_workers <= 1:
-            with _graceful_signals():
-                for i in to_run:
-                    artifacts = _execute_branch(
-                        str(checkpoint), configs[i], horizon_s
-                    )
-                    results[i] = artifacts
-                    if store is not None and digests[i] is not None:
-                        store.put(digests[i], artifacts)
-        else:
-            pool = ProcessPoolExecutor(
-                max_workers=n_workers, initializer=_pool_worker_init
-            )
-            futures: Dict[Any, int] = {}
-            try:
-                with _graceful_signals():
-                    futures = {
-                        pool.submit(
-                            _execute_branch, str(checkpoint), configs[i], horizon_s
-                        ): i
-                        for i in to_run
-                    }
-                    for fut in as_completed(futures):
-                        i = futures[fut]
-                        artifacts = fut.result()
-                        results[i] = artifacts
-                        if store is not None and digests[i] is not None:
-                            store.put(digests[i], artifacts)
-            except BaseException:
-                _abort_pool(pool, futures)
-                raise
-            pool.shutdown(wait=True)
-    return [artifacts for artifacts in results if artifacts is not None]
+    path = os.fspath(checkpoint)
+    sha256 = read_manifest(path)["sha256"]
+    return run_scenarios(
+        [BranchSpec(path, sha256, config, horizon_s) for config in configs],
+        workers=workers,
+        cache=cache,
+    )

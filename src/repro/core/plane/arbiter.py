@@ -14,13 +14,12 @@ need a cluster-wide view.  Two cooperating loops drive the cluster:
 
 The arbiter never touches host power state directly: every wake and park
 goes through the single-owner :class:`~repro.core.plane.actuator.WakeArbiter`,
-observation goes through the
-:class:`~repro.core.plane.observer.ClusterObserver`, and the freeze
-decision lives in the
-:class:`~repro.core.plane.governor.SafeModeGovernor`.  Subclasses (the
-neat-mode plane) override :meth:`PowerAwareManager._plan_observation`
-and :meth:`PowerAwareManager._park_candidates` to source the global view
-from per-host detector reports instead.
+and the freeze decision lives in the
+:class:`~repro.core.plane.governor.SafeModeGovernor`.  Observation goes
+through the :class:`~repro.core.plane.observer.ClusterObserver`: each
+round plans on its picture and parks only the hosts it lets through, on
+both plane architectures — the neat plane differs only in the
+:class:`~repro.core.plane.observer.LocalDetectors` source it is given.
 
 With ``enable_power_mgmt=False`` only admission and balancing remain,
 which is exactly the base-DRM comparison point of the paper.
@@ -37,13 +36,13 @@ if TYPE_CHECKING:
     from repro.sim.process import Process
     from repro.telemetry.sampler import ClusterSampler
     from repro.telemetry.trace import TraceBuffer
-    from repro.telemetry.view import TelemetryFeed
+    from repro.telemetry.view import Channel, ClusterView
 
 from repro.core.config import ManagerConfig
 from repro.core.plane.actuator import WakeArbiter
 from repro.core.plane.governor import SafeModeGovernor
 from repro.core.plane.log import ManagementLog
-from repro.core.plane.observer import ClusterObserver
+from repro.core.plane.observer import ClusterObserver, LocalDetectors
 from repro.core.predictor import make_predictor
 from repro.datacenter.cluster import Cluster
 from repro.datacenter.host import Host
@@ -78,7 +77,8 @@ class PowerAwareManager:
         engine: MigrationEngine,
         config: Optional[ManagerConfig] = None,
         trace: Optional["TraceBuffer"] = None,
-        telemetry: Optional["TelemetryFeed"] = None,
+        telemetry: Optional["Channel[ClusterView]"] = None,
+        detectors: Optional[LocalDetectors] = None,
     ) -> None:
         self.env = env
         self.cluster = cluster
@@ -89,9 +89,6 @@ class PowerAwareManager:
         self.log = ManagementLog()
         #: Decision-trace sink; None disables tracing at zero cost.
         self._trace = trace
-        #: Telemetry pipeline the manager plans against; None reads
-        #: ground truth directly (see :mod:`repro.telemetry.view`).
-        self.telemetry = telemetry
         self._pending: List[Tuple[VM, float]] = []
         self._evacs: Dict[str, _EvacuationTask] = {}
         self._surplus_rounds = 0
@@ -105,8 +102,10 @@ class PowerAwareManager:
             blacklist_after_failures=cfg.blacklist_after_failures,
             blacklist_hold_s=cfg.blacklist_hold_s,
         )
-        #: The plane's eyes: one consistent (possibly stale) picture.
-        self.observer = ClusterObserver(cluster, engine, telemetry)
+        #: The plane's eyes: one consistent (possibly stale) picture, from
+        #: the telemetry channel (None reads ground truth directly) and,
+        #: on the neat plane, the local detectors' reports.
+        self.observer = ClusterObserver(cluster, engine, telemetry, detectors)
         #: Degradation governor owning the consolidation freeze.
         self.governor = SafeModeGovernor(
             self.config, self.log, self.observer, trace
@@ -317,7 +316,7 @@ class PowerAwareManager:
     def evaluate(self) -> None:  # reprolint: hot
         """One consolidation round (public for unit tests)."""
         now = self.env.now
-        observed, telemetry_age = self._plan_observation(now)
+        observed, telemetry_age = self.observer.plan(now, self.log)
         demand = observed + sum(
             self._admission_demand(vm) for vm, _ in self._pending
         )
@@ -361,25 +360,6 @@ class PowerAwareManager:
 
         if self.config.enable_balancing:
             self._balance()
-
-    # ------------------------------------------------------------------
-    # Observation (overridden by the neat plane)
-    # ------------------------------------------------------------------
-
-    def _plan_observation(self, now: float) -> Tuple[float, float]:
-        """``(demand_cores, telemetry_age_s)`` for the consolidation round.
-
-        The centralized plane reads the observer's telemetry view
-        directly.  The neat plane overrides this to assemble the global
-        picture from per-host detector reports delivered through the
-        lossy request channel (see :mod:`repro.core.plane.neat`).
-        """
-        return self._observe(now)
-
-    def _observe(self, now: float) -> Tuple[float, float]:
-        """Delegates to the plane observer (kept as a method because the
-        watchdog and cold-start paths read it directly)."""
-        return self.observer.observe(now)
 
     @property
     def safe_mode(self) -> bool:
@@ -440,7 +420,7 @@ class PowerAwareManager:
         # stale); the host-overload walk below stays on live per-host
         # state — it *is* the reconciliation path that catches what a
         # stale aggregate hides.
-        demand, _ = self._observe(now)
+        demand, _ = self.observer.observe(now)
         committed = self.cluster.committed_capacity_cores()
         # Evacuating hosts still serve load until parked; but their exit is
         # imminent, so treat them as lost capacity unless we cancel.
@@ -639,16 +619,18 @@ class PowerAwareManager:
     def _park_candidates(self) -> List[Host]:
         """Hosts the shrink path may evacuate-and-park this round.
 
-        The neat plane overrides this: during a degraded round (global
-        view assembled from stale reports) only hosts whose own detector
+        The observer filters them: on a degraded neat round (global view
+        assembled from stale reports) only hosts whose own detector
         reported underload are eligible, so the arbiter never parks a
         host it has no fresh evidence about.
         """
-        return [
-            h
-            for h in self.cluster.active_hosts()
-            if not h.evacuating and h.mem_reserved_gb <= 0
-        ]
+        return self.observer.park_filter(
+            [
+                h
+                for h in self.cluster.active_hosts()
+                if not h.evacuating and h.mem_reserved_gb <= 0
+            ]
+        )
 
     def _shrink(
         self, surplus_cores: float, evac_cpu_target: Optional[float] = None

@@ -26,8 +26,7 @@ from repro.core.checkpoint import (
     save_checkpoint,
 )
 from repro.core.config import ManagerConfig
-from repro.core.manager import PowerAwareManager
-from repro.core.plane.neat import NeatManager
+from repro.core.plane import LocalDetectors, PowerAwareManager
 from repro.datacenter.cluster import Cluster
 from repro.datacenter.faults import FaultModel, MigrationFaultInjector
 from repro.datacenter.vm import Priority, VM
@@ -41,7 +40,7 @@ from repro.telemetry.metrics import SimReport, build_report
 from repro.telemetry.sampler import ClusterSampler
 from repro.telemetry.stream import StreamingMetricsSink
 from repro.telemetry.trace import TraceBuffer
-from repro.telemetry.view import StalenessModel, TelemetryFeed
+from repro.telemetry.view import Channel, ClusterView, StalenessModel
 from repro.workload.churn import ChurnGenerator
 from repro.workload.fleet import FleetSpec, build_fleet
 
@@ -91,7 +90,6 @@ class LiveScenario:
     horizon_s: float
     seed: int
     churn: Optional[ChurnGenerator] = None
-    feed: Optional[TelemetryFeed] = None
     trace: Optional[TraceBuffer] = None
     #: Extra scenario identity carried into checkpoint manifests.
     meta: Dict[str, Any] = field(default_factory=dict)
@@ -232,27 +230,29 @@ def build_scenario(
     injector = None
     if fault_model is not None and fault_model.migration is not None:
         injector = MigrationFaultInjector(fault_model.migration, seed=seed)
-    feed = None
+    telemetry: Optional[Channel[ClusterView]] = None
     if telemetry_model is not None:
-        feed = TelemetryFeed(telemetry_model, seed=seed)
-    engine = MigrationEngine(env, model=migration_model, trace=buf, faults=injector)
-    manager: PowerAwareManager
+        telemetry = Channel(telemetry_model.delay_s, telemetry_model.dropout_rate)
+    detectors = None
     if config.plane == "neat":
-        manager = NeatManager(
-            env, cluster, engine, config, trace=buf, telemetry=feed,
-            seed=seed,
+        detectors = LocalDetectors(
+            cluster,
+            Channel(config.neat_request_delay_s, config.neat_request_dropout),
+            seed,
         )
-    else:
-        manager = PowerAwareManager(
-            env, cluster, engine, config, trace=buf, telemetry=feed
-        )
+    engine = MigrationEngine(env, model=migration_model, trace=buf, faults=injector)
+    manager = PowerAwareManager(
+        env, cluster, engine, config, trace=buf, telemetry=telemetry,
+        detectors=detectors,
+    )
     sampler = ClusterSampler(
         env,
         cluster,
         epoch_s=epoch_s,
-        feed=feed,
+        telemetry=telemetry,
         headroom_ceiling=config.balance.dst_ceiling,
         bounded=bounded_series,
+        seed=seed,
     )
     manager.tick_aggregates = sampler
     sampler.start()
@@ -281,7 +281,6 @@ def build_scenario(
         horizon_s=horizon_s,
         seed=seed,
         churn=churn,
-        feed=feed,
         trace=buf,
     )
 
@@ -299,7 +298,6 @@ def finalize_scenario(
     manager = live.manager
     sampler = live.sampler
     churn = live.churn
-    feed = live.feed
     buf = live.trace
     config = live.config
     horizon_s = live.horizon_s
@@ -346,7 +344,7 @@ def finalize_scenario(
             "migration_retries": float(manager.log.migration_retries),
             "safe_mode_enters": float(manager.log.safe_mode_enters),
             "safe_mode_exits": float(manager.log.safe_mode_exits),
-            "telemetry_dropped": float(feed.dropped if feed is not None else 0),
+            "telemetry_dropped": float(sampler.telemetry_dropped),
             "detector_reports": float(manager.log.detector_reports),
             "detector_reports_dropped": float(
                 manager.log.detector_reports_dropped

@@ -29,9 +29,9 @@ RNG_STREAMS = {
     "latency": "repro.datacenter.host",
     "repair": "repro.datacenter.faults",
     "migration": "repro.datacenter.faults",
-    "telemetry": "repro.telemetry.view",
+    "telemetry": "repro.telemetry.sampler",
     "fuzz": "repro.fuzz.generate",
-    "plane": "repro.core.plane.detectors",
+    "plane": "repro.core.plane.observer",
 }
 
 

@@ -31,18 +31,16 @@ from repro.sim.events import (
 )
 from repro.sim.process import Process, ProcessCrashed, ResumeSpec
 from repro.sim.environment import Environment, StopSimulation
-from repro.sim.resources import Container, PriorityResource, Request, Resource, Store
+from repro.sim.resources import Request, Resource
 
 __all__ = [
     "AllOf",
     "AnyOf",
     "Condition",
-    "Container",
     "Environment",
     "Event",
     "EventAlreadyTriggered",
     "Interrupt",
-    "PriorityResource",
     "Process",
     "ProcessCrashed",
     "Request",
@@ -50,6 +48,5 @@ __all__ = [
     "ResumeSpec",
     "SharedTimeout",
     "StopSimulation",
-    "Store",
     "Timeout",
 ]

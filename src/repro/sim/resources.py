@@ -1,13 +1,12 @@
-"""Shared-resource primitives: semaphore-style resources, containers, stores.
+"""Shared-resource primitive: a counted, priority-ordered semaphore.
 
-Used by the datacenter model e.g. to cap concurrent live migrations per host
-and to model shared migration-network bandwidth.
+The migration engine uses it to cap concurrent live migrations.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Any, List, Tuple
+from typing import List, Tuple
 
 from repro.sim.events import Event
 
@@ -102,126 +101,3 @@ class Resource:
         return "<{} {}/{} used, {} queued>".format(
             type(self).__name__, self.count, self._capacity, self.queued
         )
-
-
-class PriorityResource(Resource):
-    """A :class:`Resource` whose waiters are served lowest-priority-first."""
-
-    def request(self, priority: int = 0) -> Request:
-        return Request(self, priority)
-
-
-class Container:
-    """A continuous-level reservoir (e.g. bandwidth-seconds, joules).
-
-    ``put`` and ``get`` return events that fire once the amount can be
-    honoured.  Gets are served FIFO to avoid starvation.
-    """
-
-    def __init__(
-        self,
-        env: "Environment",  # noqa: F821
-        capacity: float = float("inf"),
-        init: float = 0.0,
-    ) -> None:
-        if capacity <= 0:
-            raise ValueError("capacity must be positive")
-        if not 0 <= init <= capacity:
-            raise ValueError("init must be within [0, capacity]")
-        self.env = env
-        self._capacity = capacity
-        self._level = float(init)
-        self._getters: List[Tuple[float, Event]] = []
-        self._putters: List[Tuple[float, Event]] = []
-
-    @property
-    def level(self) -> float:
-        return self._level
-
-    @property
-    def capacity(self) -> float:
-        return self._capacity
-
-    def put(self, amount: float) -> Event:
-        if amount < 0:
-            raise ValueError("amount must be non-negative")
-        event = Event(self.env)
-        self._putters.append((amount, event))
-        self._settle()
-        return event
-
-    def get(self, amount: float) -> Event:
-        if amount < 0:
-            raise ValueError("amount must be non-negative")
-        if amount > self._capacity:
-            raise ValueError("get() amount exceeds container capacity")
-        event = Event(self.env)
-        self._getters.append((amount, event))
-        self._settle()
-        return event
-
-    def _settle(self) -> None:
-        progressed = True
-        while progressed:
-            progressed = False
-            if self._putters:
-                amount, event = self._putters[0]
-                if self._level + amount <= self._capacity:
-                    self._level += amount
-                    self._putters.pop(0)
-                    event.succeed()
-                    progressed = True
-            if self._getters:
-                amount, event = self._getters[0]
-                if amount <= self._level:
-                    self._level -= amount
-                    self._getters.pop(0)
-                    event.succeed(amount)
-                    progressed = True
-
-
-class Store:
-    """A FIFO queue of arbitrary items with blocking get."""
-
-    def __init__(self, env: "Environment", capacity: float = float("inf")) -> None:  # noqa: F821
-        if capacity <= 0:
-            raise ValueError("capacity must be positive")
-        self.env = env
-        self._capacity = capacity
-        self._items: List[Any] = []
-        self._getters: List[Event] = []
-        self._putters: List[Tuple[Any, Event]] = []
-
-    @property
-    def items(self) -> List[Any]:
-        return list(self._items)
-
-    @property
-    def capacity(self) -> float:
-        return self._capacity
-
-    def put(self, item: Any) -> Event:
-        event = Event(self.env)
-        self._putters.append((item, event))
-        self._settle()
-        return event
-
-    def get(self) -> Event:
-        event = Event(self.env)
-        self._getters.append(event)
-        self._settle()
-        return event
-
-    def _settle(self) -> None:
-        progressed = True
-        while progressed:
-            progressed = False
-            if self._putters and len(self._items) < self._capacity:
-                item, event = self._putters.pop(0)
-                self._items.append(item)
-                event.succeed()
-                progressed = True
-            if self._getters and self._items:
-                event = self._getters.pop(0)
-                event.succeed(self._items.pop(0))
-                progressed = True

@@ -23,14 +23,14 @@ from repro.telemetry.validate import (
     Violation,
     validate_trace,
 )
-from repro.telemetry.view import ClusterView, StalenessModel, TelemetryFeed
+from repro.telemetry.view import Channel, ClusterView, StalenessModel
 
 __all__ = [
+    "Channel",
     "ClusterSampler",
     "ClusterView",
     "SimReport",
     "StalenessModel",
-    "TelemetryFeed",
     "TimeSeries",
     "TRACE_SCHEMA_VERSION",
     "TraceBuffer",

@@ -6,12 +6,13 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
+from repro.core.seeding import stream_rng
 from repro.datacenter.cluster import Cluster
 from repro.datacenter.vm import Priority
 from repro.sim import ResumeSpec
 from repro.power.states import PowerState
 from repro.telemetry.timeseries import BoundedTimeSeries, TimeSeries
-from repro.telemetry.view import ClusterView, TelemetryFeed
+from repro.telemetry.view import Channel, ClusterView
 from repro.workload.traces import trace_grid
 
 
@@ -55,20 +56,25 @@ class ClusterSampler:
         env: "Environment",  # noqa: F821
         cluster: Cluster,
         epoch_s: float = 60.0,
-        feed: Optional[TelemetryFeed] = None,
+        telemetry: Optional[Channel[ClusterView]] = None,
         headroom_ceiling: Optional[float] = None,
         bounded: bool = False,
+        seed: int = 0,
     ) -> None:
         if epoch_s <= 0:
             raise ValueError("epoch_s must be positive")
         self.env = env
         self.cluster = cluster
         self.epoch_s = epoch_s
-        #: Optional staleness pipeline: each tick publishes one
-        #: :class:`~repro.telemetry.view.ClusterView` through it (see
+        #: Optional telemetry channel to the manager: each tick sends one
+        #: :class:`~repro.telemetry.view.ClusterView` through it, lost
+        #: with a draw from the ``telemetry:{seed}:{tick}`` stream (see
         #: :mod:`repro.telemetry.view`); None keeps the manager on ground
         #: truth exactly as before.
-        self.feed = feed
+        self.telemetry = telemetry
+        self.seed = seed
+        #: Telemetry snapshots the channel lost.
+        self.telemetry_dropped = 0
         #: Bounded mode (service runs): series keep O(1) incremental
         #: aggregates instead of every sample, so RAM stays flat over
         #: arbitrary horizons.  The report statistics remain available;
@@ -514,16 +520,20 @@ class ClusterSampler:
                     "vm_count": vm_count,
                 },
             )
-        if self.feed is not None:
-            self.feed.publish(
-                ClusterView(
-                    taken_at=now,
-                    demand_cores=demand,
-                    committed_capacity_cores=committed,
-                    active_hosts=n_active,
-                    vm_count=vm_count,
-                )
+        telemetry = self.telemetry
+        if telemetry is not None:
+            view = ClusterView(
+                taken_at=now,
+                demand_cores=demand,
+                committed_capacity_cores=committed,
+                active_hosts=n_active,
+                vm_count=vm_count,
             )
+            rng = None
+            if telemetry.dropout_rate > 0.0:
+                # Tick index: this sample's position in the run.
+                rng = stream_rng("telemetry", self.seed, self.samples - 1)
+            self.telemetry_dropped += telemetry.send([view], now, rng)
         return shortfall
 
     def _run(self, resume_at: Optional[float] = None):

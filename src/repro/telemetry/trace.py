@@ -12,7 +12,7 @@ change as a typed event:
   from :class:`~repro.migration.engine.MigrationEngine`;
 * manager decisions (park, wake, evacuation lifecycle, balancing,
   cap deferrals, maintenance) from
-  :class:`~repro.core.manager.PowerAwareManager`;
+  :class:`~repro.core.plane.arbiter.PowerAwareManager`;
 * watchdog interventions with the triggering shortfall in the payload;
 * admission-queue activity and VM retirement;
 * fault injection from :class:`~repro.datacenter.faults.FaultInjector`;

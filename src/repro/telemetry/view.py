@@ -10,25 +10,28 @@ models exactly that:
   instant it was *taken* (its age is measured against that, not against
   when it became visible);
 * :class:`StalenessModel` — the pipeline's pathology: a constant
-  publication delay plus an i.i.d. per-tick dropout probability, drawn
-  from a dedicated ``telemetry:{seed}:{tick}`` RNG stream so enabling
-  dropout never perturbs any other stream;
-* :class:`TelemetryFeed` — the buffer between the sampler (producer)
-  and the manager (consumer).  The sampler publishes a snapshot each
-  epoch; the manager asks for the newest snapshot *visible* at planning
-  time and falls back to ground truth only before the first snapshot
-  lands (cold start).
+  publication delay plus an i.i.d. per-tick dropout probability;
+* :class:`Channel` — the management network: a constant delay plus
+  per-item loss drawn by the sender from its own RNG stream.  It carries
+  the sampler's snapshots to the manager's observer (the sampler draws
+  loss from ``telemetry:{seed}:{tick}``) and, on the neat plane, the
+  local detectors' reports to the global manager (``plane:{seed}:{round}``).
+  The observer plans on the newest snapshot delivered so far and falls
+  back to ground truth only before the first one lands (cold start).
 
-With no model attached the feed is never constructed, the manager reads
+With no model attached no telemetry channel is built, the manager reads
 ground truth exactly as before, and fault-free runs stay byte-identical.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import TYPE_CHECKING, Generic, List, Optional, Sequence, Tuple, TypeVar
 
-from repro.core.seeding import stream_rng
+if TYPE_CHECKING:
+    import numpy as np
+
+T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -63,57 +66,52 @@ class StalenessModel:
             raise ValueError("dropout_rate must be in [0, 1)")
 
 
-class TelemetryFeed:
-    """Snapshot buffer between the sampler and the manager.
+class Channel(Generic[T]):
+    """Delayed, lossy, in-order transport between two plane components.
 
-    Dropout draws come from a per-tick RNG stream keyed
-    ``telemetry:{seed}:{tick}``, so whether tick *n* is lost depends only
-    on the seed and *n* — never on how many other random draws the
-    simulation made before it.
+    Every item sent at ``now`` becomes deliverable at ``now + delay_s``,
+    and items are delivered in send order.  Loss is i.i.d. per item at
+    ``dropout_rate``, but the channel owns no randomness: each sender
+    draws from its own registered stream (RL012), qualified by its send
+    index, so whether an item is lost depends only on the seed, that
+    index and the item's position in the batch — never on how many other
+    draws the simulation made.
     """
 
-    def __init__(self, model: StalenessModel, seed: int = 0) -> None:
-        self.model = model
-        self._seed = seed
-        self._tick = 0
-        self.published = 0
-        self.dropped = 0
-        #: Snapshots in publication order as ``(visible_at, view)``.
-        self._snapshots: List[Tuple[float, ClusterView]] = []
+    def __init__(self, delay_s: float = 0.0, dropout_rate: float = 0.0) -> None:
+        self.delay_s = delay_s
+        self.dropout_rate = dropout_rate
+        #: Items in flight as ``(deliver_at, item)``, in send order.
+        self._pending: List[Tuple[float, T]] = []
 
-    def _tick_dropped(self, tick: int) -> bool:
-        if self.model.dropout_rate <= 0:
-            return False
-        rng = stream_rng("telemetry", self._seed, tick)
-        return bool(rng.random() < self.model.dropout_rate)
+    def send(
+        self,
+        items: Sequence[T],
+        now: float,
+        rng: Optional["np.random.Generator"] = None,
+    ) -> int:
+        """Enqueue ``items`` sent at ``now``; returns how many were lost.
 
-    def publish(self, view: ClusterView) -> bool:
-        """Offer one sampler snapshot; returns False if the tick was lost."""
-        tick = self._tick
-        self._tick += 1
-        if self._tick_dropped(tick):
-            self.dropped += 1
-            return False
-        self.published += 1
-        self._snapshots.append((view.taken_at + self.model.delay_s, view))
-        return True
-
-    def view(self, now: float) -> Optional[ClusterView]:
-        """Newest snapshot visible at ``now`` (None before the first lands).
-
-        Snapshots are published in ``taken_at`` order with a constant
-        delay, so visibility order equals publication order and a single
-        backward scan finds the newest visible one; everything older is
-        discarded to keep the buffer bounded.
+        Item ``i`` is lost when ``rng.random(len(items))[i]`` falls below
+        ``dropout_rate``.  Senders pass ``rng`` only at a positive rate,
+        and a lossless channel never draws.
         """
-        visible: Optional[ClusterView] = None
-        index = len(self._snapshots) - 1
-        while index >= 0:
-            visible_at, candidate = self._snapshots[index]
-            if visible_at <= now + 1e-12:
-                visible = candidate
-                break
-            index -= 1
-        if index > 0:
-            del self._snapshots[:index]
-        return visible
+        kept = items
+        if rng is not None and self.dropout_rate > 0.0 and items:
+            draws = rng.random(len(items))
+            kept = [
+                item for item, draw in zip(items, draws)
+                if draw >= self.dropout_rate
+            ]
+        deliver_at = now + self.delay_s
+        self._pending.extend((deliver_at, item) for item in kept)
+        return len(items) - len(kept)
+
+    def deliver(self, now: float) -> List[T]:
+        """Pop every item due by ``now``, in send order."""
+        due = now + 1e-12
+        pending = self._pending
+        ready = [item for at, item in pending if at <= due]
+        if ready:
+            self._pending = [(at, item) for at, item in pending if at > due]
+        return ready

@@ -432,8 +432,7 @@ def lint_paths(
     rules (pass 2) and emits repo-relative display paths.  ``rules``
     defaults to the full registered set — module and project rules; a
     mixed sequence is split automatically.  See ``lint_project`` for the
-    keyword options (``cache``, ``baseline``, ``exclude``, ``workers``,
-    ``root``).
+    keyword options (``cache``, ``baseline``, ``exclude``, ``root``).
     """
     from repro.tools.lint.project import lint_project
 

@@ -31,7 +31,6 @@ import hashlib
 import json
 import os
 import re
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import (
@@ -998,7 +997,6 @@ def lint_project(
     cache: Any = True,
     baseline: Optional[Any] = None,
     exclude: Sequence[str] = (),
-    workers: int = 0,
 ) -> LintReport:
     """Run pass 1 (per-module, cached) and pass 2 (project rules).
 
@@ -1007,8 +1005,7 @@ def lint_project(
     location), False, a directory path, or a :class:`SummaryCache`;
     ``REPRO_NO_LINT_CACHE`` force-disables.  ``baseline`` names a JSON
     findings file whose entries are suppressed (only *new* findings
-    fail).  ``workers`` > 1 analyzes cache-miss files in a thread pool;
-    output order is deterministic regardless.
+    fail).
     """
     module_rules, project_rules = _split_rules(rules)
     files = iter_python_files([Path(p) for p in paths], exclude)
@@ -1025,49 +1022,28 @@ def lint_project(
         cache_obj = SummaryCache(cache)
     sig = rules_signature(module_rules + project_rules) if cache_obj else ""
 
-    # Serial cache probe; misses queue for (optionally parallel) parsing.
-    results: List[Optional[Tuple[List[Finding], ModuleSummary]]] = []
-    pending: List[Tuple[int, Path, str, str]] = []  # (slot, path, display, src)
+    # Pass 1: per-module rules, served from the summary cache on a hit.
+    findings: List[Finding] = []
+    summaries: List[ModuleSummary] = []
     hits = 0
+    reparsed = 0
     for path in files:
         display = display_path_for(path, base_root)
         try:
             source = path.read_text(encoding="utf-8")
         except OSError as exc:
             raise FileNotFoundError("cannot read {}: {}".format(path, exc)) from exc
+        outcome = None
         if cache_obj is not None:
             content_hash = hashlib.sha256(source.encode("utf-8")).hexdigest()
-            cached = cache_obj.get(display, content_hash, sig)
-            if cached is not None:
-                results.append(cached)
-                hits += 1
-                continue
-        results.append(None)
-        pending.append((len(results) - 1, path, display, source))
-
-    def run_one(task: Tuple[int, Path, str, str]) -> None:
-        slot, path, display, source = task
-        results[slot] = _analyze_one(path, display, source, module_rules)
-
-    if workers and workers > 1 and len(pending) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(run_one, pending))
-    else:
-        for task in pending:
-            run_one(task)
-
-    findings: List[Finding] = []
-    summaries: List[ModuleSummary] = []
-    if cache_obj is not None:
-        for (slot, path, display, source) in pending:
-            outcome = results[slot]
-            if outcome is None:  # pragma: no cover - worker died
-                continue
-            content_hash = hashlib.sha256(source.encode("utf-8")).hexdigest()
-            cache_obj.put(display, content_hash, sig, outcome[0], outcome[1])
-    for outcome in results:
-        if outcome is None:  # pragma: no cover - defensive
-            continue
+            outcome = cache_obj.get(display, content_hash, sig)
+        if outcome is not None:
+            hits += 1
+        else:
+            outcome = _analyze_one(path, display, source, module_rules)
+            reparsed += 1
+            if cache_obj is not None:
+                cache_obj.put(display, content_hash, sig, outcome[0], outcome[1])
         findings.extend(outcome[0])
         summaries.append(outcome[1])
     if cache_obj is not None:
@@ -1092,7 +1068,7 @@ def lint_project(
     return LintReport(
         findings=findings,
         files_checked=len(files),
-        modules_reparsed=len(pending),
+        modules_reparsed=reparsed,
         cache_hits=hits,
         baselined=baselined,
     )

@@ -8,8 +8,9 @@ PR 1 (RL008), the traced power-transition discipline the
 decision-trace validator replays (RL009), and the O(changed-hosts)
 decision hot paths the fleet-scale kernel relies on (RL011) and the
 allocation hygiene of every ``# reprolint: hot``-registered function
-(RL015) — plus three general correctness rules that have bitten
-simulation codebases before (RL005/RL006/RL007).  The *project-wide*
+(RL015) — plus two general correctness rules that have bitten
+simulation codebases before (RL006/RL007); mutable defaults are left to
+ruff's B006.  The *project-wide*
 rules (RL012–RL014: RNG stream provenance, trace/validator coverage,
 memo-invalidation completeness) live in
 :mod:`repro.tools.lint.project_rules` and run in pass 2 over the
@@ -379,43 +380,6 @@ class UnitEqualityRule(Rule):
 
 
 # ----------------------------------------------------------------------
-# RL005 — mutable default arguments
-# ----------------------------------------------------------------------
-
-_MUTABLE_LITERALS = (ast.List, ast.Dict, ast.Set, ast.ListComp, ast.DictComp, ast.SetComp)
-_MUTABLE_CONSTRUCTORS = frozenset({"list", "dict", "set", "bytearray"})
-
-
-class MutableDefaultRule(Rule):
-    rule_id = "RL005"
-    title = "no mutable default arguments"
-    rationale = (
-        "a mutable default is shared across every call; state leaks between "
-        "scenarios and between cache entries"
-    )
-
-    def check(self, module: ModuleContext) -> Iterator[Finding]:
-        for node in ast.walk(module.tree):
-            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-                continue
-            defaults = list(node.args.defaults) + [
-                d for d in node.args.kw_defaults if d is not None
-            ]
-            for default in defaults:
-                if isinstance(default, _MUTABLE_LITERALS) or (
-                    isinstance(default, ast.Call)
-                    and isinstance(default.func, ast.Name)
-                    and default.func.id in _MUTABLE_CONSTRUCTORS
-                ):
-                    yield module.finding(
-                        self.rule_id,
-                        default,
-                        "mutable default argument; use None and create the "
-                        "container inside the function",
-                    )
-
-
-# ----------------------------------------------------------------------
 # RL006 — bare / overbroad except
 # ----------------------------------------------------------------------
 
@@ -699,14 +663,11 @@ class RawMigrateRule(Rule):
     skip_test_files = True
 
     def check(self, module: ModuleContext) -> Iterator[Finding]:
-        # The engine owns the call; the manager hosts the retry wrapper
-        # (and the balancer's opportunistic moves, retried next round).
+        # The engine owns the call; the manager (the plane's global
+        # arbiter) hosts the retry wrapper and the balancer's
+        # opportunistic moves, retried next round.
         if module.path.name == "engine.py" and module.in_packages(("migration",)):
             return
-        if module.path.name == "manager.py" and module.in_packages(("core",)):
-            return
-        # The manager moved into the plane package (PR 9): the global
-        # arbiter hosts the retry wrapper now.
         if module.path.name == "arbiter.py" and module.in_packages(("plane",)):
             return
         for node in ast.walk(module.tree):
@@ -1004,7 +965,6 @@ ALL_RULES: Tuple[Type[Rule], ...] = (
     WallClockRule,
     UnitMixRule,
     UnitEqualityRule,
-    MutableDefaultRule,
     OverbroadExceptRule,
     RuntimeAssertRule,
     UnpicklableFieldRule,

@@ -7,11 +7,12 @@ is the certification key (same as the differential suite), and the trace
 validator certifies the resumed runs too.
 """
 
+import hashlib
 import json
 
 import pytest
 
-from repro.core import run_scenario
+from repro.core import ResultCache, branch_scenarios, run_scenario
 from repro.core.checkpoint import (
     CHECKPOINT_SCHEMA,
     CheckpointError,
@@ -160,6 +161,27 @@ class TestRejection:
         with pytest.raises(CheckpointError, match="schema"):
             resume_scenario(path)
 
+    def test_pre_channel_checkpoint_refused_by_schema(self, tmp_path):
+        # A schema-1 file pickles classes that no longer exist (the neat
+        # manager subclass); the manifest check must refuse it before
+        # anything is unpickled.
+        path = self._one_checkpoint(tmp_path)
+        magic = path.read_bytes().split(b"\n", 1)[0]
+        payload = b"crepro.core.plane.neat\nNeatManager\n."
+        manifest = dict(
+            read_manifest(path),
+            schema=1,
+            payload_bytes=len(payload),
+            sha256=hashlib.sha256(payload).hexdigest(),
+        )
+        path.write_bytes(
+            magic + b"\n"
+            + json.dumps(manifest, sort_keys=True).encode() + b"\n"
+            + payload
+        )
+        with pytest.raises(CheckpointError, match="incompatible checkpoint schema 1"):
+            resume_scenario(path)
+
     def test_missing_file_rejected(self, tmp_path):
         with pytest.raises(CheckpointError, match="no such checkpoint"):
             resume_scenario(tmp_path / "absent.repro")
@@ -257,6 +279,24 @@ class TestBranch:
         neat = s3_policy().with_overrides(plane="neat")
         with pytest.raises(CheckpointError, match="plane"):
             branch_scenario(path, neat)
+
+    def test_branch_scenarios_fan_out_matches_single_branches(self, tmp_path):
+        ckpt = _checkpointed(tmp_path, s3_policy(), "fan")
+        path, _ = ckpt.checkpoints.saved[0]
+        configs = [s5_policy(), hybrid_policy()]
+        cache = ResultCache(tmp_path / "cache")
+        fanned = branch_scenarios(path, configs, workers=2, cache=cache)
+        single = [branch_scenario(path, config) for config in configs]
+        assert [a.report.to_dict() for a in fanned] == [
+            r.report.to_dict() for r in single
+        ]
+        assert cache.misses == len(configs)
+        warm_cache = ResultCache(tmp_path / "cache")
+        warm = branch_scenarios(path, configs, workers=2, cache=warm_cache)
+        assert (warm_cache.hits, warm_cache.misses) == (len(configs), 0)
+        assert [a.report.to_dict() for a in warm] == [
+            a.report.to_dict() for a in fanned
+        ]
 
     def test_branch_extends_horizon(self, tmp_path):
         ckpt = _checkpointed(tmp_path, s3_policy(), "long")

@@ -8,8 +8,8 @@ Covers the fault-domain machinery end to end:
   evacuation abort on exhaustion;
 * the admission-race regression (``engine.migrate`` raising mid-plan
   must cancel the evacuation, not crash the simulation);
-* the telemetry feed's delay/dropout semantics and the safe-mode
-  governor's hysteretic enter/exit;
+* the telemetry channel's delay/dropout semantics as the observer reads
+  it, and the safe-mode governor's hysteretic enter/exit;
 * the trace validator's migration-rollback / migration-retry /
   safe-mode invariant families on synthetic traces;
 * maintenance drains under an active fault model (satellite: no double
@@ -20,7 +20,8 @@ Covers the fault-domain machinery end to end:
 import pytest
 
 from repro.core import ManagerConfig, PowerAwareManager, run_scenario, s3_policy
-from repro.core.manager import _EvacuationTask
+from repro.core.plane import ClusterObserver, _EvacuationTask
+from repro.core.seeding import stream_rng
 from repro.datacenter import (
     Cluster,
     FaultModel,
@@ -33,9 +34,10 @@ from repro.migration.engine import MigrationRecord
 from repro.prototype import PROTOTYPE_BLADE
 from repro.sim import Environment
 from repro.telemetry import (
+    Channel,
+    ClusterSampler,
     ClusterView,
     StalenessModel,
-    TelemetryFeed,
     TraceBuffer,
     validate_trace,
 )
@@ -425,15 +427,16 @@ class TestSafeMode:
         assert manager.log.safe_mode_exits == 1
 
     def test_stale_telemetry_trips_safe_mode(self):
-        feed = TelemetryFeed(StalenessModel(delay_s=0.0), seed=0)
+        feed = Channel()
         env, cluster, engine, manager = build(
             config=self.cfg(), telemetry=feed
         )
-        feed.publish(
-            ClusterView(
+        feed.send(
+            [ClusterView(
                 taken_at=0.0, demand_cores=4.0,
                 committed_capacity_cores=64.0, active_hosts=4, vm_count=1,
-            )
+            )],
+            0.0,
         )
         env.run(until=100)
         manager.evaluate()
@@ -449,26 +452,28 @@ class TestSafeMode:
         assert enters and "telemetry-stale" in enters[0]
 
     def test_fresh_snapshot_releases_age_trip(self):
-        feed = TelemetryFeed(StalenessModel(delay_s=0.0), seed=0)
+        feed = Channel()
         env, cluster, engine, manager = build(
             config=self.cfg(), telemetry=feed
         )
-        feed.publish(
-            ClusterView(
+        feed.send(
+            [ClusterView(
                 taken_at=0.0, demand_cores=4.0,
                 committed_capacity_cores=64.0, active_hosts=4, vm_count=1,
-            )
+            )],
+            0.0,
         )
         env.run(until=1000)
         manager.evaluate()
         assert manager.safe_mode
         # A fresh snapshot arrives; after the hold the governor releases.
         env.run(until=2000)
-        feed.publish(
-            ClusterView(
+        feed.send(
+            [ClusterView(
                 taken_at=2000.0, demand_cores=4.0,
                 committed_capacity_cores=64.0, active_hosts=4, vm_count=1,
-            )
+            )],
+            2000.0,
         )
         manager.evaluate()
         assert not manager.safe_mode
@@ -483,59 +488,94 @@ class TestSafeMode:
 
 
 class TestTelemetryFeed:
+    """The telemetry channel: sampler (sender) -> observer (reader)."""
+
     def view(self, t, demand=8.0):
         return ClusterView(
             taken_at=t, demand_cores=demand,
             committed_capacity_cores=64.0, active_hosts=4, vm_count=4,
         )
 
+    def observer(self, channel):
+        env = Environment()
+        cluster = Cluster.homogeneous(
+            env, PROTOTYPE_BLADE, 1, cores=16.0, mem_gb=128.0
+        )
+        return ClusterObserver(cluster, MigrationEngine(env), channel)
+
     def test_cold_start_returns_none(self):
-        feed = TelemetryFeed(StalenessModel(), seed=0)
-        assert feed.view(0.0) is None
+        channel = Channel()
+        assert channel.deliver(0.0) == []
+        # Nothing delivered yet: plan on ground truth (an idle host) and
+        # report the full age so the governor can react.
+        assert self.observer(channel).observe(50.0) == (0.0, 50.0)
 
     def test_delay_gates_visibility(self):
-        feed = TelemetryFeed(StalenessModel(delay_s=60.0), seed=0)
-        feed.publish(self.view(0.0))
-        assert feed.view(30.0) is None
-        assert feed.view(60.0) == self.view(0.0)
+        channel = Channel(delay_s=60.0)
+        observer = self.observer(channel)
+        channel.send([self.view(0.0)], 0.0)
+        assert observer.observe(30.0) == (0.0, 30.0)  # still cold
+        assert observer.observe(60.0) == (8.0, 60.0)
 
     def test_newest_visible_snapshot_wins(self):
-        feed = TelemetryFeed(StalenessModel(delay_s=60.0), seed=0)
-        feed.publish(self.view(0.0, demand=1.0))
-        feed.publish(self.view(300.0, demand=2.0))
-        assert feed.view(300.0).demand_cores == 1.0
-        assert feed.view(360.0).demand_cores == 2.0
+        channel = Channel(delay_s=60.0)
+        observer = self.observer(channel)
+        channel.send([self.view(0.0, demand=1.0)], 0.0)
+        channel.send([self.view(300.0, demand=2.0)], 300.0)
+        assert observer.observe(300.0) == (1.0, 300.0)
+        assert observer.observe(360.0) == (2.0, 60.0)
+        # Several due at once: delivered in send order, newest last.
+        burst = Channel(delay_s=60.0)
+        views = [self.view(float(t), demand=float(t)) for t in (0, 60, 120)]
+        for v in views:
+            burst.send([v], v.taken_at)
+        assert burst.deliver(1000.0) == views
 
     def test_age_is_measured_from_taken_at(self):
-        feed = TelemetryFeed(StalenessModel(delay_s=60.0), seed=0)
-        feed.publish(self.view(100.0))
-        assert feed.view(200.0).age_s(200.0) == pytest.approx(100.0)
+        channel = Channel(delay_s=60.0)
+        observer = self.observer(channel)
+        channel.send([self.view(100.0)], 100.0)
+        _, age = observer.observe(200.0)
+        assert age == pytest.approx(100.0)
 
     def test_dropout_is_deterministic_per_seed_and_tick(self):
-        model = StalenessModel(dropout_rate=0.5)
-
         def drops(seed):
-            feed = TelemetryFeed(model, seed=seed)
-            return [not feed.publish(self.view(float(i))) for i in range(40)]
+            env = Environment()
+            cluster = Cluster.homogeneous(
+                env, PROTOTYPE_BLADE, 1, cores=16.0, mem_gb=128.0
+            )
+            channel = Channel(dropout_rate=0.5)
+            sampler = ClusterSampler(
+                env, cluster, epoch_s=60.0, telemetry=channel, seed=seed
+            )
+            sampler.start()
+            env.run(until=40 * 60.0 - 1.0)
+            assert sampler.samples == 40
+            delivered = {v.taken_at for v in channel.deliver(env.now)}
+            lost = [i * 60.0 not in delivered for i in range(40)]
+            assert sampler.telemetry_dropped == sum(lost)
+            assert len(delivered) + sampler.telemetry_dropped == 40
+            return lost
 
         assert drops(1) == drops(1)
         assert drops(1) != drops(2)
-        feed = TelemetryFeed(model, seed=1)
-        for i in range(40):
-            feed.publish(self.view(float(i)))
-        assert feed.dropped == sum(drops(1))
-        assert feed.published + feed.dropped == 40
 
     def test_dropped_tick_leaves_previous_snapshot_visible(self):
-        model = StalenessModel(dropout_rate=0.5)
-        feed = TelemetryFeed(model, seed=1)
+        channel = Channel(dropout_rate=0.5)
+        observer = self.observer(channel)
         last_seen = None
+        kept = 0
         for i in range(20):
-            view = self.view(float(i), demand=float(i))
-            if feed.publish(view):
+            now = float(i)
+            view = self.view(now, demand=float(i))
+            if channel.send([view], now, stream_rng("telemetry", 1, i)) == 0:
                 last_seen = view
+                kept += 1
             if last_seen is not None:
-                assert feed.view(float(i)) == last_seen
+                assert observer.observe(now) == (
+                    last_seen.demand_cores, now - last_seen.taken_at
+                )
+        assert 0 < kept < 20
 
 
 class TestValidatorFamilies:

@@ -41,7 +41,6 @@ BAD_FIXTURES = {
     "RL002": "sim/rl002_bad.py",
     "RL003": "rl003_bad.py",
     "RL004": "rl004_bad.py",
-    "RL005": "rl005_bad.py",
     "RL006": "rl006_bad.py",
     "RL007": "rl007_bad.py",
     "RL008": "rl008_bad.py",
@@ -69,16 +68,16 @@ def expected_lines(path: Path) -> set:
 
 class TestRegistry:
     def test_all_module_rules_registered(self):
-        assert len(ALL_RULES) == 13
+        assert len(ALL_RULES) == 12
         assert sorted(RULES_BY_ID) == [
-            "RL001", "RL002", "RL003", "RL004", "RL005",
+            "RL001", "RL002", "RL003", "RL004",
             "RL006", "RL007", "RL008", "RL009", "RL010",
             "RL011", "RL015", "RL016",
         ]
 
     def test_combined_registry_includes_project_rules(self):
         assert sorted(registry()) == [
-            "RL001", "RL002", "RL003", "RL004", "RL005",
+            "RL001", "RL002", "RL003", "RL004",
             "RL006", "RL007", "RL008", "RL009", "RL010",
             "RL011", "RL012", "RL013", "RL014", "RL015",
             "RL016",
@@ -94,8 +93,8 @@ class TestRegistry:
         assert ids == sorted(ids)
 
     def test_rules_for_ids_selects_subset(self):
-        rules = rules_for_ids(["RL005", "RL001"])
-        assert sorted(r.rule_id for r in rules) == ["RL001", "RL005"]
+        rules = rules_for_ids(["RL006", "RL001"])
+        assert sorted(r.rule_id for r in rules) == ["RL001", "RL006"]
 
     def test_rules_for_ids_rejects_unknown(self):
         with pytest.raises(ValueError, match="RL999"):
@@ -141,7 +140,7 @@ class TestFixtures:
     def test_rl010_exempts_engine_manager_and_tests(self, tmp_path):
         # The engine owns the call; the manager hosts the retry wrapper...
         engine = REPO_ROOT / "src" / "repro" / "migration" / "engine.py"
-        manager = REPO_ROOT / "src" / "repro" / "core" / "manager.py"
+        manager = REPO_ROOT / "src" / "repro" / "core" / "plane" / "arbiter.py"
         assert lint_file(engine, rules_for_ids(["RL010"])) == []
         assert lint_file(manager, rules_for_ids(["RL010"])) == []
         # ...and tests drive the engine directly to exercise edge cases.
@@ -153,7 +152,7 @@ class TestFixtures:
     def test_rl011_skips_test_files_and_manager_is_clean(self, tmp_path):
         # The live manager's hot paths read the index views — no findings
         # (and no suppressions needed outside deliberate reconciliation).
-        manager = REPO_ROOT / "src" / "repro" / "core" / "manager.py"
+        manager = REPO_ROOT / "src" / "repro" / "core" / "plane" / "arbiter.py"
         assert lint_file(manager, rules_for_ids(["RL011"])) == []
         # Tests drive evaluate()/react_to_shortfall() on toy clusters.
         source = (FIXTURES / "rl011_bad.py").read_text()
@@ -197,24 +196,24 @@ class TestSuppressions:
     def test_suppression_only_covers_its_line(self, tmp_path):
         path = tmp_path / "mod.py"
         path.write_text(
-            "def a(xs=[]):  # reprolint: disable=RL005\n"
-            "    return xs\n"
+            "def a(power_w):\n"
+            "    return power_w == 0.0  # reprolint: disable=RL004\n"
             "\n"
-            "def b(ys=[]):\n"
-            "    return ys\n"
+            "def b(power_w):\n"
+            "    return power_w == 0.0\n"
         )
-        findings = lint_file(path, rules_for_ids(["RL005"]))
-        assert [f.line for f in findings] == [4]
+        findings = lint_file(path, rules_for_ids(["RL004"]))
+        assert [f.line for f in findings] == [5]
 
     def test_hash_inside_string_is_not_a_suppression(self, tmp_path):
         path = tmp_path / "mod.py"
         path.write_text(
-            'MARK = "# reprolint: disable=RL005"\n'
-            "def a(xs=[]):\n"
-            "    return xs\n"
+            'MARK = "# reprolint: disable=RL004"\n'
+            "def a(power_w):\n"
+            "    return power_w == 0.0\n"
         )
-        findings = lint_file(path, rules_for_ids(["RL005"]))
-        assert [f.line for f in findings] == [2]
+        findings = lint_file(path, rules_for_ids(["RL004"]))
+        assert [f.line for f in findings] == [3]
 
     def test_suppression_on_any_line_of_multiline_statement(self, tmp_path):
         # The flagged node starts on line 5 but the trailing comment sits
@@ -307,9 +306,9 @@ class TestCli:
         assert "0 finding(s)" in capsys.readouterr().out
 
     def test_lint_bad_path_exits_nonzero(self, capsys):
-        assert main(["lint", str(FIXTURES / "rl005_bad.py")]) == 1
+        assert main(["lint", str(FIXTURES / "rl004_bad.py")]) == 1
         out = capsys.readouterr().out
-        assert "RL005" in out
+        assert "RL004" in out
 
     @pytest.mark.parametrize("rule_id", sorted(BAD_FIXTURES))
     def test_every_bad_fixture_fails_via_cli(self, rule_id, capsys):
@@ -327,9 +326,9 @@ class TestCli:
         assert {f["rule"] for f in payload["findings"]} == {"RL007"}
 
     def test_rules_filter(self, capsys):
-        # rl001_bad also trips nothing else, so filtering to RL005 is clean.
+        # rl001_bad also trips nothing else, so filtering to RL004 is clean.
         code = main(
-            ["lint", str(FIXTURES / "rl001_bad.py"), "--rules", "RL005"]
+            ["lint", str(FIXTURES / "rl001_bad.py"), "--rules", "RL004"]
         )
         capsys.readouterr()
         assert code == 0
@@ -373,11 +372,11 @@ class TestHeadClean:
         # so baselines and CI annotations are stable across machines.
         report = lint_paths([REPO_ROOT / "src" / "repro" / "core"])
         # Clean tree: check the property on a deliberately dirty file.
-        dirty = lint_paths([FIXTURES / "rl005_bad.py"])
+        dirty = lint_paths([FIXTURES / "rl004_bad.py"])
         assert dirty.findings
         for finding in dirty.findings:
             assert not finding.path.startswith("/"), finding.path
-            assert finding.path == "tests/lint_fixtures/rl005_bad.py"
+            assert finding.path == "tests/lint_fixtures/rl004_bad.py"
         assert report.files_checked > 5
 
 

@@ -94,7 +94,7 @@ class TestSummaryCache:
     def _tree(self, tmp_path: Path) -> Path:
         tree = tmp_path / "tree"
         tree.mkdir()
-        for name in ("rl001_good.py", "rl005_good.py", "rl006_good.py"):
+        for name in ("rl001_good.py", "rl004_good.py", "rl006_good.py"):
             shutil.copy(FIXTURES / name, tree / name)
         return tree
 
@@ -115,7 +115,7 @@ class TestSummaryCache:
         tree = self._tree(tmp_path)
         cache_dir = tmp_path / "cache"
         lint_paths([tree], cache=cache_dir)
-        target = tree / "rl005_good.py"
+        target = tree / "rl004_good.py"
         target.write_text(target.read_text() + "\n# touched\n")
         after = lint_paths([tree], cache=cache_dir)
         assert after.modules_reparsed == 1
@@ -131,21 +131,10 @@ class TestSummaryCache:
         lint_paths([tree], cache=reloaded)
         assert reloaded.hits == 3 and reloaded.misses == 0
 
-    def test_parallel_run_is_deterministic(self):
-        # Fixture tree has plenty of findings; order must not depend on
-        # thread scheduling.
-        rules = list(default_rules())
-        serial = lint_paths([FIXTURES], rules=rules, cache=False)
-        threaded = lint_paths([FIXTURES], rules=rules, cache=False, workers=4)
-        assert [f.to_dict() for f in threaded.findings] == [
-            f.to_dict() for f in serial.findings
-        ]
-        assert threaded.modules_reparsed == serial.modules_reparsed
-
 
 class TestBaselineAndFormats:
     def test_baseline_round_trip(self, tmp_path):
-        target = FIXTURES / "rl005_bad.py"
+        target = FIXTURES / "rl004_bad.py"
         first = lint_paths([target], cache=False)
         assert not first.ok
         baseline = tmp_path / "baseline.json"
@@ -155,7 +144,7 @@ class TestBaselineAndFormats:
         assert second.baselined == len(first.findings)
 
     def test_sarif_output_parses_and_matches(self):
-        report = lint_paths([FIXTURES / "rl005_bad.py"], cache=False)
+        report = lint_paths([FIXTURES / "rl004_bad.py"], cache=False)
         rules = [cls() for cls in registry().values()]
         doc = json.loads(report.render_sarif(rules))
         assert doc["version"] == "2.1.0"
@@ -178,8 +167,8 @@ class TestMutationDetection:
             tree / "datacenter" / "faults.py",
         )
         shutil.copy(
-            SRC / "repro" / "telemetry" / "view.py",
-            tree / "telemetry" / "view.py",
+            SRC / "repro" / "telemetry" / "sampler.py",
+            tree / "telemetry" / "sampler.py",
         )
         return tree
 

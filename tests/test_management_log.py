@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.manager import ManagementLog
+from repro.core.plane import ManagementLog
 
 
 class TestManagementLog:

@@ -2,12 +2,12 @@
 
 Three layers:
 
-* **Equivalence** — with the default lossless zero-delay request
+* **Equivalence** — with the default lossless zero-delay report
   channel, a fault-free neat run must produce a JSONL trace
   byte-identical to the centralized plane on the pinned golden scenario.
   The decomposition is a refactor, not a behaviour change, until the
   channel is degraded.
-* **Degradation** — with delivery delay and dropout the global arbiter
+* **Degradation** — with delivery delay and dropout the global manager
   plans on stale partial reports: rounds are flagged degraded, staleness
   feeds the safe-mode governor, parking is restricted to hosts with
   fresh underload evidence, and the run still certifies.
@@ -17,15 +17,16 @@ Three layers:
 
 import dataclasses
 
-from repro.core import ManagerConfig, NeatManager, run_scenario, s3_policy
-from repro.core.plane import DetectorReport, LocalDetectorBank, RequestChannel
+from repro.core import ManagerConfig, PowerAwareManager, run_scenario, s3_policy
+from repro.core.plane import DetectorReport, LocalDetectors
+from repro.core.seeding import stream_rng
 from repro.datacenter import Cluster, VM
 from repro.fuzz.generate import generate_spec
 from repro.fuzz.oracle import run_spec
 from repro.migration import MigrationEngine
 from repro.prototype import PROTOTYPE_BLADE
 from repro.sim import Environment
-from repro.telemetry import validate_trace
+from repro.telemetry import Channel, validate_trace
 from repro.workload import FlatTrace
 
 #: Same pinned scenario as tests/test_trace_scenarios.py.
@@ -40,8 +41,8 @@ GOLDEN_KW = dict(
 
 def report(host, taken_at, underloaded=True, demand=0.0):
     return DetectorReport(
-        host=host, taken_at=taken_at, demand_cores=demand, cores=16.0,
-        underloaded=underloaded, overloaded=False,
+        host=host, taken_at=taken_at, demand_cores=demand,
+        underloaded=underloaded,
     )
 
 
@@ -55,15 +56,15 @@ class TestDetectorBank:
             VM("vm-0", vcpus=16, mem_gb=16, trace=FlatTrace(1.0)),
             cluster.hosts[0],
         )
-        return LocalDetectorBank(cluster, 0.3, 0.9)
+        return LocalDetectors(cluster, Channel(), seed=0)
 
     def test_flags_follow_local_utilization(self):
         bank = self.build()
         by_host = {r.host: r for r in bank.scan(0.0)}
         busy, idle = by_host["host-000"], by_host["host-001"]
-        assert busy.overloaded and not busy.underloaded
+        assert not busy.underloaded
         assert busy.demand_cores == 16.0
-        assert idle.underloaded and not idle.overloaded
+        assert idle.underloaded
         assert idle.demand_cores == 0.0
 
     def test_reports_stamp_the_scan_time(self):
@@ -72,34 +73,39 @@ class TestDetectorBank:
 
 
 class TestRequestChannel:
+    """The report channel between local detectors and the manager."""
+
     def test_delay_holds_reports_until_due(self):
-        ch = RequestChannel(120.0, 0.0, seed=0)
+        ch = Channel(120.0)
         r = report("h0", 0.0)
-        assert ch.send([r], 0, 0.0) == 0
+        assert ch.send([r], 0.0) == 0
         assert ch.deliver(0.0) == []
         assert ch.deliver(119.0) == []
         assert ch.deliver(120.0) == [r]
         assert ch.deliver(120.0) == []  # popped, not re-delivered
 
     def test_zero_delay_delivers_in_the_same_round(self):
-        ch = RequestChannel(0.0, 0.0, seed=0)
+        ch = Channel()
         r = report("h0", 50.0)
-        ch.send([r], 0, 50.0)
+        ch.send([r], 50.0)
         assert ch.deliver(50.0) == [r]
 
     def test_dropout_is_deterministic_per_seed_and_round(self):
         reports = [report("h{}".format(i), 0.0) for i in range(64)]
-        a = RequestChannel(0.0, 0.5, seed=9)
-        b = RequestChannel(0.0, 0.5, seed=9)
-        dropped_a = a.send(list(reports), 3, 0.0)
-        dropped_b = b.send(list(reports), 3, 0.0)
+        a = Channel(0.0, 0.5)
+        b = Channel(0.0, 0.5)
+        dropped_a = a.send(list(reports), 0.0, stream_rng("plane", 9, 3))
+        dropped_b = b.send(list(reports), 0.0, stream_rng("plane", 9, 3))
         assert dropped_a == dropped_b
         assert 0 < dropped_a < 64
         assert a.deliver(0.0) == b.deliver(0.0)
 
     def test_zero_dropout_consumes_no_rng(self):
-        ch = RequestChannel(0.0, 0.0, seed=1)
-        assert ch.send([report("h0", 0.0)], 0, 0.0) == 0
+        ch = Channel()
+        rng = stream_rng("plane", 1, 0)
+        state = rng.bit_generator.state
+        assert ch.send([report("h0", 0.0)], 0.0, rng) == 0
+        assert rng.bit_generator.state == state
 
 
 def build_neat(cfg, n_hosts=3):
@@ -108,7 +114,12 @@ def build_neat(cfg, n_hosts=3):
         env, PROTOTYPE_BLADE, n_hosts, cores=16.0, mem_gb=128.0
     )
     engine = MigrationEngine(env)
-    manager = NeatManager(env, cluster, engine, cfg, seed=0)
+    detectors = LocalDetectors(
+        cluster,
+        Channel(cfg.neat_request_delay_s, cfg.neat_request_dropout),
+        seed=0,
+    )
+    manager = PowerAwareManager(env, cluster, engine, cfg, detectors=detectors)
     return env, cluster, manager
 
 
@@ -124,8 +135,9 @@ class TestNeatObservation:
             VM("vm-0", vcpus=8, mem_gb=16, trace=FlatTrace(0.5)),
             cluster.hosts[0],
         )
-        assert manager._plan_observation(0.0) == manager._observe(0.0)
-        assert manager._degraded_round is False
+        observer = manager.observer
+        assert observer.plan(0.0, manager.log) == observer.observe(0.0)
+        assert observer.detectors.degraded is False
         assert manager.log.detector_reports == 3
         assert manager.log.detector_reports_dropped == 0
 
@@ -137,13 +149,14 @@ class TestNeatObservation:
             VM("vm-0", vcpus=8, mem_gb=16, trace=FlatTrace(0.5)),
             cluster.hosts[0],
         )
+        observer = manager.observer
         # Cold start: the t=0 reports are still in flight, nothing has
         # ever arrived — fall back to the centralized observation.
-        manager._plan_observation(0.0)
-        assert manager._degraded_round is False
+        observer.plan(0.0, manager.log)
+        assert observer.detectors.degraded is False
         # Next round: the t=0 reports have landed but are 300 s old.
-        demand, age = manager._plan_observation(300.0)
-        assert manager._degraded_round is True
+        demand, age = observer.plan(300.0, manager.log)
+        assert observer.detectors.degraded is True
         assert age == 300.0
         assert demand == 4.0  # 8 vcpus * 0.5 util, as self-observed at t=0
 
@@ -155,8 +168,9 @@ class TestNeatObservation:
         }
         # A degraded round may only park on fresh local underload
         # evidence: never park a host the plane cannot see.
-        manager._degraded_round = True
-        manager._last_seen = {
+        detectors = manager.observer.detectors
+        detectors.degraded = True
+        detectors._last_seen = {
             "host-000": report("host-000", 0.0, underloaded=True),
             "host-001": report("host-001", 0.0, underloaded=False),
         }

@@ -53,7 +53,7 @@ class TestTopLevelApi:
             "repro.sim",
             "repro.power",
             "repro.core",
-            "repro.core.manager",
+            "repro.core.plane",
             "repro.prototype.calibration",
         ):
             assert importlib.import_module(module).__doc__

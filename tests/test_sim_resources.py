@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import Container, Environment, Resource, Store
+from repro.sim import Environment, Resource
 
 
 @pytest.fixture
@@ -95,126 +95,3 @@ class TestResource:
         assert res.queued == 0
         res.release(req)
         assert res.count == 0
-
-
-class TestContainer:
-    def test_validation(self, env):
-        with pytest.raises(ValueError):
-            Container(env, capacity=0)
-        with pytest.raises(ValueError):
-            Container(env, capacity=10, init=20)
-
-    def test_put_get_levels(self, env):
-        c = Container(env, capacity=100, init=50)
-
-        def proc(env):
-            yield c.get(30)
-            assert c.level == 20
-            yield c.put(10)
-            assert c.level == 30
-
-        env.process(proc(env))
-        env.run()
-
-    def test_get_blocks_until_available(self, env):
-        c = Container(env, capacity=100, init=0)
-        times = []
-
-        def consumer(env):
-            yield c.get(10)
-            times.append(env.now)
-
-        def producer(env):
-            yield env.timeout(5)
-            yield c.put(10)
-
-        env.process(consumer(env))
-        env.process(producer(env))
-        env.run()
-        assert times == [5.0]
-
-    def test_put_blocks_at_capacity(self, env):
-        c = Container(env, capacity=10, init=10)
-        times = []
-
-        def producer(env):
-            yield c.put(5)
-            times.append(env.now)
-
-        def consumer(env):
-            yield env.timeout(3)
-            yield c.get(5)
-
-        env.process(producer(env))
-        env.process(consumer(env))
-        env.run()
-        assert times == [3.0]
-
-    def test_get_more_than_capacity_rejected(self, env):
-        c = Container(env, capacity=10)
-        with pytest.raises(ValueError):
-            c.get(11)
-
-
-class TestStore:
-    def test_put_then_get(self, env):
-        store = Store(env)
-        got = []
-
-        def proc(env):
-            yield store.put("item")
-            got.append((yield store.get()))
-
-        env.process(proc(env))
-        env.run()
-        assert got == ["item"]
-
-    def test_get_blocks_until_put(self, env):
-        store = Store(env)
-        got = []
-
-        def consumer(env):
-            item = yield store.get()
-            got.append((env.now, item))
-
-        def producer(env):
-            yield env.timeout(4)
-            yield store.put("late")
-
-        env.process(consumer(env))
-        env.process(producer(env))
-        env.run()
-        assert got == [(4.0, "late")]
-
-    def test_fifo_item_order(self, env):
-        store = Store(env)
-        got = []
-
-        def proc(env):
-            yield store.put(1)
-            yield store.put(2)
-            yield store.put(3)
-            for _ in range(3):
-                got.append((yield store.get()))
-
-        env.process(proc(env))
-        env.run()
-        assert got == [1, 2, 3]
-
-    def test_capacity_blocks_put(self, env):
-        store = Store(env, capacity=1)
-        times = []
-
-        def producer(env):
-            yield store.put("a")
-            yield store.put("b")
-            times.append(env.now)
-
-        def consumer(env):
-            yield env.timeout(7)
-            yield store.get()
-
-        env.process(producer(env))
-        env.process(consumer(env))
-        env.run()
-        assert times == [7.0]
