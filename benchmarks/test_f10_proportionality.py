@@ -16,11 +16,11 @@ def compute_f10():
     total_cores = EVAL_HOSTS * 16.0
     peak_w = EVAL_HOSTS * PROTOTYPE_BLADE.peak_w
     curves = {
-        name: proportionality_curve(run.sampler, total_cores, peak_w)
+        name: proportionality_curve(run.series, total_cores, peak_w)
         for name, run in runs.items()
     }
     gaps = {
-        name: proportionality_gap(run.sampler, total_cores, peak_w)
+        name: proportionality_gap(run.series, total_cores, peak_w)
         for name, run in runs.items()
     }
     return curves, gaps

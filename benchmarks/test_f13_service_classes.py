@@ -10,7 +10,6 @@ rides through even the S5 policy's slow wakes.
 from benchmarks.conftest import eval_fleet_spec, run_policy_comparison
 from repro.analysis import render_table
 from repro.core import always_on, s3_policy, s5_policy
-from repro.datacenter import Priority
 
 
 def compute_f13():
@@ -23,11 +22,11 @@ def compute_f13():
     )
     table = {}
     for name, run in runs.items():
-        fractions = run.sampler.violation_fraction_by_class()
+        extra = run.report.extra
         table[name] = {
-            "gold": fractions[Priority.GOLD],
-            "silver": fractions[Priority.SILVER],
-            "bronze": fractions[Priority.BRONZE],
+            "gold": extra["violation_gold"],
+            "silver": extra["violation_silver"],
+            "bronze": extra["violation_bronze"],
             "energy_kwh": run.report.energy_kwh,
         }
     return table

@@ -8,37 +8,29 @@ overhead is amortized, which is the quantitative basis for the "agile"
 claim.
 """
 
-from benchmarks.conftest import EVAL_HORIZON_S, eval_fleet_spec, run_policy_comparison
+from benchmarks.conftest import (
+    EVAL_HORIZON_S,
+    EVAL_HOSTS,
+    eval_fleet_spec,
+    run_policy_comparison,
+)
 from repro.analysis import render_table
 from repro.power import PowerState
-
-
-def residency_fractions(cluster, horizon_s):
-    total = len(cluster.hosts) * horizon_s
-    fractions = {state: 0.0 for state in PowerState}
-    transit = 0.0
-    for host in cluster.hosts:
-        for state in PowerState:
-            fractions[state] += host.machine.residency_s(state)
-        transit += host.machine.transit_time_s
-    return (
-        {state: value / total for state, value in fractions.items()},
-        transit / total,
-    )
 
 
 def compute_f14():
     spec = eval_fleet_spec(archetype_weights={"diurnal": 0.85, "flat": 0.15})
     runs = run_policy_comparison(fleet_spec=spec)
+    total = EVAL_HOSTS * EVAL_HORIZON_S
     table = {}
     for name, run in runs.items():
-        fractions, transit = residency_fractions(run.cluster, EVAL_HORIZON_S)
+        residency = run.residency_s
         table[name] = {
-            "active": fractions[PowerState.ACTIVE],
-            "sleep": fractions[PowerState.SLEEP],
-            "hibernate": fractions[PowerState.HIBERNATE],
-            "off": fractions[PowerState.OFF],
-            "transit": transit,
+            "active": residency[PowerState.ACTIVE] / total,
+            "sleep": residency[PowerState.SLEEP] / total,
+            "hibernate": residency[PowerState.HIBERNATE] / total,
+            "off": residency[PowerState.OFF] / total,
+            "transit": run.transit_s / total,
         }
     return table
 

@@ -27,7 +27,7 @@ def compute_f5():
         spec = eval_fleet_spec(**overrides)
         runs = run_policy_comparison(fleet_spec=spec)
         base_kwh = runs["AlwaysOn"].report.energy_kwh
-        demand = runs["AlwaysOn"].sampler.series["demand_cores"]
+        demand = runs["AlwaysOn"].series["demand_cores"]
         oracle = perfect_consolidation_kwh(
             demand,
             PROTOTYPE_BLADE,

@@ -72,7 +72,7 @@ def main():
         render_table(
             ["policy", "gap"],
             [
-                [name, proportionality_gap(r.sampler, total_cores, peak_w)]
+                [name, proportionality_gap(r.sampler.series, total_cores, peak_w)]
                 for name, r in results.items()
             ],
         )

@@ -2,32 +2,34 @@
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import List, Mapping, Tuple
 
 import numpy as np
 
-from repro.telemetry.sampler import ClusterSampler
+from repro.telemetry.timeseries import TimeSeries
 
 
 def proportionality_curve(
-    sampler: ClusterSampler,
+    series: Mapping[str, TimeSeries],
     total_cores: float,
     peak_cluster_w: float,
     bins: int = 10,
 ) -> List[Tuple[float, float]]:
     """Binned (load fraction, normalized power) curve from a finished run.
 
-    Pairs each demand sample with the simultaneous power sample, buckets
-    by cluster load fraction, and returns the mean normalized power per
-    bucket.  A perfectly proportional cluster lies on y = x; AlwaysOn is a
-    horizontal line near its idle fraction.
+    ``series`` is a run's sampler series by name (a live sampler's or an
+    artifact's ``series``).  Pairs each demand sample with the
+    simultaneous power sample, buckets by cluster load fraction, and
+    returns the mean normalized power per bucket.  A perfectly
+    proportional cluster lies on y = x; AlwaysOn is a horizontal line
+    near its idle fraction.
     """
     if total_cores <= 0 or peak_cluster_w <= 0:
         raise ValueError("total_cores and peak_cluster_w must be positive")
     if bins < 1:
         raise ValueError("bins must be >= 1")
-    demand = sampler.series["demand_cores"].values
-    power = sampler.series["power_w"].values
+    demand = series["demand_cores"].values
+    power = series["power_w"].values
     if len(demand) != len(power) or len(demand) == 0:
         raise ValueError("sampler series empty or misaligned")
     load = np.clip(demand / total_cores, 0.0, 1.0)
@@ -43,7 +45,7 @@ def proportionality_curve(
 
 
 def proportionality_gap(
-    sampler: ClusterSampler,
+    series: Mapping[str, TimeSeries],
     total_cores: float,
     peak_cluster_w: float,
 ) -> float:
@@ -54,8 +56,8 @@ def proportionality_gap(
     """
     if total_cores <= 0 or peak_cluster_w <= 0:
         raise ValueError("total_cores and peak_cluster_w must be positive")
-    demand = sampler.series["demand_cores"].values
-    power = sampler.series["power_w"].values
+    demand = series["demand_cores"].values
+    power = series["power_w"].values
     if len(demand) == 0:
         raise ValueError("empty sampler series")
     load = np.clip(demand / total_cores, 0.0, 1.0)

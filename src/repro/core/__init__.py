@@ -49,7 +49,6 @@ from repro.core.predictor import (
 )
 from repro.core.runner import (
     ScenarioResult,
-    branch_scenario,
     resume_scenario,
     run_scenario,
 )
@@ -72,7 +71,6 @@ __all__ = [
     "Uncacheable",
     "WakeArbiter",
     "always_on",
-    "branch_scenario",
     "branch_scenarios",
     "hybrid_policy",
     "load_checkpoint",

@@ -48,7 +48,10 @@ from typing import Any, Dict, Iterable, Optional, Union
 #:    detector_reports, detector_reports_dropped).
 #: 5: entries gained the digest-framed on-disk layout (magic + sha256
 #:    over the pickle payload); pre-frame entries are unreadable.
-CACHE_SCHEMA = 5
+#: 6: ScenarioArtifacts carries ``series``/``residency_s``/``transit_s``
+#:    instead of sampler/cluster/manager snapshots, and a traced spec
+#:    asks for its trace in ``kwargs`` instead of a ``trace`` field.
+CACHE_SCHEMA = 6
 
 #: On-disk entry framing: magic line, sha256 hex of the payload, newline,
 #: pickle payload.  A read that fails any of these checks is *quarantined*
@@ -194,9 +197,9 @@ def scenario_digest(
 ) -> str:
     """Content hash identifying one ``run_scenario(config, **kwargs)`` call.
 
-    ``extra`` folds additional outcome-determining flags (e.g. trace
-    capture) into the key.  It is omitted from the payload when None so
-    digests of plain scenarios are stable across versions that added it.
+    ``extra`` folds additional cache-key material (e.g. the fuzz
+    spec-grammar version) into the key; it is omitted from the payload
+    when None.
     """
     try:
         payload = {

@@ -8,8 +8,8 @@ execution plan:
 * :class:`ScenarioSpec` — a picklable description of one ``run_scenario``
   call (policy config + keyword arguments + a display label);
 * :class:`ScenarioArtifacts` — the picklable subset of a finished run
-  that experiments actually consume (report, sampler series, management
-  log, per-host power-state residency) — everything that can cross a
+  that experiments actually consume (report, sampler series, fleet
+  power-state residency, decision trace) — everything that can cross a
   process boundary or live in the disk cache;
 * :func:`run_scenarios` — execute many specs, fanned out over a
   ``ProcessPoolExecutor``, with order-stable results, digest-level
@@ -45,124 +45,18 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Dict, Iterable, Iterator, List, Optional, Union
 
 if TYPE_CHECKING:
-    from repro.core.plane import ManagementLog, PowerAwareManager
     from repro.core.runner import ScenarioResult
-    from repro.datacenter.cluster import Cluster
-    from repro.datacenter.host import Host
-    from repro.power.machine import HostPowerStateMachine
-    from repro.telemetry.sampler import ClusterSampler
 
 from repro.core.cache import ResultCache, Uncacheable, cache_disabled, scenario_digest
 from repro.core.config import ManagerConfig
-from repro.datacenter.vm import Priority
 from repro.power.states import PowerState
 from repro.telemetry.metrics import SimReport
 from repro.telemetry.timeseries import TimeSeries
 
 
 # ----------------------------------------------------------------------
-# Picklable snapshots of a finished run
+# The picklable outcome of a finished run
 # ----------------------------------------------------------------------
-
-
-class MachineSnapshot:
-    """Frozen power-state-machine statistics (residency, transitions)."""
-
-    def __init__(self, machine: "HostPowerStateMachine") -> None:
-        self.state: PowerState = machine.state
-        self.transition_counts = dict(machine.transition_counts)
-        self.transit_time_s: float = machine.transit_time_s
-        self._residency: Dict[PowerState, float] = {
-            state: machine.residency_s(state) for state in PowerState
-        }
-
-    def residency_s(self, state: PowerState) -> float:
-        return self._residency[state]
-
-
-class HostSnapshot:
-    """Frozen per-host facts: capacity, final state, energy, residency."""
-
-    def __init__(self, host: "Host") -> None:
-        self.name: str = host.name
-        self.cores: float = host.cores
-        self.mem_gb: float = host.mem_gb
-        self.vm_count: int = host.vm_count
-        self.out_of_service: bool = host.out_of_service
-        self.wake_failures: int = host.wake_failures
-        self.machine = MachineSnapshot(host.machine)
-        self._energy_j: float = host.energy_j()
-
-    @property
-    def state(self) -> PowerState:
-        return self.machine.state
-
-    def energy_j(self) -> float:
-        return self._energy_j
-
-
-class ClusterSnapshot:
-    """Frozen cluster inventory — supports the residency/energy analyses."""
-
-    def __init__(self, cluster: "Cluster") -> None:
-        self.hosts: List[HostSnapshot] = [HostSnapshot(h) for h in cluster.hosts]
-        self.vm_count: int = cluster.vm_count
-
-    def total_capacity_cores(self) -> float:
-        return sum(h.cores for h in self.hosts)
-
-    def energy_j(self) -> float:
-        return sum(h.energy_j() for h in self.hosts)
-
-
-class SamplerSnapshot:
-    """Frozen telemetry: the full series plus the violation integrals.
-
-    Mirrors the read API of :class:`~repro.telemetry.ClusterSampler`
-    (``series``, ``violation_fraction`` …) so analysis helpers accept
-    either a live sampler or a snapshot.
-    """
-
-    def __init__(self, sampler: "ClusterSampler") -> None:
-        self.epoch_s: float = sampler.epoch_s
-        self.samples: int = sampler.samples
-        self.series: Dict[str, TimeSeries] = dict(sampler.series)
-        self.shortfall_core_s: float = sampler.shortfall_core_s
-        self.demand_core_s: float = sampler.demand_core_s
-        self.class_shortfall_core_s = dict(sampler.class_shortfall_core_s)
-        self.class_demand_core_s = dict(sampler.class_demand_core_s)
-        self._energy_kwh: float = sampler.energy_kwh()
-
-    @property
-    def violation_fraction(self) -> float:
-        if self.demand_core_s <= 0:
-            return 0.0
-        return self.shortfall_core_s / self.demand_core_s
-
-    @property
-    def violation_time_fraction(self) -> float:
-        return self.series["shortfall_cores"].fraction_above(1e-9)
-
-    def violation_fraction_by_class(self) -> Dict[Priority, float]:
-        result = {}
-        for priority in Priority:
-            demanded = self.class_demand_core_s[priority]
-            if demanded <= 0:
-                result[priority] = 0.0
-            else:
-                result[priority] = self.class_shortfall_core_s[priority] / demanded
-        return result
-
-    def energy_kwh(self) -> float:
-        return self._energy_kwh
-
-
-class ManagerSnapshot:
-    """Frozen management outcome: the action ledger and end-state counters."""
-
-    def __init__(self, manager: "PowerAwareManager") -> None:
-        self.log: "ManagementLog" = manager.log
-        self.pending_admissions: int = manager.pending_admissions
 
 
 @dataclass
@@ -170,10 +64,14 @@ class ScenarioArtifacts:
     """Everything a benchmark consumes from a run, in picklable form."""
 
     report: SimReport
-    sampler: SamplerSnapshot
-    cluster: ClusterSnapshot
-    manager: ManagerSnapshot
-    #: SHA-256 of the decision-trace JSONL (only with ``trace=True`` specs).
+    #: The sampler's time series by name (``power_w``, ``demand_cores`` …).
+    series: Dict[str, TimeSeries]
+    #: Fleet host-seconds per power state, summed over hosts in inventory
+    #: order.
+    residency_s: Dict[PowerState, float]
+    #: Fleet host-seconds spent between states, summed the same way.
+    transit_s: float
+    #: SHA-256 of the decision-trace JSONL (only for traced runs).
     trace_hash: Optional[str] = None
     #: The full decision-trace JSONL stream, or None when tracing was off.
     trace_jsonl: Optional[str] = None
@@ -181,6 +79,12 @@ class ScenarioArtifacts:
 
 def snapshot_result(result: "ScenarioResult") -> ScenarioArtifacts:
     """Freeze a live :class:`~repro.core.ScenarioResult` into artifacts."""
+    residency_s = {state: 0.0 for state in PowerState}
+    transit_s = 0.0
+    for host in result.cluster.hosts:
+        for state in PowerState:
+            residency_s[state] += host.machine.residency_s(state)
+        transit_s += host.machine.transit_time_s
     trace_hash = None
     trace_jsonl = None
     if result.trace is not None:
@@ -188,9 +92,9 @@ def snapshot_result(result: "ScenarioResult") -> ScenarioArtifacts:
         trace_hash = result.trace.trace_hash()
     return ScenarioArtifacts(
         report=result.report,
-        sampler=SamplerSnapshot(result.sampler),
-        cluster=ClusterSnapshot(result.cluster),
-        manager=ManagerSnapshot(result.manager),
+        series=dict(result.sampler.series),
+        residency_s=residency_s,
+        transit_s=transit_s,
         trace_hash=trace_hash,
         trace_jsonl=trace_jsonl,
     )
@@ -209,14 +113,13 @@ class ScenarioSpec:
     the result to be *cacheable* it must additionally have a canonical
     encoding — seeds, fleet specs, profiles and fault models all qualify;
     hand-built VM lists with live trace objects run fine but bypass the
-    cache.
+    cache.  ``kwargs={"trace": True}`` records a decision trace, whose
+    JSONL and hash the artifacts then carry.
     """
 
     config: ManagerConfig
     kwargs: Dict[str, Any] = field(default_factory=dict)
     label: Optional[str] = None
-    #: Capture a decision trace; the artifacts then carry its JSONL + hash.
-    trace: bool = False
     #: Extra cache-key material (e.g. the fuzz spec-grammar version, so a
     #: grammar bump invalidates fuzz artifacts without touching other
     #: cached scenarios).  Must be canonically encodable.
@@ -228,23 +131,15 @@ class ScenarioSpec:
 
     def digest(self) -> str:
         """Content hash for caching; raises ``Uncacheable`` when impossible."""
-        # Folded in only when set, so plain specs keep their old digests
-        # (and their old cache entries, which predate tracing).
-        extra: Dict[str, Any] = {}
-        if self.trace:
-            extra["trace"] = True
-        if self.digest_extra:
-            extra.update(self.digest_extra)
-        return scenario_digest(self.config, self.kwargs, extra=extra or None)
+        return scenario_digest(
+            self.config, self.kwargs, extra=self.digest_extra or None
+        )
 
     def run(self) -> ScenarioArtifacts:
         """Execute the scenario in this process and freeze the outcome."""
         from repro.core.runner import run_scenario
 
-        kwargs = dict(self.kwargs)
-        if self.trace:
-            kwargs.setdefault("trace", True)
-        return snapshot_result(run_scenario(self.config, **kwargs))
+        return snapshot_result(run_scenario(self.config, **self.kwargs))
 
 
 def _execute_spec(spec: Union[ScenarioSpec, BranchSpec]) -> ScenarioArtifacts:
@@ -314,13 +209,18 @@ def _graceful_signals() -> Iterator[None]:
 
 
 def default_workers() -> int:
-    """Worker count when unspecified: ``REPRO_WORKERS`` env or CPU count."""
+    """Worker count when unspecified: ``REPRO_WORKERS`` env or CPU count.
+
+    Raises ``ValueError`` when ``REPRO_WORKERS`` is set but not an integer.
+    """
     env = os.environ.get("REPRO_WORKERS")
     if env:
         try:
             return max(1, int(env))
         except ValueError:
-            pass
+            raise ValueError(
+                "REPRO_WORKERS must be an integer, got {!r}".format(env)
+            ) from None
     return max(1, os.cpu_count() or 1)
 
 
@@ -468,7 +368,7 @@ def branch_digest(
 
 @dataclass
 class BranchSpec:
-    """One ``branch_scenario(checkpoint, config, horizon_s)`` call, as data.
+    """One ``resume_scenario(checkpoint, config=, horizon_s=)`` call, as data.
 
     Offers the :class:`ScenarioSpec` interface (``name``, ``digest``,
     ``run``), so :func:`run_scenarios` fans branches out like specs.
@@ -488,10 +388,12 @@ class BranchSpec:
         return branch_digest(self.checkpoint_sha256, self.config, self.horizon_s)
 
     def run(self) -> ScenarioArtifacts:
-        from repro.core.runner import branch_scenario
+        from repro.core.runner import resume_scenario
 
         return snapshot_result(
-            branch_scenario(self.checkpoint, self.config, horizon_s=self.horizon_s)
+            resume_scenario(
+                self.checkpoint, config=self.config, horizon_s=self.horizon_s
+            )
         )
 
 

@@ -15,10 +15,11 @@ import heapq
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Union
+from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 from repro.core.checkpoint import (
     CheckpointCoordinator,
+    ResumeRecord,
     capture_resume_records,
     load_checkpoint,
     rebind_config,
@@ -76,9 +77,9 @@ class LiveScenario:
     Everything here is picklable at a quiescent point — the environment
     drops its event heap (captured separately as resume records), live
     process handles pickle as inert husks, and the streaming sink is
-    detached by the sampler.  ``run_scenario`` builds one, drives it to
-    the horizon and finalizes it; ``resume_scenario`` loads one from a
-    checkpoint and does the same from the snapshot instant.
+    detached by the sampler.  ``run_scenario`` builds one and
+    ``resume_scenario`` loads one from a checkpoint; both then drive it
+    to the horizon and finalize it.
     """
 
     env: Environment
@@ -190,9 +191,35 @@ def build_scenario(
 ) -> LiveScenario:
     """Wire every subsystem together and start the long-lived loops.
 
-    This is :func:`run_scenario`'s setup phase, split out so checkpoint
-    resume and branch can share the drive/finalize phases against a
-    restored :class:`LiveScenario` instead of a freshly built one.
+    This is :func:`run_scenario`'s setup phase; :func:`resume_scenario`
+    gets its :class:`LiveScenario` from a checkpoint instead.
+
+    Args:
+        config: the management policy (see :mod:`repro.core.policies`).
+        n_hosts / host_cores / host_mem_gb: homogeneous cluster shape.
+        n_vms: fleet size when ``fleet`` is not given.
+        horizon_s: simulated duration.
+        seed: drives fleet generation and churn.
+        profile: server power profile (default: the prototype blade).
+        fleet: explicit VM list (overrides ``n_vms``/``fleet_spec``).
+        fleet_spec: fleet shape (default: the enterprise mix).
+        epoch_s: telemetry/demand refresh interval.
+        migration_model: pre-copy fabric parameters.
+        churn_rate_per_h: VM arrivals per hour (0 disables churn).
+        churn_lifetime_s: mean lifetime of a churned VM.
+        fault_model: optional fault injection — wake failures and, via
+            its ``migration`` field, mid-copy migration failures (see
+            :class:`repro.datacenter.FaultModel`).
+        telemetry_model: optional staleness/dropout pipeline between the
+            sampler and the manager (see
+            :class:`repro.telemetry.view.StalenessModel`); None keeps the
+            manager on ground truth.
+        trace: record a structured decision trace (see
+            :mod:`repro.telemetry.trace`) into ``result.trace``.
+        trace_maxlen: bounded-buffer capacity (None = library default).
+        bounded_series: keep O(1) incremental series aggregates instead
+            of every sample — flat RAM over arbitrary horizons (pair
+            with ``stream`` to keep the raw windows).
     """
     if horizon_s <= 0:
         raise ValueError("horizon_s must be positive")
@@ -405,14 +432,39 @@ def _make_save_fn(live: LiveScenario, sink: Optional[StreamingMetricsSink]):
     return save
 
 
-def _drive(
-    live: LiveScenario,
-    setup_wall_s: float,
+#: What a run starts from: the live scenario plus, after a checkpoint
+#: load, its resume records and manifest (``None`` and ``{}`` when built).
+_Started = Tuple[LiveScenario, Optional[List[ResumeRecord]], Dict[str, Any]]
+
+
+def _run(
+    start: Callable[[], _Started],
     checkpoint_every_s: Optional[float],
     checkpoint_dir: Optional[Union[str, Path]],
-    sink: Optional[StreamingMetricsSink],
+    stream: Optional[Union[str, Path]],
 ) -> ScenarioResult:
-    """Run a wired scenario to its horizon and finalize it."""
+    """The one run path behind every entry point.
+
+    Starts the setup clock, gets the live scenario from ``start``,
+    attaches the streaming sink, restores processes, drives to the
+    horizon and finalizes.
+    """
+    t_setup0 = time.perf_counter()  # reprolint: disable=RL002
+    live, records, manifest = start()
+    sink = None
+    if stream is not None:
+        # A resumed stream is truncated back to the checkpoint's fsynced
+        # offset, deduplicating windows a crashed run re-emitted.
+        offset = manifest.get("stream_offset")
+        sink = StreamingMetricsSink(
+            stream,
+            label=live.config.name,
+            resume_offset=None if offset is None else int(offset),
+            resume_windows=int(manifest.get("stream_windows", 0)),
+        )
+        live.sampler.attach_sink(sink)
+    if records is not None:
+        restore_processes(live.env, records)
     coordinator = None
     if checkpoint_every_s is not None:
         if checkpoint_dir is None:
@@ -431,7 +483,7 @@ def _drive(
     t_run1 = time.perf_counter()  # reprolint: disable=RL002
     result = finalize_scenario(
         live,
-        setup_wall_s=setup_wall_s,
+        setup_wall_s=t_run0 - t_setup0,
         sim_wall_s=t_run1 - t_run0,
         checkpoints=coordinator,
     )
@@ -442,156 +494,77 @@ def _drive(
 
 def run_scenario(
     config: ManagerConfig,
-    n_hosts: int = 20,
-    n_vms: int = 80,
-    horizon_s: float = 48 * 3600.0,
-    seed: int = 0,
-    host_cores: float = 16.0,
-    host_mem_gb: float = 128.0,
-    profile: Optional[ServerPowerProfile] = None,
-    fleet: Optional[List[VM]] = None,
-    fleet_spec: Optional[FleetSpec] = None,
-    epoch_s: float = 60.0,
-    migration_model: Optional[PreCopyModel] = None,
-    churn_rate_per_h: float = 0.0,
-    churn_lifetime_s: float = 6 * 3600.0,
-    fault_model: Optional[FaultModel] = None,
-    telemetry_model: Optional[StalenessModel] = None,
-    trace: bool = False,
-    trace_maxlen: Optional[int] = None,
+    *,
     checkpoint_every_s: Optional[float] = None,
     checkpoint_dir: Optional[Union[str, Path]] = None,
     stream: Optional[Union[str, Path]] = None,
-    bounded_series: bool = False,
+    **scenario: Any,
 ) -> ScenarioResult:
     """Run one managed-cluster simulation end to end.
 
+    ``scenario`` is forwarded to :func:`build_scenario`, which documents
+    every scenario parameter (cluster shape, fleet, horizon, seed,
+    faults, tracing …).
+
     Args:
         config: the management policy (see :mod:`repro.core.policies`).
-        n_hosts / host_cores / host_mem_gb: homogeneous cluster shape.
-        n_vms: fleet size when ``fleet`` is not given.
-        horizon_s: simulated duration.
-        seed: drives fleet generation and churn.
-        profile: server power profile (default: the prototype blade).
-        fleet: explicit VM list (overrides ``n_vms``/``fleet_spec``).
-        fleet_spec: fleet shape (default: the enterprise mix).
-        epoch_s: telemetry/demand refresh interval.
-        migration_model: pre-copy fabric parameters.
-        churn_rate_per_h: VM arrivals per hour (0 disables churn).
-        fault_model: optional fault injection — wake failures and, via
-            its ``migration`` field, mid-copy migration failures (see
-            :class:`repro.datacenter.FaultModel`).
-        telemetry_model: optional staleness/dropout pipeline between the
-            sampler and the manager (see
-            :class:`repro.telemetry.view.StalenessModel`); None keeps the
-            manager on ground truth.
-        trace: record a structured decision trace (see
-            :mod:`repro.telemetry.trace`) into ``result.trace``.
-        trace_maxlen: bounded-buffer capacity (None = library default).
         checkpoint_every_s: write a crash-safe checkpoint at every
             multiple of this simulated interval (see
             :mod:`repro.core.checkpoint`); requires ``checkpoint_dir``.
         checkpoint_dir: directory receiving the checkpoint files.
         stream: emit per-window metrics incrementally to this JSONL path
             (see :mod:`repro.telemetry.stream`).
-        bounded_series: keep O(1) incremental series aggregates instead
-            of every sample — flat RAM over arbitrary horizons (pair
-            with ``stream`` to keep the raw windows).
     """
-    t_setup0 = time.perf_counter()  # reprolint: disable=RL002
-    live = build_scenario(
-        config,
-        n_hosts=n_hosts,
-        n_vms=n_vms,
-        horizon_s=horizon_s,
-        seed=seed,
-        host_cores=host_cores,
-        host_mem_gb=host_mem_gb,
-        profile=profile,
-        fleet=fleet,
-        fleet_spec=fleet_spec,
-        epoch_s=epoch_s,
-        migration_model=migration_model,
-        churn_rate_per_h=churn_rate_per_h,
-        churn_lifetime_s=churn_lifetime_s,
-        fault_model=fault_model,
-        telemetry_model=telemetry_model,
-        trace=trace,
-        trace_maxlen=trace_maxlen,
-        bounded_series=bounded_series,
-    )
-    sink = None
-    if stream is not None:
-        sink = StreamingMetricsSink(stream, label=config.name)
-        live.sampler.attach_sink(sink)
-    t_run0 = time.perf_counter()  # reprolint: disable=RL002
-    return _drive(
-        live, t_run0 - t_setup0, checkpoint_every_s, checkpoint_dir, sink
+    return _run(
+        lambda: (build_scenario(config, **scenario), None, {}),
+        checkpoint_every_s,
+        checkpoint_dir,
+        stream,
     )
 
 
 def resume_scenario(
     checkpoint: Union[str, Path],
+    *,
+    config: Optional[ManagerConfig] = None,
+    horizon_s: Optional[float] = None,
     checkpoint_every_s: Optional[float] = None,
     checkpoint_dir: Optional[Union[str, Path]] = None,
     stream: Optional[Union[str, Path]] = None,
 ) -> ScenarioResult:
-    """Resume a checkpointed run and drive it to its original horizon.
+    """Resume a checkpointed run and drive it to its horizon.
 
-    The resumed run's decision trace is byte-identical to the
-    uninterrupted run's (the determinism oracle enforced by the
-    differential and crash-injection suites).  ``stream`` re-attaches
-    the streaming sink: the file is truncated back to the checkpoint's
-    fsynced offset, deduplicating windows the crashed run re-emitted.
+    Without ``config`` and ``horizon_s`` the resumed run's decision trace
+    is byte-identical to the uninterrupted run's (the determinism oracle
+    enforced by the differential and crash-injection suites).
+    ``stream`` re-attaches the streaming sink: the file is truncated
+    back to the checkpoint's fsynced offset.
+
+    ``config`` branches the warm state under a different policy: the
+    management plane is rebound to it (policy parameters only — plane
+    architecture and DVFS wiring must match, see
+    :func:`repro.core.checkpoint.rebind_config`).  ``horizon_s`` moves
+    the horizon (default: the original one).  This is the
+    SleepScale-style amortization: one warm-up, many policy variants.
     """
-    t_setup0 = time.perf_counter()  # reprolint: disable=RL002
-    live, records, manifest = load_checkpoint(checkpoint)
-    sink = None
-    if stream is not None:
-        if "stream_offset" not in manifest:
+
+    def start() -> _Started:
+        live, records, manifest = load_checkpoint(checkpoint)
+        if stream is not None and "stream_offset" not in manifest:
             raise ValueError(
                 "checkpoint {} was not taken from a streaming run; "
                 "cannot resume its stream".format(checkpoint)
             )
-        sink = StreamingMetricsSink(
-            stream,
-            label=live.config.name,
-            resume_offset=int(manifest["stream_offset"]),
-            resume_windows=int(manifest["stream_windows"]),
-        )
-        live.sampler.attach_sink(sink)
-    restore_processes(live.env, records)
-    t_run0 = time.perf_counter()  # reprolint: disable=RL002
-    return _drive(
-        live, t_run0 - t_setup0, checkpoint_every_s, checkpoint_dir, sink
-    )
+        if config is not None:
+            rebind_config(live.manager, config)
+            live.config = config
+        if horizon_s is not None:
+            if horizon_s <= live.env.now:
+                raise ValueError(
+                    "branch horizon {}s is not after the checkpoint "
+                    "instant {}s".format(horizon_s, live.env.now)
+                )
+            live.horizon_s = float(horizon_s)
+        return live, records, manifest
 
-
-def branch_scenario(
-    checkpoint: Union[str, Path],
-    config: ManagerConfig,
-    horizon_s: Optional[float] = None,
-) -> ScenarioResult:
-    """Fan one warm checkpoint out under a different policy.
-
-    Loads the checkpoint, rebinds the management plane to ``config``
-    (policy parameters only — plane architecture and DVFS wiring must
-    match, see :func:`repro.core.checkpoint.rebind_config`) and drives
-    the run to ``horizon_s`` (default: the original horizon).  This is
-    the SleepScale-style amortization: one warm-up, many policy
-    variants.
-    """
-    t_setup0 = time.perf_counter()  # reprolint: disable=RL002
-    live, records, _ = load_checkpoint(checkpoint)
-    rebind_config(live.manager, config)
-    live.config = config
-    if horizon_s is not None:
-        if horizon_s <= live.env.now:
-            raise ValueError(
-                "branch horizon {}s is not after the checkpoint "
-                "instant {}s".format(horizon_s, live.env.now)
-            )
-        live.horizon_s = float(horizon_s)
-    restore_processes(live.env, records)
-    t_run0 = time.perf_counter()  # reprolint: disable=RL002
-    return _drive(live, t_run0 - t_setup0, None, None, None)
+    return _run(start, checkpoint_every_s, checkpoint_dir, stream)

@@ -479,6 +479,7 @@ class FuzzSpec:
             fleet_spec=self.workload.fleet_spec(self.horizon_s),
             churn_rate_per_h=self.churn.rate_per_h,
             churn_lifetime_s=self.churn.lifetime_s,
+            trace=True,
         )
         fault_model = self.faults.fault_model()
         if fault_model is not None:
@@ -499,6 +500,5 @@ class FuzzSpec:
             self.policy.manager_config(),
             kwargs=self.scenario_kwargs(),
             label=self.label,
-            trace=True,
             digest_extra={"fuzz_spec_version": self.spec_version},
         )

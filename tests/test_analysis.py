@@ -102,7 +102,7 @@ class TestProportionalityMetrics:
     def test_curve_points_in_unit_square(self, sampled_cluster):
         cluster, sampler = sampled_cluster
         peak = 2 * PROTOTYPE_BLADE.peak_w
-        curve = proportionality_curve(sampler, 32.0, peak)
+        curve = proportionality_curve(sampler.series, 32.0, peak)
         for load, power in curve:
             assert 0.0 <= load <= 1.0
             assert 0.0 <= power <= 1.0 + 1e-9
@@ -111,15 +111,15 @@ class TestProportionalityMetrics:
         cluster, sampler = sampled_cluster
         peak = 2 * PROTOTYPE_BLADE.peak_w
         # Load 8/32 = 0.25, power way above 0.25 of peak: big gap.
-        gap = proportionality_gap(sampler, 32.0, peak)
+        gap = proportionality_gap(sampler.series, 32.0, peak)
         assert gap > 0.2
 
     def test_validation(self, sampled_cluster):
         _, sampler = sampled_cluster
         with pytest.raises(ValueError):
-            proportionality_curve(sampler, 0.0, 100.0)
+            proportionality_curve(sampler.series, 0.0, 100.0)
         with pytest.raises(ValueError):
-            proportionality_gap(sampler, 32.0, 0.0)
+            proportionality_gap(sampler.series, 32.0, 0.0)
 
 
 class TestRenderers:

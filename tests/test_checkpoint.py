@@ -19,7 +19,7 @@ from repro.core.checkpoint import (
     read_manifest,
 )
 from repro.core.policies import hybrid_policy, s3_policy, s5_policy
-from repro.core.runner import branch_scenario, resume_scenario
+from repro.core.runner import resume_scenario
 from repro.datacenter import FaultModel, RepairModel
 from repro.telemetry.validate import validate_trace
 
@@ -261,7 +261,7 @@ class TestBranch:
         ckpt = _checkpointed(tmp_path, s3_policy(), "branch")
         path, manifest = ckpt.checkpoints.saved[2]
         for preset in (s5_policy, hybrid_policy):
-            result = branch_scenario(path, preset())
+            result = resume_scenario(path, config=preset())
             assert result.report.policy == preset().name
             # The branch continues the parent horizon from the snapshot.
             assert result.env.now == KW["horizon_s"]
@@ -270,7 +270,7 @@ class TestBranch:
         baseline = run_scenario(s3_policy(), **KW)
         ckpt = _checkpointed(tmp_path, s3_policy(), "same")
         path, _ = ckpt.checkpoints.saved[1]
-        result = branch_scenario(path, s3_policy())
+        result = resume_scenario(path, config=s3_policy())
         assert result.trace.trace_hash() == baseline.trace.trace_hash()
 
     def test_branch_rejects_plane_mismatch(self, tmp_path):
@@ -278,7 +278,7 @@ class TestBranch:
         path, _ = ckpt.checkpoints.saved[0]
         neat = s3_policy().with_overrides(plane="neat")
         with pytest.raises(CheckpointError, match="plane"):
-            branch_scenario(path, neat)
+            resume_scenario(path, config=neat)
 
     def test_branch_scenarios_fan_out_matches_single_branches(self, tmp_path):
         ckpt = _checkpointed(tmp_path, s3_policy(), "fan")
@@ -286,7 +286,7 @@ class TestBranch:
         configs = [s5_policy(), hybrid_policy()]
         cache = ResultCache(tmp_path / "cache")
         fanned = branch_scenarios(path, configs, workers=2, cache=cache)
-        single = [branch_scenario(path, config) for config in configs]
+        single = [resume_scenario(path, config=config) for config in configs]
         assert [a.report.to_dict() for a in fanned] == [
             r.report.to_dict() for r in single
         ]
@@ -301,5 +301,13 @@ class TestBranch:
     def test_branch_extends_horizon(self, tmp_path):
         ckpt = _checkpointed(tmp_path, s3_policy(), "long")
         path, _ = ckpt.checkpoints.saved[0]
-        result = branch_scenario(path, s5_policy(), horizon_s=4 * 3600.0)
+        result = resume_scenario(
+            path, config=s5_policy(), horizon_s=4 * 3600.0
+        )
         assert result.env.now == 4 * 3600.0
+
+    def test_branch_horizon_must_follow_the_checkpoint(self, tmp_path):
+        ckpt = _checkpointed(tmp_path, s3_policy(), "early")
+        path, manifest = ckpt.checkpoints.saved[1]
+        with pytest.raises(ValueError, match="not after the checkpoint"):
+            resume_scenario(path, horizon_s=manifest["sim_time_s"])

@@ -12,7 +12,7 @@ from repro.core import (
     s3_policy,
     snapshot_result,
 )
-from repro.datacenter.vm import Priority
+from repro.core.parallel import default_workers
 from repro.power.states import PowerState
 from repro.workload import FleetSpec
 
@@ -110,29 +110,37 @@ class TestCachingBehavior:
             run_scenarios([s3_policy()], cache=False)
 
 
+class TestDefaultWorkers:
+    def test_env_sets_pool_width(self, monkeypatch):
+        monkeypatch.setenv("REPRO_WORKERS", "3")
+        assert default_workers() == 3
+
+    def test_non_integer_env_is_an_error(self, monkeypatch):
+        monkeypatch.setenv("REPRO_WORKERS", "four")
+        with pytest.raises(ValueError, match="REPRO_WORKERS.*'four'"):
+            default_workers()
+
+
 class TestArtifacts:
     def test_snapshot_mirrors_live_result(self):
         live = run_scenario(s3_policy(), **KW)
         art = snapshot_result(live)
         assert isinstance(art, ScenarioArtifacts)
         assert art.report is live.report
-        assert art.sampler.violation_fraction == live.sampler.violation_fraction
-        assert (
-            art.sampler.violation_fraction_by_class()
-            == live.sampler.violation_fraction_by_class()
-        )
-        assert art.sampler.energy_kwh() == pytest.approx(live.sampler.energy_kwh())
-        assert art.cluster.vm_count == live.cluster.vm_count
-        for snap, host in zip(art.cluster.hosts, live.cluster.hosts):
-            assert snap.name == host.name
+        assert art.series.keys() == live.sampler.series.keys()
+        for name, series in live.sampler.series.items():
+            assert art.series[name] is series
+        # Exact sums in host order: F14 divides these by total host-time.
+        residency = {state: 0.0 for state in PowerState}
+        transit = 0.0
+        for host in live.cluster.hosts:
             for state in PowerState:
-                assert snap.machine.residency_s(state) == pytest.approx(
-                    host.machine.residency_s(state)
-                )
-            assert snap.machine.transit_time_s == pytest.approx(
-                host.machine.transit_time_s
-            )
-        assert art.manager.log is live.manager.log
+                residency[state] += host.machine.residency_s(state)
+            transit += host.machine.transit_time_s
+        assert art.residency_s == residency
+        assert art.transit_s == transit
+        assert sum(art.residency_s.values()) > 0
+        assert art.trace_hash is None and art.trace_jsonl is None
 
     def test_artifacts_survive_pickling(self):
         import pickle
@@ -140,14 +148,11 @@ class TestArtifacts:
         (art,) = run_scenarios([small_spec()], workers=1, cache=False)
         clone = pickle.loads(pickle.dumps(art))
         assert clone.report.to_dict() == art.report.to_dict()
-        assert len(clone.sampler.series["power_w"]) == len(
-            art.sampler.series["power_w"]
-        )
-        assert clone.sampler.violation_fraction_by_class().keys() == {
-            Priority.GOLD,
-            Priority.SILVER,
-            Priority.BRONZE,
-        }
+        assert clone.series.keys() == art.series.keys()
+        for name, series in art.series.items():
+            assert clone.series[name].points() == series.points()
+        assert clone.residency_s == art.residency_s
+        assert clone.transit_s == art.transit_s
 
     def test_spec_name_prefers_label(self):
         assert small_spec(label="mine").name == "mine"

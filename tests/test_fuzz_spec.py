@@ -137,7 +137,7 @@ class TestScenarioBridge:
     def test_scenario_spec_is_traced_and_cacheable(self):
         spec = FuzzSpec(seed=5)
         scenario = spec.scenario_spec()
-        assert scenario.trace is True
+        assert scenario.kwargs["trace"] is True
         assert scenario.label == spec.label
         assert scenario.digest_extra == {"fuzz_spec_version": SPEC_VERSION}
         assert scenario.digest()  # cacheable: no Uncacheable raised

@@ -128,9 +128,11 @@ class TestEnergyProportionality:
     def test_s3_much_closer_to_proportional_than_always_on(self, diurnal_runs):
         peak = 10 * PROTOTYPE_BLADE.peak_w
         gap_base = proportionality_gap(
-            diurnal_runs["AlwaysOn"].sampler, 160.0, peak
+            diurnal_runs["AlwaysOn"].sampler.series, 160.0, peak
         )
-        gap_s3 = proportionality_gap(diurnal_runs["S3-PM"].sampler, 160.0, peak)
+        gap_s3 = proportionality_gap(
+            diurnal_runs["S3-PM"].sampler.series, 160.0, peak
+        )
         assert gap_s3 < 0.5 * gap_base
 
 

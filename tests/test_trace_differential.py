@@ -31,7 +31,7 @@ KW = dict(
 
 
 def traced_spec(policy=s3_policy, label=None):
-    return ScenarioSpec(policy(), kwargs=dict(KW), trace=True, label=label)
+    return ScenarioSpec(policy(), kwargs=dict(KW, trace=True), label=label)
 
 
 class TestSerialVsParallel:
