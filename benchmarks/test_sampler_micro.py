@@ -6,9 +6,11 @@ shortfall, per-class demand) with one fused pass.  These tests pin two
 properties:
 
 1. **Float identity** — every series value the fused walk produces is
-   bit-identical to the naive reference implementation it replaced.
-2. **Speed** — the fused tick stays comfortably cheaper than the naive
-   reference on a mid-size cluster (a regression guard, not a race).
+   bit-identical to a naive reference that reads every demand straight
+   from the traces.
+2. **Speed** — the fused tick stays comfortably cheaper than the three
+   production walks it replaced on a mid-size cluster (a regression
+   guard, not a race).
 """
 
 import time
@@ -23,8 +25,58 @@ from repro.telemetry.sampler import ClusterSampler
 from repro.workload import FleetSpec, build_fleet
 
 
+def trace_cores(vm, now):
+    """``vm``'s demand read straight from its trace: no memo, no lattice."""
+    return min(vm.trace.at(now), 1.0) * vm.vcpus
+
+
 def naive_sample(cluster, now):
-    """The pre-fusion reference: three separate inventory walks."""
+    """The identity reference: separate walks over direct trace reads.
+
+    It shares no demand value with the fused tick: every VM demand comes
+    from ``trace_cores``, summed in the tick's orders (hosts in inventory
+    order, VMs in per-host dict order, then the registry).  Per host it
+    repeats ``Host.refresh_utilization`` (the DVFS level and capacity) and
+    ``Host.shortfall_by_class`` (strict-priority delivery) on those sums.
+    """
+    shortfall = 0.0
+    class_shortfall = {p: 0.0 for p in Priority}
+    for host in cluster.hosts:
+        per_class = {p: 0.0 for p in Priority}
+        resident = 0.0
+        for vm in host.vms.values():
+            v = trace_cores(vm, now)
+            resident += v
+            per_class[vm.priority] += v
+        tax = host.migration_tax_cores
+        demand = resident + tax
+        frequency = 1.0
+        if host.dvfs is not None and host.is_active:
+            frequency = host.dvfs.level_for(demand / host.cores, target=host.dvfs_target)
+        elif host.dvfs is not None:
+            frequency = host.dvfs.levels[0]
+        if not host.is_active and host.vms:
+            shortfall += demand
+            for p in Priority:
+                class_shortfall[p] += per_class[p]
+            continue
+        shortfall += max(0.0, demand - host.cores * frequency)
+        if not host.vms:
+            continue
+        capacity_left = max(0.0, host.cores * frequency - tax)
+        for p in sorted(Priority):
+            delivered = min(per_class[p], capacity_left)
+            capacity_left -= delivered
+            class_shortfall[p] += per_class[p] - delivered
+    class_demand = {p: 0.0 for p in Priority}
+    for vm in cluster.iter_vms():
+        class_demand[vm.priority] += trace_cores(vm, now)
+    demand = sum(class_demand.values())
+    return shortfall, class_shortfall, class_demand, demand
+
+
+def walks_sample(cluster, now):
+    """The pre-fusion walks: three separate passes over the inventory."""
     shortfall = cluster.refresh_utilization(now)
     class_shortfall = {p: 0.0 for p in Priority}
     for host in cluster.hosts:
@@ -64,15 +116,10 @@ class TestFusedTickIdentity:
         for tick in range(16):
             now = float(tick) * 60.0
             env._now = now
-            # Reference first on a pristine copy of the instant is not
-            # possible (refresh mutates machines) — instead compute the
-            # reference *after* the fused walk: both are pure functions
-            # of (VM demands at ``now``, host state), and the fused walk
-            # leaves exactly the state the reference produces.
-            sampler.sample_once()
             ref_sf, ref_cls_sf, ref_cls_d, ref_demand = naive_sample(
                 cluster, now
             )
+            sampler.sample_once()
             s = sampler.series
             assert s["shortfall_cores"].values[-1] == ref_sf
             assert s["demand_cores"].values[-1] == ref_demand
@@ -107,7 +154,7 @@ class TestFusedTickSpeed:
 
         start = time.perf_counter()
         for tick in range(ticks):
-            naive_sample(cluster, float(tick) * 60.0)
+            walks_sample(cluster, float(tick) * 60.0)
         naive_s = time.perf_counter() - start
 
         # The fused walk does strictly less work (one pass, no dict

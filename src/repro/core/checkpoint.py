@@ -30,7 +30,7 @@ callback order.  Absolute-instant scheduling (``timeout_at``) avoids the
 ``now + (t - now)`` float round-trip that would shift re-armed waits by
 one ulp.
 
-File format (schema 2)
+File format (schema 3)
 ----------------------
 ::
 
@@ -66,8 +66,9 @@ if TYPE_CHECKING:
     from repro.core.plane.arbiter import PowerAwareManager
 
 #: Bump on any incompatible change to the manifest or payload layout
-#: (2: one telemetry/report channel class, no neat manager subclass).
-CHECKPOINT_SCHEMA = 2
+#: (2: one telemetry/report channel class, no neat manager subclass;
+#: 3: one demand lattice instead of per-object ``_grid*`` fields).
+CHECKPOINT_SCHEMA = 3
 
 _MAGIC = b"REPROCKPT1\n"
 

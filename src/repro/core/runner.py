@@ -11,6 +11,7 @@ This is the top-level API examples and benchmarks use::
 
 from __future__ import annotations
 
+import copy
 import heapq
 import time
 from dataclasses import dataclass, field
@@ -201,7 +202,8 @@ def build_scenario(
         horizon_s: simulated duration.
         seed: drives fleet generation and churn.
         profile: server power profile (default: the prototype blade).
-        fleet: explicit VM list (overrides ``n_vms``/``fleet_spec``).
+        fleet: explicit VM list (overrides ``n_vms``/``fleet_spec``); the
+            run places copies and leaves these VMs untouched.
         fleet_spec: fleet shape (default: the enterprise mix).
         epoch_s: telemetry/demand refresh interval.
         migration_model: pre-copy fabric parameters.
@@ -248,6 +250,10 @@ def build_scenario(
     if fleet is None:
         spec = fleet_spec or FleetSpec(n_vms=n_vms, horizon_s=min(horizon_s, 7 * 86_400.0))
         fleet = build_fleet(spec, seed=seed)
+    else:
+        # Run copies: the caller's VMs (a spec's kwargs, say) must come out
+        # of the run unplaced and unmigrated, or their digest would change.
+        fleet = [copy.copy(vm) for vm in fleet]
     spread_placement(fleet, cluster)
     if buf is not None:
         for vm in fleet:

@@ -17,6 +17,7 @@ from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Optional, Tuple
 
 if TYPE_CHECKING:
     from repro.sim.environment import Environment
+    from repro.telemetry.lattice import DemandLattice
     from repro.telemetry.trace import TraceBuffer
 
 from repro.datacenter.faults import FaultModel
@@ -55,14 +56,11 @@ class Cluster:
         self._vm_epoch = 0
         self._demand_key: Optional[Tuple[float, int]] = None
         self._demand_value = 0.0
-        # Registry-total demand grid, installed by the sampler's chunk
-        # build (see ClusterSampler._build_grids): the precomputed
-        # registry-order totals at upcoming tick instants, valid while
-        # ``_demand_grid_tag`` still equals ``_vm_epoch``.
-        self._demand_grid: Optional[List[float]] = None
-        self._demand_grid_i0 = 0
-        self._demand_grid_eps = 0.0
-        self._demand_grid_tag: Optional[int] = None
+        #: The sampler's demand lattice (set by
+        #: :class:`~repro.telemetry.lattice.DemandLattice`): serves the
+        #: registry total at tick instants while ``_vm_epoch`` is still
+        #: the one its class totals were built at.
+        self._lattice: Optional["DemandLattice"] = None
         # Static inventory aggregates (the host list never changes after
         # construction; per-host cores/profiles are construction-time
         # constants).  Computed with the same expressions — and the same
@@ -366,31 +364,22 @@ class Cluster:
         key = (when, self._vm_epoch)
         if key == self._demand_key:
             return self._demand_value
-        grid = self._demand_grid
-        if grid is not None and self._demand_grid_tag == self._vm_epoch:
-            # Batched fast path: the registry is unchanged since the
-            # sampler precomputed the totals, so a lattice instant reads
-            # the grid — the identical registry-order accumulation.
-            eps = self._demand_grid_eps
-            i = int(when / eps + 0.5)
-            j = i - self._demand_grid_i0
-            if 0 <= j < len(grid) and i * eps == when:
-                value = grid[j]
-                self._demand_key = key
-                self._demand_value = value
-                return value
-        # Inline the per-VM memo fast path (see ``VM.demand_cores``): at
-        # manager instants that coincide with a sampler tick every VM is a
-        # memo hit, and skipping the method call halves the walk's cost.
-        # ``sum`` over the same registry order, starting from zero, so the
-        # accumulation is bit-identical to the genexpr it replaces.
-        value = 0.0
-        for vm in self._vms.values():
-            value += (
-                vm._demand_value
-                if when == vm._demand_at_t
-                else vm.demand_cores(when)
-            )
+        lattice = self._lattice
+        value = None if lattice is None else lattice.registry_cores(when)
+        if value is None:
+            # Inline the per-VM memo fast path (see ``VM.demand_cores``):
+            # at manager instants that coincide with a sampler tick every
+            # VM is a memo hit, and skipping the method call halves the
+            # walk's cost.  ``sum`` over the same registry order, starting
+            # from zero, so the accumulation is bit-identical to the
+            # genexpr it replaces.
+            value = 0.0
+            for vm in self._vms.values():
+                value += (
+                    vm._demand_value
+                    if when == vm._demand_at_t
+                    else vm.demand_cores(when)
+                )
         self._demand_key = key
         self._demand_value = value
         return value

@@ -9,6 +9,7 @@ if TYPE_CHECKING:
 
     from repro.sim.environment import Environment
     from repro.sim.events import Event
+    from repro.telemetry.lattice import DemandLattice
     from repro.telemetry.trace import TraceBuffer
 
 from repro.datacenter.faults import FaultInjector, FaultModel
@@ -109,18 +110,11 @@ class Host:
         self._demand_key: Optional[Tuple[float, int]] = None
         self._demand_value = 0.0
         self._resident_value = 0.0
-        # Per-host batched grids (see ClusterSampler._build_grids): the
-        # resident demand sum, clamped utilization, and interpolated
-        # active wattage at upcoming sampler ticks.  Valid only while
-        # ``_grid_tag`` still equals ``_demand_epoch`` — any placement or
-        # migration-tax change invalidates them until the next chunk.
-        self._grid_resident: Optional[list] = None
-        self._grid_util: Optional[list] = None
-        self._grid_power: Optional[list] = None
-        self._grid_chunk = -1
-        self._grid_tag = -1
-        self._grid_i0 = 0
-        self._grid_eps = 0.0
+        #: The sampler's demand lattice (set by
+        #: :class:`~repro.telemetry.lattice.DemandLattice`): serves the
+        #: resident sum at tick instants while ``_demand_epoch`` is still
+        #: the one this host's rows were built at.
+        self._lattice: Optional["DemandLattice"] = None
         # Live multiset of resident anti-affinity groups, maintained by
         # place()/remove() so group membership probes are O(1) instead of
         # an O(VMs) scan per candidate host.
@@ -337,24 +331,12 @@ class Host:
         key = (t, self._demand_epoch)
         if key == self._demand_key:
             return self._demand_value
-        rg = self._grid_resident
-        if rg is not None and self._grid_tag == self._demand_epoch:
-            # Batched fast path: no placement/tax change since the
-            # sampler built this host's resident-sum grid, so instants
-            # on the tick lattice read the precomputed value (identical
-            # floats — the grid is the same accumulation, per element).
-            eps = self._grid_eps
-            i = int(t / eps + 0.5)
-            j = i - self._grid_i0
-            if 0 <= j < len(rg) and i * eps == t:
-                resident = rg[j]
-                self._demand_key = key
-                self._resident_value = resident
-                self._demand_value = resident + self._migration_tax_cores
-                return self._demand_value
-        resident = 0.0
-        for vm in self.vms.values():
-            resident += vm.demand_cores(t)
+        lattice = self._lattice
+        resident = None if lattice is None else lattice.resident_cores(self, t)
+        if resident is None:
+            resident = 0.0
+            for vm in self.vms.values():
+                resident += vm.demand_cores(t)
         self._demand_key = key
         self._resident_value = resident
         self._demand_value = resident + self._migration_tax_cores

@@ -7,6 +7,7 @@ from typing import TYPE_CHECKING, Optional, Protocol
 
 if TYPE_CHECKING:
     from repro.datacenter.host import Host
+    from repro.telemetry.lattice import DemandLattice
 
 
 class DemandTrace(Protocol):
@@ -50,10 +51,7 @@ class VM:
     __cache_ignore__ = (
         "_demand_at_t",
         "_demand_value",
-        "_demand_grid",
-        "_demand_grid_chunk",
-        "_demand_grid_i0",
-        "_demand_grid_epoch",
+        "_lattice",
         "host",
         "migrating",
     )
@@ -90,42 +88,23 @@ class VM:
         # at the same instant — evaluate the trace once per distinct t.
         self._demand_at_t: Optional[float] = None
         self._demand_value = 0.0
-        #: Batched demand grid (see ClusterSampler._build_grids): demand
-        #: in cores at consecutive sampler ticks ``i0, i0+1, ...`` of
-        #: width ``epoch`` seconds, plus the chunk id it belongs to.
-        #: ``None``/-1 means "no grid"; the scalar path is always the
-        #: source of truth and the grid is bit-identical by construction.
-        #: Grids are keyed to absolute tick indices, so even a grid from
-        #: an old chunk stays semantically valid (traces are immutable).
-        self._demand_grid: Optional[list] = None
-        self._demand_grid_chunk = -1
-        self._demand_grid_i0 = 0
-        self._demand_grid_epoch = 0.0
+        #: The sampler's demand lattice, once it holds a row for this VM
+        #: (set by :class:`~repro.telemetry.lattice.DemandLattice`).
+        self._lattice: Optional["DemandLattice"] = None
 
     def demand_cores(self, t: float) -> float:
         """CPU demand at time ``t``, in cores (clamped to [0, vcpus])."""
         if t == self._demand_at_t:
             return self._demand_value
-        grid = self._demand_grid
-        if grid is not None:
-            # Batched-grid fast path: instants that sit exactly on the
-            # sampler's tick lattice read the precomputed chunk instead
-            # of dispatching into the trace.  The exactness guard means
-            # any off-lattice instant falls through to the scalar path.
-            eps = self._demand_grid_epoch
-            i = int(t / eps + 0.5)
-            j = i - self._demand_grid_i0
-            if 0 <= j < len(grid) and i * eps == t:
-                value = grid[j]
-                self._demand_at_t = t
-                self._demand_value = value
-                return value
-        fraction = self.trace.at(t)
-        if fraction < 0:
-            raise ValueError(
-                "trace for {} returned negative demand {}".format(self.name, fraction)
-            )
-        value = min(fraction, 1.0) * self.vcpus
+        lattice = self._lattice
+        value = None if lattice is None else lattice.vm_cores(self, t)
+        if value is None:
+            fraction = self.trace.at(t)
+            if fraction < 0:
+                raise ValueError(
+                    "trace for {} returned negative demand {}".format(self.name, fraction)
+                )
+            value = min(fraction, 1.0) * self.vcpus
         self._demand_at_t = t
         self._demand_value = value
         return value

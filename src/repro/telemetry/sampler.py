@@ -2,18 +2,16 @@
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
-
-import numpy as np
+from typing import Dict, Optional
 
 from repro.core.seeding import stream_rng
 from repro.datacenter.cluster import Cluster
 from repro.datacenter.vm import Priority
 from repro.sim import ResumeSpec
 from repro.power.states import PowerState
+from repro.telemetry.lattice import DemandLattice
 from repro.telemetry.timeseries import BoundedTimeSeries, TimeSeries
 from repro.telemetry.view import Channel, ClusterView
-from repro.workload.traces import trace_grid
 
 
 class ClusterSampler:
@@ -95,26 +93,10 @@ class ClusterSampler:
         self.class_demand_core_s: Dict[Priority, float] = {p: 0.0 for p in Priority}
         self.samples = 0
         self._process = None
-        # ------------------------------------------------------------------
-        # Batched demand grids: every ``_grid_chunk_ticks`` epochs one
-        # vectorized pass (see :func:`repro.workload.traces.trace_grid`)
-        # precomputes each VM's demand at the upcoming tick instants plus
-        # the registry-order class aggregates, so the per-tick walk reads
-        # flat lists instead of dispatching into per-VM trace objects.
-        # Values are bit-identical to the scalar path by construction;
-        # the scalar walk remains the fallback for off-grid instants,
-        # VMs admitted mid-chunk, and registries that changed since the
-        # aggregates were built.
-        # ------------------------------------------------------------------
-        self._grid_chunk_ticks = 128
-        self._grid_chunk_id = 0
-        self._grid_i0 = 0
-        self._grid_n = 0
-        self._grid_gold: List[float] = []
-        self._grid_silver: List[float] = []
-        self._grid_bronze: List[float] = []
-        self._grid_total: List[float] = []
-        self._grid_vm_epoch: Optional[int] = None
+        #: Demand at the upcoming tick instants, refilled every
+        #: ``DemandLattice.CHUNK_TICKS`` ticks; the per-tick walk reads
+        #: its slots instead of dispatching into per-VM trace objects.
+        self.lattice = DemandLattice(cluster, epoch_s)
         #: Manager's balancer destination ceiling, when wired by the
         #: scenario runner: lets the tick walk accumulate the watchdog's
         #: overload / free-headroom sums as it goes, so
@@ -125,105 +107,12 @@ class ClusterSampler:
         self._agg_overload = 0.0
         self._agg_headroom = 0.0
         # The host inventory is fixed at construction, and so are each
-        # host's machine, meter, core count, and DVFS model: prebinding
-        # them drops four attribute hops per host per tick.
+        # host's position, machine, meter, core count, and DVFS model:
+        # prebinding them drops four attribute hops per host per tick.
         self._host_rows = [
-            (h, h.machine, h.machine.meter, h.cores, h.dvfs)
-            for h in cluster.hosts
+            (k, h, h.machine, h.machine.meter, h.cores, h.dvfs)
+            for k, h in enumerate(cluster.hosts)
         ]
-
-    def _build_grids(self, i0: int) -> None:
-        """Precompute demand grids for ticks ``[i0, i0 + chunk)``.
-
-        One vectorized pass per VM (shared sub-traces deduplicated via
-        the cache), accumulating the per-class and registry-order totals
-        elementwise in registry order — the identical IEEE-754 operation
-        sequence, per element, as the scalar registry walk.
-        """
-        epoch = self.epoch_s
-        n = self._grid_chunk_ticks
-        ticks = [j * epoch for j in range(i0, i0 + n)]
-        cache: dict = {}
-        cluster = self.cluster
-        self._grid_chunk_id += 1
-        chunk = self._grid_chunk_id
-        gold = np.zeros(n)
-        silver = np.zeros(n)
-        bronze = np.zeros(n)
-        total = np.zeros(n)
-        complete = True
-        arrs: Dict[int, np.ndarray] = {}
-        for vm in cluster.iter_vms():
-            arr = trace_grid(vm.trace, ticks, cache)
-            if arr.min() < 0.0:
-                # A negative demand must raise from the scalar path at
-                # the exact instant it is reached — leave this VM off
-                # the grid rather than erroring early here.
-                vm._demand_grid = None
-                vm._demand_grid_chunk = -1
-                complete = False
-                continue
-            g = np.minimum(arr, 1.0) * vm.vcpus
-            arrs[id(vm)] = g
-            vm._demand_grid = g.tolist()
-            vm._demand_grid_chunk = chunk
-            vm._demand_grid_i0 = i0
-            vm._demand_grid_epoch = epoch
-            total += g
-            p = vm.priority
-            if p == 0:
-                gold += g
-            elif p == 1:
-                silver += g
-            else:
-                bronze += g
-        self._grid_i0 = i0
-        self._grid_n = n
-        self._grid_gold = gold.tolist()
-        self._grid_silver = silver.tolist()
-        self._grid_bronze = bronze.tolist()
-        self._grid_total = total.tolist()
-        self._grid_vm_epoch = cluster._vm_epoch if complete else None
-        # Per-host aggregates: the resident sum (elementwise, in the
-        # host's VM dict order — the identical accumulation as the
-        # scalar walk), plus the clamped utilization and interpolated
-        # active wattage derived from it with the same per-element
-        # operation sequence as the per-tick scalar expressions.  Tagged
-        # with the host's demand epoch: any placement or migration-tax
-        # change invalidates the grids until the next chunk.
-        for host in cluster.hosts:
-            vms = host.vms
-            if not vms:
-                host._grid_chunk = -1
-                continue
-            acc = np.zeros(n)
-            ok = True
-            for vm in vms.values():
-                a = arrs.get(id(vm))
-                if a is None:
-                    ok = False
-                    break
-                acc += a
-            if not ok:
-                host._grid_chunk = -1
-                continue
-            util = np.minimum(acc / host.cores, 1.0)
-            host._grid_resident = acc.tolist()
-            host._grid_util = util.tolist()
-            host._grid_power = (
-                host.machine.profile.active_model.power_at_grid(util).tolist()
-            )
-            host._grid_chunk = chunk
-            host._grid_tag = host._demand_epoch
-            host._grid_i0 = i0
-            host._grid_eps = epoch
-        # Let ``Cluster.demand_cores`` itself serve lattice instants from
-        # the registry totals (manager reads at instants that pop before
-        # the tick — consolidation — miss the single-slot cache).
-        cluster._demand_grid = self._grid_total
-        cluster._demand_grid_i0 = i0
-        cluster._demand_grid_eps = epoch
-        cluster._demand_grid_tag = self._grid_vm_epoch
 
     def start(self) -> "Process":  # noqa: F821
         if self._process is not None:
@@ -250,20 +139,15 @@ class ClusterSampler:
         """
         now = self.env.now
         cluster = self.cluster
-        epoch = self.epoch_s
-        # Grid index for this instant: usable only when ``now`` sits
-        # exactly on the tick lattice (event times are accumulated sums,
-        # so the exactness guard keeps the grid bit-faithful).
-        i = int(now / epoch + 0.5)
-        if i * epoch == now:
-            if not (
-                self._grid_n and self._grid_i0 <= i < self._grid_i0 + self._grid_n
-            ):
-                self._build_grids(i)
-            gi = i - self._grid_i0
-        else:
-            gi = -1
-        chunk = self._grid_chunk_id
+        lattice = self.lattice
+        # ``on``: this tick has a lattice slot, whose rows the walk reads.
+        on = lattice.tick(now)
+        tags = lattice.host_tags
+        vm_col = lattice.vm_col
+        vm_now = lattice.vm_now
+        resident_now = lattice.resident_now
+        util_now = lattice.util_now
+        power_now = lattice.power_now
         shortfall = 0.0
         gold_sf = silver_sf = bronze_sf = 0.0
         ceiling = self._headroom_ceiling
@@ -271,15 +155,14 @@ class ClusterSampler:
         headroom_sum = 0.0
         power_total = 0.0
 
-        def class_split(vms: dict, gi: int):
-            # Per-class demand from the VM grids, accumulated in the
-            # host's VM dict order — the same order (and floats) as the
-            # fused walk's inline accumulation.  Only called on the
-            # host-grid fast path, where every member VM is guaranteed a
-            # current-chunk grid.
+        def class_split(vms: dict):
+            # Per-class demand from the VM rows, accumulated in the host's
+            # VM dict order — the same order (and floats) as the fused
+            # walk's inline accumulation.  Only called on the host-row
+            # fast path, where every member VM has a row.
             g = sv = b = 0.0
             for vm in vms.values():
-                v = vm._demand_grid[gi]
+                v = vm_now[vm_col[vm]]
                 p = vm.priority
                 if p == 0:
                     g += v
@@ -289,7 +172,7 @@ class ClusterSampler:
                     b += v
             return g, sv, b
 
-        for host, machine, meter, cores, dvfs in self._host_rows:
+        for k, host, machine, meter, cores, dvfs in self._host_rows:
             vms = host.vms
             tax = host._migration_tax_cores
             # Inline machine.is_active (a property + method chain):
@@ -297,18 +180,14 @@ class ClusterSampler:
                 machine._state is PowerState.ACTIVE
                 and machine._transition is None
             )
-            # Host-grid fast path: valid only while the host's demand
-            # epoch still matches the chunk build (no placement or tax
-            # change since), so the precomputed aggregates are exactly
-            # what the per-VM walk would re-derive.
-            hg = (
-                gi >= 0
-                and host._grid_chunk == chunk
-                and host._grid_tag == host._demand_epoch
-            )
+            # Host-row fast path: valid only while the host's demand
+            # epoch still matches the fill (no placement or tax change
+            # since), so the precomputed rows are exactly what the per-VM
+            # walk would re-derive.
+            hg = on and tags[k] == host._demand_epoch
             if vms:
                 if hg:
-                    vm_sum = host._grid_resident[gi]
+                    vm_sum = resident_now[k]
                     g = sv = b = 0.0
                     classes_done = False
                 else:
@@ -316,14 +195,12 @@ class ClusterSampler:
                     g = sv = b = 0.0
                     classes_done = True
                     for vm in vms.values():
-                        # No memo write on the grid branch:
-                        # ``demand_cores`` itself is grid-aware, so any
-                        # later reader at this instant resolves the same
-                        # value in O(1).
-                        if gi >= 0 and vm._demand_grid_chunk == chunk:
-                            v = vm._demand_grid[gi]
-                        else:
-                            v = vm.demand_cores(now)
+                        # No memo write on the lattice branch:
+                        # ``demand_cores`` itself reads the lattice, so
+                        # any later reader at this instant resolves the
+                        # same value in O(1).
+                        c = vm_col.get(vm) if on else None
+                        v = vm.demand_cores(now) if c is None else vm_now[c]
                         vm_sum += v
                         p = vm.priority
                         if p == 0:
@@ -380,11 +257,11 @@ class ClusterSampler:
                 # DVFS power scale is positive).  ``_active_power`` is
                 # unrolled with the same operation order.  With no
                 # migration tax, ``demand == vm_sum`` bitwise (x + 0.0),
-                # so the precomputed utilization/wattage grids hold
+                # so the precomputed utilization/wattage rows hold
                 # exactly the values the scalar expressions produce.
                 if hg and tax == 0.0:
-                    u = host._grid_util[gi]
-                    pa = host._grid_power[gi]
+                    u = util_now[k]
+                    pa = power_now[k]
                 else:
                     u = min(demand / cores, 1.0)
                     pa = machine._power_at(u)
@@ -416,7 +293,7 @@ class ClusterSampler:
             if vms:
                 if not active:
                     if not classes_done:
-                        g, sv, b = class_split(vms, gi)
+                        g, sv, b = class_split(vms)
                     gold_sf += g
                     silver_sf += sv
                     bronze_sf += b
@@ -435,7 +312,7 @@ class ClusterSampler:
                         # ``d - d == 0.0``.  Anything closer to the edge
                         # recomputes the split and runs the arithmetic.
                         if not classes_done:
-                            g, sv, b = class_split(vms, gi)
+                            g, sv, b = class_split(vms)
                         delivered = min(g, capacity_left)
                         capacity_left -= delivered
                         gold_sf += g - delivered
@@ -443,13 +320,10 @@ class ClusterSampler:
                         capacity_left -= delivered
                         silver_sf += sv - delivered
                         bronze_sf += b - min(b, capacity_left)
-        if gi >= 0 and self._grid_vm_epoch == cluster._vm_epoch:
-            # Registry unchanged since the chunk was built: the class
-            # demand totals are precomputed flat lists.
-            gold_d = self._grid_gold[gi]
-            silver_d = self._grid_silver[gi]
-            bronze_d = self._grid_bronze[gi]
-            registry_total = self._grid_total[gi]
+        if on and lattice.class_tag == cluster._vm_epoch:
+            # Registry unchanged since the fill: the class demand totals
+            # are the slot's precomputed values.
+            gold_d, silver_d, bronze_d, registry_total = lattice.classes_now
         else:
             gold_d = silver_d = bronze_d = 0.0
             registry_total = 0.0

@@ -7,7 +7,6 @@ is the certification key (same as the differential suite), and the trace
 validator certifies the resumed runs too.
 """
 
-import hashlib
 import json
 
 import pytest
@@ -161,26 +160,32 @@ class TestRejection:
         with pytest.raises(CheckpointError, match="schema"):
             resume_scenario(path)
 
-    def test_pre_channel_checkpoint_refused_by_schema(self, tmp_path):
-        # A schema-1 file pickles classes that no longer exist (the neat
-        # manager subclass); the manifest check must refuse it before
-        # anything is unpickled.
+    def test_pre_channel_checkpoint_refused_by_schema(self, tmp_path, monkeypatch):
+        # Schema 1 pickled classes that no longer exist (the neat manager
+        # subclass); schema 2 pickled the per-object demand grids that the
+        # demand lattice replaced.  The manifest check must refuse both
+        # before anything is unpickled.
+        import repro.core.checkpoint as checkpoint
+
         path = self._one_checkpoint(tmp_path)
-        magic = path.read_bytes().split(b"\n", 1)[0]
-        payload = b"crepro.core.plane.neat\nNeatManager\n."
-        manifest = dict(
-            read_manifest(path),
-            schema=1,
-            payload_bytes=len(payload),
-            sha256=hashlib.sha256(payload).hexdigest(),
-        )
-        path.write_bytes(
-            magic + b"\n"
-            + json.dumps(manifest, sort_keys=True).encode() + b"\n"
-            + payload
-        )
-        with pytest.raises(CheckpointError, match="incompatible checkpoint schema 1"):
-            resume_scenario(path)
+        magic, _, payload = path.read_bytes().split(b"\n", 2)
+        manifest = read_manifest(path)
+
+        def unpickled(data):
+            raise AssertionError("an old-schema payload was unpickled")
+
+        monkeypatch.setattr(checkpoint, "pickle", type("P", (), {"loads": unpickled}))
+        for schema in (1, 2):
+            path.write_bytes(
+                magic + b"\n"
+                + json.dumps(dict(manifest, schema=schema), sort_keys=True).encode()
+                + b"\n"
+                + payload
+            )
+            with pytest.raises(
+                CheckpointError, match=f"incompatible checkpoint schema {schema}"
+            ):
+                resume_scenario(path)
 
     def test_missing_file_rejected(self, tmp_path):
         with pytest.raises(CheckpointError, match="no such checkpoint"):

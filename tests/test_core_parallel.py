@@ -105,6 +105,27 @@ class TestCachingBehavior:
         assert result.report.energy_kwh > 0
         assert list(cache.entries()) == []
 
+    def test_serial_run_leaves_an_explicit_fleet_untouched(self, tmp_path):
+        # A serial run used to place the spec's own VMs: they stayed bound
+        # to the finished run's hosts and counted its migrations, so the
+        # digest changed and a second run failed to place them again.
+        from repro.workload.fleet import build_fleet
+
+        fleet = build_fleet(FleetSpec(n_vms=24, horizon_s=43200.0), seed=3)
+        spec = ScenarioSpec(
+            s3_policy(),
+            kwargs=dict(n_hosts=6, horizon_s=43200.0, seed=3, fleet=fleet),
+        )
+        digest = spec.digest()
+        cache = ResultCache(tmp_path)
+        (first,) = run_scenarios([spec], workers=1, cache=cache)
+        assert first.report.migrations > 0
+        assert spec.digest() == digest
+        assert all(vm.host is None and vm.migration_count == 0 for vm in fleet)
+        (second,) = run_scenarios([spec], workers=1, cache=cache)
+        assert cache.hits == 1
+        assert second.report.to_dict() == first.report.to_dict()
+
     def test_rejects_non_spec(self):
         with pytest.raises(TypeError):
             run_scenarios([s3_policy()], cache=False)

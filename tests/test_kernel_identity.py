@@ -1,7 +1,7 @@
 """Bitwise identity of the batched kernel against the scalar paths.
 
-The fleet-scale kernel (vectorized demand grids, per-host aggregate
-grids, vectorized power curves) is an *optimization*, not a behavior
+The fleet-scale kernel (the demand lattice's vectorized VM, host and
+class rows, vectorized power curves) is an *optimization*, not a behavior
 change: every value it serves must equal — bit for bit, not within a
 tolerance — what the scalar code path computes.  These tests pin that
 contract directly, below the level the golden trace and differential
@@ -12,7 +12,9 @@ import random
 
 import pytest
 
-from repro.core import run_scenario, s3_policy
+from repro.core import s3_policy
+from repro.core.runner import build_scenario
+from repro.datacenter.faults import FaultModel, MigrationFaultModel
 from repro.power.models import LinearPowerModel, PiecewisePowerModel
 from repro.workload import FleetSpec
 from repro.workload.fleet import build_fleet
@@ -74,48 +76,77 @@ class TestTraceGridIdentity:
 
 
 class TestScenarioGridIdentity:
-    """A live scenario's grids match fresh scalar recomputation."""
+    """Public demand reads equal the scalar walk at every lattice instant."""
 
     def test_host_and_vm_grids_match_scalar_walk(self):
-        result = run_scenario(
+        # Churn admits VMs mid-chunk and failing migrations move hosts'
+        # demand epochs, so the lattice must both serve and refuse reads.
+        horizon = 6 * 3600.0
+        live = build_scenario(
             s3_policy(),
             n_hosts=8,
-            horizon_s=4 * 3600.0,
+            horizon_s=horizon,
             seed=3,
-            fleet_spec=FleetSpec(n_vms=32, horizon_s=4 * 3600.0),
+            fleet_spec=FleetSpec(n_vms=32, horizon_s=horizon),
+            churn_rate_per_h=6.0,
+            churn_lifetime_s=1800.0,
+            fault_model=FaultModel(migration=MigrationFaultModel(failure_rate=0.3)),
         )
-        sampler = result.sampler
-        cluster = result.cluster
-        epoch = sampler.epoch_s
-        assert sampler._grid_n > 0
-        checked_vms = checked_hosts = 0
-        for gi in range(0, min(sampler._grid_n, 32), 3):
-            t = (sampler._grid_i0 + gi) * epoch
-            for vm in cluster.iter_vms():
-                if vm._demand_grid_chunk != sampler._grid_chunk_id:
-                    continue
-                fraction = vm.trace.at(t)
-                assert vm._demand_grid[gi] == min(fraction, 1.0) * vm.vcpus
-                checked_vms += 1
-            for host in cluster.hosts:
-                if (
-                    host._grid_chunk != sampler._grid_chunk_id
-                    or host._grid_tag != host._demand_epoch
-                ):
-                    continue
-                # Scalar reference: VM-dict-order accumulation from zero,
-                # exactly the order the fused walk uses.
+        env, cluster = live.env, live.cluster
+        lattice = live.sampler.lattice
+        epoch = live.sampler.epoch_s
+        served = {"vm": 0, "host": 0, "cluster": 0}
+        # Refusals while ``t``'s slot exists: a VM without a row (admitted
+        # after the fill) or a host whose demand epoch moved since it.
+        refused = {"vm": 0, "host": 0}
+        for i in range(1, int(horizon / epoch)):
+            t = i * epoch
+            # Stops before the events at ``t``: no memo holds ``t`` yet.
+            env.run(until=t)
+            scalar = {
+                vm: min(vm.trace.at(t), 1.0) * vm.vcpus for vm in cluster.iter_vms()
+            }
+            vm_rows = {vm: lattice.vm_cores(vm, t) for vm in scalar}
+            # Every VM placed before the fill has a row, so ``t`` has a
+            # slot exactly when some VM read is served.
+            slot = any(row is not None for row in vm_rows.values())
+            for k, host in enumerate(cluster.hosts):
                 expected = 0.0
                 for vm in host.vms.values():
-                    expected += min(vm.trace.at(t), 1.0) * vm.vcpus
-                assert host._grid_resident[gi] == expected
-                u = min(expected / host.cores, 1.0)
-                assert host._grid_util[gi] == u
-                assert (
-                    host._grid_power[gi]
-                    == host.machine.profile.active_model.power_at(u)
-                )
-                checked_hosts += 1
-        # The test must actually exercise the fast path, not vacuously pass.
-        assert checked_vms > 50
-        assert checked_hosts > 5
+                    expected += scalar[vm]
+                row = lattice.resident_cores(host, t)
+                if row is not None:
+                    assert row == expected
+                    u = min(expected / host.cores, 1.0)
+                    assert lattice.util_now[k] == u
+                    assert (
+                        lattice.power_now[k]
+                        == host.machine.profile.active_model.power_at(u)
+                    )
+                    served["host"] += 1
+                elif slot and host.vms:
+                    refused["host"] += 1
+                assert host.demand_cores(t) == expected + host.migration_tax_cores
+                assert host.resident_demand_cores(t) == expected
+            expected = 0.0
+            for value in scalar.values():
+                expected += value
+            total = lattice.registry_cores(t)
+            if total is not None:
+                assert total == expected
+                served["cluster"] += 1
+            assert cluster.demand_cores(t) == expected
+            for vm, value in scalar.items():
+                row = vm_rows[vm]
+                if row is not None:
+                    assert row == value
+                    served["vm"] += 1
+                elif slot:
+                    refused["vm"] += 1
+                assert vm.demand_cores(t) == value
+        assert live.churn.arrived > 0
+        assert live.engine.failed > 0
+        # Neither vacuous nor all-lattice: both paths ran.
+        assert served["vm"] > 1000 and served["host"] > 100, served
+        assert served["cluster"] > 20, served
+        assert min(refused.values()) > 0, refused

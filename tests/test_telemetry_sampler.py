@@ -84,6 +84,24 @@ class TestSampler:
         assert parked.values[-1] == 1
         assert sampler.series["transitioning_hosts"].max() >= 1
 
+    def test_negative_demand_inside_a_chunk_raises_at_its_tick(self, env, cluster):
+        # The first tick precomputes demand for the next 128 ticks; a trace
+        # that turns negative inside that chunk must not fail the build at
+        # 0 s.  It raises from the scalar read at the first negative tick.
+        class TurnsNegative:
+            def at(self, t):
+                return 0.5 if t < 600.0 else -0.2
+
+        cluster.add_vm(VM("bad", vcpus=2, mem_gb=8, trace=TurnsNegative()), cluster.hosts[0])
+        cluster.add_vm(VM("ok", vcpus=2, mem_gb=8, trace=FlatTrace(0.5)), cluster.hosts[1])
+        sampler = ClusterSampler(env, cluster, epoch_s=60.0)
+        sampler.start()
+        with pytest.raises(ValueError, match="bad returned negative demand -0.2"):
+            env.run(until=1200)
+        assert env.now == 600.0
+        assert sampler.samples == 10
+        assert list(sampler.series["demand_cores"].values) == [2.0] * 10
+
     def test_double_start_rejected(self, env, cluster):
         sampler = ClusterSampler(env, cluster)
         sampler.start()
