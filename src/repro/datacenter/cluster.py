@@ -246,7 +246,8 @@ class Cluster:
         """Admit ``vm`` into the cluster on ``host``."""
         if vm.name in self._vms:
             raise ValueError("duplicate VM name {}".format(vm.name))
-        if host not in self.hosts:
+        pos = self._pos.get(host.name)
+        if pos is None or self.hosts[pos] is not host:
             raise ValueError("host {} is not in this cluster".format(host.name))
         host.place(vm)
         self._vms[vm.name] = vm

@@ -15,7 +15,7 @@ import numpy as np
 
 from repro.datacenter.vm import VM
 from repro.sim import ResumeSpec
-from repro.workload.fleet import FleetSpec, _draw_priority, _make_trace
+from repro.workload.fleet import FleetSpec, _VmDraws
 
 
 class ChurnGenerator:
@@ -68,23 +68,10 @@ class ChurnGenerator:
         )
 
     def _draw_vm(self) -> VM:
-        archetypes = sorted(self.spec.archetype_weights)
-        weights = np.array(
-            [self.spec.archetype_weights[a] for a in archetypes], dtype=float
-        )
-        weights /= weights.sum()
-        archetype = str(self.rng.choice(archetypes, p=weights))
-        vcpu_weights = np.array(self.spec.vcpu_weights, dtype=float)
-        vcpu_weights /= vcpu_weights.sum()
-        vcpus = int(self.rng.choice(self.spec.vcpu_choices, p=vcpu_weights))
+        # The draw tables are rebuilt per arrival rather than kept: a new
+        # attribute would change the pickled generator that checkpoints hold.
         self._next_id += 1
-        return VM(
-            name="churn-{:05d}".format(self._next_id),
-            vcpus=vcpus,
-            mem_gb=vcpus * self.spec.mem_gb_per_vcpu,
-            trace=_make_trace(archetype, self.rng, self.spec),
-            priority=_draw_priority(self.rng, self.spec.priority_weights),
-        )
+        return _VmDraws(self.spec).draw(self.rng, "churn-{:05d}".format(self._next_id))
 
     def _arrivals(self, resume_at: Optional[float] = None):
         # Each inter-arrival gap is drawn when its timeout is *created*,

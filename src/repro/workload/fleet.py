@@ -2,25 +2,14 @@
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence
+from typing import Any, Dict, Iterable, List, Optional, Sequence
 
 import numpy as np
 
 from repro.datacenter.vm import Priority, VM
-
-_PRIORITY_BY_NAME = {
-    "gold": Priority.GOLD,
-    "silver": Priority.SILVER,
-    "bronze": Priority.BRONZE,
-}
-
-
-def _draw_priority(rng: np.random.Generator, weights: Dict[str, float]) -> Priority:
-    names = sorted(weights)
-    probs = np.array([weights[n] for n in names], dtype=float)
-    probs /= probs.sum()
-    return _PRIORITY_BY_NAME[str(rng.choice(names, p=probs))]
 from repro.workload.traces import (
     BurstyTrace,
     CompositeTrace,
@@ -30,6 +19,24 @@ from repro.workload.traces import (
     SpikeTrace,
     Trace,
 )
+
+
+_PRIORITY_BY_NAME = {
+    "gold": Priority.GOLD,
+    "silver": Priority.SILVER,
+    "bronze": Priority.BRONZE,
+}
+
+
+def _check_weights(label: str, weights: Iterable[float]) -> None:
+    """Reject the weights ``Generator.choice`` would refuse.
+
+    Class draws search a CDF built once per fleet, which would accept a
+    negative, NaN or infinite weight silently.
+    """
+    values = list(weights)
+    if not (all(0.0 <= w < math.inf for w in values) and 0.0 < sum(values) < math.inf):
+        raise ValueError("{} must be finite, >= 0 and sum to > 0".format(label))
 
 
 @dataclass
@@ -76,15 +83,13 @@ class FleetSpec:
             raise ValueError(
                 "unknown priority classes: {}".format(sorted(unknown_classes))
             )
-        if sum(self.priority_weights.values()) <= 0:
-            raise ValueError("priority weights must sum to > 0")
+        _check_weights("priority weights", self.priority_weights.values())
         if self.n_vms < 1:
             raise ValueError("n_vms must be >= 1")
         if len(self.vcpu_choices) != len(self.vcpu_weights):
             raise ValueError("vcpu choices/weights length mismatch")
-        total = sum(self.archetype_weights.values())
-        if total <= 0:
-            raise ValueError("archetype weights must sum to > 0")
+        _check_weights("vcpu weights", self.vcpu_weights)
+        _check_weights("archetype weights", self.archetype_weights.values())
         known = {"diurnal", "bursty", "flat", "spiky"}
         unknown = set(self.archetype_weights) - known
         if unknown:
@@ -181,25 +186,52 @@ def assign_replica_groups(
             vms[int(chosen[g * replicas + r])].anti_affinity_group = "ha-{:03d}".format(g)
 
 
-def build_fleet(spec: FleetSpec, seed: int = 0, name_prefix: str = "vm") -> List[VM]:
-    """Materialize ``spec.n_vms`` VMs with seeded, reproducible traces.
+class _Choice:
+    """``rng.choice(values, p=w / w.sum())`` from a CDF built once.
 
-    With ``shared_fraction`` > 0 every VM's demand becomes a blend of its
-    own trace and one cluster-wide signal — this is what makes aggregate
-    demand jump abruptly enough to stress wake-up latency.
+    The CDF is the one ``Generator.choice`` builds (``cdf = p.cumsum()``,
+    ``cdf /= cdf[-1]``) and searches with ``searchsorted(side="right")``
+    for one ``rng.random()`` uniform; ``bisect_right`` is that search.
+    So a draw consumes the same uniform and picks the same value.
     """
-    rng = np.random.default_rng(seed)
-    archetypes = sorted(spec.archetype_weights)
-    weights = np.array([spec.archetype_weights[a] for a in archetypes], dtype=float)
-    weights /= weights.sum()
-    vcpu_weights = np.array(spec.vcpu_weights, dtype=float)
-    vcpu_weights /= vcpu_weights.sum()
-    shared = _make_shared_trace(spec, rng) if spec.shared_fraction > 0 else None
 
-    fleet = []
-    for i in range(spec.n_vms):
-        archetype = str(rng.choice(archetypes, p=weights))
-        vcpus = int(rng.choice(spec.vcpu_choices, p=vcpu_weights))
+    def __init__(self, values: Sequence[Any], weights: Sequence[float]) -> None:
+        p = np.array(weights, dtype=float)
+        p /= p.sum()
+        cdf = p.cumsum()
+        cdf /= cdf[-1]
+        self.values = list(values)
+        self.cdf: List[float] = cdf.tolist()
+
+    def draw(self, rng: np.random.Generator) -> Any:
+        return self.values[bisect_right(self.cdf, rng.random())]
+
+
+class _VmDraws:
+    """Draws the VMs of ``spec`` one at a time, for fleets and churn.
+
+    Each VM takes its RNG draws in one order: archetype, vCPUs, trace,
+    priority.
+    """
+
+    def __init__(self, spec: FleetSpec) -> None:
+        self.spec = spec
+        archetypes = sorted(spec.archetype_weights)
+        classes = sorted(spec.priority_weights)
+        self._archetype = _Choice(archetypes, [spec.archetype_weights[a] for a in archetypes])
+        self._vcpus = _Choice(spec.vcpu_choices, spec.vcpu_weights)
+        self._priority = _Choice(
+            [_PRIORITY_BY_NAME[c] for c in classes],
+            [spec.priority_weights[c] for c in classes],
+        )
+
+    def draw(
+        self, rng: np.random.Generator, name: str, shared: Optional[Trace] = None
+    ) -> VM:
+        """One VM; ``shared`` is blended in at ``spec.shared_fraction``."""
+        spec = self.spec
+        archetype = self._archetype.draw(rng)
+        vcpus = int(self._vcpus.draw(rng))
         trace = _make_trace(archetype, rng, spec)
         if shared is not None:
             trace = CompositeTrace(
@@ -208,12 +240,26 @@ def build_fleet(spec: FleetSpec, seed: int = 0, name_prefix: str = "vm") -> List
                     (1.0 - spec.shared_fraction, trace),
                 ]
             )
-        vm = VM(
-            name="{}-{:04d}".format(name_prefix, i),
+        return VM(
+            name=name,
             vcpus=vcpus,
             mem_gb=vcpus * spec.mem_gb_per_vcpu,
             trace=trace,
-            priority=_draw_priority(rng, spec.priority_weights),
+            priority=self._priority.draw(rng),
         )
-        fleet.append(vm)
-    return fleet
+
+
+def build_fleet(spec: FleetSpec, seed: int = 0, name_prefix: str = "vm") -> List[VM]:
+    """Materialize ``spec.n_vms`` VMs with seeded, reproducible traces.
+
+    With ``shared_fraction`` > 0 every VM's demand becomes a blend of its
+    own trace and one cluster-wide signal — this is what makes aggregate
+    demand jump abruptly enough to stress wake-up latency.
+    """
+    rng = np.random.default_rng(seed)
+    shared = _make_shared_trace(spec, rng) if spec.shared_fraction > 0 else None
+    draws = _VmDraws(spec)
+    return [
+        draws.draw(rng, "{}-{:04d}".format(name_prefix, i), shared)
+        for i in range(spec.n_vms)
+    ]

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
+from itertools import repeat
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -29,8 +30,16 @@ def trace_grid(
     """Evaluate ``trace.at`` over many instants in one batched pass.
 
     Returns a float64 array whose every element is **bit-identical** to
-    the scalar ``trace.at(t)`` at the same instant:
+    the scalar ``trace.at(t)`` at the same instant.  The exactness rule:
+    numpy may run only IEEE-754 ``+``, ``-``, ``*`` and ``/`` (each is
+    correctly rounded, so it equals the scalar expression evaluated in
+    the same order); every other function stays the scalar libm call.
 
+    * :class:`DiurnalTrace` does its arithmetic on arrays but maps
+      ``math.cos`` and ``pow`` over the elements: numpy's vectorized
+      ``cos``/``power`` kernels may round differently from libm (on
+      AVX-512 builds ``np.power`` does);
+    * :class:`FlatTrace` is its level at every instant;
     * :class:`SampledTrace` lookups are pure array gathers — the same
       float64 values scalar indexing returns;
     * :class:`CompositeTrace` accumulates ``w * part`` elementwise in
@@ -39,6 +48,9 @@ def trace_grid(
       with the same ``< 0.0`` / ``> 1.0`` comparisons;
     * anything else falls back to per-instant scalar evaluation (still
       one batched call for the caller, exact by construction).
+
+    ``ticks`` may be a sequence of numbers or an array; the scalar paths
+    read its elements as the Python numbers ``at`` callers pass.
 
     ``cache`` (keyed by trace identity) deduplicates shared sub-traces —
     fleets built with a nonzero ``shared_fraction`` reference one common
@@ -49,7 +61,20 @@ def trace_grid(
         hit = cache.get(key)
         if hit is not None:
             return hit
-    if isinstance(trace, SampledTrace):
+    if isinstance(trace, DiurnalTrace):
+        # ``at``'s expression in its evaluation order, one array op each.
+        t = np.asarray(ticks, dtype=float)
+        n = len(t)
+        angle = 2.0 * math.pi * (t - trace.phase_s) / trace.period_s
+        out = 0.5 * (1.0 + np.fromiter(map(math.cos, angle.tolist()), float, n))
+        if trace.sharpness != 1.0:
+            out = np.fromiter(map(pow, out.tolist(), repeat(trace.sharpness)), float, n)
+        out = trace.low + (trace.high - trace.low) * out
+    elif isinstance(trace, FlatTrace):
+        out = np.full(len(ticks), trace.level, dtype=float)
+    elif isinstance(ticks, np.ndarray):
+        out = trace_grid(trace, ticks.tolist(), cache)
+    elif isinstance(trace, SampledTrace):
         step = trace.step_s
         n = trace._n_samples
         # The gather index depends only on (step, n), not on the samples,
@@ -179,14 +204,11 @@ class SampledTrace(Trace):
         if step_s <= 0:
             raise ValueError("step_s must be positive")
         arr = np.asarray(samples, dtype=float)
-        if arr.min() < 0.0 or arr.max() > 1.0:
+        # Written so that NaN fails: every comparison with NaN is False.
+        if not (arr.min() >= 0.0 and arr.max() <= 1.0):
             raise ValueError("samples must be within [0, 1]")
         self._samples = arr
-        # Pure-Python mirror of the grid: ``tolist()`` yields the same
-        # float64 values as ``float(arr[idx])``, and list indexing skips
-        # the per-lookup numpy-scalar boxing on the hot path.
-        self._samples_list = arr.tolist()
-        self._n_samples = len(self._samples_list)
+        self._n_samples = len(arr)
         self.step_s = step_s
 
     @property
@@ -194,7 +216,7 @@ class SampledTrace(Trace):
         return len(self._samples) * self.step_s
 
     def at(self, t: float) -> float:
-        return self._samples_list[int(t // self.step_s) % self._n_samples]
+        return self._samples.item(int(t // self.step_s) % self._n_samples)
 
 
 class BurstyTrace(SampledTrace):
@@ -272,7 +294,7 @@ class NoisyTrace(SampledTrace):
             raise ValueError("sigma must be non-negative")
         rng = np.random.default_rng(seed)
         n = int(horizon_s // step_s)
-        base = np.array([inner.at(i * step_s) for i in range(n)])
+        base = trace_grid(inner, np.arange(n) * step_s)
         noisy = np.clip(base + rng.normal(0.0, sigma, size=n), 0.0, 1.0)
         super().__init__(noisy, step_s)
 

@@ -66,6 +66,12 @@ class TestVMRegistry:
         outsider = Host(env, "outsider", PROTOTYPE_BLADE)
         with pytest.raises(ValueError):
             cluster.add_vm(make_vm(), outsider)
+        # Membership is by identity: a foreign host named like a member
+        # is still foreign.
+        impostor = Host(env, cluster.hosts[1].name, PROTOTYPE_BLADE)
+        with pytest.raises(ValueError):
+            cluster.add_vm(make_vm(), impostor)
+        assert not impostor.vms and not cluster.has_vm("vm")
 
     def test_remove_unknown_raises(self, cluster):
         with pytest.raises(KeyError):

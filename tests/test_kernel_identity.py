@@ -1,24 +1,36 @@
 """Bitwise identity of the batched kernel against the scalar paths.
 
 The fleet-scale kernel (the demand lattice's vectorized VM, host and
-class rows, vectorized power curves) is an *optimization*, not a behavior
-change: every value it serves must equal — bit for bit, not within a
-tolerance — what the scalar code path computes.  These tests pin that
-contract directly, below the level the golden trace and differential
-suites already cover.
+class rows, vectorized power curves, fleet set-up's array trace grids and
+CDF class draws) is an *optimization*, not a behavior change: every
+value it serves must equal — bit for bit, not within a tolerance — what
+the scalar code path computes.  These tests pin that contract
+directly, below the level the golden trace and differential suites
+already cover.
 """
 
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.core import s3_policy
 from repro.core.runner import build_scenario
 from repro.datacenter.faults import FaultModel, MigrationFaultModel
+from repro.datacenter.vm import Priority
 from repro.power.models import LinearPowerModel, PiecewisePowerModel
 from repro.workload import FleetSpec
-from repro.workload.fleet import build_fleet
-from repro.workload.traces import trace_grid
+from repro.workload.fleet import _Choice, _make_shared_trace, build_fleet
+from repro.workload.traces import (
+    BurstyTrace,
+    CompositeTrace,
+    DiurnalTrace,
+    FlatTrace,
+    SpikeTrace,
+    trace_grid,
+)
 
 
 class TestPowerGridIdentity:
@@ -150,3 +162,151 @@ class TestScenarioGridIdentity:
         assert served["vm"] > 1000 and served["host"] > 100, served
         assert served["cluster"] > 20, served
         assert min(refused.values()) > 0, refused
+
+
+def reference_samples(archetype, rng, spec):
+    """``_make_trace``'s draws, with each noisy base read by scalar ``at``."""
+    seed = int(rng.integers(0, 2**31 - 1))
+    if archetype == "diurnal":
+        inner = DiurnalTrace(
+            low=float(rng.uniform(0.05, 0.2)),
+            high=float(rng.uniform(0.5, 0.9)),
+            peak_hour=float(rng.uniform(10.0, 17.0)),
+            sharpness=float(rng.uniform(0.8, 2.0)),
+        )
+    elif archetype == "flat":
+        inner = FlatTrace(float(rng.uniform(0.15, 0.5)))
+    elif archetype == "bursty":
+        return BurstyTrace(
+            seed,
+            base=float(rng.uniform(0.05, 0.15)),
+            burst=float(rng.uniform(0.6, 0.95)),
+            mean_gap_s=float(rng.uniform(1.0, 4.0)) * 3600.0,
+            mean_burst_s=float(rng.uniform(10.0, 40.0)) * 60.0,
+            horizon_s=spec.horizon_s,
+        )._samples
+    else:
+        return SpikeTrace(
+            seed,
+            base=float(rng.uniform(0.02, 0.08)),
+            spikes_per_day=float(rng.uniform(3.0, 10.0)),
+            spike_s=float(rng.uniform(2.0, 10.0)) * 60.0,
+            horizon_s=spec.horizon_s,
+        )._samples
+    noise = np.random.default_rng(seed)
+    n = int(spec.horizon_s // 60.0)
+    base = np.array([inner.at(i * 60.0) for i in range(n)])
+    return np.clip(base + noise.normal(0.0, spec.noise_sigma, size=n), 0.0, 1.0)
+
+
+def reference_fleet(spec, seed):
+    """The fleet loop with one ``rng.choice`` per class draw.
+
+    Yields ``(name, vcpus, mem_gb, priority, samples, shared)`` per VM.
+    """
+    rng = np.random.default_rng(seed)
+
+    def normalized(weights):
+        p = np.array(weights, dtype=float)
+        p /= p.sum()
+        return p
+
+    archetypes = sorted(spec.archetype_weights)
+    archetype_p = normalized([spec.archetype_weights[a] for a in archetypes])
+    vcpu_p = normalized(spec.vcpu_weights)
+    classes = sorted(spec.priority_weights)
+    class_p = normalized([spec.priority_weights[c] for c in classes])
+    shared = _make_shared_trace(spec, rng) if spec.shared_fraction > 0 else None
+    for i in range(spec.n_vms):
+        archetype = str(rng.choice(archetypes, p=archetype_p))
+        vcpus = int(rng.choice(spec.vcpu_choices, p=vcpu_p))
+        samples = reference_samples(archetype, rng, spec)
+        priority = Priority[str(rng.choice(classes, p=class_p)).upper()]
+        name = "vm-{:04d}".format(i)
+        yield name, vcpus, vcpus * spec.mem_gb_per_vcpu, priority, samples, shared
+
+
+_FLOATS = st.floats(allow_nan=False, allow_infinity=False, min_value=-1e12, max_value=1e12)
+
+
+class TestSetupIdentity:
+    """Fleet set-up's array passes and CDF draws equal the scalar paths."""
+
+    @pytest.mark.parametrize("seed", [7, 2013])
+    @pytest.mark.parametrize("hours", [2, 48])
+    @pytest.mark.parametrize(
+        "mix",
+        [
+            dict(shared_fraction=0.3, shared_kind="diurnal"),
+            dict(shared_fraction=0.3, shared_kind="bursty"),
+            dict(shared_fraction=0.0),
+            dict(
+                archetype_weights={"diurnal": 0.6, "flat": 0.0, "spiky": 0.4},
+                vcpu_weights=(0.0, 0.5, 0.5, 0.0),
+                priority_weights={"gold": 0.0, "silver": 1.0, "bronze": 1.0},
+            ),
+        ],
+        ids=["shared-diurnal", "shared-bursty", "unshared", "zero-weights"],
+    )
+    def test_build_fleet_matches_the_choice_loop(self, seed, hours, mix):
+        spec = FleetSpec(n_vms=48, horizon_s=hours * 3600.0, **mix)
+        fleet = build_fleet(spec, seed=seed)
+        reference = list(reference_fleet(spec, seed))
+        assert len(fleet) == len(reference)
+        shared = None
+        for vm, (name, vcpus, mem_gb, priority, samples, ref_shared) in zip(fleet, reference):
+            assert (vm.name, vm.vcpus, vm.mem_gb, vm.priority) == (
+                name, vcpus, mem_gb, priority
+            ), vm.name
+            trace = vm.trace
+            if ref_shared is not None:
+                assert isinstance(trace, CompositeTrace)
+                (w_shared, shared_part), (w_own, trace) = trace.parts
+                assert (w_shared, w_own) == (
+                    spec.shared_fraction, 1.0 - spec.shared_fraction
+                )
+                # One shared signal for the whole fleet, equal to the loop's.
+                shared = shared_part if shared is None else shared
+                assert shared_part is shared
+                assert type(shared_part) is type(ref_shared)
+                if isinstance(ref_shared, BurstyTrace):
+                    assert shared_part._samples.tobytes() == ref_shared._samples.tobytes()
+                else:
+                    assert vars(shared_part) == vars(ref_shared)
+            assert trace._samples.tobytes() == samples.tobytes(), vm.name
+
+    @given(
+        bounds=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)).map(sorted),
+        period_s=st.floats(min_value=1.0, max_value=1e7),
+        peak_hour=st.floats(min_value=-48.0, max_value=48.0),
+        sharpness=st.one_of(st.just(1.0), st.floats(min_value=0.05, max_value=8.0)),
+        ticks=st.lists(_FLOATS, min_size=1, max_size=64),
+    )
+    def test_diurnal_grid_equals_scalar_at(self, bounds, period_s, peak_hour, sharpness, ticks):
+        trace = DiurnalTrace(bounds[0], bounds[1], period_s, peak_hour, sharpness)
+        scalar = np.array([trace.at(t) for t in ticks], dtype=float).tobytes()
+        assert trace_grid(trace, ticks).tobytes() == scalar
+        assert trace_grid(trace, np.array(ticks, dtype=float)).tobytes() == scalar
+
+    @given(level=st.floats(0.0, 1.0), ticks=st.lists(_FLOATS, max_size=64))
+    def test_flat_grid_equals_scalar_at(self, level, ticks):
+        trace = FlatTrace(level)
+        scalar = np.array([trace.at(t) for t in ticks], dtype=float).tobytes()
+        assert trace_grid(trace, ticks).tobytes() == scalar
+        assert trace_grid(trace, np.array(ticks, dtype=float)).tobytes() == scalar
+
+    @given(
+        weights=st.lists(st.floats(0.0, 1e6), min_size=1, max_size=8).filter(
+            lambda w: sum(w) > 0
+        ),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_cdf_draw_equals_generator_choice(self, weights, seed):
+        values = list(range(len(weights)))
+        p = np.array(weights, dtype=float)
+        p /= p.sum()
+        choice = _Choice(values, weights)
+        ours, numpy_ = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(50):
+            assert choice.draw(ours) == int(numpy_.choice(values, p=p))
+            assert ours.bit_generator.state == numpy_.bit_generator.state

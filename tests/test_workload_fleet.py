@@ -21,6 +21,21 @@ class TestFleetSpec:
         with pytest.raises(ValueError):
             FleetSpec(archetype_weights={"weird": 1.0})
 
+    @pytest.mark.parametrize("bad", [-0.1, float("nan"), float("inf")])
+    def test_archetype_weights_checked(self, bad):
+        with pytest.raises(ValueError, match="archetype weights"):
+            FleetSpec(archetype_weights={"diurnal": 1.0, "flat": bad})
+
+    @pytest.mark.parametrize("bad", [-0.1, float("nan"), float("inf")])
+    def test_vcpu_weights_checked(self, bad):
+        with pytest.raises(ValueError, match="vcpu weights"):
+            FleetSpec(vcpu_choices=(1, 2), vcpu_weights=(1.0, bad))
+
+    @pytest.mark.parametrize("bad", [-0.1, float("nan"), float("inf")])
+    def test_priority_weights_checked(self, bad):
+        with pytest.raises(ValueError, match="priority weights"):
+            FleetSpec(priority_weights={"gold": 1.0, "bronze": bad})
+
     def test_shared_fraction_validated(self):
         with pytest.raises(ValueError):
             FleetSpec(shared_fraction=1.5)

@@ -1,5 +1,8 @@
 """Unit tests for workload traces."""
 
+import copy
+import pickle
+
 import pytest
 
 from repro.workload import (
@@ -13,7 +16,7 @@ from repro.workload import (
     SpikeTrace,
     StepTrace,
 )
-from repro.workload.traces import DAY_S
+from repro.workload.traces import DAY_S, trace_grid
 
 
 def sample_range(trace, horizon=DAY_S, step=300.0):
@@ -108,6 +111,20 @@ class TestSampledTrace:
             SampledTrace([1.5], step_s=10.0)
         with pytest.raises(ValueError):
             SampledTrace([0.5], step_s=0.0)
+        with pytest.raises(ValueError):
+            SampledTrace([0.2, float("nan")], step_s=60.0)
+
+    def test_unpickles_state_with_the_old_list_mirror(self):
+        # Checkpoints written before the mirror was dropped pickle each
+        # sampled trace with a ``_samples_list`` copy of its grid.
+        trace = NoisyTrace(DiurnalTrace(), seed=3, horizon_s=DAY_S)
+        old = copy.copy(trace)
+        old._samples_list = trace._samples.tolist()
+        restored = pickle.loads(pickle.dumps(old))
+        assert restored._samples_list == trace._samples.tolist()
+        ticks = [i * 37.0 for i in range(-10, 2 * 1440 * 60 // 37)]
+        assert [restored.at(t) for t in ticks] == [trace.at(t) for t in ticks]
+        assert trace_grid(restored, ticks).tobytes() == trace_grid(trace, ticks).tobytes()
 
 
 class TestBurstyTrace:
