@@ -67,8 +67,10 @@ if TYPE_CHECKING:
 
 #: Bump on any incompatible change to the manifest or payload layout
 #: (2: one telemetry/report channel class, no neat manager subclass;
-#: 3: one demand lattice instead of per-object ``_grid*`` fields).
-CHECKPOINT_SCHEMA = 3
+#: 3: one demand lattice instead of per-object ``_grid*`` fields;
+#: 4: the plane's trace lives on its ``ManagementLog``, not on each
+#: component).
+CHECKPOINT_SCHEMA = 4
 
 _MAGIC = b"REPROCKPT1\n"
 

@@ -11,7 +11,9 @@ single-responsibility components:
   :class:`~repro.core.plane.actuator.WakeArbiter` power actuator (the
   overlapping-wake race fix lives here);
 * :mod:`~repro.core.plane.arbiter` — the global arbiter
-  (:class:`~repro.core.plane.arbiter.PowerAwareManager`).
+  (:class:`~repro.core.plane.arbiter.PowerAwareManager`);
+* :mod:`~repro.core.plane.log` — the one action record every component
+  books through (:meth:`~repro.core.plane.log.ManagementLog.emit`).
 
 ``ManagerConfig.plane`` selects the architecture: ``"centralized"``
 (default) plans on the telemetry picture alone; ``"neat"`` gives the

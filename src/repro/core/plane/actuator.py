@@ -27,6 +27,12 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any, Callable, Generator, Optional, Set
 
 from repro.sim import ResumeSpec
+from repro.telemetry.trace import (
+    HostBlacklisted,
+    HostRepaired,
+    ManagerDecision,
+    WakeRetry,
+)
 
 if TYPE_CHECKING:
     from repro.core.plane.log import ManagementLog
@@ -36,7 +42,6 @@ if TYPE_CHECKING:
     from repro.sim.environment import Environment
     from repro.sim.events import Event
     from repro.sim.process import Process
-    from repro.telemetry.trace import TraceBuffer
 
 
 class WakeArbiter:
@@ -47,13 +52,11 @@ class WakeArbiter:
         env: "Environment",
         log: "ManagementLog",
         scoreboard: "WakeScoreboard",
-        trace: Optional["TraceBuffer"] = None,
         on_settled: Optional[Callable[[], None]] = None,
     ) -> None:
         self.env = env
         self.log = log
         self.scoreboard = scoreboard
-        self._trace = trace
         #: Called after each wake resolves (success or failure); the
         #: manager hooks its pending-admission drain here.
         self._on_settled = on_settled
@@ -89,23 +92,14 @@ class WakeArbiter:
             return False
         attempt = self.scoreboard.begin_attempt(host.name)
         if attempt > 1:
-            self.log.wake_retries += 1
-            self.log.record(
-                self.env.now, "wake-retry",
-                "{} attempt {}".format(host.name, attempt),
-            )
-            if self._trace is not None:
-                self._trace.wake_retry(
+            self.log.emit(
+                WakeRetry(
                     self.env.now, host.name,
                     attempt=attempt,
                     backoff_s=self.scoreboard.backoff_s(host.name),
                 )
-        self.log.wakes_requested += 1
-        self.log.record(self.env.now, "wake", host.name)
-        if self._trace is not None:
-            self._trace.decision(
-                self.env.now, "wake", host.name, detail=detail
             )
+        self.log.emit(ManagerDecision(self.env.now, "wake", host.name, detail))
         self._dispatch(host)
         return True
 
@@ -115,26 +109,22 @@ class WakeArbiter:
 
         Books the dispatch on the scoreboard (keeping attempt numbering
         monotone across operator and automatic wakes) but emits no retry
-        trace — operator wakes are not retries of a failed automatic one.
+        trace — operator wakes are not retries of a failed automatic one
+        — and does not count as a plane wake request.
         """
         if host.name in self._in_flight:
             self._reject(host)
             return None
         self.scoreboard.begin_attempt(host.name)
-        if self._trace is not None:
-            self._trace.decision(
-                self.env.now, "wake", host.name, detail="maintenance-end"
-            )
+        self.log.emit(
+            ManagerDecision(self.env.now, "wake", host.name, "maintenance-end")
+        )
         return self._dispatch(host)
 
     def _reject(self, host: "Host") -> None:
-        now = self.env.now
-        self.log.wake_rejections += 1
-        self.log.record(now, "wake-rejected", host.name)
-        if self._trace is not None:
-            self._trace.decision(
-                now, "wake-rejected", host.name, detail="in-flight"
-            )
+        self.log.emit(
+            ManagerDecision(self.env.now, "wake-rejected", host.name, "in-flight")
+        )
 
     def _dispatch(self, host: "Host") -> "Process":
         self._in_flight.add(host.name)
@@ -148,23 +138,16 @@ class WakeArbiter:
             # Injected wake failure: the scoreboard puts the host into
             # exponential backoff (and eventually blacklists it) so the
             # watchdog retries a *different* parked host first.
-            self.log.wake_failures += 1
-            self.log.record(now, "wake-failed", host.name)
-            if self._trace is not None:
-                self._trace.decision(now, "wake-failed", host.name)
+            self.log.emit(ManagerDecision(now, "wake-failed", host.name))
             blacklisted_until = self.scoreboard.record_failure(host.name, now)
             if blacklisted_until is not None:
-                self.log.blacklists += 1
-                self.log.record(
-                    now, "host-blacklisted",
-                    "{} until t={:.0f}".format(host.name, blacklisted_until),
-                )
-                if self._trace is not None:
-                    self._trace.host_blacklisted(
+                self.log.emit(
+                    HostBlacklisted(
                         now, host.name,
                         failures=self.scoreboard.failures(host.name),
                         until_t=blacklisted_until,
                     )
+                )
             if host.out_of_service:
                 self._schedule_repair(host)
         else:
@@ -181,15 +164,12 @@ class WakeArbiter:
         delay = host.repair_delay_s()
         if delay is None:
             return  # no repair model: the host is lost for the run
-        self.log.record(
-            self.env.now, "repair-scheduled",
-            "{} in {:.0f}s".format(host.name, delay),
-        )
-        if self._trace is not None:
-            self._trace.decision(
+        self.log.emit(
+            ManagerDecision(
                 self.env.now, "repair-scheduled", host.name,
-                detail="{:.0f}s".format(delay),
+                "{:.0f}s".format(delay),
             )
+        )
         self.env.process(
             self._repair(host, delay, self.env.now),
             ckpt=ResumeSpec(self, "_repair", (host, delay, self.env.now)),
@@ -211,12 +191,7 @@ class WakeArbiter:
         host.repair()
         self.scoreboard.record_repair(host.name)
         now = self.env.now
-        self.log.hosts_repaired += 1
-        self.log.record(now, "host-repaired", host.name)
-        if self._trace is not None:
-            self._trace.host_repaired(
-                now, host.name, downtime_s=now - failed_at
-            )
+        self.log.emit(HostRepaired(now, host.name, downtime_s=now - failed_at))
 
     # ------------------------------------------------------------------
     # Parks

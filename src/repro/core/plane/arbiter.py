@@ -53,6 +53,15 @@ from repro.placement.balancer import LoadBalancer
 from repro.placement.evacuation import plan_evacuation
 from repro.power.states import PowerState
 from repro.sim import ResumeSpec
+from repro.telemetry.trace import (
+    AdmissionEvent,
+    Escalation,
+    EvacuationEnd,
+    ManagerDecision,
+    MigrationRetry,
+    VmRetired,
+    WatchdogWake,
+)
 
 
 class _EvacuationTask:
@@ -86,9 +95,8 @@ class PowerAwareManager:
         self.config = config or ManagerConfig()
         self.predictor = make_predictor(self.config.predictor)
         self.balancer = LoadBalancer(self.config.balance)
-        self.log = ManagementLog()
-        #: Decision-trace sink; None disables tracing at zero cost.
-        self._trace = trace
+        #: The one action record: counters, plus the trace when traced.
+        self.log = ManagementLog(trace=trace)
         self._pending: List[Tuple[VM, float]] = []
         self._evacs: Dict[str, _EvacuationTask] = {}
         self._surplus_rounds = 0
@@ -107,14 +115,11 @@ class PowerAwareManager:
         #: on the neat plane, the local detectors' reports.
         self.observer = ClusterObserver(cluster, engine, telemetry, detectors)
         #: Degradation governor owning the consolidation freeze.
-        self.governor = SafeModeGovernor(
-            self.config, self.log, self.observer, trace
-        )
+        self.governor = SafeModeGovernor(self.config, self.log, self.observer)
         #: Single-owner power actuator: every wake/park goes through it,
         #: and it rejects overlapping wakes structurally.
         self.arbiter = WakeArbiter(
-            env, self.log, self.scoreboard, trace,
-            on_settled=self._drain_pending,
+            env, self.log, self.scoreboard, on_settled=self._drain_pending
         )
         #: Consecutive watchdog ticks with an unresolved shortfall
         #: (escalation counter).
@@ -196,26 +201,13 @@ class PowerAwareManager:
         host = self._pick_host_for(vm)
         if host is not None:
             self.cluster.add_vm(vm, host)
-            self.log.admissions += 1
-            self.log.record(self.env.now, "admit", "{}->{}".format(vm.name, host.name))
-            if self._trace is not None:
-                self._trace.admission(self.env.now, "admit", vm.name, host=host.name)
+            self.log.emit(AdmissionEvent(self.env.now, "admit", vm.name, host.name))
             return True
-        if not self.config.enable_power_mgmt:
-            self.log.admissions_rejected += 1
-            if self._trace is not None:
-                self._trace.admission(self.env.now, "admit-rejected", vm.name)
-            return False
-        if not self._capacity_in_reserve():
-            self.log.admissions_rejected += 1
-            if self._trace is not None:
-                self._trace.admission(self.env.now, "admit-rejected", vm.name)
+        if not self.config.enable_power_mgmt or not self._capacity_in_reserve():
+            self.log.emit(AdmissionEvent(self.env.now, "admit-rejected", vm.name))
             return False
         self._pending.append((vm, self.env.now))
-        self.log.admissions_queued += 1
-        self.log.record(self.env.now, "admit-queued", vm.name)
-        if self._trace is not None:
-            self._trace.admission(self.env.now, "admit-queued", vm.name)
+        self.log.emit(AdmissionEvent(self.env.now, "admit-queued", vm.name))
         self._request_capacity(vm.vcpus)
         return True
 
@@ -230,17 +222,14 @@ class PowerAwareManager:
         for i, (pending_vm, _) in enumerate(self._pending):
             if pending_vm is vm:
                 del self._pending[i]
-                if self._trace is not None:
-                    self._trace.vm_retired(self.env.now, vm.name)
+                self.log.emit(VmRetired(self.env.now, vm.name))
                 return
         if not self.cluster.has_vm(vm.name):
             self.log.retires_unknown += 1
-            self.log.record(self.env.now, "retire-unknown", vm.name)
             return
         host_name = vm.host.name if vm.host is not None else ""
         self.cluster.remove_vm(vm)
-        if self._trace is not None:
-            self._trace.vm_retired(self.env.now, vm.name, host=host_name)
+        self.log.emit(VmRetired(self.env.now, vm.name, host_name))
 
     def _pick_host_for(self, vm: VM) -> Optional[Host]:
         """Best-fit host for a new VM under the CPU target + memory."""
@@ -279,32 +268,24 @@ class PowerAwareManager:
         timeout = self.config.admission_timeout_s
         for vm, queued_at in self._pending:
             if timeout is not None and self.env.now - queued_at > timeout:
-                self.log.admissions_timed_out += 1
-                self.log.record(self.env.now, "admit-timeout", vm.name)
-                if self._trace is not None:
-                    self._trace.admission(
+                self.log.emit(
+                    AdmissionEvent(
                         self.env.now, "admit-timeout", vm.name,
                         wait_s=self.env.now - queued_at,
                     )
+                )
                 continue
             host = self._pick_host_for(vm)
             if host is None:
                 still_waiting.append((vm, queued_at))
                 continue
             self.cluster.add_vm(vm, host)
-            wait = self.env.now - queued_at
-            self.log.admissions += 1
-            self.log.admission_waits_s.append(wait)
-            self.log.record(
-                self.env.now,
-                "admit-placed",
-                "{}->{} after {:.0f}s".format(vm.name, host.name, wait),
-            )
-            if self._trace is not None:
-                self._trace.admission(
+            self.log.emit(
+                AdmissionEvent(
                     self.env.now, "admit-placed", vm.name,
-                    host=host.name, wait_s=wait,
+                    host.name, self.env.now - queued_at,
                 )
+            )
         self._pending = still_waiting
         if self._pending:
             self._request_capacity(sum(vm.vcpus for vm, _ in self._pending))
@@ -377,18 +358,13 @@ class PowerAwareManager:
                 continue
             if not move.dst.fits(move.vm):
                 continue
-            if self._trace is not None:
-                self._trace.decision(
-                    now, "balance", host=move.src.name,
-                    detail="{}->{}".format(move.vm.name, move.dst.name),
-                )
-            self.engine.migrate(move.vm, move.dst)
-            self.log.balancer_moves += 1
-            self.log.record(
-                now, "balance", "{}:{}->{}".format(
-                    move.vm.name, move.src.name, move.dst.name
+            self.log.emit(
+                ManagerDecision(
+                    now, "balance", move.src.name,
+                    "{}->{}".format(move.vm.name, move.dst.name),
                 )
             )
+            self.engine.migrate(move.vm, move.dst)
 
     # ------------------------------------------------------------------
     # Growing capacity (wakes)
@@ -464,57 +440,10 @@ class PowerAwareManager:
             self._shortfall_ticks = 0
             return
         self._shortfall_ticks += 1
-        self._record_reactive_wake(
-            now, trigger, shortfall, demand, committed, cap_cores
-        )
-        extra_hosts = 0
-        after = self.config.escalation_after_ticks
-        if after is not None and self._shortfall_ticks >= after:
-            extra_hosts = self.config.escalation_boost_hosts
-            self.log.escalations += 1
-            self.log.record(
-                now, "escalation",
-                "{} ticks short, +{} host(s)".format(
-                    self._shortfall_ticks, extra_hosts
-                ),
-            )
-            if self._trace is not None:
-                self._trace.escalation(
-                    now,
-                    ticks=self._shortfall_ticks,
-                    extra_hosts=extra_hosts,
-                    shortfall_cores=shortfall,
-                )
-            self._shortfall_ticks = 0
-        self._grow(shortfall, reactive=True, extra_hosts=extra_hosts)
-        if trigger == "host-overload":
-            # Give the balancer an immediate chance to use new capacity
-            # once it wakes; meanwhile spread what we can.
-            self._balance()
-
-    def _record_reactive_wake(
-        self,
-        now: float,
-        trigger: str,
-        shortfall: float,
-        demand: float,
-        committed: float,
-        cap_cores: float,
-    ) -> None:
-        """Book a watchdog intervention with its triggering shortfall.
-
-        The shortfall travels as a structured payload (log field + trace
-        event), not just prose, so tests and the trace checker can assert
-        every reactive wake was justified.
-        """
-        self.log.reactive_wakes += 1
-        self.log.reactive_wake_events.append((now, trigger, shortfall))
-        self.log.record(
-            now, "reactive-wake",
-            "{}: {:.1f} cores short".format(trigger, shortfall),
-        )
-        if self._trace is not None:
-            self._trace.watchdog_wake(
+        # The shortfall travels as a structured payload, so the trace
+        # checker can assert every reactive wake was justified.
+        self.log.emit(
+            WatchdogWake(
                 now, trigger,
                 shortfall_cores=shortfall,
                 demand_cores=demand,
@@ -522,6 +451,25 @@ class PowerAwareManager:
                 # -1 encodes "uncapped" (the cap itself is +inf).
                 cap_cores=cap_cores if math.isfinite(cap_cores) else -1.0,
             )
+        )
+        extra_hosts = 0
+        after = self.config.escalation_after_ticks
+        if after is not None and self._shortfall_ticks >= after:
+            extra_hosts = self.config.escalation_boost_hosts
+            self.log.emit(
+                Escalation(
+                    now,
+                    ticks=self._shortfall_ticks,
+                    extra_hosts=extra_hosts,
+                    shortfall_cores=shortfall,
+                )
+            )
+            self._shortfall_ticks = 0
+        self._grow(shortfall, reactive=True, extra_hosts=extra_hosts)
+        if trigger == "host-overload":
+            # Give the balancer an immediate chance to use new capacity
+            # once it wakes; meanwhile spread what we can.
+            self._balance()
 
     def _grow(
         self, cores_short: float, reactive: bool, extra_hosts: int = 0
@@ -533,9 +481,9 @@ class PowerAwareManager:
             if not task.cancelled:
                 task.cancel()
                 cores_short -= task.host.cores
-                self.log.record(self.env.now, "evac-cancel", task.host.name)
-                if self._trace is not None:
-                    self._trace.decision(self.env.now, "evac-cancel", task.host.name)
+                self.log.emit(
+                    ManagerDecision(self.env.now, "evac-cancel", task.host.name)
+                )
         if cores_short <= 0 and extra_hosts <= 0:
             return
         # 2) Wake parked hosts, fastest exit first; among equals, prefer
@@ -564,10 +512,7 @@ class PowerAwareManager:
         count += self.config.wake_boost_hosts + extra_hosts
         for host in parked[:count]:
             if not self._cap_allows_wake(host):
-                self.log.cap_deferrals += 1
-                self.log.record(self.env.now, "cap-defer", host.name)
-                if self._trace is not None:
-                    self._trace.decision(self.env.now, "cap-defer", host.name)
+                self.log.emit(ManagerDecision(self.env.now, "cap-defer", host.name))
                 continue
             # The actuator owns everything from here: retry numbering,
             # wake bookkeeping, and — crucially — rejection of a request
@@ -657,8 +602,8 @@ class PowerAwareManager:
             plan = plan_evacuation(
                 host,
                 targets,
-                    cpu_target=target,
-                trace=self._trace,
+                cpu_target=target,
+                trace=self.log.trace,
                 now=now,
             )
             if plan is None:
@@ -666,13 +611,11 @@ class PowerAwareManager:
             task = _EvacuationTask(host, plan)
             self._evacs[host.name] = task
             host.evacuating = True
-            self.log.evacuations_started += 1
-            self.log.record(now, "evac-start", host.name)
-            if self._trace is not None:
-                self._trace.decision(
-                    now, "evac-start", host.name,
-                    detail="{} vm(s)".format(len(plan)),
+            self.log.emit(
+                ManagerDecision(
+                    now, "evac-start", host.name, "{} vm(s)".format(len(plan))
                 )
+            )
             self.env.process(self._evacuate_and_park(task))
             surplus_cores -= host.cores
             parks += 1
@@ -744,15 +687,12 @@ class PowerAwareManager:
                 # and the engine's own admission.  The plan is stale —
                 # cancel the task instead of crashing the simulation.
                 task.cancel()
-                self.log.record(
-                    self.env.now, "evac-stale",
-                    "{}: {}->{}".format(host.name, vm.name, dst.name),
-                )
-                if self._trace is not None:
-                    self._trace.decision(
+                self.log.emit(
+                    ManagerDecision(
                         self.env.now, "evac-stale", host.name,
-                        detail="{}->{}".format(vm.name, dst.name),
+                        "{}->{}".format(vm.name, dst.name),
                     )
+                )
                 break
             if self.engine.can_fail:
                 # Fault model attached: watch each flight and retry on a
@@ -779,29 +719,23 @@ class PowerAwareManager:
         )
         if parkable:
             state = self._choose_park_state()
-            self.log.parks_started += 1
-            self.log.record(self.env.now, "park", "{}->{}".format(host.name, state.value))
-            if self._trace is not None:
-                # The completed-evacuation marker must land at the same
-                # instant as the park decision and the transition itself —
-                # that ordering is a checked trace invariant.
-                self._trace.evacuation_end(self.env.now, host.name, "complete")
-                self._trace.decision(
-                    self.env.now, "park", host.name, detail=state.value
-                )
+            # The completed-evacuation marker must land at the same
+            # instant as the park decision and the transition itself —
+            # that ordering is a checked trace invariant.
+            self.log.emit(EvacuationEnd(self.env.now, host.name, "complete"))
+            self.log.emit(
+                ManagerDecision(self.env.now, "park", host.name, state.value)
+            )
             # Keep `evacuating` True until parked so no placement sneaks in.
             yield self.arbiter.park(host, state)
-            self.log.parks_completed += 1
-            if self._trace is not None:
-                self._trace.decision(self.env.now, "park-complete", host.name)
+            self.log.emit(ManagerDecision(self.env.now, "park-complete", host.name))
         else:
-            self.log.evacuations_aborted += 1
-            self.log.record(self.env.now, "evac-abort", host.name)
-            if self._trace is not None:
-                self._trace.evacuation_end(
+            self.log.emit(
+                EvacuationEnd(
                     self.env.now, host.name,
                     "cancelled" if task.cancelled else "aborted",
                 )
+            )
         host.evacuating = False
         self._evacs.pop(host.name, None)
 
@@ -827,10 +761,6 @@ class PowerAwareManager:
             attempt += 1
             if attempt > cfg.migration_retry_limit:
                 task.cancel()
-                self.log.record(
-                    self.env.now, "migration-exhausted",
-                    "{}: {} attempt(s)".format(vm.name, attempt - 1),
-                )
                 return
             backoff = min(
                 cfg.migration_backoff_base_s * (2 ** (attempt - 1)),
@@ -842,12 +772,6 @@ class PowerAwareManager:
                 and self.env.now + backoff - chain_started > deadline
             ):
                 task.cancel()
-                self.log.record(
-                    self.env.now, "migration-deadline",
-                    "{} after {:.0f}s".format(
-                        vm.name, self.env.now - chain_started
-                    ),
-                )
                 return
             # Coalescable: flights that failed at the same instant share one
             # backoff event.  Retry callbacks reserve destination memory
@@ -861,16 +785,12 @@ class PowerAwareManager:
             if dst is None:
                 task.cancel()
                 return
-            self.log.migration_retries += 1
-            self.log.record(
-                self.env.now, "migration-retry",
-                "{} attempt {} -> {}".format(vm.name, attempt + 1, dst.name),
-            )
-            if self._trace is not None:
-                self._trace.migration_retry(
+            self.log.emit(
+                MigrationRetry(
                     self.env.now, vm.name, task.host.name, dst.name,
                     attempt=attempt + 1, backoff_s=backoff,
                 )
+            )
             try:
                 flight = self.engine.migrate(vm, dst)
             except RuntimeError:
@@ -897,7 +817,7 @@ class PowerAwareManager:
             task.host,
             targets,
             cpu_target=self.config.cpu_target,
-            trace=self._trace,
+            trace=self.log.trace,
             now=now,
         )
         if plan is None:
@@ -925,9 +845,7 @@ class PowerAwareManager:
         if host.in_maintenance:
             raise RuntimeError("{} is already in maintenance".format(host.name))
         host.in_maintenance = True
-        self.log.record(self.env.now, "maintenance-start", host.name)
-        if self._trace is not None:
-            self._trace.decision(self.env.now, "maintenance-start", host.name)
+        self.log.emit(ManagerDecision(self.env.now, "maintenance-start", host.name))
         return self.env.process(self._maintenance_drain(host))
 
     def end_maintenance(self, host: Host) -> Optional["Process"]:
@@ -935,9 +853,7 @@ class PowerAwareManager:
         if not host.in_maintenance:
             raise RuntimeError("{} is not in maintenance".format(host.name))
         host.in_maintenance = False
-        self.log.record(self.env.now, "maintenance-end", host.name)
-        if self._trace is not None:
-            self._trace.decision(self.env.now, "maintenance-end", host.name)
+        self.log.emit(ManagerDecision(self.env.now, "maintenance-end", host.name))
         if host.state.is_parked and not host.machine.in_transition:
             return self.arbiter.dispatch_operator_wake(host)
         return None
@@ -957,21 +873,22 @@ class PowerAwareManager:
             host,
             [t for t in self.cluster.placeable_hosts() if t is not host],
             cpu_target=1.0,
-            trace=self._trace,
+            trace=self.log.trace,
             now=now,
         )
         if plan is None:
             host.in_maintenance = False
-            self.log.record(self.env.now, "maintenance-abort", host.name)
-            if self._trace is not None:
-                self._trace.decision(self.env.now, "maintenance-abort", host.name)
+            self.log.emit(
+                ManagerDecision(self.env.now, "maintenance-abort", host.name)
+            )
             return False
         host.evacuating = True
-        if self._trace is not None:
-            self._trace.decision(
+        self.log.emit(
+            ManagerDecision(
                 now, "evac-start", host.name,
-                detail="maintenance, {} vm(s)".format(len(plan)),
+                "maintenance, {} vm(s)".format(len(plan)),
             )
+        )
         migrations = []
         for vm, dst in plan:
             if vm.host is host and not vm.migrating and dst.is_active:
@@ -987,23 +904,19 @@ class PowerAwareManager:
         if host.vms or host.mem_reserved_gb > 0:
             host.evacuating = False
             host.in_maintenance = False
-            self.log.evacuations_aborted += 1
-            self.log.record(self.env.now, "maintenance-abort", host.name)
-            if self._trace is not None:
-                self._trace.evacuation_end(self.env.now, host.name, "aborted")
-                self._trace.decision(self.env.now, "maintenance-abort", host.name)
+            self.log.emit(EvacuationEnd(self.env.now, host.name, "aborted"))
+            self.log.emit(
+                ManagerDecision(self.env.now, "maintenance-abort", host.name)
+            )
             return False
         park_state = self._maintenance_park_state(host)
-        if self._trace is not None:
-            self._trace.evacuation_end(self.env.now, host.name, "complete")
-            self._trace.decision(
-                self.env.now, "park", host.name, detail=park_state.value
-            )
+        self.log.emit(EvacuationEnd(self.env.now, host.name, "complete"))
+        self.log.emit(
+            ManagerDecision(self.env.now, "park", host.name, park_state.value)
+        )
         yield self.arbiter.park(host, park_state)
         host.evacuating = False
-        self.log.record(self.env.now, "maintenance-down", host.name)
-        if self._trace is not None:
-            self._trace.decision(self.env.now, "maintenance-down", host.name)
+        self.log.emit(ManagerDecision(self.env.now, "maintenance-down", host.name))
         return True
 
     # ------------------------------------------------------------------

@@ -9,13 +9,14 @@ throughout: waking hosts needs no migrations.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING
+
+from repro.telemetry.trace import SafeModeEnter, SafeModeExit
 
 if TYPE_CHECKING:
     from repro.core.config import ManagerConfig
     from repro.core.plane.log import ManagementLog
     from repro.core.plane.observer import ClusterObserver
-    from repro.telemetry.trace import TraceBuffer
 
 
 class SafeModeGovernor:
@@ -26,12 +27,10 @@ class SafeModeGovernor:
         config: "ManagerConfig",
         log: "ManagementLog",
         observer: "ClusterObserver",
-        trace: Optional["TraceBuffer"] = None,
     ) -> None:
         self.config = config
         self.log = log
         self.observer = observer
-        self._trace = trace
         self._active = False
         self._entered_t = 0.0
 
@@ -63,19 +62,13 @@ class SafeModeGovernor:
                 self._active = True
                 self._entered_t = now
                 reason = "migration-failures" if rate_trip else "telemetry-stale"
-                self.log.safe_mode_enters += 1
-                self.log.record(
-                    now, "safe-mode-enter",
-                    "{}: rate={:.2f} age={:.0f}s".format(
-                        reason, rate, telemetry_age_s
-                    ),
-                )
-                if self._trace is not None:
-                    self._trace.safe_mode_enter(
+                self.log.emit(
+                    SafeModeEnter(
                         now, reason,
                         failure_rate=rate,
                         telemetry_age_s=telemetry_age_s,
                     )
+                )
             return
         if now - self._entered_t < cfg.safe_mode_hold_s:
             return
@@ -83,10 +76,4 @@ class SafeModeGovernor:
         fresh = age_limit is None or telemetry_age_s <= age_limit
         if calm and fresh:
             self._active = False
-            dwell = now - self._entered_t
-            self.log.safe_mode_exits += 1
-            self.log.record(
-                now, "safe-mode-exit", "after {:.0f}s".format(dwell)
-            )
-            if self._trace is not None:
-                self._trace.safe_mode_exit(now, dwell_s=dwell)
+            self.log.emit(SafeModeExit(now, dwell_s=now - self._entered_t))

@@ -1,23 +1,84 @@
-"""The management plane's shared action ledger.
+"""The management plane's one action record.
 
 Every plane component — the global arbiter, the wake actuator, the
-safe-mode governor, the neat-mode detectors — books its actions into one
-:class:`ManagementLog`, so the overhead experiments and the scenario
-runner read a single source of truth regardless of which plane
-architecture (``centralized`` or ``neat``) produced the run.
+safe-mode governor — books an action the same way: it builds the typed
+event from :mod:`repro.telemetry.trace` and calls
+:meth:`ManagementLog.emit`.  The log is a fold over those events:
+:data:`FOLDS` names the counter each event moves, and ``emit`` bumps
+it, records each placed admission's wait, and forwards the event to the
+run's :class:`~repro.telemetry.trace.TraceBuffer` when the run is
+traced.  The report counters the overhead experiments read and the
+trace the checker certifies are therefore one record, on either plane
+architecture (``centralized`` or ``neat``).
+
+Three counters have no event and stay plain increments:
+``retires_unknown`` (a departure for a VM the plane no longer knows) and
+the neat detectors' ``detector_reports`` / ``detector_reports_dropped``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Tuple
+from typing import Dict, List, Optional, Tuple
+
+from repro.telemetry.trace import (
+    AdmissionEvent,
+    EvacuationEnd,
+    ManagerDecision,
+    TraceBuffer,
+    TraceEvent,
+)
+
+#: ``(event tag, action or outcome)`` -> the counter that event moves by
+#: one.  A traced action whose key is absent moves no counter.
+FOLDS: Dict[Tuple[str, str], str] = {
+    ("watchdog-wake", ""): "reactive_wakes",
+    ("decision", "wake"): "wakes_requested",
+    ("decision", "wake-failed"): "wake_failures",
+    ("decision", "wake-rejected"): "wake_rejections",
+    ("wake-retry", ""): "wake_retries",
+    ("host-blacklisted", ""): "blacklists",
+    ("escalation", ""): "escalations",
+    ("host-repaired", ""): "hosts_repaired",
+    ("decision", "cap-defer"): "cap_deferrals",
+    ("decision", "park-complete"): "parks_completed",
+    ("evacuation-end", "cancelled"): "evacuations_aborted",
+    ("evacuation-end", "aborted"): "evacuations_aborted",
+    ("decision", "balance"): "balancer_moves",
+    ("migration-retry", ""): "migration_retries",
+    ("safe-mode-enter", ""): "safe_mode_enters",
+    ("safe-mode-exit", ""): "safe_mode_exits",
+    ("admission", "admit"): "admissions",
+    ("admission", "admit-placed"): "admissions",
+    ("admission", "admit-queued"): "admissions_queued",
+    ("admission", "admit-rejected"): "admissions_rejected",
+    ("admission", "admit-timeout"): "admissions_timed_out",
+}
+
+
+def _fold_key(event: TraceEvent) -> Tuple[str, str]:
+    """The :data:`FOLDS` key of ``event``: its tag, plus its action or
+    outcome where it has one."""
+    if isinstance(event, ManagerDecision):
+        if event.action == "wake" and event.detail == "maintenance-end":
+            # An operator's wake is traced like the plane's, but the
+            # plane did not request it.
+            return event.event, "operator-wake"
+        return event.event, event.action
+    if isinstance(event, AdmissionEvent):
+        return event.event, event.action
+    if isinstance(event, EvacuationEnd):
+        return event.event, event.outcome
+    return event.event, ""
 
 
 @dataclass
 class ManagementLog:
-    """Timestamped action ledger; the overhead experiments read this."""
+    """Counters folded from the plane's actions; the overhead experiments
+    read these."""
 
-    events: List[Tuple[float, str, str]] = field(default_factory=list)
+    #: The run's decision trace; None when the run is untraced.
+    trace: Optional[TraceBuffer] = None
     wakes_requested: int = 0
     wake_failures: int = 0
     wake_retries: int = 0
@@ -34,9 +95,7 @@ class ManagementLog:
     #: because an ``off->active`` transition for the same host was still
     #: in flight (the overlapping-wake race, fixed by construction).
     wake_rejections: int = 0
-    parks_started: int = 0
     parks_completed: int = 0
-    evacuations_started: int = 0
     evacuations_aborted: int = 0
     admissions: int = 0
     admissions_queued: int = 0
@@ -47,18 +106,18 @@ class ManagementLog:
     #: delayed, lossy request channel on their way to the global arbiter.
     detector_reports: int = 0
     detector_reports_dropped: int = 0
-    #: Seconds each queued admission waited for capacity.
+    #: Seconds each queued admission waited for capacity, in order.
     admission_waits_s: List[float] = field(default_factory=list)
-    #: Structured watchdog interventions: ``(t, trigger, shortfall_cores)``
-    #: where trigger is ``"aggregate"`` or ``"host-overload"``.  The bare
-    #: ``reactive-wake`` text lines in :attr:`events` carry the same data
-    #: only as prose; tests and the trace layer read this field.
-    reactive_wake_events: List[Tuple[float, str, float]] = field(
-        default_factory=list
-    )
 
-    def record(self, t: float, kind: str, detail: str = "") -> None:
-        self.events.append((t, kind, detail))
+    def emit(self, event: TraceEvent) -> None:
+        """Book one action: fold it into its counter, then trace it."""
+        counter = FOLDS.get(_fold_key(event))
+        if counter is not None:
+            setattr(self, counter, getattr(self, counter) + 1)
+        if isinstance(event, AdmissionEvent) and event.action == "admit-placed":
+            self.admission_waits_s.append(event.wait_s)
+        if self.trace is not None:
+            self.trace.emit(event)
 
     def mean_admission_wait_s(self) -> float:
         waits = self.admission_waits_s

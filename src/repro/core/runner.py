@@ -41,7 +41,7 @@ from repro.sim import Environment
 from repro.telemetry.metrics import SimReport, build_report
 from repro.telemetry.sampler import ClusterSampler
 from repro.telemetry.stream import StreamingMetricsSink
-from repro.telemetry.trace import TraceBuffer
+from repro.telemetry.trace import AdmissionEvent, TraceBuffer
 from repro.telemetry.view import Channel, ClusterView, StalenessModel
 from repro.workload.churn import ChurnGenerator
 from repro.workload.fleet import FleetSpec, build_fleet
@@ -258,7 +258,7 @@ def build_scenario(
     if buf is not None:
         for vm in fleet:
             if vm.host is not None:
-                buf.admission(env.now, "initial-place", vm.name, host=vm.host.name)
+                buf.emit(AdmissionEvent(env.now, "initial-place", vm.name, vm.host.name))
 
     injector = None
     if fault_model is not None and fault_model.migration is not None:

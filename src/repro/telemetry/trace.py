@@ -25,10 +25,17 @@ change as a typed event:
   :class:`~repro.datacenter.faults.MigrationFaultModel` and
   :mod:`repro.telemetry.view`).
 
-Producers hold an ``Optional[TraceBuffer]`` and emit through its typed
-factory methods behind an ``if trace is not None`` guard, so tracing is
-zero-cost when disabled and the low-level packages never import this
-module at runtime (no import cycles).
+The management plane books every action through
+:meth:`~repro.core.plane.log.ManagementLog.emit`: it builds the typed
+event, the log folds it into the report counters and forwards it to the
+run's buffer when the run is traced, so the counters and the trace are
+one record.  The packages below this one in the import graph —
+:mod:`repro.power`, :mod:`repro.datacenter`, :mod:`repro.migration` and
+:mod:`repro.placement` — hold an ``Optional[TraceBuffer]`` instead and
+call its typed factory methods behind an ``if trace is not None`` guard,
+so they never import this module at runtime (no import cycles) and
+tracing costs them one ``None`` test when it is off.  The runner's
+end-of-run markers use the same factories.
 
 The buffer is bounded (overflow is *counted*, never silently ignored —
 the validator refuses truncated traces) and exports deterministic JSONL:
@@ -407,11 +414,13 @@ def event_from_record(record: Dict[str, Any]) -> TraceEvent:
 
 
 class TraceBuffer:
-    """Bounded in-memory event collector with typed emit helpers.
+    """Bounded in-memory event collector.
 
-    Producers call the factory methods (``transition_start`` …) so they
-    never import the event classes; everything else (export, hashing,
-    parsing) lives on this class too.
+    The management plane hands it finished events through :meth:`emit`.
+    The typed factory methods (``transition_start`` …) serve the
+    producers below :mod:`repro.telemetry` in the import graph, which
+    never import the event classes, and the runner's end-of-run markers.
+    Everything else (export, hashing, parsing) lives on this class too.
     """
 
     def __init__(
@@ -435,7 +444,7 @@ class TraceBuffer:
             return
         self.events.append(event)
 
-    # -- typed factories (producer-facing API) --------------------------
+    # -- typed factories (for producers below this package) -------------
 
     def host_init(
         self, t: float, host: str, state: str, cores: float, mem_gb: float
@@ -520,91 +529,8 @@ class TraceBuffer:
             )
         )
 
-    def migration_retry(
-        self, t: float, vm: str, host: str, dst: str, attempt: int, backoff_s: float
-    ) -> None:
-        self.emit(
-            MigrationRetry(
-                t=t, vm=vm, host=host, dst=dst, attempt=attempt, backoff_s=backoff_s
-            )
-        )
-
-    def safe_mode_enter(
-        self, t: float, reason: str, failure_rate: float, telemetry_age_s: float
-    ) -> None:
-        self.emit(
-            SafeModeEnter(
-                t=t,
-                reason=reason,
-                failure_rate=failure_rate,
-                telemetry_age_s=telemetry_age_s,
-            )
-        )
-
-    def safe_mode_exit(self, t: float, dwell_s: float) -> None:
-        self.emit(SafeModeExit(t=t, dwell_s=dwell_s))
-
     def evacuation_planned(self, t: float, host: str, vms: int, ok: bool) -> None:
         self.emit(EvacuationPlanned(t=t, host=host, vms=vms, ok=ok))
-
-    def evacuation_end(self, t: float, host: str, outcome: str) -> None:
-        self.emit(EvacuationEnd(t=t, host=host, outcome=outcome))
-
-    def decision(self, t: float, action: str, host: str = "", detail: str = "") -> None:
-        self.emit(ManagerDecision(t=t, action=action, host=host, detail=detail))
-
-    def watchdog_wake(
-        self,
-        t: float,
-        trigger: str,
-        shortfall_cores: float,
-        demand_cores: float,
-        committed_cores: float,
-        cap_cores: float,
-    ) -> None:
-        self.emit(
-            WatchdogWake(
-                t=t,
-                trigger=trigger,
-                shortfall_cores=shortfall_cores,
-                demand_cores=demand_cores,
-                committed_cores=committed_cores,
-                cap_cores=cap_cores,
-            )
-        )
-
-    def wake_retry(self, t: float, host: str, attempt: int, backoff_s: float) -> None:
-        self.emit(WakeRetry(t=t, host=host, attempt=attempt, backoff_s=backoff_s))
-
-    def host_blacklisted(
-        self, t: float, host: str, failures: int, until_t: float
-    ) -> None:
-        self.emit(
-            HostBlacklisted(t=t, host=host, failures=failures, until_t=until_t)
-        )
-
-    def host_repaired(self, t: float, host: str, downtime_s: float) -> None:
-        self.emit(HostRepaired(t=t, host=host, downtime_s=downtime_s))
-
-    def escalation(
-        self, t: float, ticks: int, extra_hosts: int, shortfall_cores: float
-    ) -> None:
-        self.emit(
-            Escalation(
-                t=t,
-                ticks=ticks,
-                extra_hosts=extra_hosts,
-                shortfall_cores=shortfall_cores,
-            )
-        )
-
-    def admission(
-        self, t: float, action: str, vm: str, host: str = "", wait_s: float = 0.0
-    ) -> None:
-        self.emit(AdmissionEvent(t=t, action=action, vm=vm, host=host, wait_s=wait_s))
-
-    def vm_retired(self, t: float, vm: str, host: str = "") -> None:
-        self.emit(VmRetired(t=t, vm=vm, host=host))
 
     def host_final(
         self,

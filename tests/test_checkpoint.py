@@ -163,8 +163,10 @@ class TestRejection:
     def test_pre_channel_checkpoint_refused_by_schema(self, tmp_path, monkeypatch):
         # Schema 1 pickled classes that no longer exist (the neat manager
         # subclass); schema 2 pickled the per-object demand grids that the
-        # demand lattice replaced.  The manifest check must refuse both
-        # before anything is unpickled.
+        # demand lattice replaced; schema 3 pickled the trace on each plane
+        # component and a ManagementLog without one, so a traced resume
+        # would drop every plane event.  The manifest check must refuse
+        # all three before anything is unpickled.
         import repro.core.checkpoint as checkpoint
 
         path = self._one_checkpoint(tmp_path)
@@ -175,7 +177,7 @@ class TestRejection:
             raise AssertionError("an old-schema payload was unpickled")
 
         monkeypatch.setattr(checkpoint, "pickle", type("P", (), {"loads": unpickled}))
-        for schema in (1, 2):
+        for schema in (1, 2, 3):
             path.write_bytes(
                 magic + b"\n"
                 + json.dumps(dict(manifest, schema=schema), sort_keys=True).encode()

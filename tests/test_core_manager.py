@@ -8,15 +8,24 @@ from repro.migration import MigrationEngine
 from repro.power import PowerState
 from repro.prototype import PROTOTYPE_BLADE
 from repro.sim import Environment
+from repro.telemetry import TraceBuffer
+from repro.telemetry.trace import ManagerDecision
 from repro.workload import FlatTrace, StepTrace
 
 
-def build(n_hosts=4, config=None, cores=16.0, mem_gb=128.0):
+def build(n_hosts=4, config=None, cores=16.0, mem_gb=128.0, trace=None):
     env = Environment()
     cluster = Cluster.homogeneous(env, PROTOTYPE_BLADE, n_hosts, cores=cores, mem_gb=mem_gb)
     engine = MigrationEngine(env)
-    manager = PowerAwareManager(env, cluster, engine, config or ManagerConfig())
+    manager = PowerAwareManager(
+        env, cluster, engine, config or ManagerConfig(), trace=trace
+    )
     return env, cluster, engine, manager
+
+
+def park_times(trace):
+    return [e.t for e in trace.events
+            if isinstance(e, ManagerDecision) and e.action == "park"]
 
 
 def flat_vm(name, vcpus=2, level=0.5, mem_gb=8):
@@ -55,23 +64,25 @@ class TestConsolidationAndParking:
         lazy = ManagerConfig(period_s=300, park_delay_rounds=6)
 
         def first_park_time(cfg):
-            env, cluster, engine, manager = build(config=cfg)
+            trace = TraceBuffer(label="hysteresis")
+            env, cluster, engine, manager = build(config=cfg, trace=trace)
             cluster.add_vm(flat_vm("only"), cluster.hosts[0])
             manager.start()
             env.run(until=3 * 3600)
-            parks = [t for t, kind, _ in manager.log.events if kind == "park"]
+            parks = park_times(trace)
             return parks[0] if parks else float("inf")
 
         assert first_park_time(eager) < first_park_time(lazy)
 
     def test_no_parking_when_power_mgmt_disabled(self):
         cfg = ManagerConfig(enable_power_mgmt=False)
-        env, cluster, engine, manager = build(config=cfg)
+        trace = TraceBuffer(label="no-pm")
+        env, cluster, engine, manager = build(config=cfg, trace=trace)
         cluster.add_vm(flat_vm("only"), cluster.hosts[0])
         manager.start()
         env.run(until=4 * 3600)
         assert len(cluster.parked_hosts()) == 0
-        assert manager.log.parks_started == 0
+        assert park_times(trace) == []
 
     def test_evacuation_migrates_before_parking(self):
         cfg = ManagerConfig(period_s=300, park_delay_rounds=0, min_active_hosts=1)

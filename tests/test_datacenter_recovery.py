@@ -42,6 +42,14 @@ from repro.power import PowerState
 from repro.prototype import PROTOTYPE_BLADE
 from repro.sim import Environment
 from repro.telemetry import TraceBuffer, validate_trace
+from repro.telemetry.trace import (
+    Escalation,
+    HostBlacklisted,
+    HostRepaired,
+    ManagerDecision,
+    WakeRetry,
+    WatchdogWake,
+)
 from repro.workload import FlatTrace, FleetSpec, StepTrace
 
 
@@ -483,20 +491,20 @@ class TestRecoveryInvariants:
         )
 
     def retry(self, buf, t, attempt, backoff_s, host="h0"):
-        buf.wake_retry(t, host, attempt=attempt, backoff_s=backoff_s)
-        buf.decision(t, "wake", host=host)
+        buf.emit(WakeRetry(t, host, attempt=attempt, backoff_s=backoff_s))
+        buf.emit(ManagerDecision(t, "wake", host=host))
 
     def test_clean_retry_sequence_passes(self):
         buf = TraceBuffer(label="unit")
         synthetic_host(buf)
-        buf.decision(100.0, "wake-failed", host="h0")
+        buf.emit(ManagerDecision(100.0, "wake-failed", host="h0"))
         self.retry(buf, 200.0, attempt=2, backoff_s=60.0)
         assert "wake-backoff" not in self.check(buf)
 
     def test_retry_inside_backoff_window_flagged(self):
         buf = TraceBuffer(label="unit")
         synthetic_host(buf)
-        buf.decision(100.0, "wake-failed", host="h0")
+        buf.emit(ManagerDecision(100.0, "wake-failed", host="h0"))
         self.retry(buf, 130.0, attempt=2, backoff_s=60.0)
         assert "wake-backoff" in self.check(buf)
 
@@ -517,14 +525,14 @@ class TestRecoveryInvariants:
     def test_retry_without_wake_decision_flagged(self):
         buf = TraceBuffer(label="unit")
         synthetic_host(buf)
-        buf.wake_retry(100.0, "h0", attempt=2, backoff_s=60.0)
+        buf.emit(WakeRetry(100.0, "h0", attempt=2, backoff_s=60.0))
         assert "wake-backoff" in self.check(buf)
 
     def test_wake_inside_blacklist_hold_flagged(self):
         buf = TraceBuffer(label="unit")
         synthetic_host(buf)
-        buf.host_blacklisted(100.0, "h0", failures=3, until_t=2000.0)
-        buf.decision(500.0, "wake", host="h0")
+        buf.emit(HostBlacklisted(100.0, "h0", failures=3, until_t=2000.0))
+        buf.emit(ManagerDecision(500.0, "wake", host="h0"))
         buf.transition_start(500.0, "h0", "sleep", "active",
                              latency_s=10.0, power_w=100.0)
         assert "blacklist-hold" in self.check(buf)
@@ -532,8 +540,8 @@ class TestRecoveryInvariants:
     def test_wake_after_hold_expires_passes(self):
         buf = TraceBuffer(label="unit")
         synthetic_host(buf)
-        buf.host_blacklisted(100.0, "h0", failures=3, until_t=2000.0)
-        buf.decision(2500.0, "wake", host="h0")
+        buf.emit(HostBlacklisted(100.0, "h0", failures=3, until_t=2000.0))
+        buf.emit(ManagerDecision(2500.0, "wake", host="h0"))
         buf.transition_start(2500.0, "h0", "sleep", "active",
                              latency_s=10.0, power_w=100.0)
         assert "blacklist-hold" not in self.check(buf)
@@ -541,14 +549,14 @@ class TestRecoveryInvariants:
     def test_malformed_blacklist_flagged(self):
         buf = TraceBuffer(label="unit")
         synthetic_host(buf)
-        buf.host_blacklisted(100.0, "h0", failures=0, until_t=50.0)
+        buf.emit(HostBlacklisted(100.0, "h0", failures=0, until_t=50.0))
         assert "blacklist-hold" in self.check(buf)
 
     def permanent_failure(self, buf, t0=100.0):
         """Inject the canonical permanent-failure wake at ``t0``."""
         buf.fault_injected(t0, "h0", permanent=False)
         buf.fault_injected(t0, "h0", permanent=True)
-        buf.decision(t0, "wake", host="h0")
+        buf.emit(ManagerDecision(t0, "wake", host="h0"))
         buf.transition_start(t0, "h0", "sleep", "active",
                              latency_s=10.0, power_w=100.0)
         buf.transition_end(t0 + 10.0, "h0", "sleep", "active",
@@ -558,14 +566,14 @@ class TestRecoveryInvariants:
         buf = TraceBuffer(label="unit")
         synthetic_host(buf)
         self.permanent_failure(buf)
-        buf.host_repaired(710.0, "h0", downtime_s=600.0)
+        buf.emit(HostRepaired(710.0, "h0", downtime_s=600.0))
         assert self.check(buf) == set()
 
     def test_wake_while_out_of_service_flagged(self):
         buf = TraceBuffer(label="unit")
         synthetic_host(buf)
         self.permanent_failure(buf)
-        buf.decision(500.0, "wake", host="h0")
+        buf.emit(ManagerDecision(500.0, "wake", host="h0"))
         buf.transition_start(500.0, "h0", "sleep", "active",
                              latency_s=10.0, power_w=100.0)
         assert "repair-reentry" in self.check(buf)
@@ -573,14 +581,14 @@ class TestRecoveryInvariants:
     def test_repair_without_failure_flagged(self):
         buf = TraceBuffer(label="unit")
         synthetic_host(buf)
-        buf.host_repaired(500.0, "h0", downtime_s=100.0)
+        buf.emit(HostRepaired(500.0, "h0", downtime_s=100.0))
         assert "repair-reentry" in self.check(buf)
 
     def test_repair_downtime_mismatch_flagged(self):
         buf = TraceBuffer(label="unit")
         synthetic_host(buf)
         self.permanent_failure(buf)
-        buf.host_repaired(710.0, "h0", downtime_s=50.0)
+        buf.emit(HostRepaired(710.0, "h0", downtime_s=50.0))
         assert "repair-reentry" in self.check(buf)
 
     def test_host_final_oos_mismatch_flagged(self):
@@ -598,25 +606,25 @@ class TestRecoveryInvariants:
     def test_escalation_with_reactive_wake_passes(self):
         buf = TraceBuffer(label="unit")
         synthetic_host(buf)
-        buf.watchdog_wake(100.0, "aggregate", shortfall_cores=8.0,
+        buf.emit(WatchdogWake(100.0, "aggregate", shortfall_cores=8.0,
                           demand_cores=20.0, committed_cores=16.0,
-                          cap_cores=-1.0)
-        buf.escalation(100.0, ticks=3, extra_hosts=1, shortfall_cores=8.0)
+                          cap_cores=-1.0))
+        buf.emit(Escalation(100.0, ticks=3, extra_hosts=1, shortfall_cores=8.0))
         assert "escalation-payload" not in self.check(buf)
 
     def test_escalation_without_reactive_wake_flagged(self):
         buf = TraceBuffer(label="unit")
         synthetic_host(buf)
-        buf.escalation(100.0, ticks=3, extra_hosts=1, shortfall_cores=8.0)
+        buf.emit(Escalation(100.0, ticks=3, extra_hosts=1, shortfall_cores=8.0))
         assert "escalation-payload" in self.check(buf)
 
     def test_malformed_escalation_flagged(self):
         buf = TraceBuffer(label="unit")
         synthetic_host(buf)
-        buf.watchdog_wake(100.0, "aggregate", shortfall_cores=8.0,
+        buf.emit(WatchdogWake(100.0, "aggregate", shortfall_cores=8.0,
                           demand_cores=20.0, committed_cores=16.0,
-                          cap_cores=-1.0)
-        buf.escalation(100.0, ticks=0, extra_hosts=0, shortfall_cores=-1.0)
+                          cap_cores=-1.0))
+        buf.emit(Escalation(100.0, ticks=0, extra_hosts=0, shortfall_cores=-1.0))
         assert "escalation-payload" in self.check(buf)
 
 

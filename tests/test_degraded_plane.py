@@ -41,6 +41,13 @@ from repro.telemetry import (
     TraceBuffer,
     validate_trace,
 )
+from repro.telemetry.trace import (
+    EvacuationEnd,
+    ManagerDecision,
+    MigrationRetry,
+    SafeModeEnter,
+    SafeModeExit,
+)
 from repro.workload import FlatTrace
 
 
@@ -59,6 +66,26 @@ def build(n_hosts=4, config=None, injector=None, telemetry=None, trace=None):
 
 def flat_vm(name, vcpus=2, level=0.5, mem_gb=8):
     return VM(name, vcpus=vcpus, mem_gb=mem_gb, trace=FlatTrace(level))
+
+
+def decisions(trace, action):
+    return [e for e in trace.events
+            if isinstance(e, ManagerDecision) and e.action == action]
+
+
+def chain_ends(trace):
+    """The last attempt of each retry chain whose evacuation ended.
+
+    Every host here holds one VM, so an evacuation runs one chain; a
+    chain still open at the horizon has not stopped and is left out.
+    """
+    ends, open_chains = [], {}
+    for e in trace.events:
+        if isinstance(e, MigrationRetry):
+            open_chains[e.host] = e.attempt
+        elif isinstance(e, EvacuationEnd) and e.host in open_chains:
+            ends.append(open_chains.pop(e.host))
+    return ends
 
 
 class ScriptedInjector(MigrationFaultInjector):
@@ -225,9 +252,10 @@ class TestRetryPolicy:
         assert report.ok, report.render_text()
 
     def test_exhausted_retries_abort_the_evacuation(self):
+        trace = TraceBuffer(label="exhausted")
         injector = ScriptedInjector()  # every admission fails
         env, cluster, engine, manager = build(
-            n_hosts=2, config=self.cfg(), injector=injector,
+            n_hosts=2, config=self.cfg(), injector=injector, trace=trace,
         )
         cluster.add_vm(flat_vm("a", level=0.3), cluster.hosts[0])
         cluster.add_vm(flat_vm("b", level=0.3), cluster.hosts[1])
@@ -238,8 +266,9 @@ class TestRetryPolicy:
         assert engine.failed >= 1 + 2
         assert manager.log.evacuations_aborted >= 1
         assert manager.log.parks_completed == 0
-        kinds = {kind for _, kind, _ in manager.log.events}
-        assert "migration-exhausted" in kinds
+        # Every chain stops at attempt 1 + migration_retry_limit.
+        ends = chain_ends(trace)
+        assert ends and set(ends) == {3}
         # The host un-parks instead of wedging: everything stays active
         # and placed, with no reservation leaked anywhere.
         for vm in cluster.vms:
@@ -278,6 +307,7 @@ class TestRetryPolicy:
         assert max(b for chain in chains for b in chain) == pytest.approx(70.0)
 
     def test_deadline_cuts_the_chain_short(self):
+        trace = TraceBuffer(label="deadline")
         injector = ScriptedInjector()
         env, cluster, engine, manager = build(
             n_hosts=2,
@@ -285,13 +315,17 @@ class TestRetryPolicy:
                 migration_retry_limit=50, migration_deadline_s=600.0
             ),
             injector=injector,
+            trace=trace,
         )
         cluster.add_vm(flat_vm("a", level=0.3), cluster.hosts[0])
         cluster.add_vm(flat_vm("b", level=0.3), cluster.hosts[1])
         manager.start()
         env.run(until=4 * 3600)
-        kinds = {kind for _, kind, _ in manager.log.events}
-        assert "migration-deadline" in kinds
+        # The deadline, not the limit of 50, stops every chain: the 30,
+        # 60, 120 and 240 s backoffs (attempts 2-5) fit inside 600 s; the
+        # next, capped at 300 s, does not.
+        ends = chain_ends(trace)
+        assert ends and set(ends) == {5}
         assert manager.log.evacuations_aborted >= 1
 
 
@@ -320,7 +354,8 @@ class TestAdmissionRaceRegression:
         host.fits = fits
 
     def test_racy_destination_cancels_the_evacuation(self):
-        env, cluster, engine, manager = build(n_hosts=3)
+        trace = TraceBuffer(label="race")
+        env, cluster, engine, manager = build(n_hosts=3, trace=trace)
         src, dst = cluster.hosts[0], cluster.hosts[1]
         vm = flat_vm("racer")
         cluster.add_vm(vm, src)
@@ -336,8 +371,12 @@ class TestAdmissionRaceRegression:
         assert vm.host is src and not vm.migrating
         assert not src.evacuating
         assert manager.log.evacuations_aborted == 1
-        kinds = {kind for _, kind, _ in manager.log.events}
-        assert "evac-stale" in kinds
+        [stale, end] = trace.events
+        assert isinstance(stale, ManagerDecision)
+        assert (stale.action, stale.host) == ("evac-stale", src.name)
+        assert stale.detail == "racer->{}".format(dst.name)
+        assert isinstance(end, EvacuationEnd)
+        assert (end.host, end.outcome) == (src.name, "cancelled")
         # The engine never admitted the flight, so nothing leaked.
         assert engine.started == 0
         assert dst.mem_reserved_gb == 0.0
@@ -400,7 +439,8 @@ class TestSafeMode:
 
     def test_safe_mode_freezes_parking(self):
         cfg = self.cfg()
-        env, cluster, engine, manager = build(config=cfg)
+        trace = TraceBuffer(label="frozen")
+        env, cluster, engine, manager = build(config=cfg, trace=trace)
         cluster.add_vm(flat_vm("only", level=0.2), cluster.hosts[0])
         engine.records.extend(self._failed_record(0.0) for _ in range(3))
         manager.evaluate()
@@ -408,7 +448,7 @@ class TestSafeMode:
         # Surplus capacity abounds, but the freeze admits no parks.
         env.run(until=2 * 3600)
         manager.evaluate()
-        assert manager.log.parks_started == 0
+        assert not decisions(trace, "park")
         assert len(cluster.parked_hosts()) == 0
 
     def test_hysteretic_exit_waits_for_hold_and_calm(self):
@@ -428,8 +468,9 @@ class TestSafeMode:
 
     def test_stale_telemetry_trips_safe_mode(self):
         feed = Channel()
+        trace = TraceBuffer(label="stale")
         env, cluster, engine, manager = build(
-            config=self.cfg(), telemetry=feed
+            config=self.cfg(), telemetry=feed, trace=trace
         )
         feed.send(
             [ClusterView(
@@ -445,11 +486,11 @@ class TestSafeMode:
         manager.evaluate()
         assert manager.safe_mode  # 1000 s > 600 s age limit
         enters = [
-            detail
-            for _, kind, detail in manager.log.events
-            if kind == "safe-mode-enter"
+            (e.reason, e.telemetry_age_s)
+            for e in trace.events
+            if isinstance(e, SafeModeEnter)
         ]
-        assert enters and "telemetry-stale" in enters[0]
+        assert enters == [("telemetry-stale", 1000.0)]
 
     def test_fresh_snapshot_releases_age_trip(self):
         feed = Channel()
@@ -587,8 +628,8 @@ class TestValidatorFamilies:
         buf.migration_start(0.0, "m0", "vm", "h0", "h1")
         buf.migration_failed(10.0, "m0", "vm", "h0", "h1",
                              elapsed_s=10.0, fail_fraction=0.4)
-        buf.migration_retry(40.0, "vm", "h0", "h1",
-                            attempt=2, backoff_s=30.0)
+        buf.emit(MigrationRetry(40.0, "vm", "h0", "h1",
+                            attempt=2, backoff_s=30.0))
         buf.migration_start(40.0, "m1", "vm", "h0", "h1")
         buf.migration_end(80.0, "m1", "vm", "h0", "h1", aborted=False,
                           duration_s=40.0, downtime_s=0.1,
@@ -615,7 +656,7 @@ class TestValidatorFamilies:
 
     def test_retry_without_failure_flags(self):
         buf = TraceBuffer(label="bad")
-        buf.migration_retry(40.0, "vm", "h0", "h1", attempt=2, backoff_s=30.0)
+        buf.emit(MigrationRetry(40.0, "vm", "h0", "h1", attempt=2, backoff_s=30.0))
         report = self.check(buf)
         assert any(v.invariant == "migration-retry" for v in report.violations)
 
@@ -624,8 +665,8 @@ class TestValidatorFamilies:
         buf.migration_start(0.0, "m0", "vm", "h0", "h1")
         buf.migration_failed(10.0, "m0", "vm", "h0", "h1",
                              elapsed_s=10.0, fail_fraction=0.4)
-        buf.migration_retry(20.0, "vm", "h0", "h1",
-                            attempt=2, backoff_s=30.0)
+        buf.emit(MigrationRetry(20.0, "vm", "h0", "h1",
+                            attempt=2, backoff_s=30.0))
         report = self.check(buf)
         assert any(
             "backoff window" in v.message
@@ -640,13 +681,13 @@ class TestValidatorFamilies:
         buf.migration_start(0.0, "m0", "vm", "h0", "h1")
         buf.migration_failed(5.0, "m0", "vm", "h0", "h1",
                              elapsed_s=5.0, fail_fraction=0.4)
-        buf.migration_retry(35.0, "vm", "h0", "h1",
-                            attempt=2, backoff_s=30.0)
+        buf.emit(MigrationRetry(35.0, "vm", "h0", "h1",
+                            attempt=2, backoff_s=30.0))
         buf.migration_start(35.0, "m1", "vm", "h0", "h1")
         buf.migration_failed(40.0, "m1", "vm", "h0", "h1",
                              elapsed_s=5.0, fail_fraction=0.4)
-        buf.migration_retry(55.0, "vm", "h0", "h1",
-                            attempt=3, backoff_s=10.0)
+        buf.emit(MigrationRetry(55.0, "vm", "h0", "h1",
+                            attempt=3, backoff_s=10.0))
         report = self.check(buf)
         assert any(
             "backoff shrank" in v.message for v in report.violations
@@ -663,8 +704,8 @@ class TestValidatorFamilies:
             buf.migration_start(t, mid, "vm", "h0", "h1")
             buf.migration_failed(t + 10.0, mid, "vm", "h0", "h1",
                                  elapsed_s=10.0, fail_fraction=0.4)
-            buf.migration_retry(t + 40.0, "vm", "h0", "h1",
-                                attempt=2, backoff_s=30.0)
+            buf.emit(MigrationRetry(t + 40.0, "vm", "h0", "h1",
+                                attempt=2, backoff_s=30.0))
             buf.migration_start(t + 40.0, mid + "x", "vm", "h0", "h1")
             buf.migration_end(t + 80.0, mid + "x", "vm", "h0", "h1",
                               aborted=False, duration_s=40.0,
@@ -674,37 +715,37 @@ class TestValidatorFamilies:
 
     def test_park_inside_safe_mode_flags(self):
         buf = TraceBuffer(label="bad")
-        buf.safe_mode_enter(0.0, "migration-failures",
-                            failure_rate=0.8, telemetry_age_s=0.0)
-        buf.decision(100.0, "park", "h3", detail="s3")
+        buf.emit(SafeModeEnter(0.0, "migration-failures",
+                            failure_rate=0.8, telemetry_age_s=0.0))
+        buf.emit(ManagerDecision(100.0, "park", "h3", detail="s3"))
         report = self.check(buf)
         assert any(v.invariant == "safe-mode" for v in report.violations)
 
     def test_maintenance_park_inside_safe_mode_is_allowed(self):
         buf = TraceBuffer(label="ok")
-        buf.safe_mode_enter(0.0, "migration-failures",
-                            failure_rate=0.8, telemetry_age_s=0.0)
-        buf.decision(50.0, "maintenance-start", "h3")
-        buf.decision(100.0, "park", "h3", detail="off")
-        buf.safe_mode_exit(1000.0, dwell_s=1000.0)
+        buf.emit(SafeModeEnter(0.0, "migration-failures",
+                            failure_rate=0.8, telemetry_age_s=0.0))
+        buf.emit(ManagerDecision(50.0, "maintenance-start", "h3"))
+        buf.emit(ManagerDecision(100.0, "park", "h3", detail="off"))
+        buf.emit(SafeModeExit(1000.0, dwell_s=1000.0))
         report = self.check(buf)
         assert report.ok, report.render_text()
 
     def test_nested_enter_and_dwell_mismatch_flag(self):
         buf = TraceBuffer(label="bad")
-        buf.safe_mode_enter(0.0, "migration-failures",
-                            failure_rate=0.8, telemetry_age_s=0.0)
-        buf.safe_mode_enter(10.0, "telemetry-stale",
-                            failure_rate=0.0, telemetry_age_s=700.0)
-        buf.safe_mode_exit(100.0, dwell_s=5.0)
+        buf.emit(SafeModeEnter(0.0, "migration-failures",
+                            failure_rate=0.8, telemetry_age_s=0.0))
+        buf.emit(SafeModeEnter(10.0, "telemetry-stale",
+                            failure_rate=0.0, telemetry_age_s=700.0))
+        buf.emit(SafeModeExit(100.0, dwell_s=5.0))
         report = self.check(buf)
         flagged = [v for v in report.violations if v.invariant == "safe-mode"]
         assert len(flagged) == 2
 
     def test_unknown_reason_flags(self):
         buf = TraceBuffer(label="bad")
-        buf.safe_mode_enter(0.0, "cosmic-rays",
-                            failure_rate=0.0, telemetry_age_s=0.0)
+        buf.emit(SafeModeEnter(0.0, "cosmic-rays",
+                            failure_rate=0.0, telemetry_age_s=0.0))
         report = self.check(buf)
         assert any(
             "unknown safe-mode reason" in v.message for v in report.violations
@@ -713,8 +754,11 @@ class TestValidatorFamilies:
 
 class TestMaintenanceUnderFaults:
     def test_drain_aborts_cleanly_when_migrations_fail(self):
+        trace = TraceBuffer(label="drain")
         injector = ScriptedInjector()  # every flight fails mid-copy
-        env, cluster, engine, manager = build(n_hosts=3, injector=injector)
+        env, cluster, engine, manager = build(
+            n_hosts=3, injector=injector, trace=trace
+        )
         host = cluster.hosts[0]
         cluster.add_vm(flat_vm("a", mem_gb=16), host)
         cluster.add_vm(flat_vm("b", mem_gb=16), host)
@@ -725,10 +769,9 @@ class TestMaintenanceUnderFaults:
         # The drain aborted: hold released, host still active, not parked.
         assert not host.in_maintenance
         assert host.is_active and not host.evacuating
-        assert manager.log.parks_started == 0
+        assert not decisions(trace, "park")
         assert manager.log.evacuations_aborted == 1
-        kinds = [kind for _, kind, _ in manager.log.events]
-        assert kinds.count("maintenance-abort") == 1
+        assert len(decisions(trace, "maintenance-abort")) == 1
         # Both VMs rolled back to the host; nothing stays reserved.
         assert set(host.vms) == {"a", "b"}
         for h in cluster.hosts:

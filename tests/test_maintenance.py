@@ -8,14 +8,18 @@ from repro.migration import MigrationEngine
 from repro.power import PowerState
 from repro.prototype import PROTOTYPE_BLADE
 from repro.sim import Environment
+from repro.telemetry import TraceBuffer
+from repro.telemetry.trace import ManagerDecision
 from repro.workload import FlatTrace
 
 
-def build(n_hosts=4, config=None):
+def build(n_hosts=4, config=None, trace=None):
     env = Environment()
     cluster = Cluster.homogeneous(env, PROTOTYPE_BLADE, n_hosts, cores=16.0, mem_gb=128.0)
     engine = MigrationEngine(env)
-    manager = PowerAwareManager(env, cluster, engine, config or ManagerConfig())
+    manager = PowerAwareManager(
+        env, cluster, engine, config or ManagerConfig(), trace=trace
+    )
     return env, cluster, engine, manager
 
 
@@ -107,12 +111,25 @@ class TestEndMaintenance:
             manager.end_maintenance(cluster.hosts[0])
 
     def test_log_records_lifecycle(self):
-        env, cluster, engine, manager = build()
+        trace = TraceBuffer(label="maintenance")
+        env, cluster, engine, manager = build(trace=trace)
         host = cluster.hosts[0]
         down = manager.request_maintenance(host)
         env.run(until=down)
         manager.end_maintenance(host)
-        kinds = [kind for _, kind, detail in manager.log.events if detail == host.name]
-        assert "maintenance-start" in kinds
-        assert "maintenance-down" in kinds
-        assert "maintenance-end" in kinds
+        lifecycle = [
+            (e.action, e.detail)
+            for e in trace.events
+            if isinstance(e, ManagerDecision) and e.host == host.name
+        ]
+        assert lifecycle == [
+            ("maintenance-start", ""),
+            ("evac-start", "maintenance, 0 vm(s)"),
+            ("park", "off"),
+            ("maintenance-down", ""),
+            ("maintenance-end", ""),
+            ("wake", "maintenance-end"),
+        ]
+        # Operator drains and wakes are traced but are not plane actions.
+        assert manager.log.wakes_requested == 0
+        assert manager.log.parks_completed == 0

@@ -42,12 +42,12 @@ def build_arbiter(**scoreboard_kw):
     """A parked host plus a traced arbiter, no manager in the loop."""
     env = Environment()
     host = Host(env, "h0", PROTOTYPE_BLADE, initial_state=PowerState.SLEEP)
-    log = ManagementLog()
     scoreboard = WakeScoreboard(**scoreboard_kw)
     trace = TraceBuffer(label="unit")
     trace.host_init(0.0, "h0", "sleep", cores=host.cores,
                     mem_gb=host.mem_gb)
-    arbiter = WakeArbiter(env, log, scoreboard, trace)
+    log = ManagementLog(trace=trace)
+    arbiter = WakeArbiter(env, log, scoreboard)
     return env, host, log, scoreboard, trace, arbiter
 
 
@@ -210,7 +210,7 @@ class TestWakeExclusivityInvariant:
         )
 
     def wake_start(self, buf, t, host="h0"):
-        buf.decision(t, "wake", host=host)
+        buf.emit(ManagerDecision(t, "wake", host=host))
         buf.transition_start(t, host, "off", "active",
                              latency_s=10.0, power_w=100.0)
 

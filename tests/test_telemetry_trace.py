@@ -17,7 +17,14 @@ from repro.telemetry import (
     read_trace,
     validate_trace,
 )
-from repro.telemetry.trace import event_from_record
+from repro.telemetry.trace import (
+    AdmissionEvent,
+    EvacuationEnd,
+    ManagerDecision,
+    VmRetired,
+    WatchdogWake,
+    event_from_record,
+)
 
 
 def host_buffer(state="active", name="h0"):
@@ -43,13 +50,13 @@ class TestBuffer:
     def test_len_counts_events(self):
         buf = host_buffer()
         assert len(buf) == 1
-        buf.decision(5.0, "wake", host="h0")
+        buf.emit(ManagerDecision(5.0, "wake", host="h0"))
         assert len(buf) == 2
 
     def test_bounded_buffer_drops_and_counts(self):
         buf = TraceBuffer(maxlen=2)
         for t in (0.0, 1.0, 2.0, 3.0):
-            buf.decision(t, "balance")
+            buf.emit(ManagerDecision(t, "balance"))
         assert len(buf) == 2
         assert buf.dropped == 2
         assert buf.header()["dropped"] == 2
@@ -57,7 +64,7 @@ class TestBuffer:
     def test_truncated_trace_is_not_certified(self):
         buf = TraceBuffer(maxlen=1)
         buf.host_init(0.0, "h0", "active", cores=16.0, mem_gb=128.0)
-        buf.decision(1.0, "wake", host="h0")
+        buf.emit(ManagerDecision(1.0, "wake", host="h0"))
         report = check(buf)
         assert not report.ok
         assert report.invariants_violated() == ["truncated"]
@@ -73,7 +80,7 @@ class TestBuffer:
 class TestCodec:
     def build(self):
         buf = host_buffer(state="sleep")
-        buf.decision(10.0, "wake", host="h0", detail="reactive")
+        buf.emit(ManagerDecision(10.0, "wake", host="h0", detail="reactive"))
         buf.transition_start(10.0, "h0", "sleep", "active", 2.5, 35.0)
         buf.transition_end(12.5, "h0", "sleep", "active", "active", failed=False)
         buf.migration_start(20.0, "m000001", "vm0", "h0", "h1")
@@ -95,7 +102,7 @@ class TestCodec:
         a, b = self.build(), self.build()
         assert a.to_jsonl() == b.to_jsonl()
         assert a.trace_hash() == b.trace_hash()
-        b.decision(30.0, "park", host="h0")
+        b.emit(ManagerDecision(30.0, "park", host="h0"))
         assert a.trace_hash() != b.trace_hash()
 
     def test_write_then_read_trace(self, tmp_path):
@@ -135,14 +142,14 @@ class TestCodec:
 class TestValidatorStateMachine:
     def test_clean_wake_cycle_passes(self):
         buf = host_buffer(state="sleep")
-        buf.decision(10.0, "wake", host="h0")
+        buf.emit(ManagerDecision(10.0, "wake", host="h0"))
         buf.transition_start(10.0, "h0", "sleep", "active", 2.5, 35.0)
         buf.transition_end(12.5, "h0", "sleep", "active", "active", failed=False)
         assert check(buf).ok
 
     def test_wake_from_active_is_flagged(self):
         buf = host_buffer(state="active")
-        buf.decision(10.0, "wake", host="h0")
+        buf.emit(ManagerDecision(10.0, "wake", host="h0"))
         buf.transition_start(10.0, "h0", "active", "active", 2.5, 35.0)
         assert "wake-from-active" in violated(buf)
 
@@ -155,20 +162,20 @@ class TestValidatorStateMachine:
         # The decision must be issued at the same instant; an earlier one
         # (a different epoch) does not license this transition.
         buf = host_buffer(state="sleep")
-        buf.decision(5.0, "wake", host="h0")
+        buf.emit(ManagerDecision(5.0, "wake", host="h0"))
         buf.transition_start(10.0, "h0", "sleep", "active", 2.5, 35.0)
         assert "untraced-wake" in violated(buf)
 
     def test_latency_must_match_sampled_value(self):
         buf = host_buffer(state="sleep")
-        buf.decision(10.0, "wake", host="h0")
+        buf.emit(ManagerDecision(10.0, "wake", host="h0"))
         buf.transition_start(10.0, "h0", "sleep", "active", 2.5, 35.0)
         buf.transition_end(14.0, "h0", "sleep", "active", "active", failed=False)
         assert "transition-latency" in violated(buf)
 
     def test_src_must_match_tracked_state(self):
         buf = host_buffer(state="active")
-        buf.decision(10.0, "wake", host="h0")
+        buf.emit(ManagerDecision(10.0, "wake", host="h0"))
         buf.transition_start(10.0, "h0", "hibernate", "active", 2.5, 35.0)
         assert "state-machine" in violated(buf)
 
@@ -179,7 +186,7 @@ class TestValidatorStateMachine:
 
     def test_failed_wake_must_report_source_state(self):
         buf = host_buffer(state="sleep")
-        buf.decision(10.0, "wake", host="h0")
+        buf.emit(ManagerDecision(10.0, "wake", host="h0"))
         buf.transition_start(10.0, "h0", "sleep", "active", 2.5, 35.0)
         # A failed wake leaves the host parked; claiming "active" lies.
         buf.transition_end(12.5, "h0", "sleep", "active", "active", failed=True)
@@ -187,9 +194,9 @@ class TestValidatorStateMachine:
 
     def test_overlapping_transitions_are_flagged(self):
         buf = host_buffer(state="sleep")
-        buf.decision(10.0, "wake", host="h0")
+        buf.emit(ManagerDecision(10.0, "wake", host="h0"))
         buf.transition_start(10.0, "h0", "sleep", "active", 5.0, 35.0)
-        buf.decision(12.0, "wake", host="h0")
+        buf.emit(ManagerDecision(12.0, "wake", host="h0"))
         buf.transition_start(12.0, "h0", "sleep", "active", 5.0, 35.0)
         assert "state-machine" in violated(buf)
 
@@ -198,12 +205,12 @@ class TestValidatorParkContract:
     def park_preamble(self, with_evac=True, with_decision=True, occupied=False):
         buf = host_buffer(state="active")
         if occupied:
-            buf.admission(1.0, "admit", "vm7", host="h0")
+            buf.emit(AdmissionEvent(1.0, "admit", "vm7", host="h0"))
         if with_evac:
-            buf.decision(50.0, "evac-start", host="h0")
-            buf.evacuation_end(50.0, "h0", "complete")
+            buf.emit(ManagerDecision(50.0, "evac-start", host="h0"))
+            buf.emit(EvacuationEnd(50.0, "h0", "complete"))
         if with_decision:
-            buf.decision(50.0, "park", host="h0", detail="sleep")
+            buf.emit(ManagerDecision(50.0, "park", host="h0", detail="sleep"))
         buf.transition_start(50.0, "h0", "active", "sleep", 1.0, 10.0)
         buf.transition_end(51.0, "h0", "active", "sleep", "sleep", failed=False)
         return buf
@@ -225,15 +232,15 @@ class TestValidatorParkContract:
 
     def test_aborted_evacuation_does_not_license_a_park(self):
         buf = host_buffer(state="active")
-        buf.decision(50.0, "evac-start", host="h0")
-        buf.evacuation_end(50.0, "h0", "aborted")
-        buf.decision(50.0, "park", host="h0")
+        buf.emit(ManagerDecision(50.0, "evac-start", host="h0"))
+        buf.emit(EvacuationEnd(50.0, "h0", "aborted"))
+        buf.emit(ManagerDecision(50.0, "park", host="h0"))
         buf.transition_start(50.0, "h0", "active", "sleep", 1.0, 10.0)
         assert "park-after-evacuation" in violated(buf)
 
     def test_evacuation_end_without_start(self):
         buf = host_buffer()
-        buf.evacuation_end(50.0, "h0", "complete")
+        buf.emit(EvacuationEnd(50.0, "h0", "complete"))
         assert "evacuation-lifecycle" in violated(buf)
 
 
@@ -255,33 +262,33 @@ class TestValidatorMigrationsAndResidency:
     def test_completed_migration_moves_residency(self):
         buf = host_buffer()
         buf.host_init(0.0, "h1", "active", cores=16.0, mem_gb=128.0)
-        buf.admission(1.0, "admit", "vm0", host="h0")
+        buf.emit(AdmissionEvent(1.0, "admit", "vm0", host="h0"))
         buf.migration_start(5.0, "m000001", "vm0", "h0", "h1")
         buf.migration_end(
             9.0, "m000001", "vm0", "h0", "h1",
             aborted=False, duration_s=4.0, downtime_s=0.1, transferred_gb=1.0,
         )
-        buf.vm_retired(20.0, "vm0", host="h1")
+        buf.emit(VmRetired(20.0, "vm0", host="h1"))
         assert check(buf).ok
 
     def test_double_placement_is_flagged(self):
         buf = host_buffer()
-        buf.admission(1.0, "admit", "vm0", host="h0")
-        buf.admission(2.0, "admit", "vm0", host="h0")
+        buf.emit(AdmissionEvent(1.0, "admit", "vm0", host="h0"))
+        buf.emit(AdmissionEvent(2.0, "admit", "vm0", host="h0"))
         assert "residency" in violated(buf)
 
     def test_retire_from_wrong_host_is_flagged(self):
         buf = host_buffer()
-        buf.admission(1.0, "admit", "vm0", host="h0")
-        buf.vm_retired(5.0, "vm0", host="h9")
+        buf.emit(AdmissionEvent(1.0, "admit", "vm0", host="h0"))
+        buf.emit(VmRetired(5.0, "vm0", host="h9"))
         assert "residency" in violated(buf)
 
     def test_watchdog_wake_needs_positive_shortfall(self):
         buf = host_buffer()
-        buf.watchdog_wake(
+        buf.emit(WatchdogWake(
             5.0, "aggregate", shortfall_cores=0.0, demand_cores=10.0,
             committed_cores=16.0, cap_cores=-1.0,
-        )
+        ))
         assert violated(buf) == {"watchdog-payload"}
 
 
@@ -301,7 +308,7 @@ class TestValidatorStreamChecks:
 
     def test_sequence_gap_is_flagged(self):
         buf = host_buffer()
-        buf.decision(1.0, "balance")
+        buf.emit(ManagerDecision(1.0, "balance"))
         records = list(buf.iter_records())
         records[1]["seq"] = 5
         log = TraceLog(header=buf.header(), records=records)
@@ -310,8 +317,8 @@ class TestValidatorStreamChecks:
 
     def test_time_travel_is_flagged(self):
         buf = host_buffer()
-        buf.decision(10.0, "balance")
-        buf.decision(4.0, "balance")
+        buf.emit(ManagerDecision(10.0, "balance"))
+        buf.emit(ManagerDecision(4.0, "balance"))
         assert "sequence" in violated(buf)
 
     def test_missing_run_end_flagged_when_required(self):

@@ -12,8 +12,8 @@ Three layers ride on the same machinery:
   itself is reproducible), must produce traces the invariant checker
   certifies.
 * **Watchdog payloads** — reactive wakes must surface as structured
-  ``watchdog-wake`` events carrying the triggering shortfall, mirrored
-  in ``ManagementLog.reactive_wake_events``.
+  ``watchdog-wake`` events carrying the triggering shortfall, one per
+  wake ``ManagementLog.reactive_wakes`` counts.
 """
 
 import random
@@ -176,12 +176,9 @@ class TestWatchdogPayload:
 
     def test_reactive_wake_emits_structured_payload(self):
         buf, manager = self.surge_run()
-        log_events = manager.log.reactive_wake_events
-        assert manager.log.reactive_wakes >= 1
-        assert len(log_events) == manager.log.reactive_wakes
-
         wakes = [e for e in buf.events if e.event == "watchdog-wake"]
-        assert [(e.t, e.trigger, e.shortfall_cores) for e in wakes] == log_events
+        assert manager.log.reactive_wakes >= 1
+        assert len(wakes) == manager.log.reactive_wakes
         for event in wakes:
             assert event.shortfall_cores > 0.0
             if event.trigger == "aggregate":
