@@ -30,8 +30,8 @@ callback order.  Absolute-instant scheduling (``timeout_at``) avoids the
 ``now + (t - now)`` float round-trip that would shift re-armed waits by
 one ulp.
 
-File format (schema 3)
-----------------------
+File format
+-----------
 ::
 
     REPROCKPT1\\n
@@ -69,8 +69,9 @@ if TYPE_CHECKING:
 #: (2: one telemetry/report channel class, no neat manager subclass;
 #: 3: one demand lattice instead of per-object ``_grid*`` fields;
 #: 4: the plane's trace lives on its ``ManagementLog``, not on each
-#: component).
-CHECKPOINT_SCHEMA = 4
+#: component; 5: the trace event classes live in ``repro.trace_events``,
+#: and a pickle names each class's module).
+CHECKPOINT_SCHEMA = 5
 
 _MAGIC = b"REPROCKPT1\n"
 

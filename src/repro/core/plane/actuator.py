@@ -27,7 +27,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any, Callable, Generator, Optional, Set
 
 from repro.sim import ResumeSpec
-from repro.telemetry.trace import (
+from repro.trace_events import (
     HostBlacklisted,
     HostRepaired,
     ManagerDecision,

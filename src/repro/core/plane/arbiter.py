@@ -53,7 +53,7 @@ from repro.placement.balancer import LoadBalancer
 from repro.placement.evacuation import plan_evacuation
 from repro.power.states import PowerState
 from repro.sim import ResumeSpec
-from repro.telemetry.trace import (
+from repro.trace_events import (
     AdmissionEvent,
     Escalation,
     EvacuationEnd,

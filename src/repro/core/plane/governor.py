@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.telemetry.trace import SafeModeEnter, SafeModeExit
+from repro.trace_events import SafeModeEnter, SafeModeExit
 
 if TYPE_CHECKING:
     from repro.core.config import ManagerConfig

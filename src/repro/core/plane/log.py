@@ -2,7 +2,7 @@
 
 Every plane component — the global arbiter, the wake actuator, the
 safe-mode governor — books an action the same way: it builds the typed
-event from :mod:`repro.telemetry.trace` and calls
+event from :mod:`repro.trace_events` and calls
 :meth:`ManagementLog.emit`.  The log is a fold over those events:
 :data:`FOLDS` names the counter each event moves, and ``emit`` bumps
 it, records each placed admission's wait, and forwards the event to the
@@ -21,11 +21,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from repro.telemetry.trace import (
+from repro.telemetry.trace import TraceBuffer
+from repro.trace_events import (
     AdmissionEvent,
     EvacuationEnd,
     ManagerDecision,
-    TraceBuffer,
     TraceEvent,
 )
 

@@ -33,7 +33,6 @@ from repro.datacenter.cluster import Cluster
 from repro.datacenter.faults import FaultModel, MigrationFaultInjector
 from repro.datacenter.vm import Priority, VM
 from repro.migration.engine import MigrationEngine
-from repro.migration.model import PreCopyModel
 from repro.power.dvfs import DvfsModel
 from repro.power.profiles import ServerPowerProfile
 from repro.prototype.calibration import make_prototype_blade_profile
@@ -41,8 +40,9 @@ from repro.sim import Environment
 from repro.telemetry.metrics import SimReport, build_report
 from repro.telemetry.sampler import ClusterSampler
 from repro.telemetry.stream import StreamingMetricsSink
-from repro.telemetry.trace import AdmissionEvent, TraceBuffer
+from repro.telemetry.trace import TraceBuffer
 from repro.telemetry.view import Channel, ClusterView, StalenessModel
+from repro.trace_events import AdmissionEvent, HostFinal, RunEnd
 from repro.workload.churn import ChurnGenerator
 from repro.workload.fleet import FleetSpec, build_fleet
 
@@ -181,7 +181,6 @@ def build_scenario(
     fleet: Optional[List[VM]] = None,
     fleet_spec: Optional[FleetSpec] = None,
     epoch_s: float = 60.0,
-    migration_model: Optional[PreCopyModel] = None,
     churn_rate_per_h: float = 0.0,
     churn_lifetime_s: float = 6 * 3600.0,
     fault_model: Optional[FaultModel] = None,
@@ -206,7 +205,6 @@ def build_scenario(
             run places copies and leaves these VMs untouched.
         fleet_spec: fleet shape (default: the enterprise mix).
         epoch_s: telemetry/demand refresh interval.
-        migration_model: pre-copy fabric parameters.
         churn_rate_per_h: VM arrivals per hour (0 disables churn).
         churn_lifetime_s: mean lifetime of a churned VM.
         fault_model: optional fault injection — wake failures and, via
@@ -273,7 +271,7 @@ def build_scenario(
             Channel(config.neat_request_delay_s, config.neat_request_dropout),
             seed,
         )
-    engine = MigrationEngine(env, model=migration_model, trace=buf, faults=injector)
+    engine = MigrationEngine(env, trace=buf, faults=injector)
     manager = PowerAwareManager(
         env, cluster, engine, config, trace=buf, telemetry=telemetry,
         detectors=detectors,
@@ -336,18 +334,18 @@ def finalize_scenario(
     horizon_s = live.horizon_s
     if buf is not None:
         for h in cluster.hosts:
-            buf.host_final(
+            buf.emit(HostFinal(
                 env.now, h.name, h.state.value, h.energy_j(),
                 h.wake_failures, h.out_of_service,
-            )
-        buf.run_end(
+            ))
+        buf.emit(RunEnd(
             env.now,
             horizon_s=horizon_s,
             energy_kwh=cluster.energy_j() / 3.6e6,
             hosts=len(cluster.hosts),
             vms=cluster.vm_count,
             migrations_unfinished=engine.unfinished,
-        )
+        ))
 
     report = build_report(config.name, cluster, sampler, engine, horizon_s)
     # One pass over the sample history, not one per priority class.

@@ -32,6 +32,7 @@ from typing import TYPE_CHECKING, Optional, Tuple
 import numpy as np
 
 from repro.core.seeding import stream_rng
+from repro.trace_events import FaultInjected
 
 if TYPE_CHECKING:
     from repro.telemetry.trace import TraceBuffer
@@ -238,7 +239,7 @@ class FaultInjector:
             return False
         failed = bool(self._rng.random() < rate)
         if failed and self._trace is not None:
-            self._trace.fault_injected(t, self.host_name, permanent=False)
+            self._trace.emit(FaultInjected(t, self.host_name, permanent=False))
         return failed
 
     def draw_permanent(self, t: float = 0.0) -> bool:
@@ -246,7 +247,7 @@ class FaultInjector:
             return False
         permanent = bool(self._rng.random() < self.model.permanent_fraction)
         if permanent and self._trace is not None:
-            self._trace.fault_injected(t, self.host_name, permanent=True)
+            self._trace.emit(FaultInjected(t, self.host_name, permanent=True))
         return permanent
 
     def repair_delay_s(self) -> Optional[float]:

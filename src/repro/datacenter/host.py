@@ -18,6 +18,7 @@ from repro.power.dvfs import DvfsModel
 from repro.power.machine import HostPowerStateMachine
 from repro.power.profiles import ServerPowerProfile
 from repro.power.states import PowerState
+from repro.trace_events import HostInit
 
 
 def _latency_rng(seed: int, name: str) -> "np.random.Generator":
@@ -52,7 +53,6 @@ class Host:
         mem_gb: float = 128.0,
         initial_state: PowerState = PowerState.ACTIVE,
         mem_overcommit: float = 1.0,
-        record_power_trace: bool = False,
         dvfs: Optional[DvfsModel] = None,
         dvfs_target: float = 0.8,
         faults: Optional[FaultModel] = None,
@@ -83,7 +83,6 @@ class Host:
             env,
             profile,
             initial_state=initial_state,
-            record_trace=record_power_trace,
             latency_rng=_latency_rng(fault_seed, name),
             name=name,
             trace=trace,
@@ -140,9 +139,9 @@ class Host:
         self._in_maintenance = False
         self._evacuating = False
         if trace is not None:
-            trace.host_init(
+            trace.emit(HostInit(
                 env.now, name, initial_state.value, self.cores, self.mem_gb
-            )
+            ))
 
     # ------------------------------------------------------------------
     # Capacity accounting

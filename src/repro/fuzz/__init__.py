@@ -18,22 +18,17 @@ from repro.fuzz.oracle import SpecOutcome, classify_artifacts, run_spec
 from repro.fuzz.shrink import ShrinkResult, shrink_spec
 from repro.fuzz.spec import (
     SPEC_VERSION,
-    BrownoutWindow,
-    BurstWindow,
     ChurnShape,
     ClusterShape,
     FaultShape,
     FuzzSpec,
     PolicyShape,
     SpecError,
-    TelemetryShape,
     WorkloadShape,
 )
 
 __all__ = [
     "SPEC_VERSION",
-    "BrownoutWindow",
-    "BurstWindow",
     "CampaignSummary",
     "ChurnShape",
     "ClusterShape",
@@ -43,7 +38,6 @@ __all__ = [
     "ShrinkResult",
     "SpecError",
     "SpecOutcome",
-    "TelemetryShape",
     "WorkloadShape",
     "classify_artifacts",
     "generate_campaign",

@@ -25,17 +25,16 @@ import numpy as np
 
 from repro.core.policies import POLICIES
 from repro.core.seeding import stream_rng
+from repro.datacenter.faults import Brownout, FailureBurst
 from repro.fuzz.spec import (
-    BrownoutWindow,
-    BurstWindow,
     ChurnShape,
     ClusterShape,
     FaultShape,
     FuzzSpec,
     PolicyShape,
-    TelemetryShape,
     WorkloadShape,
 )
+from repro.telemetry.view import StalenessModel
 from repro.workload.fleet import build_fleet
 
 #: Host shapes the generator draws from (cores, mem_gb).
@@ -147,11 +146,11 @@ def generate_spec(campaign_seed: int, index: int) -> FuzzSpec:
         else 0.0
     )
     bursts = tuple(
-        BurstWindow(start_s=s, end_s=e, rate=v)
+        FailureBurst(start_s=s, end_s=e, rate=v)
         for s, e, v in _windows(rng, horizon_s, "burst")
     )
     brownouts = tuple(
-        BrownoutWindow(start_s=s, end_s=e, scale=v)
+        Brownout(start_s=s, end_s=e, scale=v)
         for s, e, v in _windows(rng, horizon_s, "brownout")
     )
     migration_rate = (
@@ -168,12 +167,12 @@ def generate_spec(campaign_seed: int, index: int) -> FuzzSpec:
 
     # -- telemetry staleness --------------------------------------------
     if rng.random() < 0.5:
-        telemetry = TelemetryShape(
+        telemetry = StalenessModel(
             delay_s=round(float(rng.uniform(0.0, 300.0)), 1),
             dropout_rate=round(float(rng.uniform(0.0, 0.3)), 4),
         )
     else:
-        telemetry = TelemetryShape()
+        telemetry = StalenessModel()
 
     # -- cluster sized against the exact fleet --------------------------
     scenario_seed = int(rng.integers(0, 2**31 - 1))

@@ -31,12 +31,8 @@ from typing import Any, Callable, Dict, FrozenSet, List, Optional, Sequence, Tup
 
 from repro.core.cache import ResultCache
 from repro.fuzz.oracle import run_spec
-from repro.fuzz.spec import (
-    ChurnShape,
-    FaultShape,
-    FuzzSpec,
-    TelemetryShape,
-)
+from repro.fuzz.spec import ChurnShape, FaultShape, FuzzSpec
+from repro.telemetry.view import StalenessModel
 
 #: An oracle maps a candidate spec to the outcome ids its run produces.
 Oracle = Callable[[FuzzSpec], FrozenSet[str]]
@@ -68,7 +64,7 @@ _SCALAR_FIELDS: Tuple[Tuple[Tuple[str, ...], str, float], ...] = (
 #: (path, replacement factory).
 _SUBSYSTEM_RESETS: Tuple[Tuple[Tuple[str, ...], Callable[[], Any]], ...] = (
     (("churn",), ChurnShape),
-    (("telemetry",), TelemetryShape),
+    (("telemetry",), StalenessModel),
     (("faults",), FaultShape),
 )
 

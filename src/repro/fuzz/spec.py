@@ -15,6 +15,17 @@ the shared language of the whole fuzzing subsystem:
 * the regression corpus (``tests/corpus/*.json``) stores shrunk specs in
   the canonical JSON form, replayed by tier-1 forever.
 
+Where a simulator model is already a flat frozen dataclass of scalars,
+the grammar holds it as is: chaos windows are
+:class:`~repro.datacenter.faults.FailureBurst` and
+:class:`~repro.datacenter.faults.Brownout` values, and the telemetry axis
+is a :class:`~repro.telemetry.view.StalenessModel`, so their validation
+has one definition.  The shapes flatten the models that nest
+(:class:`FaultShape` over :class:`~repro.datacenter.faults.FaultModel`)
+or take mappings (:class:`WorkloadShape` over
+:class:`~repro.workload.fleet.FleetSpec`), so the shrinker can walk every
+scalar by path.
+
 Round-trip contract: ``loads(dumps(spec)) == spec`` for every valid
 spec, and ``dumps`` output is canonical (sorted keys, fixed indentation)
 so corpus diffs stay reviewable.  ``SPEC_VERSION`` is bumped on any
@@ -269,44 +280,14 @@ class ChurnShape:
 
 
 @dataclass(frozen=True)
-class BurstWindow:
-    """A correlated wake-failure burst (maps to FailureBurst)."""
-
-    start_s: float
-    end_s: float
-    rate: float
-
-    def __post_init__(self) -> None:
-        if self.start_s < 0 or self.end_s <= self.start_s:
-            raise ValueError("burst window must satisfy 0 <= start < end")
-        if not 0.0 <= self.rate < 1.0:
-            raise ValueError("burst rate must be in [0, 1)")
-
-
-@dataclass(frozen=True)
-class BrownoutWindow:
-    """A wake-latency brownout window (maps to Brownout)."""
-
-    start_s: float
-    end_s: float
-    scale: float
-
-    def __post_init__(self) -> None:
-        if self.start_s < 0 or self.end_s <= self.start_s:
-            raise ValueError("brownout window must satisfy 0 <= start < end")
-        if self.scale < 1.0:
-            raise ValueError("brownout scale must be >= 1.0")
-
-
-@dataclass(frozen=True)
 class FaultShape:
     """Wake faults, repair, chaos schedule, and migration faults."""
 
     wake_failure_rate: float = 0.0
     permanent_fraction: float = 0.0
     mttr_h: float = 0.0
-    bursts: Tuple[BurstWindow, ...] = ()
-    brownouts: Tuple[BrownoutWindow, ...] = ()
+    bursts: Tuple[FailureBurst, ...] = ()
+    brownouts: Tuple[Brownout, ...] = ()
     migration_failure_rate: float = 0.0
     min_fail_fraction: float = 0.1
     max_fail_fraction: float = 0.9
@@ -339,14 +320,7 @@ class FaultShape:
             return None
         chaos = None
         if self.bursts or self.brownouts:
-            chaos = ChaosSchedule(
-                bursts=tuple(
-                    FailureBurst(b.start_s, b.end_s, b.rate) for b in self.bursts
-                ),
-                brownouts=tuple(
-                    Brownout(b.start_s, b.end_s, b.scale) for b in self.brownouts
-                ),
-            )
+            chaos = ChaosSchedule(bursts=self.bursts, brownouts=self.brownouts)
         migration = None
         if self.migration_failure_rate > 0:
             migration = MigrationFaultModel(
@@ -362,29 +336,6 @@ class FaultShape:
             chaos=chaos,
             migration=migration,
         )
-
-
-@dataclass(frozen=True)
-class TelemetryShape:
-    """Telemetry-pipeline staleness between the sampler and the manager."""
-
-    delay_s: float = 0.0
-    dropout_rate: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.delay_s < 0:
-            raise ValueError("delay_s must be >= 0")
-        if not 0.0 <= self.dropout_rate < 1.0:
-            raise ValueError("dropout_rate must be in [0, 1)")
-
-    @property
-    def enabled(self) -> bool:
-        return self.delay_s > 0 or self.dropout_rate > 0
-
-    def staleness_model(self) -> Optional[StalenessModel]:
-        if not self.enabled:
-            return None
-        return StalenessModel(delay_s=self.delay_s, dropout_rate=self.dropout_rate)
 
 
 @dataclass(frozen=True)
@@ -404,7 +355,7 @@ class FuzzSpec:
     workload: WorkloadShape = WorkloadShape()
     churn: ChurnShape = ChurnShape()
     faults: FaultShape = FaultShape()
-    telemetry: TelemetryShape = TelemetryShape()
+    telemetry: StalenessModel = StalenessModel()
     spec_version: int = SPEC_VERSION
 
     def __post_init__(self) -> None:
@@ -484,9 +435,8 @@ class FuzzSpec:
         fault_model = self.faults.fault_model()
         if fault_model is not None:
             kwargs["fault_model"] = fault_model
-        staleness = self.telemetry.staleness_model()
-        if staleness is not None:
-            kwargs["telemetry_model"] = staleness
+        if self.telemetry.delay_s > 0 or self.telemetry.dropout_rate > 0:
+            kwargs["telemetry_model"] = self.telemetry
         return kwargs
 
     def scenario_spec(self) -> ScenarioSpec:

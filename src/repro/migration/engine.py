@@ -23,6 +23,7 @@ from repro.datacenter.host import Host
 from repro.datacenter.vm import VM
 from repro.migration.model import PreCopyModel
 from repro.sim import Resource
+from repro.trace_events import MigrationEnd, MigrationFailed, MigrationStart
 
 
 @dataclass(frozen=True)
@@ -121,9 +122,9 @@ class MigrationEngine:
         migration_id = "m{:06d}".format(self.started)
         self.started += 1
         if self._trace is not None:
-            self._trace.migration_start(
+            self._trace.emit(MigrationStart(
                 self.env.now, migration_id, vm.name, src.name, dst.name
-            )
+            ))
         return self.env.process(self._run(vm, src, dst, migration_id))
 
     @property
@@ -200,7 +201,7 @@ class MigrationEngine:
         self.records.append(record)
         if self._trace is not None:
             if failed:
-                self._trace.migration_failed(
+                self._trace.emit(MigrationFailed(
                     self.env.now,
                     migration_id,
                     vm.name,
@@ -208,9 +209,9 @@ class MigrationEngine:
                     dst.name,
                     elapsed_s=record.duration_s,
                     fail_fraction=fail_fraction if fail_fraction is not None else 0.0,
-                )
+                ))
             else:
-                self._trace.migration_end(
+                self._trace.emit(MigrationEnd(
                     self.env.now,
                     migration_id,
                     vm.name,
@@ -220,7 +221,7 @@ class MigrationEngine:
                     duration_s=record.duration_s,
                     downtime_s=record.downtime_s,
                     transferred_gb=record.transferred_gb,
-                )
+                ))
         return record
 
     # ------------------------------------------------------------------

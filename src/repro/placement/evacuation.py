@@ -9,6 +9,7 @@ if TYPE_CHECKING:
 
 from repro.datacenter.host import Host
 from repro.datacenter.vm import VM
+from repro.trace_events import EvacuationPlanned
 
 DemandFn = Callable[[VM], float]
 
@@ -63,7 +64,7 @@ def plan_evacuation(
     if len(movable) != len(host.vms):
         # In-flight migrations pin the host; caller should retry later.
         if trace is not None:
-            trace.evacuation_planned(now, host.name, len(host.vms), ok=False)
+            trace.emit(EvacuationPlanned(now, host.name, len(host.vms), ok=False))
         return None
 
     plan: List[Tuple[VM, Host]] = []
@@ -81,7 +82,7 @@ def plan_evacuation(
         ]
         if not fitting:
             if trace is not None:
-                trace.evacuation_planned(now, host.name, len(movable), ok=False)
+                trace.emit(EvacuationPlanned(now, host.name, len(movable), ok=False))
             return None
         dst = min(fitting, key=lambda t: cpu_budget[t.name] - demand)
         cpu_budget[dst.name] -= demand
@@ -90,5 +91,5 @@ def plan_evacuation(
             groups[dst.name].add(vm.anti_affinity_group)
         plan.append((vm, dst))
     if trace is not None:
-        trace.evacuation_planned(now, host.name, len(plan), ok=True)
+        trace.emit(EvacuationPlanned(now, host.name, len(plan), ok=True))
     return plan

@@ -16,6 +16,7 @@ if TYPE_CHECKING:
 from repro.power.energy import EnergyMeter
 from repro.power.profiles import ServerPowerProfile
 from repro.power.states import IllegalTransition, PowerState
+from repro.trace_events import TransitionEnd, TransitionStart
 
 
 class TransitionInProgress(RuntimeError):
@@ -182,10 +183,10 @@ class HostPowerStateMachine:
         if dst is PowerState.ACTIVE and self.wake_latency_scale is not None:
             latency_s *= self.wake_latency_scale(self.env.now)
         if self._trace is not None:
-            self._trace.transition_start(
+            self._trace.emit(TransitionStart(
                 self.env.now, self.name, src.value, dst.value, latency_s,
                 spec.power_w,
-            )
+            ))
         if self.on_change is not None:
             self.on_change()
         yield self.env.timeout(latency_s)
@@ -198,10 +199,10 @@ class HostPowerStateMachine:
             else:
                 self.meter.set_power(self.env.now, self.profile.stable_power(src))
             if self._trace is not None:
-                self._trace.transition_end(
+                self._trace.emit(TransitionEnd(
                     self.env.now, self.name, src.value, dst.value, src.value,
                     failed=True,
-                )
+                ))
             if self.on_change is not None:
                 self.on_change()
             return src
@@ -212,10 +213,10 @@ class HostPowerStateMachine:
         else:
             self.meter.set_power(self.env.now, self.profile.stable_power(dst))
         if self._trace is not None:
-            self._trace.transition_end(
+            self._trace.emit(TransitionEnd(
                 self.env.now, self.name, src.value, dst.value, dst.value,
                 failed=False,
-            )
+            ))
         if self.on_change is not None:
             self.on_change()
         return dst

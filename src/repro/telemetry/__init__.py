@@ -13,7 +13,6 @@ from repro.telemetry.trace import (
     TRACE_SCHEMA_VERSION,
     TraceBuffer,
     TraceError,
-    TraceEvent,
     TraceLog,
     parse_trace,
     read_trace,
@@ -24,6 +23,7 @@ from repro.telemetry.validate import (
     validate_trace,
 )
 from repro.telemetry.view import Channel, ClusterView, StalenessModel
+from repro.trace_events import TraceEvent
 
 __all__ = [
     "Channel",

@@ -25,17 +25,16 @@ change as a typed event:
   :class:`~repro.datacenter.faults.MigrationFaultModel` and
   :mod:`repro.telemetry.view`).
 
-The management plane books every action through
-:meth:`~repro.core.plane.log.ManagementLog.emit`: it builds the typed
-event, the log folds it into the report counters and forwards it to the
-run's buffer when the run is traced, so the counters and the trace are
-one record.  The packages below this one in the import graph —
-:mod:`repro.power`, :mod:`repro.datacenter`, :mod:`repro.migration` and
-:mod:`repro.placement` — hold an ``Optional[TraceBuffer]`` instead and
-call its typed factory methods behind an ``if trace is not None`` guard,
-so they never import this module at runtime (no import cycles) and
-tracing costs them one ``None`` test when it is off.  The runner's
-end-of-run markers use the same factories.
+The event types live in :mod:`repro.trace_events`, a standard-library
+leaf every layer can import.  Each producer builds its event from that
+module and calls :meth:`TraceBuffer.emit` behind an ``if trace is not
+None`` guard, so tracing costs one ``None`` test when it is off.  The
+management plane books every action through
+:meth:`~repro.core.plane.log.ManagementLog.emit`, which folds the event
+into the report counters and forwards it to the run's buffer, so the
+counters and the trace are one record.  This module owns the rest: the
+buffer, the JSONL export and hash, the schema version, and the reader,
+which checks every field of a record against its annotated type.
 
 The buffer is bounded (overflow is *counted*, never silently ignored —
 the validator refuses truncated traces) and exports deterministic JSONL:
@@ -56,7 +55,9 @@ import hashlib
 import json
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Any, ClassVar, Dict, Iterator, List, Optional, Tuple, Type, Union
+from typing import Any, Dict, Iterator, List, Optional, Tuple, Type, Union, get_type_hints
+
+from repro.trace_events import EVENTS_BY_TAG, TraceEvent
 
 #: Bump on any backward-incompatible change to the event schema.
 TRACE_SCHEMA_VERSION = 1
@@ -69,342 +70,50 @@ class TraceError(ValueError):
     """A trace file or stream could not be parsed."""
 
 
-# ----------------------------------------------------------------------
-# Event types
-# ----------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class TraceEvent:
-    """Base event: simulated timestamp plus a per-type ``event`` tag."""
-
-    event: ClassVar[str] = ""
-
-    t: float
-
-    def to_record(self, seq: int) -> Dict[str, Any]:
-        """Flat JSON-ready dict; ``seq`` is assigned by the buffer."""
-        record: Dict[str, Any] = {"seq": seq, "event": self.event}
-        for f in fields(self):
-            record[f.name] = getattr(self, f.name)
-        return record
-
-
-@dataclass(frozen=True)
-class HostInit(TraceEvent):
-    """A host joined the simulation in ``state``."""
-
-    event = "host-init"
-
-    host: str
-    state: str
-    cores: float
-    mem_gb: float
-
-
-@dataclass(frozen=True)
-class TransitionStart(TraceEvent):
-    """A power-state transition began; ``latency_s`` is the sampled value."""
-
-    event = "transition-start"
-
-    host: str
-    src: str
-    dst: str
-    latency_s: float
-    power_w: float
-
-
-@dataclass(frozen=True)
-class TransitionEnd(TraceEvent):
-    """A power-state transition finished; ``state`` is the resulting state."""
-
-    event = "transition-end"
-
-    host: str
-    src: str
-    dst: str
-    state: str
-    failed: bool
-
-
-@dataclass(frozen=True)
-class FaultInjected(TraceEvent):
-    """The fault model drew a wake failure for ``host``."""
-
-    event = "fault-injected"
-
-    host: str
-    permanent: bool
-
-
-@dataclass(frozen=True)
-class MigrationStart(TraceEvent):
-    """A live migration was admitted by the engine."""
-
-    event = "migration-start"
-
-    migration_id: str
-    vm: str
-    src: str
-    dst: str
-
-
-@dataclass(frozen=True)
-class MigrationEnd(TraceEvent):
-    """The matching finish (or abort) of one migration start."""
-
-    event = "migration-end"
-
-    migration_id: str
-    vm: str
-    src: str
-    dst: str
-    aborted: bool
-    duration_s: float
-    downtime_s: float
-    transferred_gb: float
-
-
-@dataclass(frozen=True)
-class MigrationFailed(TraceEvent):
-    """An injected mid-copy fault aborted one migration start.
-
-    Like ``migration-end``, this closes the matching ``migration-start``;
-    the VM stayed on ``src`` and the destination reservation was rolled
-    back (the validator's rollback-conservation family replays that).
-    """
-
-    event = "migration-failed"
-
-    migration_id: str
-    vm: str
-    src: str
-    dst: str
-    elapsed_s: float
-    fail_fraction: float
-
-
-@dataclass(frozen=True)
-class MigrationRetry(TraceEvent):
-    """The manager re-attempted a failed evacuation migration.
-
-    ``attempt`` is the 1-based migration attempt for this VM within one
-    evacuation (so always >= 2 here); ``backoff_s`` is the enforced delay
-    since the failure — the validator checks the chain is monotone.
-    """
-
-    event = "migration-retry"
-
-    vm: str
-    host: str
-    dst: str
-    attempt: int
-    backoff_s: float
-
-
-@dataclass(frozen=True)
-class SafeModeEnter(TraceEvent):
-    """The degradation governor froze consolidation."""
-
-    event = "safe-mode-enter"
-
-    reason: str
-    failure_rate: float
-    telemetry_age_s: float
-
-
-@dataclass(frozen=True)
-class SafeModeExit(TraceEvent):
-    """The degradation governor re-enabled consolidation (hysteresis met)."""
-
-    event = "safe-mode-exit"
-
-    dwell_s: float
-
-
-@dataclass(frozen=True)
-class EvacuationPlanned(TraceEvent):
-    """The evacuation planner ran for ``host`` (``ok`` = plan found)."""
-
-    event = "evacuation-planned"
-
-    host: str
-    vms: int
-    ok: bool
-
-
-@dataclass(frozen=True)
-class EvacuationEnd(TraceEvent):
-    """An evacuate-then-park task ended: complete, cancelled, or aborted."""
-
-    event = "evacuation-end"
-
-    host: str
-    outcome: str
-
-
-@dataclass(frozen=True)
-class ManagerDecision(TraceEvent):
-    """One manager action (park, wake, evac-start, balance, cap-defer …)."""
-
-    event = "decision"
-
-    action: str
-    host: str = ""
-    detail: str = ""
-
-
-@dataclass(frozen=True)
-class WatchdogWake(TraceEvent):
-    """A watchdog-triggered reactive wake, with the shortfall that caused it."""
-
-    event = "watchdog-wake"
-
-    trigger: str
-    shortfall_cores: float
-    demand_cores: float
-    committed_cores: float
-    cap_cores: float
-
-
-@dataclass(frozen=True)
-class WakeRetry(TraceEvent):
-    """The manager re-attempted a host whose previous wake(s) failed.
-
-    ``attempt`` is the 1-based wake attempt number (so always >= 2 here)
-    and ``backoff_s`` is the enforced minimum delay since the last failed
-    attempt — the validator checks it never shrinks within a retry chain.
-    """
-
-    event = "wake-retry"
-
-    host: str
-    attempt: int
-    backoff_s: float
-
-
-@dataclass(frozen=True)
-class HostBlacklisted(TraceEvent):
-    """Repeated failures put ``host`` in a hold-down until ``until_t``."""
-
-    event = "host-blacklisted"
-
-    host: str
-    failures: int
-    until_t: float
-
-
-@dataclass(frozen=True)
-class HostRepaired(TraceEvent):
-    """An out-of-service host returned to the pool after operator repair."""
-
-    event = "host-repaired"
-
-    host: str
-    downtime_s: float
-
-
-@dataclass(frozen=True)
-class Escalation(TraceEvent):
-    """Persistent watchdog shortfall escalated to waking extra hosts."""
-
-    event = "escalation"
-
-    ticks: int
-    extra_hosts: int
-    shortfall_cores: float
-
-
-@dataclass(frozen=True)
-class AdmissionEvent(TraceEvent):
-    """Admission-queue activity (admit, queue, place, reject, time out)."""
-
-    event = "admission"
-
-    action: str
-    vm: str
-    host: str = ""
-    wait_s: float = 0.0
-
-
-@dataclass(frozen=True)
-class VmRetired(TraceEvent):
-    """A VM departed the cluster (``host`` empty if it was still queued)."""
-
-    event = "vm-retired"
-
-    vm: str
-    host: str = ""
-
-
-@dataclass(frozen=True)
-class HostFinal(TraceEvent):
-    """End-of-run per-host reconciliation facts."""
-
-    event = "host-final"
-
-    host: str
-    state: str
-    energy_j: float
-    wake_failures: int
-    out_of_service: bool
-
-
-@dataclass(frozen=True)
-class RunEnd(TraceEvent):
-    """End-of-run totals the validator reconciles against."""
-
-    event = "run-end"
-
-    horizon_s: float
-    energy_kwh: float
-    hosts: int
-    vms: int
-    migrations_unfinished: int
-
-
-EVENT_TYPES: Tuple[Type[TraceEvent], ...] = (
-    HostInit,
-    TransitionStart,
-    TransitionEnd,
-    FaultInjected,
-    MigrationStart,
-    MigrationEnd,
-    MigrationFailed,
-    MigrationRetry,
-    SafeModeEnter,
-    SafeModeExit,
-    EvacuationPlanned,
-    EvacuationEnd,
-    ManagerDecision,
-    WatchdogWake,
-    WakeRetry,
-    HostBlacklisted,
-    HostRepaired,
-    Escalation,
-    AdmissionEvent,
-    VmRetired,
-    HostFinal,
-    RunEnd,
-)
-
-EVENTS_BY_TAG: Dict[str, Type[TraceEvent]] = {cls.event: cls for cls in EVENT_TYPES}
+#: Field annotation -> (what a value must be, the exact JSON types that
+#: qualify).  Exact, because ``bool`` is an ``int`` subclass: ``true`` is
+#: neither a count nor a time, and a float field may arrive as ``3``.
+_ACCEPTS: Dict[Any, Tuple[str, Tuple[type, ...]]] = {
+    str: ("a str", (str,)),
+    bool: ("a bool", (bool,)),
+    int: ("an int", (int,)),
+    float: ("a float", (int, float)),
+}
+
+
+def _field_types(cls: Type[TraceEvent]) -> Tuple[Tuple[str, Any], ...]:
+    hints = get_type_hints(cls)
+    return tuple((f.name, hints[f.name]) for f in fields(cls))
+
+
+#: Event tag -> ``(field name, annotation)`` pairs, in field order.
+_FIELD_TYPES = {tag: _field_types(cls) for tag, cls in EVENTS_BY_TAG.items()}
 
 
 def event_from_record(record: Dict[str, Any]) -> TraceEvent:
-    """Revive one JSONL record into its typed event."""
+    """Revive one JSONL record into its typed event.
+
+    Every field must be present and hold a value of its annotated type;
+    anything else raises :class:`TraceError`, which the validator reports
+    as a ``schema`` violation at the record's ``seq``.
+    """
     tag = record.get("event")
     cls = EVENTS_BY_TAG.get(tag)  # type: ignore[arg-type]
     if cls is None:
         raise TraceError("unknown event type {!r}".format(tag))
     kwargs = {}
-    for f in fields(cls):
-        if f.name not in record:
+    for name, hint in _FIELD_TYPES[cls.event]:
+        if name not in record:
             raise TraceError(
-                "event {!r} record is missing field {!r}".format(tag, f.name)
+                "event {!r} record is missing field {!r}".format(tag, name)
             )
-        kwargs[f.name] = record[f.name]
+        value = record[name]
+        kind, accepted = _ACCEPTS[hint]
+        if type(value) not in accepted:
+            raise TraceError(
+                "event {!r} field {!r} is not {}: {!r}".format(tag, name, kind, value)
+            )
+        kwargs[name] = value
     return cls(**kwargs)
 
 
@@ -416,11 +125,9 @@ def event_from_record(record: Dict[str, Any]) -> TraceEvent:
 class TraceBuffer:
     """Bounded in-memory event collector.
 
-    The management plane hands it finished events through :meth:`emit`.
-    The typed factory methods (``transition_start`` …) serve the
-    producers below :mod:`repro.telemetry` in the import graph, which
-    never import the event classes, and the runner's end-of-run markers.
-    Everything else (export, hashing, parsing) lives on this class too.
+    Producers hand it finished events through :meth:`emit`; it never
+    builds one.  Everything else (export, hashing) lives on this class
+    too.
     """
 
     def __init__(
@@ -443,134 +150,6 @@ class TraceBuffer:
             self.dropped += 1
             return
         self.events.append(event)
-
-    # -- typed factories (for producers below this package) -------------
-
-    def host_init(
-        self, t: float, host: str, state: str, cores: float, mem_gb: float
-    ) -> None:
-        self.emit(HostInit(t=t, host=host, state=state, cores=cores, mem_gb=mem_gb))
-
-    def transition_start(
-        self,
-        t: float,
-        host: str,
-        src: str,
-        dst: str,
-        latency_s: float,
-        power_w: float,
-    ) -> None:
-        self.emit(
-            TransitionStart(
-                t=t, host=host, src=src, dst=dst, latency_s=latency_s, power_w=power_w
-            )
-        )
-
-    def transition_end(
-        self, t: float, host: str, src: str, dst: str, state: str, failed: bool
-    ) -> None:
-        self.emit(
-            TransitionEnd(t=t, host=host, src=src, dst=dst, state=state, failed=failed)
-        )
-
-    def fault_injected(self, t: float, host: str, permanent: bool) -> None:
-        self.emit(FaultInjected(t=t, host=host, permanent=permanent))
-
-    def migration_start(
-        self, t: float, migration_id: str, vm: str, src: str, dst: str
-    ) -> None:
-        self.emit(MigrationStart(t=t, migration_id=migration_id, vm=vm, src=src, dst=dst))
-
-    def migration_end(
-        self,
-        t: float,
-        migration_id: str,
-        vm: str,
-        src: str,
-        dst: str,
-        aborted: bool,
-        duration_s: float,
-        downtime_s: float,
-        transferred_gb: float,
-    ) -> None:
-        self.emit(
-            MigrationEnd(
-                t=t,
-                migration_id=migration_id,
-                vm=vm,
-                src=src,
-                dst=dst,
-                aborted=aborted,
-                duration_s=duration_s,
-                downtime_s=downtime_s,
-                transferred_gb=transferred_gb,
-            )
-        )
-
-    def migration_failed(
-        self,
-        t: float,
-        migration_id: str,
-        vm: str,
-        src: str,
-        dst: str,
-        elapsed_s: float,
-        fail_fraction: float,
-    ) -> None:
-        self.emit(
-            MigrationFailed(
-                t=t,
-                migration_id=migration_id,
-                vm=vm,
-                src=src,
-                dst=dst,
-                elapsed_s=elapsed_s,
-                fail_fraction=fail_fraction,
-            )
-        )
-
-    def evacuation_planned(self, t: float, host: str, vms: int, ok: bool) -> None:
-        self.emit(EvacuationPlanned(t=t, host=host, vms=vms, ok=ok))
-
-    def host_final(
-        self,
-        t: float,
-        host: str,
-        state: str,
-        energy_j: float,
-        wake_failures: int,
-        out_of_service: bool,
-    ) -> None:
-        self.emit(
-            HostFinal(
-                t=t,
-                host=host,
-                state=state,
-                energy_j=energy_j,
-                wake_failures=wake_failures,
-                out_of_service=out_of_service,
-            )
-        )
-
-    def run_end(
-        self,
-        t: float,
-        horizon_s: float,
-        energy_kwh: float,
-        hosts: int,
-        vms: int,
-        migrations_unfinished: int,
-    ) -> None:
-        self.emit(
-            RunEnd(
-                t=t,
-                horizon_s=horizon_s,
-                energy_kwh=energy_kwh,
-                hosts=hosts,
-                vms=vms,
-                migrations_unfinished=migrations_unfinished,
-            )
-        )
 
     # -- export ---------------------------------------------------------
 

@@ -91,6 +91,12 @@ from typing import Any, Dict, List, Optional, Set, Tuple, Union
 
 from repro.telemetry.trace import (
     TRACE_SCHEMA_VERSION,
+    TraceBuffer,
+    TraceError,
+    TraceLog,
+    event_from_record,
+)
+from repro.trace_events import (
     AdmissionEvent,
     Escalation,
     EvacuationEnd,
@@ -108,16 +114,12 @@ from repro.telemetry.trace import (
     RunEnd,
     SafeModeEnter,
     SafeModeExit,
-    TraceBuffer,
-    TraceError,
     TraceEvent,
-    TraceLog,
     TransitionEnd,
     TransitionStart,
     VmRetired,
     WakeRetry,
     WatchdogWake,
-    event_from_record,
 )
 
 _ACTIVE = "active"

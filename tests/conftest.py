@@ -1,7 +1,8 @@
 """Shared pytest configuration.
 
-Adds the ``--update-golden`` flag used by the golden-trace regression
-tests: instead of comparing against the pinned files under
+Adds the ``--update-golden`` flag used by the golden regression tests
+(the small scenario's decision trace and the seed-7 fuzz campaign
+summary): instead of comparing against the pinned files under
 ``tests/golden/``, the tests rewrite them from the current
 implementation.  Run it deliberately, inspect the diff, and commit the
 regenerated files together with the change that moved them.
@@ -15,7 +16,7 @@ def pytest_addoption(parser):
         "--update-golden",
         action="store_true",
         default=False,
-        help="regenerate golden trace files instead of comparing",
+        help="regenerate the golden files instead of comparing",
     )
 
 

@@ -165,8 +165,10 @@ class TestRejection:
         # subclass); schema 2 pickled the per-object demand grids that the
         # demand lattice replaced; schema 3 pickled the trace on each plane
         # component and a ManagementLog without one, so a traced resume
-        # would drop every plane event.  The manifest check must refuse
-        # all three before anything is unpickled.
+        # would drop every plane event; schema 4 pickled trace events
+        # under repro.telemetry.trace, which no longer defines them.  The
+        # manifest check must refuse all four before anything is
+        # unpickled.
         import repro.core.checkpoint as checkpoint
 
         path = self._one_checkpoint(tmp_path)
@@ -177,7 +179,7 @@ class TestRejection:
             raise AssertionError("an old-schema payload was unpickled")
 
         monkeypatch.setattr(checkpoint, "pickle", type("P", (), {"loads": unpickled}))
-        for schema in (1, 2, 3):
+        for schema in (1, 2, 3, 4):
             path.write_bytes(
                 magic + b"\n"
                 + json.dumps(dict(manifest, schema=schema), sort_keys=True).encode()

@@ -9,7 +9,7 @@ from repro.power import PowerState
 from repro.prototype import PROTOTYPE_BLADE
 from repro.sim import Environment
 from repro.telemetry import TraceBuffer
-from repro.telemetry.trace import ManagerDecision
+from repro.trace_events import ManagerDecision
 from repro.workload import FlatTrace, StepTrace
 
 

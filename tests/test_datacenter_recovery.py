@@ -42,11 +42,17 @@ from repro.power import PowerState
 from repro.prototype import PROTOTYPE_BLADE
 from repro.sim import Environment
 from repro.telemetry import TraceBuffer, validate_trace
-from repro.telemetry.trace import (
+from repro.trace_events import (
     Escalation,
+    FaultInjected,
     HostBlacklisted,
+    HostFinal,
+    HostInit,
     HostRepaired,
     ManagerDecision,
+    RunEnd,
+    TransitionEnd,
+    TransitionStart,
     WakeRetry,
     WatchdogWake,
 )
@@ -479,7 +485,7 @@ class TestWarmPoolCensus:
 
 
 def synthetic_host(buf, name="h0"):
-    buf.host_init(0.0, name, "sleep", cores=16.0, mem_gb=128.0)
+    buf.emit(HostInit(0.0, name, "sleep", cores=16.0, mem_gb=128.0))
 
 
 class TestRecoveryInvariants:
@@ -533,8 +539,8 @@ class TestRecoveryInvariants:
         synthetic_host(buf)
         buf.emit(HostBlacklisted(100.0, "h0", failures=3, until_t=2000.0))
         buf.emit(ManagerDecision(500.0, "wake", host="h0"))
-        buf.transition_start(500.0, "h0", "sleep", "active",
-                             latency_s=10.0, power_w=100.0)
+        buf.emit(TransitionStart(500.0, "h0", "sleep", "active",
+                                 latency_s=10.0, power_w=100.0))
         assert "blacklist-hold" in self.check(buf)
 
     def test_wake_after_hold_expires_passes(self):
@@ -542,8 +548,8 @@ class TestRecoveryInvariants:
         synthetic_host(buf)
         buf.emit(HostBlacklisted(100.0, "h0", failures=3, until_t=2000.0))
         buf.emit(ManagerDecision(2500.0, "wake", host="h0"))
-        buf.transition_start(2500.0, "h0", "sleep", "active",
-                             latency_s=10.0, power_w=100.0)
+        buf.emit(TransitionStart(2500.0, "h0", "sleep", "active",
+                                 latency_s=10.0, power_w=100.0))
         assert "blacklist-hold" not in self.check(buf)
 
     def test_malformed_blacklist_flagged(self):
@@ -554,13 +560,13 @@ class TestRecoveryInvariants:
 
     def permanent_failure(self, buf, t0=100.0):
         """Inject the canonical permanent-failure wake at ``t0``."""
-        buf.fault_injected(t0, "h0", permanent=False)
-        buf.fault_injected(t0, "h0", permanent=True)
+        buf.emit(FaultInjected(t0, "h0", permanent=False))
+        buf.emit(FaultInjected(t0, "h0", permanent=True))
         buf.emit(ManagerDecision(t0, "wake", host="h0"))
-        buf.transition_start(t0, "h0", "sleep", "active",
-                             latency_s=10.0, power_w=100.0)
-        buf.transition_end(t0 + 10.0, "h0", "sleep", "active",
-                           state="sleep", failed=True)
+        buf.emit(TransitionStart(t0, "h0", "sleep", "active",
+                                 latency_s=10.0, power_w=100.0))
+        buf.emit(TransitionEnd(t0 + 10.0, "h0", "sleep", "active",
+                               state="sleep", failed=True))
 
     def test_repair_with_matching_downtime_passes(self):
         buf = TraceBuffer(label="unit")
@@ -574,8 +580,8 @@ class TestRecoveryInvariants:
         synthetic_host(buf)
         self.permanent_failure(buf)
         buf.emit(ManagerDecision(500.0, "wake", host="h0"))
-        buf.transition_start(500.0, "h0", "sleep", "active",
-                             latency_s=10.0, power_w=100.0)
+        buf.emit(TransitionStart(500.0, "h0", "sleep", "active",
+                                 latency_s=10.0, power_w=100.0))
         assert "repair-reentry" in self.check(buf)
 
     def test_repair_without_failure_flagged(self):
@@ -595,10 +601,10 @@ class TestRecoveryInvariants:
         buf = TraceBuffer(label="unit")
         synthetic_host(buf)
         self.permanent_failure(buf)
-        buf.host_final(1000.0, "h0", "sleep", energy_j=1.0,
-                       wake_failures=1, out_of_service=False)
-        buf.run_end(1000.0, horizon_s=1000.0, energy_kwh=1.0 / 3.6e6,
-                    hosts=1, vms=0, migrations_unfinished=0)
+        buf.emit(HostFinal(1000.0, "h0", "sleep", energy_j=1.0,
+                           wake_failures=1, out_of_service=False))
+        buf.emit(RunEnd(1000.0, horizon_s=1000.0, energy_kwh=1.0 / 3.6e6,
+                        hosts=1, vms=0, migrations_unfinished=0))
         assert "fault-accounting" in set(
             validate_trace(buf).invariants_violated()
         )

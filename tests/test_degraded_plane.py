@@ -41,10 +41,13 @@ from repro.telemetry import (
     TraceBuffer,
     validate_trace,
 )
-from repro.telemetry.trace import (
+from repro.trace_events import (
     EvacuationEnd,
     ManagerDecision,
+    MigrationEnd,
+    MigrationFailed,
     MigrationRetry,
+    MigrationStart,
     SafeModeEnter,
     SafeModeExit,
 )
@@ -625,30 +628,30 @@ class TestValidatorFamilies:
 
     def test_clean_failure_and_retry_chain_passes(self):
         buf = TraceBuffer(label="ok")
-        buf.migration_start(0.0, "m0", "vm", "h0", "h1")
-        buf.migration_failed(10.0, "m0", "vm", "h0", "h1",
-                             elapsed_s=10.0, fail_fraction=0.4)
+        buf.emit(MigrationStart(0.0, "m0", "vm", "h0", "h1"))
+        buf.emit(MigrationFailed(10.0, "m0", "vm", "h0", "h1",
+                                 elapsed_s=10.0, fail_fraction=0.4))
         buf.emit(MigrationRetry(40.0, "vm", "h0", "h1",
                             attempt=2, backoff_s=30.0))
-        buf.migration_start(40.0, "m1", "vm", "h0", "h1")
-        buf.migration_end(80.0, "m1", "vm", "h0", "h1", aborted=False,
-                          duration_s=40.0, downtime_s=0.1,
-                          transferred_gb=8.0)
+        buf.emit(MigrationStart(40.0, "m1", "vm", "h0", "h1"))
+        buf.emit(MigrationEnd(80.0, "m1", "vm", "h0", "h1", aborted=False,
+                              duration_s=40.0, downtime_s=0.1,
+                              transferred_gb=8.0))
         report = self.check(buf)
         assert report.ok, report.render_text()
 
     def test_bad_fail_fraction_flags_rollback(self):
         buf = TraceBuffer(label="bad")
-        buf.migration_start(0.0, "m0", "vm", "h0", "h1")
-        buf.migration_failed(10.0, "m0", "vm", "h0", "h1",
-                             elapsed_s=10.0, fail_fraction=1.5)
+        buf.emit(MigrationStart(0.0, "m0", "vm", "h0", "h1"))
+        buf.emit(MigrationFailed(10.0, "m0", "vm", "h0", "h1",
+                                 elapsed_s=10.0, fail_fraction=1.5))
         report = self.check(buf)
         assert any(v.invariant == "migration-rollback" for v in report.violations)
 
     def test_failed_without_start_flags_conservation(self):
         buf = TraceBuffer(label="bad")
-        buf.migration_failed(10.0, "m9", "vm", "h0", "h1",
-                             elapsed_s=10.0, fail_fraction=0.5)
+        buf.emit(MigrationFailed(10.0, "m9", "vm", "h0", "h1",
+                                 elapsed_s=10.0, fail_fraction=0.5))
         report = self.check(buf)
         assert any(
             v.invariant == "migration-conservation" for v in report.violations
@@ -662,9 +665,9 @@ class TestValidatorFamilies:
 
     def test_retry_inside_backoff_window_flags(self):
         buf = TraceBuffer(label="bad")
-        buf.migration_start(0.0, "m0", "vm", "h0", "h1")
-        buf.migration_failed(10.0, "m0", "vm", "h0", "h1",
-                             elapsed_s=10.0, fail_fraction=0.4)
+        buf.emit(MigrationStart(0.0, "m0", "vm", "h0", "h1"))
+        buf.emit(MigrationFailed(10.0, "m0", "vm", "h0", "h1",
+                                 elapsed_s=10.0, fail_fraction=0.4))
         buf.emit(MigrationRetry(20.0, "vm", "h0", "h1",
                             attempt=2, backoff_s=30.0))
         report = self.check(buf)
@@ -678,14 +681,14 @@ class TestValidatorFamilies:
         # One continuous chain: fail, retry at 30 s backoff, fail again,
         # then retry with a *smaller* backoff — the monotonicity flag.
         buf = TraceBuffer(label="bad")
-        buf.migration_start(0.0, "m0", "vm", "h0", "h1")
-        buf.migration_failed(5.0, "m0", "vm", "h0", "h1",
-                             elapsed_s=5.0, fail_fraction=0.4)
+        buf.emit(MigrationStart(0.0, "m0", "vm", "h0", "h1"))
+        buf.emit(MigrationFailed(5.0, "m0", "vm", "h0", "h1",
+                                 elapsed_s=5.0, fail_fraction=0.4))
         buf.emit(MigrationRetry(35.0, "vm", "h0", "h1",
                             attempt=2, backoff_s=30.0))
-        buf.migration_start(35.0, "m1", "vm", "h0", "h1")
-        buf.migration_failed(40.0, "m1", "vm", "h0", "h1",
-                             elapsed_s=5.0, fail_fraction=0.4)
+        buf.emit(MigrationStart(35.0, "m1", "vm", "h0", "h1"))
+        buf.emit(MigrationFailed(40.0, "m1", "vm", "h0", "h1",
+                                 elapsed_s=5.0, fail_fraction=0.4))
         buf.emit(MigrationRetry(55.0, "vm", "h0", "h1",
                             attempt=3, backoff_s=10.0))
         report = self.check(buf)
@@ -701,15 +704,15 @@ class TestValidatorFamilies:
         for i in range(2):
             t = 1000.0 * i
             mid = "m{}".format(i)
-            buf.migration_start(t, mid, "vm", "h0", "h1")
-            buf.migration_failed(t + 10.0, mid, "vm", "h0", "h1",
-                                 elapsed_s=10.0, fail_fraction=0.4)
+            buf.emit(MigrationStart(t, mid, "vm", "h0", "h1"))
+            buf.emit(MigrationFailed(t + 10.0, mid, "vm", "h0", "h1",
+                                     elapsed_s=10.0, fail_fraction=0.4))
             buf.emit(MigrationRetry(t + 40.0, "vm", "h0", "h1",
                                 attempt=2, backoff_s=30.0))
-            buf.migration_start(t + 40.0, mid + "x", "vm", "h0", "h1")
-            buf.migration_end(t + 80.0, mid + "x", "vm", "h0", "h1",
-                              aborted=False, duration_s=40.0,
-                              downtime_s=0.1, transferred_gb=8.0)
+            buf.emit(MigrationStart(t + 40.0, mid + "x", "vm", "h0", "h1"))
+            buf.emit(MigrationEnd(t + 80.0, mid + "x", "vm", "h0", "h1",
+                                  aborted=False, duration_s=40.0,
+                                  downtime_s=0.1, transferred_gb=8.0))
         report = self.check(buf)
         assert report.ok, report.render_text()
 

@@ -1,10 +1,18 @@
 """Tests for the seeded spec generator and campaign determinism."""
 
+import json
+from pathlib import Path
+
 import pytest
 
 from repro.core.parallel import run_scenarios
+from repro.fuzz import run_campaign
 from repro.fuzz.generate import generate_campaign, generate_spec
 from repro.fuzz.oracle import run_spec
+
+#: ``repro fuzz --campaign 20 --seed 7 --json``: every spec's label, trace
+#: hash and event count, over both planes, faults, churn and staleness.
+CAMPAIGN_GOLDEN = Path(__file__).resolve().parent / "golden" / "fuzz_campaign_seed7.json"
 
 
 class TestGeneratorDeterminism:
@@ -72,3 +80,17 @@ class TestPoolDeterminism:
         pooled_hashes = [a.trace_hash for a in pooled]
         assert serial_hashes == pooled_hashes
         assert all(h is not None for h in serial_hashes)
+
+
+class TestCampaignGolden:
+    def test_campaign_summary_byte_identical(self, update_golden):
+        summary = run_campaign(20, 7, workers=1, cache=False)
+        text = json.dumps(summary.to_json_dict(), indent=2, sort_keys=True) + "\n"
+        if update_golden:
+            CAMPAIGN_GOLDEN.write_bytes(text.encode("utf-8"))
+            pytest.skip("campaign golden regenerated; inspect and commit the diff")
+        assert text.encode("utf-8") == CAMPAIGN_GOLDEN.read_bytes(), (
+            "the seed-7 campaign drifted from {}; if the behaviour change is "
+            "intended, rerun with --update-golden and commit the regenerated "
+            "file".format(CAMPAIGN_GOLDEN.name)
+        )

@@ -8,15 +8,14 @@ from repro.fuzz.shrink import (
     ddmin_evaluation_bound,
     shrink_spec,
 )
+from repro.datacenter.faults import Brownout, FailureBurst
 from repro.fuzz.spec import (
-    BrownoutWindow,
-    BurstWindow,
     ChurnShape,
     FaultShape,
     FuzzSpec,
-    TelemetryShape,
     WorkloadShape,
 )
+from repro.telemetry.view import StalenessModel
 
 TARGET = "planted"
 
@@ -43,18 +42,18 @@ def fat_spec():
             permanent_fraction=0.4,
             mttr_h=2.0,
             bursts=(
-                BurstWindow(0.0, 900.0, 0.5),
-                BurstWindow(1000.0, 1900.0, 0.6),
-                BurstWindow(2000.0, 2900.0, 0.7),
-                BurstWindow(3000.0, 3900.0, 0.8),
+                FailureBurst(0.0, 900.0, 0.5),
+                FailureBurst(1000.0, 1900.0, 0.6),
+                FailureBurst(2000.0, 2900.0, 0.7),
+                FailureBurst(3000.0, 3900.0, 0.8),
             ),
             brownouts=(
-                BrownoutWindow(0.0, 600.0, 3.0),
-                BrownoutWindow(700.0, 1300.0, 5.0),
+                Brownout(0.0, 600.0, 3.0),
+                Brownout(700.0, 1300.0, 5.0),
             ),
             migration_failure_rate=0.3,
         ),
-        telemetry=TelemetryShape(delay_s=120.0, dropout_rate=0.2),
+        telemetry=StalenessModel(delay_s=120.0, dropout_rate=0.2),
     )
 
 
@@ -76,7 +75,7 @@ class TestConvergence:
         # The noise is gone.
         assert result.spec.faults.brownouts == ()
         assert result.spec.churn == ChurnShape()
-        assert result.spec.telemetry == TelemetryShape()
+        assert result.spec.telemetry == StalenessModel()
         assert result.spec.horizon_s == 1800.0
 
     def test_result_is_one_minimal(self):
@@ -117,7 +116,7 @@ class TestSeededMutations:
         for trial in range(6):
             base = generate_spec(5150, trial)
             bursts = tuple(
-                BurstWindow(
+                FailureBurst(
                     start_s=round(float(rng.uniform(0, 3000)), 1),
                     end_s=round(float(rng.uniform(3100, 7000)), 1),
                     rate=round(float(rng.uniform(0.1, 0.9)), 4),

@@ -4,19 +4,18 @@ import json
 
 import pytest
 
+from repro.datacenter.faults import Brownout, FailureBurst
 from repro.fuzz.generate import generate_spec
 from repro.fuzz.spec import (
     SPEC_VERSION,
-    BrownoutWindow,
-    BurstWindow,
     ChurnShape,
     FaultShape,
     FuzzSpec,
     PolicyShape,
     SpecError,
-    TelemetryShape,
     WorkloadShape,
 )
+from repro.telemetry.view import StalenessModel
 
 
 class TestRoundTrip:
@@ -52,11 +51,11 @@ class TestRoundTrip:
                 wake_failure_rate=0.1,
                 permanent_fraction=0.3,
                 mttr_h=2.0,
-                bursts=(BurstWindow(100.0, 700.0, 0.5),),
-                brownouts=(BrownoutWindow(0.0, 600.0, 4.0),),
+                bursts=(FailureBurst(100.0, 700.0, 0.5),),
+                brownouts=(Brownout(0.0, 600.0, 4.0),),
                 migration_failure_rate=0.2,
             ),
-            telemetry=TelemetryShape(delay_s=120.0, dropout_rate=0.1),
+            telemetry=StalenessModel(delay_s=120.0, dropout_rate=0.1),
         )
         restored = FuzzSpec.loads(spec.dumps())
         assert restored == spec
@@ -118,11 +117,11 @@ class TestValidation:
 
     def test_burst_window_ordering(self):
         with pytest.raises(ValueError, match="start < end"):
-            BurstWindow(start_s=100.0, end_s=100.0, rate=0.5)
+            FailureBurst(start_s=100.0, end_s=100.0, rate=0.5)
 
     def test_brownout_scale_floor(self):
         with pytest.raises(ValueError, match="scale"):
-            BrownoutWindow(start_s=0.0, end_s=60.0, scale=0.5)
+            Brownout(start_s=0.0, end_s=60.0, scale=0.5)
 
     def test_fail_fraction_ordering(self):
         with pytest.raises(ValueError, match="fractions"):

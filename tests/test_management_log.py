@@ -26,7 +26,7 @@ from repro.datacenter import (
 )
 from repro.fuzz.corpus import load_corpus_entry
 from repro.telemetry import StalenessModel, TraceBuffer
-from repro.telemetry.trace import (
+from repro.trace_events import (
     AdmissionEvent,
     Escalation,
     EvacuationEnd,

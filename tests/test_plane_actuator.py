@@ -17,7 +17,13 @@ from repro.power import PowerState
 from repro.prototype import PROTOTYPE_BLADE
 from repro.sim import Environment
 from repro.telemetry import TraceBuffer, validate_trace
-from repro.telemetry.trace import ManagerDecision, WakeRetry
+from repro.trace_events import (
+    HostInit,
+    ManagerDecision,
+    TransitionEnd,
+    TransitionStart,
+    WakeRetry,
+)
 
 
 class _ScriptedInjector:
@@ -44,8 +50,8 @@ def build_arbiter(**scoreboard_kw):
     host = Host(env, "h0", PROTOTYPE_BLADE, initial_state=PowerState.SLEEP)
     scoreboard = WakeScoreboard(**scoreboard_kw)
     trace = TraceBuffer(label="unit")
-    trace.host_init(0.0, "h0", "sleep", cores=host.cores,
-                    mem_gb=host.mem_gb)
+    trace.emit(HostInit(0.0, "h0", "sleep", cores=host.cores,
+                        mem_gb=host.mem_gb))
     log = ManagementLog(trace=trace)
     arbiter = WakeArbiter(env, log, scoreboard)
     return env, host, log, scoreboard, trace, arbiter
@@ -198,7 +204,7 @@ class TestWakeArbiter:
 
 
 def synthetic_host(buf, name="h0", state="off"):
-    buf.host_init(0.0, name, state, cores=16.0, mem_gb=128.0)
+    buf.emit(HostInit(0.0, name, state, cores=16.0, mem_gb=128.0))
 
 
 class TestWakeExclusivityInvariant:
@@ -211,15 +217,15 @@ class TestWakeExclusivityInvariant:
 
     def wake_start(self, buf, t, host="h0"):
         buf.emit(ManagerDecision(t, "wake", host=host))
-        buf.transition_start(t, host, "off", "active",
-                             latency_s=10.0, power_w=100.0)
+        buf.emit(TransitionStart(t, host, "off", "active",
+                                 latency_s=10.0, power_w=100.0))
 
     def test_sequential_wakes_pass(self):
         buf = TraceBuffer(label="unit")
         synthetic_host(buf)
         self.wake_start(buf, 100.0)
-        buf.transition_end(110.0, "h0", "off", "active",
-                           state="active", failed=False)
+        buf.emit(TransitionEnd(110.0, "h0", "off", "active",
+                               state="active", failed=False))
         assert "wake-exclusivity" not in self.check(buf)
 
     def test_overlapping_wakes_flagged(self):
@@ -238,8 +244,8 @@ class TestWakeExclusivityInvariant:
         buf = TraceBuffer(label="unit")
         synthetic_host(buf)
         self.wake_start(buf, 100.0)
-        buf.transition_start(105.0, "h0", "active", "sleep",
-                             latency_s=5.0, power_w=50.0)
+        buf.emit(TransitionStart(105.0, "h0", "active", "sleep",
+                                 latency_s=5.0, power_w=50.0))
         violated = self.check(buf)
         assert "wake-exclusivity" not in violated
         assert "state-machine" in violated

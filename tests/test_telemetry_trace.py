@@ -1,10 +1,12 @@
-"""Unit tests for the decision-trace layer (repro.telemetry.trace/validate).
+"""Unit tests for the decision-trace layer (repro.trace_events, repro.telemetry.trace/validate).
 
 Scenario-level trace tests (golden file, policy sweeps, differential
 hashing) live in ``test_trace_scenarios.py`` and
 ``test_trace_differential.py``; this file exercises the buffer, the
 JSONL codec, and the invariant checker on hand-built event streams.
 """
+
+import json
 
 import pytest
 
@@ -13,25 +15,75 @@ from repro.telemetry import (
     TraceBuffer,
     TraceError,
     TraceLog,
+    Violation,
     parse_trace,
     read_trace,
     validate_trace,
 )
-from repro.telemetry.trace import (
+from repro.telemetry.trace import event_from_record
+from repro.trace_events import (
+    EVENT_TYPES,
     AdmissionEvent,
+    Escalation,
     EvacuationEnd,
+    EvacuationPlanned,
+    FaultInjected,
+    HostBlacklisted,
+    HostFinal,
+    HostInit,
+    HostRepaired,
     ManagerDecision,
+    MigrationEnd,
+    MigrationFailed,
+    MigrationRetry,
+    MigrationStart,
+    RunEnd,
+    SafeModeEnter,
+    SafeModeExit,
+    TransitionEnd,
+    TransitionStart,
     VmRetired,
+    WakeRetry,
     WatchdogWake,
-    event_from_record,
 )
 
 
 def host_buffer(state="active", name="h0"):
     """A buffer holding one initialised host — the smallest valid trace."""
     buf = TraceBuffer(label="unit")
-    buf.host_init(0.0, name, state, cores=16.0, mem_gb=128.0)
+    buf.emit(HostInit(0.0, name, state, cores=16.0, mem_gb=128.0))
     return buf
+
+
+#: One typical instance of every event type, with the field types the
+#: simulator writes.
+TYPICAL = {
+    event.event: event
+    for event in (
+        HostInit(0.0, "h0", "active", 16.0, 128.0),
+        TransitionStart(10.0, "h0", "sleep", "active", 2.5, 35.0),
+        TransitionEnd(12.5, "h0", "sleep", "active", "active", False),
+        FaultInjected(10.0, "h0", True),
+        MigrationStart(20.0, "m000001", "vm0", "h0", "h1"),
+        MigrationEnd(25.0, "m000001", "vm0", "h0", "h1", False, 5.0, 0.2, 4.0),
+        MigrationFailed(22.0, "m000002", "vm1", "h0", "h1", 2.0, 0.4),
+        MigrationRetry(52.0, "vm1", "h0", "h1", 2, 30.0),
+        SafeModeEnter(60.0, "migration-failures", 0.5, 0.0),
+        SafeModeExit(900.0, 840.0),
+        EvacuationPlanned(40.0, "h0", 3, True),
+        EvacuationEnd(45.0, "h0", "complete"),
+        ManagerDecision(50.0, "park", host="h0", detail="sleep"),
+        WatchdogWake(60.0, "aggregate", 4.0, 40.0, 36.0, -1.0),
+        WakeRetry(70.0, "h2", 2, 30.0),
+        HostBlacklisted(80.0, "h2", 3, 1880.0),
+        HostRepaired(3600.0, "h3", 3500.0),
+        Escalation(90.0, 5, 2, 8.0),
+        AdmissionEvent(100.0, "admit-placed", "vm9", host="h1", wait_s=40.0),
+        VmRetired(200.0, "vm9", host="h1"),
+        HostFinal(3600.0, "h0", "sleep", 1.5e6, 0, False),
+        RunEnd(3600.0, 3600.0, 0.4, 4, 8, 0),
+    )
+}
 
 
 def check(buf):
@@ -63,7 +115,7 @@ class TestBuffer:
 
     def test_truncated_trace_is_not_certified(self):
         buf = TraceBuffer(maxlen=1)
-        buf.host_init(0.0, "h0", "active", cores=16.0, mem_gb=128.0)
+        buf.emit(HostInit(0.0, "h0", "active", cores=16.0, mem_gb=128.0))
         buf.emit(ManagerDecision(1.0, "wake", host="h0"))
         report = check(buf)
         assert not report.ok
@@ -81,13 +133,13 @@ class TestCodec:
     def build(self):
         buf = host_buffer(state="sleep")
         buf.emit(ManagerDecision(10.0, "wake", host="h0", detail="reactive"))
-        buf.transition_start(10.0, "h0", "sleep", "active", 2.5, 35.0)
-        buf.transition_end(12.5, "h0", "sleep", "active", "active", failed=False)
-        buf.migration_start(20.0, "m000001", "vm0", "h0", "h1")
-        buf.migration_end(
+        buf.emit(TransitionStart(10.0, "h0", "sleep", "active", 2.5, 35.0))
+        buf.emit(TransitionEnd(12.5, "h0", "sleep", "active", "active", failed=False))
+        buf.emit(MigrationStart(20.0, "m000001", "vm0", "h0", "h1"))
+        buf.emit(MigrationEnd(
             25.0, "m000001", "vm0", "h0", "h1",
             aborted=False, duration_s=5.0, downtime_s=0.2, transferred_gb=4.0,
-        )
+        ))
         return buf
 
     def test_jsonl_round_trip_revives_identical_events(self):
@@ -138,24 +190,61 @@ class TestCodec:
         with pytest.raises(TraceError, match="missing field"):
             event_from_record({"event": "host-init", "t": 0.0, "host": "h0"})
 
+    @pytest.mark.parametrize(
+        "tag,field,value,kind",
+        [
+            ("host-init", "t", "abc", "a float"),
+            ("host-init", "host", ["h0"], "a str"),
+            ("host-init", "cores", True, "a float"),
+            ("transition-end", "failed", 1, "a bool"),
+            ("host-final", "wake_failures", 1.0, "an int"),
+            ("host-final", "wake_failures", True, "an int"),
+        ],
+    )
+    def test_event_from_record_rejects_mistyped_field(self, tag, field, value, kind):
+        record = dict(TYPICAL[tag].to_record(0), **{field: value})
+        with pytest.raises(TraceError) as excinfo:
+            event_from_record(record)
+        assert str(excinfo.value) == "event {!r} field {!r} is not {}: {!r}".format(
+            tag, field, kind, value
+        )
+
+    def test_float_field_accepts_an_int(self):
+        record = dict(TYPICAL["host-init"].to_record(0), cores=16)
+        assert event_from_record(record) == HostInit(0.0, "h0", "active", 16.0, 128.0)
+
+
+class TestEventTypes:
+    def test_typical_instances_cover_every_type(self):
+        assert sorted(TYPICAL) == sorted(cls.event for cls in EVENT_TYPES)
+
+    @pytest.mark.parametrize("cls", EVENT_TYPES, ids=lambda cls: cls.event)
+    def test_jsonl_round_trip(self, cls):
+        event = TYPICAL[cls.event]
+        assert type(event) is cls
+        buf = TraceBuffer(label="unit")
+        buf.emit(event)
+        (record,) = parse_trace(buf.to_jsonl()).records
+        assert event_from_record(record) == event
+
 
 class TestValidatorStateMachine:
     def test_clean_wake_cycle_passes(self):
         buf = host_buffer(state="sleep")
         buf.emit(ManagerDecision(10.0, "wake", host="h0"))
-        buf.transition_start(10.0, "h0", "sleep", "active", 2.5, 35.0)
-        buf.transition_end(12.5, "h0", "sleep", "active", "active", failed=False)
+        buf.emit(TransitionStart(10.0, "h0", "sleep", "active", 2.5, 35.0))
+        buf.emit(TransitionEnd(12.5, "h0", "sleep", "active", "active", failed=False))
         assert check(buf).ok
 
     def test_wake_from_active_is_flagged(self):
         buf = host_buffer(state="active")
         buf.emit(ManagerDecision(10.0, "wake", host="h0"))
-        buf.transition_start(10.0, "h0", "active", "active", 2.5, 35.0)
+        buf.emit(TransitionStart(10.0, "h0", "active", "active", 2.5, 35.0))
         assert "wake-from-active" in violated(buf)
 
     def test_wake_without_decision_is_untraced(self):
         buf = host_buffer(state="sleep")
-        buf.transition_start(10.0, "h0", "sleep", "active", 2.5, 35.0)
+        buf.emit(TransitionStart(10.0, "h0", "sleep", "active", 2.5, 35.0))
         assert "untraced-wake" in violated(buf)
 
     def test_stale_wake_decision_does_not_cover_a_later_wake(self):
@@ -163,41 +252,41 @@ class TestValidatorStateMachine:
         # (a different epoch) does not license this transition.
         buf = host_buffer(state="sleep")
         buf.emit(ManagerDecision(5.0, "wake", host="h0"))
-        buf.transition_start(10.0, "h0", "sleep", "active", 2.5, 35.0)
+        buf.emit(TransitionStart(10.0, "h0", "sleep", "active", 2.5, 35.0))
         assert "untraced-wake" in violated(buf)
 
     def test_latency_must_match_sampled_value(self):
         buf = host_buffer(state="sleep")
         buf.emit(ManagerDecision(10.0, "wake", host="h0"))
-        buf.transition_start(10.0, "h0", "sleep", "active", 2.5, 35.0)
-        buf.transition_end(14.0, "h0", "sleep", "active", "active", failed=False)
+        buf.emit(TransitionStart(10.0, "h0", "sleep", "active", 2.5, 35.0))
+        buf.emit(TransitionEnd(14.0, "h0", "sleep", "active", "active", failed=False))
         assert "transition-latency" in violated(buf)
 
     def test_src_must_match_tracked_state(self):
         buf = host_buffer(state="active")
         buf.emit(ManagerDecision(10.0, "wake", host="h0"))
-        buf.transition_start(10.0, "h0", "hibernate", "active", 2.5, 35.0)
+        buf.emit(TransitionStart(10.0, "h0", "hibernate", "active", 2.5, 35.0))
         assert "state-machine" in violated(buf)
 
     def test_transition_end_without_start(self):
         buf = host_buffer()
-        buf.transition_end(5.0, "h0", "active", "sleep", "sleep", failed=False)
+        buf.emit(TransitionEnd(5.0, "h0", "active", "sleep", "sleep", failed=False))
         assert "state-machine" in violated(buf)
 
     def test_failed_wake_must_report_source_state(self):
         buf = host_buffer(state="sleep")
         buf.emit(ManagerDecision(10.0, "wake", host="h0"))
-        buf.transition_start(10.0, "h0", "sleep", "active", 2.5, 35.0)
+        buf.emit(TransitionStart(10.0, "h0", "sleep", "active", 2.5, 35.0))
         # A failed wake leaves the host parked; claiming "active" lies.
-        buf.transition_end(12.5, "h0", "sleep", "active", "active", failed=True)
+        buf.emit(TransitionEnd(12.5, "h0", "sleep", "active", "active", failed=True))
         assert "state-machine" in violated(buf)
 
     def test_overlapping_transitions_are_flagged(self):
         buf = host_buffer(state="sleep")
         buf.emit(ManagerDecision(10.0, "wake", host="h0"))
-        buf.transition_start(10.0, "h0", "sleep", "active", 5.0, 35.0)
+        buf.emit(TransitionStart(10.0, "h0", "sleep", "active", 5.0, 35.0))
         buf.emit(ManagerDecision(12.0, "wake", host="h0"))
-        buf.transition_start(12.0, "h0", "sleep", "active", 5.0, 35.0)
+        buf.emit(TransitionStart(12.0, "h0", "sleep", "active", 5.0, 35.0))
         assert "state-machine" in violated(buf)
 
 
@@ -211,8 +300,8 @@ class TestValidatorParkContract:
             buf.emit(EvacuationEnd(50.0, "h0", "complete"))
         if with_decision:
             buf.emit(ManagerDecision(50.0, "park", host="h0", detail="sleep"))
-        buf.transition_start(50.0, "h0", "active", "sleep", 1.0, 10.0)
-        buf.transition_end(51.0, "h0", "active", "sleep", "sleep", failed=False)
+        buf.emit(TransitionStart(50.0, "h0", "active", "sleep", 1.0, 10.0))
+        buf.emit(TransitionEnd(51.0, "h0", "active", "sleep", "sleep", failed=False))
         return buf
 
     def test_clean_park_passes(self):
@@ -235,7 +324,7 @@ class TestValidatorParkContract:
         buf.emit(ManagerDecision(50.0, "evac-start", host="h0"))
         buf.emit(EvacuationEnd(50.0, "h0", "aborted"))
         buf.emit(ManagerDecision(50.0, "park", host="h0"))
-        buf.transition_start(50.0, "h0", "active", "sleep", 1.0, 10.0)
+        buf.emit(TransitionStart(50.0, "h0", "active", "sleep", 1.0, 10.0))
         assert "park-after-evacuation" in violated(buf)
 
     def test_evacuation_end_without_start(self):
@@ -247,27 +336,27 @@ class TestValidatorParkContract:
 class TestValidatorMigrationsAndResidency:
     def test_migration_end_without_start(self):
         buf = host_buffer()
-        buf.migration_end(
+        buf.emit(MigrationEnd(
             5.0, "m000001", "vm0", "h0", "h1",
             aborted=False, duration_s=1.0, downtime_s=0.1, transferred_gb=1.0,
-        )
+        ))
         assert "migration-conservation" in violated(buf)
 
     def test_duplicate_migration_id(self):
         buf = host_buffer()
-        buf.migration_start(5.0, "m000001", "vm0", "h0", "h1")
-        buf.migration_start(6.0, "m000001", "vm1", "h0", "h1")
+        buf.emit(MigrationStart(5.0, "m000001", "vm0", "h0", "h1"))
+        buf.emit(MigrationStart(6.0, "m000001", "vm1", "h0", "h1"))
         assert "migration-conservation" in violated(buf)
 
     def test_completed_migration_moves_residency(self):
         buf = host_buffer()
-        buf.host_init(0.0, "h1", "active", cores=16.0, mem_gb=128.0)
+        buf.emit(HostInit(0.0, "h1", "active", cores=16.0, mem_gb=128.0))
         buf.emit(AdmissionEvent(1.0, "admit", "vm0", host="h0"))
-        buf.migration_start(5.0, "m000001", "vm0", "h0", "h1")
-        buf.migration_end(
+        buf.emit(MigrationStart(5.0, "m000001", "vm0", "h0", "h1"))
+        buf.emit(MigrationEnd(
             9.0, "m000001", "vm0", "h0", "h1",
             aborted=False, duration_s=4.0, downtime_s=0.1, transferred_gb=1.0,
-        )
+        ))
         buf.emit(VmRetired(20.0, "vm0", host="h1"))
         assert check(buf).ok
 
@@ -297,6 +386,23 @@ class TestValidatorStreamChecks:
         log = TraceLog(header={"trace": TRACE_SCHEMA_VERSION + 1}, records=[])
         report = validate_trace(log, require_run_end=False)
         assert report.invariants_violated() == ["schema"]
+
+    @pytest.mark.parametrize(
+        "field,value,message",
+        [
+            ("t", "abc", "event 'host-init' field 't' is not a float: 'abc'"),
+            ("host", ["h0"], "event 'host-init' field 'host' is not a str: ['h0']"),
+        ],
+    )
+    def test_mistyped_record_is_a_schema_violation(self, field, value, message):
+        # A hand-edited file gets a report, not a crash inside the replay.
+        buf = host_buffer()
+        buf.emit(ManagerDecision(1.0, "balance"))
+        records = list(buf.iter_records())
+        records[0][field] = value
+        text = "\n".join(json.dumps(line) for line in [buf.header()] + records)
+        report = validate_trace(parse_trace(text), require_run_end=False)
+        assert Violation("schema", 0, 0.0, message) in report.violations
 
     def test_unknown_event_record_is_a_schema_violation(self):
         log = TraceLog(
@@ -328,7 +434,7 @@ class TestValidatorStreamChecks:
 
     def test_report_renders_and_serialises(self):
         buf = host_buffer(state="sleep")
-        buf.transition_start(10.0, "h0", "sleep", "active", 2.5, 35.0)
+        buf.emit(TransitionStart(10.0, "h0", "sleep", "active", 2.5, 35.0))
         report = check(buf)
         assert not report.ok
         payload = report.to_dict()
