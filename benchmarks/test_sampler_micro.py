@@ -18,6 +18,7 @@ import time
 from repro.core.runner import spread_placement
 from repro.datacenter import Cluster
 from repro.datacenter.vm import Priority
+from repro.fold import left_sum
 from repro.power.dvfs import DvfsModel
 from repro.prototype import PROTOTYPE_BLADE
 from repro.sim import Environment
@@ -38,6 +39,8 @@ def naive_sample(cluster, now):
     order, VMs in per-host dict order, then the registry).  Per host it
     repeats ``Host.refresh_utilization`` (the DVFS level and capacity) and
     ``Host.shortfall_by_class`` (strict-priority delivery) on those sums.
+    The class demands total with the left fold the tick uses, not
+    ``sum()``, which is compensated on Python 3.12.
     """
     shortfall = 0.0
     class_shortfall = {p: 0.0 for p in Priority}
@@ -71,7 +74,7 @@ def naive_sample(cluster, now):
     class_demand = {p: 0.0 for p in Priority}
     for vm in cluster.iter_vms():
         class_demand[vm.priority] += trace_cores(vm, now)
-    demand = sum(class_demand.values())
+    demand = left_sum(class_demand.values())
     return shortfall, class_shortfall, class_demand, demand
 
 

@@ -14,6 +14,7 @@ from typing import List
 
 import numpy as np
 
+from repro.fold import left_sum
 from repro.telemetry.sampler import ClusterSampler
 from repro.telemetry.timeseries import TimeSeries
 
@@ -106,5 +107,5 @@ def recovery_stats(
         mean_duration_s=float(durations.mean()),
         p95_duration_s=float(np.percentile(durations, 95)),
         max_duration_s=float(durations.max()),
-        total_deficit_core_s=float(sum(e.deficit_core_s for e in episodes)),
+        total_deficit_core_s=float(left_sum(e.deficit_core_s for e in episodes)),
     )

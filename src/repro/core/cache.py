@@ -38,6 +38,8 @@ from enum import Enum
 from pathlib import Path
 from typing import Any, Dict, Iterable, Optional, Union
 
+from repro.fold import left_sum
+
 #: Bump to invalidate every cached result after a format change.
 #: 2: report.extra gained the fault-recovery counters (wake_retries,
 #:    blacklists, escalations, hosts_repaired, retires_unknown).
@@ -326,7 +328,7 @@ class ResultCache:
         return sorted(self.root.glob("*.pkl"))
 
     def size_bytes(self) -> int:
-        return sum(p.stat().st_size for p in self.entries())
+        return left_sum(p.stat().st_size for p in self.entries())
 
     def clear(self) -> int:
         """Delete every entry; returns the number removed."""

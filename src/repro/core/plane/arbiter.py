@@ -48,6 +48,7 @@ from repro.datacenter.cluster import Cluster
 from repro.datacenter.host import Host
 from repro.datacenter.recovery import WakeScoreboard
 from repro.datacenter.vm import VM
+from repro.fold import left_sum
 from repro.migration.engine import MigrationEngine
 from repro.placement.balancer import LoadBalancer
 from repro.placement.evacuation import plan_evacuation
@@ -288,7 +289,7 @@ class PowerAwareManager:
             )
         self._pending = still_waiting
         if self._pending:
-            self._request_capacity(sum(vm.vcpus for vm, _ in self._pending))
+            self._request_capacity(left_sum(vm.vcpus for vm, _ in self._pending))
 
     # ------------------------------------------------------------------
     # The consolidation evaluation
@@ -298,7 +299,7 @@ class PowerAwareManager:
         """One consolidation round (public for unit tests)."""
         now = self.env.now
         observed, telemetry_age = self.observer.plan(now, self.log)
-        demand = observed + sum(
+        demand = observed + left_sum(
             self._admission_demand(vm) for vm, _ in self._pending
         )
         self.governor.update(now, telemetry_age)
@@ -421,11 +422,11 @@ class PowerAwareManager:
                 overload = agg._agg_overload
                 headroom_free = agg._agg_headroom
             else:
-                overload = sum(
+                overload = left_sum(
                     max(0.0, h.demand_cores(now) - h.cores)
                     for h in self.cluster.active_hosts()
                 )
-                headroom_free = sum(
+                headroom_free = left_sum(
                     max(
                         0.0,
                         h.cores * self.config.balance.dst_ceiling
@@ -507,7 +508,7 @@ class PowerAwareManager:
         )
         if not parked:
             return
-        mean_cores = sum(h.cores for h in parked) / len(parked)
+        mean_cores = left_sum(h.cores for h in parked) / len(parked)
         count = max(int(math.ceil(cores_short / mean_cores)), 0)
         count += self.config.wake_boost_hosts + extra_hosts
         for host in parked[:count]:
@@ -536,7 +537,7 @@ class PowerAwareManager:
         per_host_peak = self.cluster.max_peak_w()
         max_hosts = max(int(cap // per_host_peak), self.config.min_active_hosts)
         largest_first = self.cluster.host_cores_desc()
-        value = sum(largest_first[:max_hosts])
+        value = left_sum(largest_first[:max_hosts])
         self._cap_cores_key = key
         self._cap_cores_value = value
         return value
@@ -552,7 +553,7 @@ class PowerAwareManager:
             return True
         projected = (
             self.cluster.power_w()
-            + sum(h.profile.peak_w for h in self.cluster.waking_hosts())
+            + left_sum(h.profile.peak_w for h in self.cluster.waking_hosts())
             + host.profile.peak_w
         )
         return projected <= cap
@@ -654,7 +655,7 @@ class PowerAwareManager:
         # A host sitting in the warm state but failed (out of service) or
         # held for maintenance cannot serve a fast wake — counting it as
         # warm would silently shrink the usable warm pool.
-        warm = sum(
+        warm = left_sum(
             1
             for h in self.cluster.hosts
             if not h.out_of_service
@@ -925,7 +926,7 @@ class PowerAwareManager:
 
     def _request_capacity(self, cores_needed: float) -> None:
         """Make room for pending admissions (cancel evac / wake a host)."""
-        waking = sum(h.cores for h in self.cluster.waking_hosts())
+        waking = left_sum(h.cores for h in self.cluster.waking_hosts())
         if waking >= cores_needed:
             return
         self._grow(cores_needed - waking, reactive=True)

@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+from repro.fold import left_sum
 from repro.telemetry.trace import TraceBuffer
 from repro.trace_events import (
     AdmissionEvent,
@@ -121,4 +122,4 @@ class ManagementLog:
 
     def mean_admission_wait_s(self) -> float:
         waits = self.admission_waits_s
-        return sum(waits) / len(waits) if waits else 0.0
+        return left_sum(waits) / len(waits) if waits else 0.0

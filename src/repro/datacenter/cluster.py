@@ -23,6 +23,7 @@ if TYPE_CHECKING:
 from repro.datacenter.faults import FaultModel
 from repro.datacenter.host import Host
 from repro.datacenter.vm import VM
+from repro.fold import left_sum
 from repro.power.dvfs import DvfsModel
 from repro.power.profiles import ServerPowerProfile
 from repro.power.states import PowerState
@@ -65,7 +66,7 @@ class Cluster:
         # construction; per-host cores/profiles are construction-time
         # constants).  Computed with the same expressions — and the same
         # accumulation order — as the scans they replace.
-        self._total_capacity_cores = sum(h.cores for h in self.hosts)
+        self._total_capacity_cores = left_sum(h.cores for h in self.hosts)
         self._min_host_cores = min(h.cores for h in self.hosts)
         self._max_peak_w = max(h.profile.peak_w for h in self.hosts)
         self._host_cores_desc: List[float] = sorted(
@@ -326,7 +327,7 @@ class Cluster:
     def active_capacity_cores(self) -> float:
         if self._active_capacity_rev != self._index_rev:
             hosts = self.hosts
-            self._active_capacity = sum(hosts[i].cores for i in self._active)
+            self._active_capacity = left_sum(hosts[i].cores for i in self._active)
             self._active_capacity_rev = self._index_rev
         return self._active_capacity
 
@@ -334,7 +335,7 @@ class Cluster:
         """Active capacity plus capacity already on its way up (waking)."""
         if self._committed_capacity_rev != self._index_rev:
             hosts = self.hosts
-            self._committed_capacity = self.active_capacity_cores() + sum(
+            self._committed_capacity = self.active_capacity_cores() + left_sum(
                 hosts[i].cores for i in self._waking
             )
             self._committed_capacity_rev = self._index_rev
@@ -343,7 +344,7 @@ class Cluster:
     def evacuating_cores(self) -> float:
         """Cores on hosts being drained (imminently lost capacity)."""
         hosts = self.hosts
-        return sum(hosts[i].cores for i in self._evacuating)
+        return left_sum(hosts[i].cores for i in self._evacuating)
 
     def total_capacity_cores(self) -> float:
         return self._total_capacity_cores
@@ -388,15 +389,15 @@ class Cluster:
     def power_w(self) -> float:
         # ``_power_w`` is what the ``power_w`` property returns; reading
         # the slot directly skips 1 property dispatch per host per tick.
-        return sum(m._power_w for m in self._meters)
+        return left_sum(m._power_w for m in self._meters)
 
     def energy_j(self) -> float:
-        return sum(h.energy_j() for h in self.hosts)
+        return left_sum(h.energy_j() for h in self.hosts)
 
     def refresh_utilization(self, t: Optional[float] = None) -> float:
         """Push fresh demand into every host; return total shortfall cores."""
         when = self.env.now if t is None else t
-        return sum(h.refresh_utilization(when) for h in self.hosts)
+        return left_sum(h.refresh_utilization(when) for h in self.hosts)
 
     def __repr__(self) -> str:
         return "<Cluster {} hosts ({} active), {} VMs>".format(

@@ -18,6 +18,7 @@ from typing import Any, Callable, Dict, List, Optional, Union
 import repro
 from repro.core.cache import ResultCache
 from repro.core.parallel import run_scenarios
+from repro.fold import left_sum
 from repro.fuzz.generate import generate_campaign
 from repro.fuzz.oracle import SpecOutcome, classify_artifacts, run_spec
 from repro.fuzz.shrink import ShrinkResult, shrink_spec
@@ -40,15 +41,15 @@ class CampaignSummary:
 
     @property
     def certified(self) -> int:
-        return sum(1 for o in self.outcomes if o.status == "certified")
+        return left_sum(1 for o in self.outcomes if o.status == "certified")
 
     @property
     def violating(self) -> int:
-        return sum(1 for o in self.outcomes if o.status == "violating")
+        return left_sum(1 for o in self.outcomes if o.status == "violating")
 
     @property
     def errored(self) -> int:
-        return sum(1 for o in self.outcomes if o.status == "error")
+        return left_sum(1 for o in self.outcomes if o.status == "error")
 
     @property
     def ok(self) -> bool:

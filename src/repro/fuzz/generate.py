@@ -26,6 +26,7 @@ import numpy as np
 from repro.core.policies import POLICIES
 from repro.core.seeding import stream_rng
 from repro.datacenter.faults import Brownout, FailureBurst
+from repro.fold import left_sum
 from repro.fuzz.spec import (
     ChurnShape,
     ClusterShape,
@@ -180,7 +181,7 @@ def generate_spec(campaign_seed: int, index: int) -> FuzzSpec:
     while workload.mem_gb_per_vcpu * max(workload.vcpu_choices) > host_mem_gb:
         host_cores, host_mem_gb = host_cores * 2, host_mem_gb * 2
     fleet = build_fleet(workload.fleet_spec(horizon_s), seed=scenario_seed)
-    total_mem = sum(vm.mem_gb for vm in fleet)
+    total_mem = left_sum(vm.mem_gb for vm in fleet)
     min_hosts = max(1, int(np.ceil(total_mem * _MEM_SLACK / host_mem_gb)))
     cluster = ClusterShape(
         n_hosts=min_hosts + int(rng.integers(0, 4)),

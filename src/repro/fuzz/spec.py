@@ -50,6 +50,7 @@ from repro.datacenter.faults import (
     MigrationFaultModel,
     RepairModel,
 )
+from repro.fold import left_sum
 from repro.telemetry.view import StalenessModel
 from repro.workload.fleet import FleetSpec
 
@@ -221,7 +222,7 @@ class WorkloadShape:
             raise ValueError("vcpu choices/weights length mismatch")
         if any(c < 1 for c in self.vcpu_choices):
             raise ValueError("vcpu choices must be >= 1")
-        if any(w < 0 for w in self.vcpu_weights) or sum(self.vcpu_weights) <= 0:
+        if any(w < 0 for w in self.vcpu_weights) or left_sum(self.vcpu_weights) <= 0:
             raise ValueError("vcpu weights must be >= 0 and sum to > 0")
         if self.mem_gb_per_vcpu <= 0:
             raise ValueError("mem_gb_per_vcpu must be positive")
@@ -229,14 +230,14 @@ class WorkloadShape:
             self.diurnal_weight, self.bursty_weight,
             self.flat_weight, self.spiky_weight,
         )
-        if any(w < 0 for w in archetypes) or sum(archetypes) <= 0:
+        if any(w < 0 for w in archetypes) or left_sum(archetypes) <= 0:
             raise ValueError("archetype weights must be >= 0 and sum to > 0")
         if not 0.0 <= self.shared_fraction <= 1.0:
             raise ValueError("shared_fraction must be in [0, 1]")
         if self.shared_kind not in ("bursty", "diurnal"):
             raise ValueError("shared_kind must be 'bursty' or 'diurnal'")
         priorities = (self.gold_weight, self.silver_weight, self.bronze_weight)
-        if any(w < 0 for w in priorities) or sum(priorities) <= 0:
+        if any(w < 0 for w in priorities) or left_sum(priorities) <= 0:
             raise ValueError("priority weights must be >= 0 and sum to > 0")
         if self.noise_sigma < 0:
             raise ValueError("noise_sigma must be >= 0")

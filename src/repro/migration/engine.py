@@ -21,6 +21,7 @@ if TYPE_CHECKING:
 from repro.datacenter.faults import MigrationFaultInjector
 from repro.datacenter.host import Host
 from repro.datacenter.vm import VM
+from repro.fold import left_sum
 from repro.migration.model import PreCopyModel
 from repro.sim import Resource
 from repro.trace_events import MigrationEnd, MigrationFailed, MigrationStart
@@ -234,10 +235,10 @@ class MigrationEngine:
         return self.completed / (horizon_s / 3600.0)
 
     def total_transferred_gb(self) -> float:
-        return sum(r.transferred_gb for r in self.records if not r.aborted)
+        return left_sum(r.transferred_gb for r in self.records if not r.aborted)
 
     def total_downtime_s(self) -> float:
-        return sum(r.downtime_s for r in self.records if not r.aborted)
+        return left_sum(r.downtime_s for r in self.records if not r.aborted)
 
     def total_migration_time_s(self) -> float:
-        return sum(r.duration_s for r in self.records if not r.aborted)
+        return left_sum(r.duration_s for r in self.records if not r.aborted)

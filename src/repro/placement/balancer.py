@@ -15,6 +15,7 @@ from typing import Callable, List, Optional, Sequence
 
 from repro.datacenter.host import Host
 from repro.datacenter.vm import VM
+from repro.fold import left_sum
 
 DemandFn = Callable[[VM], float]
 
@@ -81,7 +82,7 @@ class LoadBalancer:
             load = {h.name: h.resident_demand_cores(now) for h in hosts}
         else:
             load = {
-                h.name: sum(demand_fn(vm) for vm in h.vms.values())
+                h.name: left_sum(demand_fn(vm) for vm in h.vms.values())
                 for h in hosts
             }
         moves: List[Move] = []

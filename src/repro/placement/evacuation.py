@@ -9,6 +9,7 @@ if TYPE_CHECKING:
 
 from repro.datacenter.host import Host
 from repro.datacenter.vm import VM
+from repro.fold import left_sum
 from repro.trace_events import EvacuationPlanned
 
 DemandFn = Callable[[VM], float]
@@ -53,7 +54,7 @@ def plan_evacuation(
         cpu_budget[t.name] = t.cores * cpu_target - (
             t.resident_demand_cores(now)
             if canonical
-            else sum(demand_fn(vm) for vm in t.vms.values())
+            else left_sum(demand_fn(vm) for vm in t.vms.values())
         )
         mem_budget[t.name] = t.mem_free_gb
         # Same set as scanning every resident VM for its group, served

@@ -12,6 +12,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.datacenter.host import Host
 from repro.datacenter.vm import VM
+from repro.fold import left_sum
 
 DemandFn = Callable[[VM], float]
 
@@ -38,7 +39,7 @@ class _Bin:
 
     def __init__(self, host: Host, cpu_target: float, demand_fn: DemandFn) -> None:
         self.host = host
-        self.cpu_budget = host.cores * cpu_target - sum(
+        self.cpu_budget = host.cores * cpu_target - left_sum(
             demand_fn(vm) for vm in host.vms.values()
         )
         self.mem_budget = host.mem_free_gb

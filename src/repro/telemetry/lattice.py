@@ -2,11 +2,11 @@
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.workload.traces import trace_grid
+from repro.workload.traces import trace_grids
 
 if TYPE_CHECKING:
     from repro.datacenter import VM, Cluster, Host
@@ -107,61 +107,67 @@ class DemandLattice:
         return self.classes_now[3] if self.class_tag == self.cluster._vm_epoch else None
 
     def _fill(self, i0: int) -> None:
-        """Fill the chunk of ticks ``[i0, i0 + CHUNK_TICKS)``.
+        """Fill the chunk of ticks ``[i0, i0 + CHUNK_TICKS)`` in array passes.
 
-        Shared sub-traces are evaluated once (the ``trace_grid`` cache);
-        host rows sum VM rows in VM-dict order and class rows in registry
-        order, from zero, and utilization and wattage repeat the per-tick
-        expressions elementwise.
+        One :func:`trace_grids` call evaluates every VM's trace, each
+        shared sub-trace once.  Host rows add VM rows in VM-dict order,
+        one pass per dict position over every host at once, and class rows
+        add them in registry order; both start from zero and use only
+        sequential adds, the scalar walks' orders.  Utilization and
+        wattage repeat the per-tick expressions elementwise, one wattage
+        pass per power model.
         """
         n = self.CHUNK_TICKS
         epoch = self.epoch_s
-        ticks = [i * epoch for i in range(i0, i0 + n)]
-        cache: dict = {}
         cluster = self.cluster
+        vms = list(cluster.iter_vms())
+        g = trace_grids([vm.trace for vm in vms], [i * epoch for i in range(i0, i0 + n)])
+        negative = g.min(axis=1) < 0.0
+        if negative.any():
+            # A negative demand must raise from the scalar read at the exact
+            # instant it is reached: keep those VMs off the lattice.
+            g = g[~negative]
+            vms = [vm for vm, neg in zip(vms, negative) if not neg]
+        np.minimum(g, 1.0, out=g)
+        g *= np.array([vm.vcpus for vm in vms])[:, None]
         classes = np.zeros((4, n))
-        gold, silver, bronze, total = classes
-        rows: Dict["VM", np.ndarray] = {}
-        for vm in cluster.iter_vms():
-            arr = trace_grid(vm.trace, ticks, cache)
-            if arr.min() < 0.0:
-                # A negative demand must raise from the scalar read at the
-                # exact instant it is reached: keep this VM off the lattice.
-                continue
-            g = np.minimum(arr, 1.0) * vm.vcpus
-            rows[vm] = g
+        by_class = classes[:3]
+        total = classes[3]
+        for vm, row in zip(vms, g):
             vm._lattice = self
-            total += g
-            p = vm.priority
-            if p == 0:
-                gold += g
-            elif p == 1:
-                silver += g
-            else:
-                bronze += g
-        hosts = np.zeros((3, len(cluster.hosts), n))
-        tags = [-1] * len(cluster.hosts)
-        for k, host in enumerate(cluster.hosts):
-            if not host.vms:
+            by_class[vm.priority] += row
+            total += row
+        col = {vm: c for c, vm in enumerate(vms)}
+        hosts = cluster.hosts
+        tags = [-1] * len(hosts)
+        # Per VM-dict position: the hosts that have one, and its VM's column.
+        slots: List[Tuple[List[int], List[int]]] = []
+        models: Dict[object, List[int]] = {}
+        for k, host in enumerate(hosts):
+            models.setdefault(host.machine.profile.active_model, []).append(k)
+            cols = [col.get(vm) for vm in host.vms.values()]
+            if not cols or None in cols:
                 continue
-            acc = np.zeros(n)
-            for vm in host.vms.values():
-                g = rows.get(vm)
-                if g is None:
-                    break
-                acc += g
-            else:
-                util = np.minimum(acc / host.cores, 1.0)
-                power = host.machine.profile.active_model.power_at_grid(util)
-                hosts[:, k] = acc, util, power
-                tags[k] = host._demand_epoch
+            tags[k] = host._demand_epoch
+            for j, c in enumerate(cols):
+                if j == len(slots):
+                    slots.append(([], []))
+                slots[j][0].append(k)
+                slots[j][1].append(c)
+        resident = np.zeros((len(hosts), n))
+        for ks, cs in slots:
+            resident[ks] += g[cs]
+        util = np.minimum(resident / np.array([h.cores for h in hosts])[:, None], 1.0)
+        power = np.empty_like(util)
+        for model, ks in models.items():
+            power[ks] = model.power_at_grid(util[ks].ravel()).reshape(len(ks), n)
         self._i0 = i0
         self._n = n
-        self.vm_col = {vm: c for c, vm in enumerate(rows)}
-        self._vm = np.stack(list(rows.values()), axis=1) if rows else np.zeros((n, 0))
+        self.vm_col = col
         # Slot-major, so one tick's rows are one contiguous block.
-        self._hosts = hosts.transpose(2, 0, 1).copy()
+        self._vm = np.ascontiguousarray(g.T)
+        self._hosts = np.stack((resident, util, power)).transpose(2, 0, 1).copy()
         self._classes = classes.T.copy()
         self.host_tags = tags
-        self.class_tag = cluster._vm_epoch if len(rows) == cluster.vm_count else None
+        self.class_tag = cluster._vm_epoch if len(vms) == cluster.vm_count else None
         self._t = None

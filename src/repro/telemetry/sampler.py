@@ -128,10 +128,15 @@ class ClusterSampler:
         """Take one sample immediately; returns the epoch's shortfall cores.
 
         This is the simulation's per-instant hot path, so the whole tick
-        is one fused walk over the host inventory: each host's VM demands
-        are read once (populating the per-VM memo) and its utilization
-        refresh plus per-class strict-priority shortfall arithmetic run
-        inline.  The accumulation order — hosts in inventory order, VMs in
+        is one fused walk over the host inventory.  A *settled* host
+        (stably ACTIVE, untaxed, no DVFS, lattice rows current, a core of
+        slack) copies its rows; an untaxed *empty* host that is not
+        stably ACTIVE refreshes its caches; every other host takes the
+        general step, which reads each VM's demand once and runs the
+        utilization refresh plus per-class strict-priority shortfall
+        arithmetic inline.  The short steps run the general step's float
+        operations for their case, minus terms that are exactly zero.
+        The accumulation order — hosts in inventory order, VMs in
         per-host dict order, classes GOLD→SILVER→BRONZE, then the cluster
         VM registry for class demand — is exactly the order of the
         separate walks this replaces, so every series value stays
@@ -143,7 +148,8 @@ class ClusterSampler:
         # ``on``: this tick has a lattice slot, whose rows the walk reads.
         on = lattice.tick(now)
         tags = lattice.host_tags
-        vm_col = lattice.vm_col
+        # VM -> column of this tick's slot; nothing is read off a stale slot.
+        cols = lattice.vm_col if on else {}
         vm_now = lattice.vm_now
         resident_now = lattice.resident_now
         util_now = lattice.util_now
@@ -155,14 +161,59 @@ class ClusterSampler:
         headroom_sum = 0.0
         power_total = 0.0
 
-        def class_split(vms: dict):
-            # Per-class demand from the VM rows, accumulated in the host's
-            # VM dict order — the same order (and floats) as the fused
-            # walk's inline accumulation.  Only called on the host-row
-            # fast path, where every member VM has a row.
+        ACTIVE = PowerState.ACTIVE
+        for k, host, machine, meter, cores, dvfs in self._host_rows:
+            vms = host.vms
+            tax = host._migration_tax_cores
+            # Inline machine.is_active (a property + method chain):
+            active = machine._state is ACTIVE and machine._transition is None
+            if active:
+                # Settled-host short step.  The host's rows are current
+                # while its demand epoch matches the fill (no placement or
+                # tax change since); a core of slack makes the shortfall,
+                # overload and per-class terms zero; and the unit DVFS
+                # scale drops out of the wattage (``x * 1.0 == x``).
+                if (
+                    on and tags[k] == host._demand_epoch and tax == 0.0
+                    and dvfs is None and not resident_now[k] > cores - 1.0
+                ):
+                    vm_sum = resident_now[k]
+                    demand = vm_sum + tax
+                    host._demand_key = (now, host._demand_epoch)
+                    host._demand_value = demand
+                    host._resident_value = vm_sum
+                    if ceiling is not None and not (
+                        host._evacuating or host._in_maintenance
+                    ):
+                        d = cores * ceiling - demand
+                        if d > 0.0:
+                            headroom_sum += d
+                    machine._utilization = util_now[k]
+                    machine._dynamic_scale = 1.0
+                    idle = machine._idle_w
+                    meter.set_power(now, idle + (power_now[k] - idle))
+                    power_total += meter._power_w
+                    continue
+            elif not vms and tax == 0.0:
+                # Empty-host short step: no demand, no shortfall, and a
+                # machine that is not stably ACTIVE takes no meter write.
+                host._demand_key = (now, host._demand_epoch)
+                host._demand_value = host._resident_value = 0.0
+                if dvfs is not None:
+                    host.frequency = dvfs.levels[0]
+                if machine._utilization != 0.0 or machine._dynamic_scale != 1.0:
+                    machine.set_utilization(0.0)
+                power_total += meter._power_w
+                continue
+            vm_sum = 0.0
             g = sv = b = 0.0
             for vm in vms.values():
-                v = vm_now[vm_col[vm]]
+                # No memo write on the lattice branch: ``demand_cores``
+                # itself reads the lattice, so any later reader at this
+                # instant resolves the same value in O(1).
+                c = cols.get(vm)
+                v = vm.demand_cores(now) if c is None else vm_now[c]
+                vm_sum += v
                 p = vm.priority
                 if p == 0:
                     g += v
@@ -170,51 +221,7 @@ class ClusterSampler:
                     sv += v
                 else:
                     b += v
-            return g, sv, b
-
-        for k, host, machine, meter, cores, dvfs in self._host_rows:
-            vms = host.vms
-            tax = host._migration_tax_cores
-            # Inline machine.is_active (a property + method chain):
-            active = (
-                machine._state is PowerState.ACTIVE
-                and machine._transition is None
-            )
-            # Host-row fast path: valid only while the host's demand
-            # epoch still matches the fill (no placement or tax change
-            # since), so the precomputed rows are exactly what the per-VM
-            # walk would re-derive.
-            hg = on and tags[k] == host._demand_epoch
-            if vms:
-                if hg:
-                    vm_sum = resident_now[k]
-                    g = sv = b = 0.0
-                    classes_done = False
-                else:
-                    vm_sum = 0.0
-                    g = sv = b = 0.0
-                    classes_done = True
-                    for vm in vms.values():
-                        # No memo write on the lattice branch:
-                        # ``demand_cores`` itself reads the lattice, so
-                        # any later reader at this instant resolves the
-                        # same value in O(1).
-                        c = vm_col.get(vm) if on else None
-                        v = vm.demand_cores(now) if c is None else vm_now[c]
-                        vm_sum += v
-                        p = vm.priority
-                        if p == 0:
-                            g += v
-                        elif p == 1:
-                            sv += v
-                        else:
-                            b += v
-                demand = vm_sum + tax
-            else:
-                g = sv = b = 0.0
-                vm_sum = 0.0
-                classes_done = True
-                demand = 0 + tax
+            demand = vm_sum + tax
             # Serve the same-instant planning reads from the host cache
             # (both the taxed total and the resident sum — lockstep with
             # Host.demand_cores / Host.resident_demand_cores).
@@ -255,16 +262,9 @@ class ClusterSampler:
                 # stably-ACTIVE case (the validations are vacuous here:
                 # ``min(demand / cores, 1.0)`` is always in range and the
                 # DVFS power scale is positive).  ``_active_power`` is
-                # unrolled with the same operation order.  With no
-                # migration tax, ``demand == vm_sum`` bitwise (x + 0.0),
-                # so the precomputed utilization/wattage rows hold
-                # exactly the values the scalar expressions produce.
-                if hg and tax == 0.0:
-                    u = util_now[k]
-                    pa = power_now[k]
-                else:
-                    u = min(demand / cores, 1.0)
-                    pa = machine._power_at(u)
+                # unrolled with the same operation order.
+                u = min(demand / cores, 1.0)
+                pa = machine._power_at(u)
                 dscale = (
                     dvfs.power_scale(host.frequency)
                     if dvfs is not None
@@ -292,8 +292,6 @@ class ClusterSampler:
             # Inline Host.shortfall_by_class(now) accumulation:
             if vms:
                 if not active:
-                    if not classes_done:
-                        g, sv, b = class_split(vms)
                     gold_sf += g
                     silver_sf += sv
                     bronze_sf += b
@@ -302,7 +300,7 @@ class ClusterSampler:
                         capacity_left = max(0.0, cores * host.frequency - tax)
                     else:
                         capacity_left = max(0.0, cores - tax)
-                    if classes_done or vm_sum > capacity_left - 1.0:
+                    if vm_sum > capacity_left - 1.0:
                         # The slack guard makes skipping exact: per-class
                         # sums differ from ``vm_sum`` and the running
                         # ``capacity_left`` from true remainders only by
@@ -310,9 +308,7 @@ class ClusterSampler:
                         # core of headroom every ``min`` resolves to the
                         # class demand and each contribution is exactly
                         # ``d - d == 0.0``.  Anything closer to the edge
-                        # recomputes the split and runs the arithmetic.
-                        if not classes_done:
-                            g, sv, b = class_split(vms)
+                        # runs the arithmetic.
                         delivered = min(g, capacity_left)
                         capacity_left -= delivered
                         gold_sf += g - delivered
@@ -328,13 +324,10 @@ class ClusterSampler:
             gold_d = silver_d = bronze_d = 0.0
             registry_total = 0.0
             for vm in cluster.iter_vms():
-                # Memo hit for every placed VM (populated by the host
-                # walk above); the inline check skips the method call.
-                v = (
-                    vm._demand_value
-                    if now == vm._demand_at_t
-                    else vm.demand_cores(now)
-                )
+                # The VM's row, as ``VM.demand_cores`` would read it, or
+                # the scalar read for a VM the fill left off.
+                c = cols.get(vm)
+                v = vm.demand_cores(now) if c is None else vm_now[c]
                 registry_total += v
                 p = vm.priority
                 if p == 0:

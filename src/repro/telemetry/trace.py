@@ -189,8 +189,13 @@ class TraceBuffer:
         return hashlib.sha256(self.to_jsonl().encode("utf-8")).hexdigest()
 
 
+#: ``json.dumps(payload, sort_keys=True, separators=(",", ":"))`` builds
+#: this encoder anew per call; one instance serves every record.
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 def _dumps(payload: Dict[str, Any]) -> str:
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return _ENCODER.encode(payload)
 
 
 # ----------------------------------------------------------------------

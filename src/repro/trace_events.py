@@ -26,6 +26,7 @@ in :mod:`repro.telemetry.trace`.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from functools import lru_cache
 from typing import Any, ClassVar, Dict, Tuple, Type
 
 
@@ -40,9 +41,15 @@ class TraceEvent:
     def to_record(self, seq: int) -> Dict[str, Any]:
         """Flat JSON-ready dict; ``seq`` is assigned by the buffer."""
         record: Dict[str, Any] = {"seq": seq, "event": self.event}
-        for f in fields(self):
-            record[f.name] = getattr(self, f.name)
+        for name in _field_names(type(self)):
+            record[name] = getattr(self, name)
         return record
+
+
+@lru_cache(maxsize=None)
+def _field_names(cls: Type[TraceEvent]) -> Tuple[str, ...]:
+    """``cls``'s field names in order, looked up once per class."""
+    return tuple(f.name for f in fields(cls))
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,7 @@ from typing import Any, Dict, Iterable, List, Optional, Sequence
 import numpy as np
 
 from repro.datacenter.vm import Priority, VM
+from repro.fold import left_sum
 from repro.workload.traces import (
     BurstyTrace,
     CompositeTrace,
@@ -35,7 +36,7 @@ def _check_weights(label: str, weights: Iterable[float]) -> None:
     negative, NaN or infinite weight silently.
     """
     values = list(weights)
-    if not (all(0.0 <= w < math.inf for w in values) and 0.0 < sum(values) < math.inf):
+    if not (all(0.0 <= w < math.inf for w in values) and 0.0 < left_sum(values) < math.inf):
         raise ValueError("{} must be finite, >= 0 and sum to > 0".format(label))
 
 

@@ -20,6 +20,8 @@ from typing import Sequence
 
 import numpy as np
 
+from repro.fold import left_sum
+
 
 @dataclass(frozen=True)
 class TraceStats:
@@ -124,4 +126,4 @@ def aggregate_demand_series(
     """Total fleet demand sampled onto a uniform grid (cores)."""
     n = max(2, int(horizon_s // step_s))
     times = np.arange(n) * step_s
-    return np.array([sum(vm.demand_cores(t) for vm in vms) for t in times])
+    return np.array([left_sum(vm.demand_cores(t) for vm in vms) for t in times])

@@ -11,9 +11,11 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from itertools import repeat
-from typing import Optional, Sequence, Tuple
+from typing import Any, Dict, List, Sequence, Tuple
 
 import numpy as np
+
+from repro.fold import left_sum
 
 DAY_S = 86_400.0
 
@@ -22,86 +24,125 @@ def _clamp01(x: float) -> float:
     return 0.0 if x < 0.0 else 1.0 if x > 1.0 else x
 
 
-def trace_grid(
-    trace: "Trace",
-    ticks: Sequence[float],
-    cache: Optional[dict] = None,
-) -> "np.ndarray":
-    """Evaluate ``trace.at`` over many instants in one batched pass.
+def trace_grid(trace: "Trace", ticks: Sequence[float]) -> "np.ndarray":
+    """``trace.at`` over many instants: the one-trace case of :func:`trace_grids`."""
+    if isinstance(trace, CompositeTrace):
+        return trace_grids([trace], ticks)[0]
+    out = np.empty((1, len(ticks)))
+    _leaf_rows(_kind(trace), [trace], ticks, out)
+    return out[0]
 
-    Returns a float64 array whose every element is **bit-identical** to
-    the scalar ``trace.at(t)`` at the same instant.  The exactness rule:
-    numpy may run only IEEE-754 ``+``, ``-``, ``*`` and ``/`` (each is
-    correctly rounded, so it equals the scalar expression evaluated in
-    the same order); every other function stays the scalar libm call.
 
-    * :class:`DiurnalTrace` does its arithmetic on arrays but maps
+def trace_grids(traces: Sequence["Trace"], ticks: Sequence[float]) -> "np.ndarray":
+    """Evaluate many traces over the same instants in a fixed number of array passes.
+
+    Row ``i`` of the ``(len(traces), len(ticks))`` float64 result is
+    **bit-identical** to the scalar ``traces[i].at(t)`` at every tick.
+    The exactness rule: numpy may run only IEEE-754 ``+``, ``-``, ``*``
+    and ``/`` (each is correctly rounded, so it equals the scalar
+    expression evaluated in the same order); every other function stays
+    the scalar libm call.  Every distinct trace reachable from ``traces``
+    (composite parts included) is evaluated once, in one block per kind:
+
+    * :class:`DiurnalTrace` rows do their arithmetic on arrays but map
       ``math.cos`` and ``pow`` over the elements: numpy's vectorized
       ``cos``/``power`` kernels may round differently from libm (on
       AVX-512 builds ``np.power`` does);
-    * :class:`FlatTrace` is its level at every instant;
-    * :class:`SampledTrace` lookups are pure array gathers — the same
-      float64 values scalar indexing returns;
-    * :class:`CompositeTrace` accumulates ``w * part`` elementwise in
-      part order from a zero array, which performs the identical IEEE-754
-      multiply/add sequence per element as the scalar loop, then clamps
-      with the same ``< 0.0`` / ``> 1.0`` comparisons;
-    * anything else falls back to per-instant scalar evaluation (still
-      one batched call for the caller, exact by construction).
+    * :class:`FlatTrace` rows are their levels;
+    * :class:`SampledTrace` blocks, one per grid shape, gather the sample
+      columns the ticks read, wrapped grids included, from one stacked
+      array: the float64 values scalar indexing returns;
+    * :class:`CompositeTrace` blocks, one per nesting depth, start from
+      zero and add ``w * part`` in part order, the scalar loop's
+      multiply/add sequence per element, then clamp with the same
+      ``< 0.0`` / ``> 1.0`` comparisons;
+    * anything else is evaluated per instant with ``at``.
 
     ``ticks`` may be a sequence of numbers or an array; the scalar paths
     read its elements as the Python numbers ``at`` callers pass.
-
-    ``cache`` (keyed by trace identity) deduplicates shared sub-traces —
-    fleets built with a nonzero ``shared_fraction`` reference one common
-    component from many VM composites.
     """
-    if cache is not None:
-        key = id(trace)
-        hit = cache.get(key)
-        if hit is not None:
-            return hit
-    if isinstance(trace, DiurnalTrace):
-        # ``at``'s expression in its evaluation order, one array op each.
+    depth: Dict[int, int] = {}
+    nodes: List["Trace"] = []
+
+    def visit(trace: "Trace") -> int:
+        if id(trace) not in depth:
+            parts = trace.parts if isinstance(trace, CompositeTrace) else ()
+            depth[id(trace)] = 1 + max([visit(p) for _, p in parts]) if parts else 0
+            nodes.append(trace)
+        return depth[id(trace)]
+
+    for trace in traces:
+        visit(trace)
+    # One block per leaf kind, then one per composite depth: parts come
+    # before the composites that hold them.
+    blocks: Dict[Any, List["Trace"]] = {}
+    for trace in nodes:
+        blocks.setdefault(depth[id(trace)] or _kind(trace), []).append(trace)
+    for d in sorted(k for k in blocks if type(k) is int):
+        # Re-inserted after every leaf block, in depth order; most parts
+        # first, so the composites with a ``j``-th part are a prefix.
+        blocks[d] = sorted(blocks.pop(d), key=lambda c: -len(c.parts))
+    row: Dict[int, int] = {}
+    vals = np.empty((len(nodes), len(ticks)))
+    for kind, block in blocks.items():
+        a = len(row)
+        row.update((id(trace), a + k) for k, trace in enumerate(block))
+        if type(kind) is int:
+            _blend(vals[a : len(row)], block, vals, row)
+        else:
+            _leaf_rows(kind, block, ticks, vals[a : len(row)])
+    return vals[[row[id(trace)] for trace in traces]]
+
+
+def _kind(trace: "Trace") -> Any:
+    """The :func:`trace_grids` block key of a trace that is not a composite."""
+    if isinstance(trace, SampledTrace):
+        return (trace.step_s, trace._n_samples)
+    return type(trace) if type(trace) in (DiurnalTrace, FlatTrace) else None
+
+
+def _leaf_rows(kind: Any, block: List["Trace"], ticks: Sequence[float], out: "np.ndarray") -> None:
+    """Write one row per trace of a block of one ``_kind`` into ``out``."""
+    if kind is DiurnalTrace:
         t = np.asarray(ticks, dtype=float)
-        n = len(t)
-        angle = 2.0 * math.pi * (t - trace.phase_s) / trace.period_s
-        out = 0.5 * (1.0 + np.fromiter(map(math.cos, angle.tolist()), float, n))
-        if trace.sharpness != 1.0:
-            out = np.fromiter(map(pow, out.tolist(), repeat(trace.sharpness)), float, n)
-        out = trace.low + (trace.high - trace.low) * out
-    elif isinstance(trace, FlatTrace):
-        out = np.full(len(ticks), trace.level, dtype=float)
-    elif isinstance(ticks, np.ndarray):
-        out = trace_grid(trace, ticks.tolist(), cache)
-    elif isinstance(trace, SampledTrace):
-        step = trace.step_s
-        n = trace._n_samples
-        # The gather index depends only on (step, n), not on the samples,
-        # so traces with the same grid shape — e.g. every diurnal trace in
-        # a fleet — share one index list.  Tuple keys cannot collide with
-        # the integer id() keys used for trace-result entries.
-        idx = None
-        if cache is not None:
-            idx = cache.get(("idx", step, n))
-        if idx is None:
-            idx = [int(t // step) % n for t in ticks]
-            if cache is not None:
-                cache[("idx", step, n)] = idx
-        out = trace._samples[idx]
-    elif isinstance(trace, CompositeTrace):
-        out = np.zeros(len(ticks))
-        for w, part in trace.parts:
-            out += w * trace_grid(part, ticks, cache)
-        # Elementwise _clamp01: replace with the exact constants the
-        # scalar comparisons produce, leave everything else untouched.
-        out[out < 0.0] = 0.0
-        out[out > 1.0] = 1.0
+        for k, d in enumerate(block):
+            # ``at``'s expression in its evaluation order, one array op each.
+            angle = 2.0 * math.pi * (t - d.phase_s) / d.period_s
+            base = 0.5 * (1.0 + np.fromiter(map(math.cos, angle.tolist()), float, len(t)))
+            if d.sharpness != 1.0:
+                base = np.fromiter(map(pow, base.tolist(), repeat(d.sharpness)), float, len(t))
+            out[k] = d.low + (d.high - d.low) * base
+    elif kind is FlatTrace:
+        out[...] = np.array([f.level for f in block])[:, None]
     else:
-        out = np.array([trace.at(t) for t in ticks], dtype=float)
-    if cache is not None:
-        cache[key] = out
-    return out
+        points = ticks.tolist() if isinstance(ticks, np.ndarray) else ticks
+        if kind is None:
+            for k, trace in enumerate(block):
+                out[k] = [trace.at(t) for t in points]
+            return
+        step, size = kind
+        idx = [int(t // step) % size for t in points]
+        lo, hi = min(idx, default=0), max(idx, default=0) + 1
+        span = np.array([s._samples[lo:hi] for s in block])
+        np.take(span, [i - lo for i in idx], axis=1, out=out)
+
+
+def _blend(
+    out: "np.ndarray", block: List["CompositeTrace"], vals: "np.ndarray", row: Dict[int, int]
+) -> None:
+    """Composite rows from their parts' rows in ``vals``, one pass per part position."""
+    out.fill(0.0)
+    scratch = np.empty_like(out)
+    for j in range(len(block[0].parts)):
+        parts = [c.parts[j] for c in block if len(c.parts) > j]
+        m = len(parts)
+        term = np.take(vals, [row[id(p)] for _, p in parts], axis=0, out=scratch[:m])
+        term *= np.array([w for w, _ in parts])[:, None]
+        out[:m] += term
+    # Elementwise _clamp01: replace with the exact constants the scalar
+    # comparisons produce, leave everything else untouched.
+    out[out < 0.0] = 0.0
+    out[out > 1.0] = 1.0
 
 
 class Trace:
@@ -115,7 +156,7 @@ class Trace:
         if horizon_s <= 0 or step_s <= 0:
             raise ValueError("horizon and step must be positive")
         n = max(1, int(horizon_s // step_s))
-        return sum(self.at(i * step_s) for i in range(n)) / n
+        return left_sum(self.at(i * step_s) for i in range(n)) / n
 
     def peak(self, horizon_s: float, step_s: float = 60.0) -> float:
         """Maximum demand over [0, horizon) sampled every ``step_s``."""

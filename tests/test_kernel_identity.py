@@ -13,14 +13,18 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import s3_policy
 from repro.core.runner import build_scenario
+from repro.datacenter import VM, Cluster
 from repro.datacenter.faults import FaultModel, MigrationFaultModel
 from repro.datacenter.vm import Priority
 from repro.power.models import LinearPowerModel, PiecewisePowerModel
+from repro.prototype import PROTOTYPE_BLADE
+from repro.sim import Environment
+from repro.telemetry.lattice import DemandLattice
 from repro.workload import FleetSpec
 from repro.workload.fleet import _Choice, _make_shared_trace, build_fleet
 from repro.workload.traces import (
@@ -28,8 +32,16 @@ from repro.workload.traces import (
     CompositeTrace,
     DiurnalTrace,
     FlatTrace,
+    NoisyTrace,
+    PlateauTrace,
+    SampledTrace,
+    ScaledTrace,
     SpikeTrace,
+    StepTrace,
+    Trace,
+    WeeklyTrace,
     trace_grid,
+    trace_grids,
 )
 
 
@@ -59,7 +71,7 @@ class TestPowerGridIdentity:
 
 
 class TestTraceGridIdentity:
-    """``trace_grid`` equals scalar ``trace.at`` over the whole fleet."""
+    """``trace_grids`` equals scalar ``trace.at`` over the whole fleet."""
 
     @pytest.mark.parametrize("seed", [0, 7, 42])
     def test_fleet_traces_bit_identical(self, seed):
@@ -68,23 +80,138 @@ class TestTraceGridIdentity:
             seed=seed,
         )
         ticks = [i * 60.0 for i in range(0, 256)]
-        cache = {}
-        for vm in fleet:
-            grid = trace_grid(vm.trace, ticks, cache)
+        grids = trace_grids([vm.trace for vm in fleet], ticks)
+        for vm, grid in zip(fleet, grids):
             scalar = [vm.trace.at(t) for t in ticks]
             assert [float(v) for v in grid] == scalar, vm.name
+            assert trace_grid(vm.trace, ticks).tolist() == scalar, vm.name
 
     def test_shared_index_cache_is_per_shape(self):
-        # Two sample grids of different shapes through one cache must not
-        # serve each other's gather indices.
+        # Sample grids of different shapes in one batch are gathered
+        # separately: no block serves another shape's columns.
         fleet = build_fleet(
             FleetSpec(n_vms=8, horizon_s=86_400.0), seed=1
         )
+        traces = [vm.trace for vm in fleet] + [BurstyTrace(3, horizon_s=7_200.0)]
         ticks = [i * 300.0 for i in range(64)]
-        cache = {}
-        for vm in fleet:
-            grid = trace_grid(vm.trace, ticks, cache)
-            assert [float(v) for v in grid] == [vm.trace.at(t) for t in ticks]
+        for trace, grid in zip(traces, trace_grids(traces, ticks)):
+            assert [float(v) for v in grid] == [trace.at(t) for t in ticks]
+
+
+class DipsBelowZero(Trace):
+    """Half load, then a negative fraction from ``at_s`` on."""
+
+    def __init__(self, at_s):
+        self.at_s = at_s
+
+    def at(self, t):
+        return 0.5 if t < self.at_s else -0.25
+
+
+_LEVEL = st.floats(0.0, 1.0)
+_SEEDS = st.integers(0, 2**31 - 1)
+#: (horizon, step) of the sample grids: tiny grids wrap inside one chunk.
+_GRIDS = st.sampled_from([(120.0, 60.0), (600.0, 60.0), (900.0, 300.0), (7_200.0, 60.0)])
+
+
+@st.composite
+def leaf_traces(draw):
+    """One trace of any kind but a composite."""
+    kind = draw(st.sampled_from(
+        ["sampled", "bursty", "spike", "noisy", "diurnal", "flat", "step", "plateau",
+         "weekly", "scaled"]
+    ))
+    horizon, step = draw(_GRIDS)
+    if kind == "sampled":
+        return SampledTrace(draw(st.lists(_LEVEL, min_size=1, max_size=50)), step_s=step)
+    if kind == "bursty":
+        return BurstyTrace(draw(_SEEDS), mean_gap_s=600.0, mean_burst_s=300.0,
+                           horizon_s=horizon, step_s=step)
+    if kind == "spike":
+        return SpikeTrace(draw(_SEEDS), spikes_per_day=200.0, horizon_s=horizon, step_s=step)
+    diurnal = DiurnalTrace(
+        *sorted([draw(_LEVEL), draw(_LEVEL)]),
+        period_s=draw(st.sampled_from([3_600.0, 86_400.0])),
+        peak_hour=draw(st.floats(0.0, 24.0)),
+        sharpness=draw(st.sampled_from([1.0, 0.7, 2.5])),
+    )
+    if kind == "noisy":
+        inner = diurnal if draw(st.booleans()) else FlatTrace(draw(_LEVEL))
+        return NoisyTrace(inner, draw(_SEEDS), sigma=0.1, horizon_s=horizon, step_s=step)
+    if kind == "diurnal":
+        return diurnal
+    if kind == "flat":
+        return FlatTrace(draw(_LEVEL))
+    if kind == "step":
+        steps = st.lists(st.tuples(st.floats(0.0, 1e6), _LEVEL), min_size=1, max_size=5)
+        return StepTrace(draw(steps))
+    if kind == "plateau":
+        ramp_s = draw(st.sampled_from([0.0, 1_800.0]))
+        return PlateauTrace(*sorted([draw(_LEVEL), draw(_LEVEL)]), ramp_s=ramp_s)
+    if kind == "weekly":
+        return WeeklyTrace(diurnal, weekend_factor=draw(_LEVEL))
+    return ScaledTrace(diurnal, draw(st.floats(0.0, 3.0)))
+
+
+@st.composite
+def trace_lists(draw):
+    """Traces of every kind, composites sharing parts and nesting."""
+    pool = draw(st.lists(leaf_traces(), min_size=1, max_size=6))
+    for _ in range(draw(st.integers(0, 6))):
+        parts = draw(st.lists(
+            st.tuples(st.floats(0.0, 2.0), st.sampled_from(pool)), min_size=1, max_size=4
+        ))
+        pool.append(CompositeTrace(parts))
+    return draw(st.lists(st.sampled_from(pool), min_size=1, max_size=12))
+
+
+#: A chunk of tick instants: any epoch, starting anywhere, wrapped grids
+#: and chunks past the end of every grid included.
+_CHUNKS = st.tuples(
+    st.sampled_from([30.0, 45.0, 60.0, 300.0]), st.integers(0, 20_000), st.integers(1, 40)
+).map(lambda c: [i * c[0] for i in range(c[1], c[1] + c[2])])
+
+
+class TestBatchedGridIdentity:
+    """Row ``i`` of ``trace_grids`` is ``traces[i].at(t)`` at every tick."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(traces=trace_lists(), ticks=_CHUNKS, as_array=st.booleans())
+    def test_rows_equal_scalar_at(self, traces, ticks, as_array):
+        grid = trace_grids(traces, np.array(ticks) if as_array else ticks)
+        assert grid.shape == (len(traces), len(ticks))
+        for trace, row in zip(traces, grid):
+            scalar = np.array([trace.at(t) for t in ticks], dtype=float)
+            assert row.tobytes() == scalar.tobytes(), trace
+            assert trace_grid(trace, ticks).tobytes() == scalar.tobytes(), trace
+
+    @settings(max_examples=40, deadline=None)
+    @given(traces=trace_lists(), i0=st.integers(0, 2_000), dip=st.integers(0, 127))
+    def test_fill_keeps_a_negative_row_off_the_lattice(self, traces, i0, dip):
+        env = Environment()
+        cluster = Cluster.homogeneous(env, PROTOTYPE_BLADE, 3, cores=16.0, mem_gb=1024.0)
+        epoch = 60.0
+        bad = VM("dips", 2, 1.0, DipsBelowZero((i0 + dip) * epoch))
+        vms = [VM("vm-{}".format(i), 1 + i % 4, 1.0, t) for i, t in enumerate(traces)]
+        for i, vm in enumerate(vms + [bad]):
+            cluster.add_vm(vm, cluster.hosts[i % 3])
+        lattice = DemandLattice(cluster, epoch)
+        lattice._fill(i0)
+        assert bad not in lattice.vm_col
+        assert lattice.class_tag is None
+        ticks = [i * epoch for i in range(i0, i0 + lattice.CHUNK_TICKS)]
+        for vm in vms:
+            column = lattice._vm[:, lattice.vm_col[vm]]
+            scalar = np.array([min(vm.trace.at(t), 1.0) * vm.vcpus for t in ticks])
+            assert column.tobytes() == scalar.tobytes()
+        for k, host in enumerate(cluster.hosts):
+            current = lattice.host_tags[k] == host._demand_epoch
+            assert current == (bool(host.vms) and bad.host is not host)
+            if current:
+                resident = np.zeros(len(ticks))
+                for vm in host.vms.values():
+                    resident += lattice._vm[:, lattice.vm_col[vm]]
+                assert lattice._hosts[:, 0, k].tobytes() == resident.tobytes()
 
 
 class TestScenarioGridIdentity:

@@ -159,3 +159,166 @@ class TestBuildReport:
         env.run(until=600)
         report = build_report("p", cluster, sampler, horizon_s=600.0)
         assert len(SimReport.header().split()) == len(report.row().split())
+
+
+def tick_steps(sampler):
+    """Which step of ``sample_once`` each host takes at ``env.now``.
+
+    Mirrors the walk's tests: ``settled`` and ``empty`` are its two short
+    steps, everything else the general step.  Selecting the tick first is
+    what ``sample_once`` does itself; the second selection is a no-op.
+    """
+    lattice = sampler.lattice
+    on = lattice.tick(sampler.env.now)
+    steps = []
+    for k, host in enumerate(sampler.cluster.hosts):
+        active = host.is_active
+        current = on and lattice.host_tags[k] == host._demand_epoch
+        tax = host.migration_tax_cores
+        if (
+            active and current and tax == 0.0 and host.dvfs is None
+            and not lattice.resident_now[k] > host.cores - 1.0
+        ):
+            steps.append("settled")
+        elif not active and not host.vms and tax == 0.0:
+            steps.append("empty")
+        elif host.dvfs is not None and host.vms:
+            steps.append("general-dvfs-rows" if current else "general-dvfs")
+        elif tax != 0.0:
+            steps.append("general-taxed")
+        elif host.vms and not current:
+            steps.append("general-stale")
+        else:
+            steps.append("general")
+    registry_changed = not (on and lattice.class_tag == sampler.cluster._vm_epoch)
+    return steps, registry_changed
+
+
+class TestTickPaths:
+    """Every step of the tick walk equals a direct trace-read reference."""
+
+    def test_every_step_matches_the_trace_read_reference(self):
+        from benchmarks.test_sampler_micro import naive_sample, trace_cores
+        from repro.datacenter.vm import Priority
+        from repro.fold import left_sum
+        from repro.power.dvfs import DvfsModel
+        from repro.workload import FleetSpec, build_fleet
+
+        env = Environment()
+        cluster = Cluster.heterogeneous(
+            env,
+            [
+                dict(count=5, profile=PROTOTYPE_BLADE, cores=16.0, mem_gb=512.0),
+                dict(count=2, profile=PROTOTYPE_BLADE, cores=16.0, mem_gb=512.0, dvfs=DvfsModel()),
+                # Small enough to run within a core of its capacity.
+                dict(count=1, profile=PROTOTYPE_BLADE, cores=3.0, mem_gb=512.0),
+            ],
+        )
+        hosts = cluster.hosts
+        horizon = 6 * 3600.0
+        fleet = build_fleet(FleetSpec(n_vms=30, horizon_s=horizon, shared_fraction=0.3), seed=11)
+        spare = fleet[-3:]
+        for i, vm in enumerate(fleet[:-5]):
+            cluster.add_vm(vm, hosts[1 + i % 6])
+        for vm in fleet[-5:-3]:
+            cluster.add_vm(vm, hosts[7])
+        ceiling = 0.8
+        sampler = ClusterSampler(env, cluster, epoch_s=60.0, headroom_ceiling=ceiling)
+
+        def script(env):
+            # hosts[0] is empty: parking, parked, waking, then active.
+            env.process(hosts[0].park(PowerState.SLEEP))
+            yield env.timeout(1800.0)
+            hosts[1].migration_tax_cores = 2.5
+            yield env.timeout(1800.0)
+            hosts[1].migration_tax_cores = 0.0
+            vm = next(iter(hosts[2].vms.values()))
+            hosts[2].remove(vm)
+            hosts[3].place(vm)
+            yield env.timeout(1800.0)
+            cluster.add_vm(spare[0], hosts[4])
+            cluster.add_vm(spare[1], hosts[5])
+            yield env.timeout(3600.0)
+            cluster.remove_vm(next(iter(hosts[4].vms.values())))
+            env.process(hosts[0].wake())
+
+        seen = {}
+        expected = {"shortfall": 0.0, "demand": 0.0}
+        expected_class = {p: [0.0, 0.0] for p in Priority}
+        sample_once = sampler.sample_once
+
+        def checked_sample():
+            now = env.now
+            steps, registry_changed = tick_steps(sampler)
+            for step in steps:
+                seen[step] = seen.get(step, 0) + 1
+            seen["registry-walk"] = seen.get("registry-walk", 0) + registry_changed
+            shortfall, class_sf, class_d, demand = naive_sample(cluster, now)
+            sample_once()
+            s = sampler.series
+            assert s["shortfall_cores"].values[-1] == shortfall
+            assert s["demand_cores"].values[-1] == demand
+            for p, name in ((Priority.GOLD, "gold"), (Priority.SILVER, "silver"),
+                            (Priority.BRONZE, "bronze")):
+                assert s["shortfall_" + name].values[-1] == class_sf[p]
+                expected_class[p][0] += class_sf[p] * 60.0
+                expected_class[p][1] += class_d[p] * 60.0
+            expected["shortfall"] += shortfall * 60.0
+            expected["demand"] += demand * 60.0
+            # Per host: the caches, the machine and the meter the step
+            # wrote, from the same trace reads.
+            watts = []
+            overload = headroom = 0.0
+            for host in hosts:
+                resident = 0.0
+                for vm in host.vms.values():
+                    resident += trace_cores(vm, now)
+                demand_h = resident + host.migration_tax_cores
+                assert host._demand_key == (now, host._demand_epoch)
+                assert (host._resident_value, host._demand_value) == (resident, demand_h)
+                machine = host.machine
+                if host.is_active:
+                    u = min(demand_h / host.cores, 1.0)
+                    scale = 1.0
+                    if host.dvfs is not None:
+                        freq = host.dvfs.level_for(demand_h / host.cores, target=host.dvfs_target)
+                        assert host.frequency == freq
+                        scale = host.dvfs.power_scale(freq)
+                    idle = machine.profile.idle_w
+                    power = idle + (machine.profile.active_model.power_at(u) - idle) * scale
+                    assert (machine.utilization, machine.meter.power_w) == (u, power)
+                    overload += max(0.0, demand_h - host.cores)
+                    if not (host.evacuating or host.in_maintenance):
+                        headroom += max(0.0, host.cores * ceiling - demand_h)
+                else:
+                    assert machine.utilization == 0.0
+                watts.append(machine.meter.power_w)
+            assert s["power_w"].values[-1] == left_sum(watts)
+            assert (sampler._agg_overload, sampler._agg_headroom) == (overload, headroom)
+            assert s["vm_count"].values[-1] == cluster.vm_count
+            assert s["active_hosts"].values[-1] == cluster.n_active_hosts()
+            assert s["parked_hosts"].values[-1] == cluster.n_parked_hosts()
+            assert s["transitioning_hosts"].values[-1] == cluster.n_transitioning_hosts()
+            assert s["active_capacity_cores"].values[-1] == cluster.active_capacity_cores()
+            assert s["committed_capacity_cores"].values[-1] == cluster.committed_capacity_cores()
+
+        sampler.sample_once = checked_sample
+        sampler.start()
+        env.process(script(env))
+        env.run(until=horizon)
+        assert sampler.samples == 360
+        assert (sampler.shortfall_core_s, sampler.demand_core_s) == (
+            expected["shortfall"], expected["demand"]
+        )
+        for p in Priority:
+            assert (
+                sampler.class_shortfall_core_s[p], sampler.class_demand_core_s[p]
+            ) == tuple(expected_class[p])
+        assert sampler.shortfall_core_s > 0.0
+        # Not vacuous: both short steps, every kind of general step and the
+        # registry walk all ran.
+        for step in (
+            "settled", "empty", "general", "general-dvfs-rows", "general-dvfs",
+            "general-taxed", "general-stale", "registry-walk",
+        ):
+            assert seen.get(step, 0) > 0, (step, seen)
