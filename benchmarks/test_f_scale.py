@@ -1,42 +1,21 @@
-"""F-scale — simulation-kernel throughput vs. cluster size.
+"""F-scale — the S3-PM scenario from 16 to 2000 hosts.
 
-The paper's consolidation argument only gets interesting at fleet scale
-(the ROADMAP targets a 10k-host kernel), so this benchmark measures the
-*kernel itself*: one S3-PM scenario at hosts ∈ {16, 100, 500, 2000} with
-a 4×-host VM fleet, recording
+One S3-PM scenario at hosts ∈ {16, 100, 500, 2000} with a 4×-host VM
+fleet (2 h, seed 7).  Every point runs traced: it must reproduce its
+pinned report floats bit for bit and certify against the invariant
+checker.  The 2000-host point is perfbench's ``fleet-2k`` workload,
+which carries the timings (``perfbench/run.py --workload fleet-2k``).
 
-* ``setup_s``       — wall-clock building the scenario (fleet generation,
-  initial placement, wiring), reported separately so kernel throughput is
-  not polluted by setup;
-* ``sim_wall_s``    — wall-clock inside ``env.run`` only;
-* ``events_per_s``  — ``env.events_processed / sim_wall_s``, the headline
-  kernel metric;
-* ``peak_rss_kb``   — process high-water memory.
-
-Run the full series (writes ``BENCH_scale.json`` at the repo root)::
-
-    PYTHONPATH=src:. python benchmarks/test_f_scale.py
-
-The checked-in ``PRE_PR_KERNEL`` table is the same series measured by
-this exact harness at the pre-optimization seed commit (62119b1); the
-acceptance bar is ≥5× events/sec at 500 hosts against it.  Note the
-optimized kernel processes *fewer* events per run (same-instant timeouts
-are coalesced into shared events), which penalizes the events/sec
-metric — the speedup is real wall-clock and then some.
-
-``test_f_scale_smoke`` runs the 100-host point under a CI wall-clock
-budget and doubles as a determinism guard: the optimized kernel must
-reproduce the pre-PR energy/violation numbers bit for bit.
+``test_f_scale_smoke`` keeps a coarse CI wall budget on the 100-host
+point, timed around set-up plus simulation.
 """
 
-import json
-import os
-import resource
-import sys
-from pathlib import Path
+import time
 
-from repro.core.atomicio import atomic_write_json
-from repro.core import run_scenario, s3_policy
+import pytest
+
+from repro.core import ScenarioResult, run_scenario, s3_policy
+from repro.telemetry.validate import validate_trace
 from repro.workload import FleetSpec
 
 F_SCALE_HOSTS = (16, 100, 500, 2000)
@@ -44,171 +23,72 @@ F_SCALE_HOURS = 2.0
 F_SCALE_SEED = 7
 F_SCALE_VMS_PER_HOST = 4
 
-#: Kernel series measured by this harness at the pre-PR seed commit
-#: (62119b1) on the 1-core dev container — the fixed reference the ≥5×
-#: events/sec bar at 500 hosts is checked against.  ``energy_kwh`` and
-#: ``violation_fraction`` double as bit-exactness references: the kernel
-#: rewrite must not change a single reported float.
-PRE_PR_KERNEL = {
+#: Each point's report floats, first recorded by the pre-optimization
+#: kernel (62119b1).  Every kernel since has reproduced them bit for
+#: bit: a speed-up must not change a single reported float.
+F_SCALE_REFERENCE = {
     16: {
-        "sim_wall_s": 0.0497,
-        "events_processed": 741,
-        "events_per_s": 14914.8,
-        "peak_rss_kb": 40452,
         "energy_kwh": 3.9898557878258334,
         "violation_fraction": 0.00018755828805914687,
     },
     100: {
-        "sim_wall_s": 0.3114,
-        "events_processed": 1294,
-        "events_per_s": 4155.1,
-        "peak_rss_kb": 41064,
         "energy_kwh": 34.20022943489282,
         "violation_fraction": 0.0001081819791852878,
     },
     500: {
-        "sim_wall_s": 1.6499,
-        "events_processed": 1198,
-        "events_per_s": 726.1,
-        "peak_rss_kb": 44624,
         "energy_kwh": 193.7839698879919,
         "violation_fraction": 1.3220273923512893e-05,
     },
     2000: {
-        "sim_wall_s": 7.2219,
-        "events_processed": 1247,
-        "events_per_s": 172.7,
-        "peak_rss_kb": 60564,
         "energy_kwh": 792.3285347977962,
         "violation_fraction": 2.6832565920205387e-06,
     },
 }
 
-#: events/sec multiple the 500-host point must clear vs. ``PRE_PR_KERNEL``.
-TARGET_SPEEDUP_500 = 5.0
-
-#: CI wall-clock budget for the 100-host smoke point (generous: the point
-#: runs in well under a second on the dev container; shared runners jitter).
-SMOKE_SIM_WALL_BUDGET_S = 2.0
+#: CI wall budget for the 100-host point, set-up included (generous: it
+#: runs in well under a second on a 2-vCPU container; shared runners
+#: jitter).
+SMOKE_WALL_BUDGET_S = 2.0
 
 
-def run_point(n_hosts: int) -> dict:
-    """Run one F-scale point and return its measurement row."""
+def run_point(n_hosts: int) -> ScenarioResult:
+    """Run one traced F-scale point."""
     horizon_s = F_SCALE_HOURS * 3600.0
-    fleet = FleetSpec(
-        n_vms=F_SCALE_VMS_PER_HOST * n_hosts,
-        horizon_s=horizon_s,
-        shared_fraction=0.3,
-    )
-    result = run_scenario(
+    return run_scenario(
         s3_policy(),
         n_hosts=n_hosts,
         horizon_s=horizon_s,
         seed=F_SCALE_SEED,
-        fleet_spec=fleet,
+        fleet_spec=FleetSpec(
+            n_vms=F_SCALE_VMS_PER_HOST * n_hosts,
+            horizon_s=horizon_s,
+            shared_fraction=0.3,
+        ),
+        trace=True,
     )
-    events = result.env.events_processed
+
+
+def point_row(result: ScenarioResult) -> dict:
+    """The pinned fields of one finished point."""
     return {
-        "hosts": n_hosts,
-        "vms": fleet.n_vms,
-        "hours": F_SCALE_HOURS,
-        "seed": F_SCALE_SEED,
-        "setup_s": round(result.setup_wall_s, 3),
-        "sim_wall_s": round(result.sim_wall_s, 4),
-        "events_processed": events,
-        "events_per_s": round(events / result.sim_wall_s, 1),
-        "peak_rss_kb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
         "energy_kwh": result.report.energy_kwh,
         "violation_fraction": result.report.violation_fraction,
     }
 
 
+@pytest.mark.parametrize("n_hosts", F_SCALE_HOSTS)
+def test_f_scale_point(n_hosts):
+    """Each point reproduces its pinned floats and certifies."""
+    result = run_point(n_hosts)
+    assert point_row(result) == F_SCALE_REFERENCE[n_hosts]
+    assert validate_trace(result.trace, report=result.report).ok
+
+
 def test_f_scale_smoke():
-    """100-host F-scale point under a wall budget, bit-exact vs. pre-PR."""
-    point = run_point(100)
-    ref = PRE_PR_KERNEL[100]
-    assert point["events_processed"] > 0
-    assert point["sim_wall_s"] < SMOKE_SIM_WALL_BUDGET_S
-    # The kernel rewrite is an optimization, not a behavior change: every
-    # reported number matches the pre-PR kernel exactly.
-    assert point["energy_kwh"] == ref["energy_kwh"]
-    assert point["violation_fraction"] == ref["violation_fraction"]
-
-
-def _run_point_subprocess(n_hosts: int) -> dict:
-    """Run one point in a fresh interpreter.
-
-    Each point gets its own process so the measurements don't contaminate
-    each other: peak RSS is a per-point high-water mark (not the max over
-    every earlier, larger heap) and GC pressure from one point's garbage
-    never bleeds into the next point's wall-clock.  ``PRE_PR_KERNEL`` was
-    measured one-point-per-process the same way.
-    """
-    import subprocess
-
-    env = dict(os.environ)
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-    proc = subprocess.run(
-        [sys.executable, str(Path(__file__).resolve()), "--point", str(n_hosts)],
-        env=env,
-        stdout=subprocess.PIPE,
-        check=True,
-    )
-    return json.loads(proc.stdout.decode())
-
-
-def main() -> int:
-    points = []
-    for n_hosts in F_SCALE_HOSTS:
-        point = _run_point_subprocess(n_hosts)
-        ref = PRE_PR_KERNEL[n_hosts]
-        point["pre_pr"] = dict(ref)
-        point["speedup_events_per_s"] = round(
-            point["events_per_s"] / ref["events_per_s"], 2
-        )
-        point["speedup_sim_wall"] = round(
-            ref["sim_wall_s"] / point["sim_wall_s"], 2
-        )
-        point["bit_identical_report"] = (
-            point["energy_kwh"] == ref["energy_kwh"]
-            and point["violation_fraction"] == ref["violation_fraction"]
-        )
-        points.append(point)
-        print(
-            "hosts={:>5}  sim={:7.4f}s  setup={:6.3f}s  events={:>5}  "
-            "ev/s={:>8}  x{:<5}  rss={} KiB  exact={}".format(
-                point["hosts"], point["sim_wall_s"], point["setup_s"],
-                point["events_processed"], point["events_per_s"],
-                point["speedup_events_per_s"], point["peak_rss_kb"],
-                point["bit_identical_report"],
-            )
-        )
-
-    by_hosts = {p["hosts"]: p for p in points}
-    speedup_500 = by_hosts[500]["speedup_events_per_s"]
-    all_exact = all(p["bit_identical_report"] for p in points)
-    payload = {
-        "series": "F-scale",
-        "harness": "benchmarks/test_f_scale.py",
-        "pre_pr_commit": "62119b1",
-        "target_speedup_500": TARGET_SPEEDUP_500,
-        "speedup_500": speedup_500,
-        "largest_point_completed": 2000 in by_hosts,
-        "reports_bit_identical": all_exact,
-        "points": points,
-    }
-    out = Path(__file__).resolve().parent.parent / "BENCH_scale.json"
-    atomic_write_json(out, payload)
-    print("wrote {}".format(out))
-
-    ok = speedup_500 >= TARGET_SPEEDUP_500 and all_exact
-    print("acceptance: {}".format("PASS" if ok else "FAIL"))
-    return 0 if ok else 1
-
-
-if __name__ == "__main__":
-    if len(sys.argv) == 3 and sys.argv[1] == "--point":
-        print(json.dumps(run_point(int(sys.argv[2]))))
-        sys.exit(0)
-    sys.exit(main())
+    """100-host point under a wall budget, bit-exact vs. its pinned row."""
+    started = time.perf_counter()
+    result = run_point(100)
+    elapsed_s = time.perf_counter() - started
+    assert result.env.events_processed > 0
+    assert elapsed_s < SMOKE_WALL_BUDGET_S
+    assert point_row(result) == F_SCALE_REFERENCE[100]

@@ -15,31 +15,22 @@ migrations, stale telemetry, churn):
   degraded rounds restrict parking to fresh underload evidence, and the
   run must still certify.
 
-Recorded per point: energy, violation fractions, wake/park/rejection
-counters, detector-channel traffic, safe-mode entries, and
-``decision_loop_latency_s`` — mean wall-clock per consolidation round
-(``sim_wall_s`` / planner rounds), the decision-loop cost proxy the
-overhead experiments track.  100-host points are traced and replayed
-through the invariant checker; 1000-host points run untraced for wall
-budget.
+Every point runs traced: it must reproduce its pinned row (energy,
+violation fractions, wake/park/rejection counters, safe-mode entries and
+detector-channel traffic) and certify against the invariant checker.
+The decision loop's cost is perfbench's ``plane.round_ms``
+(``perfbench/run.py --workload diurnal-chaos --trace 1``).
 
-Run the full series (writes ``BENCH_plane.json`` at the repo root)::
-
-    PYTHONPATH=src:. python benchmarks/test_plane_headtohead.py
-
-``test_plane_headtohead_smoke`` runs the 100-host points under a CI
-wall budget and guards the headline claims: healthy-neat bit-exactness
-and certified degraded operation.
+``test_plane_headtohead_smoke`` keeps a coarse CI wall budget on the
+100-host centralized point and guards the headline claims: healthy-neat
+bit-exactness and a degraded channel that really drops reports.
 """
 
-import json
-import os
-import resource
-import sys
-from pathlib import Path
+import time
 
-from repro.core.atomicio import atomic_write_json
-from repro.core import run_scenario, s3_policy
+import pytest
+
+from repro.core import ScenarioResult, run_scenario, s3_policy
 from repro.datacenter import (
     FaultModel,
     MigrationFaultModel,
@@ -50,8 +41,6 @@ from repro.telemetry import StalenessModel
 from repro.telemetry.validate import validate_trace
 from repro.workload import FleetSpec
 
-PLANE_HOSTS = (100, 1000)
-PLANE_MODES = ("centralized", "neat", "neat-degraded")
 PLANE_HOURS = 2.0
 PLANE_SEED = 2013
 PLANE_VMS_PER_HOST = 4
@@ -61,8 +50,104 @@ PLANE_VMS_PER_HOST = 4
 DEGRADED_DELAY_S = 120.0
 DEGRADED_DROPOUT = 0.2
 
-#: CI wall budget for one traced 100-host chaos point.
-SMOKE_SIM_WALL_BUDGET_S = 10.0
+#: CI wall budget for one traced 100-host chaos point, set-up included.
+SMOKE_WALL_BUDGET_S = 10.0
+
+#: ``report.extra`` counters pinned per point (besides the floats).
+PLANE_COUNTERS = (
+    "wakes_requested",
+    "wake_failures",
+    "wake_rejections",
+    "reactive_wakes",
+    "parks_completed",
+    "safe_mode_enters",
+    "detector_reports",
+    "detector_reports_dropped",
+)
+
+#: Each point's pinned row, keyed by (hosts, mode).  Healthy neat equals
+#: centralized at both sizes; the degraded channel parks less and drops
+#: about a fifth of its reports.
+PLANE_REFERENCE = {
+    (100, "centralized"): {
+        "energy_kwh": 32.92561718659713,
+        "violation_fraction": 0.0,
+        "violation_gold": 0.0,
+        "wakes_requested": 0,
+        "wake_failures": 0,
+        "wake_rejections": 0,
+        "reactive_wakes": 0,
+        "parks_completed": 32,
+        "safe_mode_enters": 0,
+        "detector_reports": 0,
+        "detector_reports_dropped": 0,
+    },
+    (100, "neat"): {
+        "energy_kwh": 32.92561718659713,
+        "violation_fraction": 0.0,
+        "violation_gold": 0.0,
+        "wakes_requested": 0,
+        "wake_failures": 0,
+        "wake_rejections": 0,
+        "reactive_wakes": 0,
+        "parks_completed": 32,
+        "safe_mode_enters": 0,
+        "detector_reports": 1958,
+        "detector_reports_dropped": 0,
+    },
+    (100, "neat-degraded"): {
+        "energy_kwh": 36.56169234240814,
+        "violation_fraction": 0.0,
+        "violation_gold": 0.0,
+        "wakes_requested": 0,
+        "wake_failures": 0,
+        "wake_rejections": 0,
+        "reactive_wakes": 0,
+        "parks_completed": 4,
+        "safe_mode_enters": 2,
+        "detector_reports": 2218,
+        "detector_reports_dropped": 457,
+    },
+    (1000, "centralized"): {
+        "energy_kwh": 372.42004761506087,
+        "violation_fraction": 0.0,
+        "violation_gold": 0.0,
+        "wakes_requested": 0,
+        "wake_failures": 0,
+        "wake_rejections": 0,
+        "reactive_wakes": 0,
+        "parks_completed": 31,
+        "safe_mode_enters": 0,
+        "detector_reports": 0,
+        "detector_reports_dropped": 0,
+    },
+    (1000, "neat"): {
+        "energy_kwh": 372.42004761506087,
+        "violation_fraction": 0.0,
+        "violation_gold": 0.0,
+        "wakes_requested": 0,
+        "wake_failures": 0,
+        "wake_rejections": 0,
+        "reactive_wakes": 0,
+        "parks_completed": 31,
+        "safe_mode_enters": 0,
+        "detector_reports": 22653,
+        "detector_reports_dropped": 0,
+    },
+    (1000, "neat-degraded"): {
+        "energy_kwh": 376.02073532663184,
+        "violation_fraction": 0.0,
+        "violation_gold": 0.0,
+        "wakes_requested": 0,
+        "wake_failures": 0,
+        "wake_rejections": 0,
+        "reactive_wakes": 0,
+        "parks_completed": 4,
+        "safe_mode_enters": 1,
+        "detector_reports": 22918,
+        "detector_reports_dropped": 4573,
+    },
+}
 
 
 def chaos_fault_model(horizon_s: float) -> FaultModel:
@@ -89,10 +174,10 @@ def plane_policy(mode: str):
     return config
 
 
-def run_point(n_hosts: int, mode: str) -> dict:
+def run_point(n_hosts: int, mode: str) -> ScenarioResult:
+    """Run one traced head-to-head point under the chaos suite."""
     horizon_s = PLANE_HOURS * 3600.0
-    traced = n_hosts <= 100
-    result = run_scenario(
+    return run_scenario(
         plane_policy(mode),
         n_hosts=n_hosts,
         horizon_s=horizon_s,
@@ -105,140 +190,42 @@ def run_point(n_hosts: int, mode: str) -> dict:
         churn_rate_per_h=2.0,
         fault_model=chaos_fault_model(horizon_s),
         telemetry_model=StalenessModel(delay_s=60.0, dropout_rate=0.1),
-        trace=traced,
+        trace=True,
     )
-    certified = None
-    if traced:
-        check = validate_trace(result.trace, report=result.report)
-        certified = bool(check.ok)
+
+
+def point_row(result: ScenarioResult) -> dict:
+    """The pinned fields of one finished point."""
     extra = result.report.extra
-    rounds = horizon_s / plane_policy(mode).period_s
-    return {
-        "hosts": n_hosts,
-        "mode": mode,
-        "vms": PLANE_VMS_PER_HOST * n_hosts,
-        "hours": PLANE_HOURS,
-        "seed": PLANE_SEED,
-        "sim_wall_s": round(result.sim_wall_s, 4),
-        "decision_loop_latency_s": round(result.sim_wall_s / rounds, 6),
+    row = {
         "energy_kwh": result.report.energy_kwh,
         "violation_fraction": result.report.violation_fraction,
         "violation_gold": extra["violation_gold"],
-        "wakes_requested": int(extra["wakes_requested"]),
-        "wake_failures": int(extra["wake_failures"]),
-        "wake_rejections": int(extra["wake_rejections"]),
-        "reactive_wakes": int(extra["reactive_wakes"]),
-        "parks_completed": int(extra["parks_completed"]),
-        "safe_mode_enters": int(extra["safe_mode_enters"]),
-        "detector_reports": int(extra["detector_reports"]),
-        "detector_reports_dropped": int(extra["detector_reports_dropped"]),
-        "certified": certified,
-        "peak_rss_kb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
     }
+    row.update((name, int(extra[name])) for name in PLANE_COUNTERS)
+    return row
+
+
+@pytest.mark.parametrize("n_hosts, mode", list(PLANE_REFERENCE))
+def test_plane_point(n_hosts, mode):
+    """Each point reproduces its pinned row and certifies."""
+    result = run_point(n_hosts, mode)
+    assert point_row(result) == PLANE_REFERENCE[(n_hosts, mode)]
+    assert validate_trace(result.trace, report=result.report).ok
 
 
 def test_plane_headtohead_smoke():
-    """100-host chaos points: healthy-neat bit-exact, degraded certified."""
-    base = run_point(100, "centralized")
-    neat = run_point(100, "neat")
-    degraded = run_point(100, "neat-degraded")
-    assert base["sim_wall_s"] < SMOKE_SIM_WALL_BUDGET_S
+    """100-host chaos points: healthy-neat bit-exact, degraded drops reports."""
+    started = time.perf_counter()
+    base = point_row(run_point(100, "centralized"))
+    elapsed_s = time.perf_counter() - started
+    neat = point_row(run_point(100, "neat"))
+    degraded = point_row(run_point(100, "neat-degraded"))
+    assert elapsed_s < SMOKE_WALL_BUDGET_S
     # The decomposition is free: a healthy channel reproduces the
     # centralized run bit for bit, chaos and all.
     assert neat["energy_kwh"] == base["energy_kwh"]
     assert neat["violation_fraction"] == base["violation_fraction"]
     assert neat["detector_reports"] > 0
-    # Degraded operation actually degraded — and still certified.
+    # Degraded operation actually degraded.
     assert degraded["detector_reports_dropped"] > 0
-    for point in (base, neat, degraded):
-        assert point["certified"] is True, point["mode"]
-
-
-def _run_point_subprocess(n_hosts: int, mode: str) -> dict:
-    """One point per fresh interpreter, as in ``test_f_scale``."""
-    import subprocess
-
-    env = dict(os.environ)
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-    proc = subprocess.run(
-        [
-            sys.executable, str(Path(__file__).resolve()),
-            "--point", "{}:{}".format(n_hosts, mode),
-        ],
-        env=env,
-        stdout=subprocess.PIPE,
-        check=True,
-    )
-    return json.loads(proc.stdout.decode())
-
-
-def main() -> int:
-    points = []
-    for n_hosts in PLANE_HOSTS:
-        for mode in PLANE_MODES:
-            point = _run_point_subprocess(n_hosts, mode)
-            points.append(point)
-            print(
-                "hosts={:>5}  {:<14}  sim={:7.3f}s  loop={:8.6f}s  "
-                "E={:10.4f} kWh  viol={:.3e}  rej={:>3}  drop={:>5}  "
-                "cert={}".format(
-                    point["hosts"], point["mode"], point["sim_wall_s"],
-                    point["decision_loop_latency_s"], point["energy_kwh"],
-                    point["violation_fraction"], point["wake_rejections"],
-                    point["detector_reports_dropped"], point["certified"],
-                )
-            )
-
-    by_key = {(p["hosts"], p["mode"]): p for p in points}
-    neat_exact = all(
-        by_key[(h, "neat")]["energy_kwh"]
-        == by_key[(h, "centralized")]["energy_kwh"]
-        and by_key[(h, "neat")]["violation_fraction"]
-        == by_key[(h, "centralized")]["violation_fraction"]
-        for h in PLANE_HOSTS
-    )
-    degraded_degraded = all(
-        by_key[(h, "neat-degraded")]["detector_reports_dropped"] > 0
-        for h in PLANE_HOSTS
-    )
-    traced_certified = all(
-        p["certified"] for p in points if p["certified"] is not None
-    )
-    payload = {
-        "series": "plane-headtohead",
-        "harness": "benchmarks/test_plane_headtohead.py",
-        "chaos": {
-            "wake_failure_rate": 0.1,
-            "permanent_fraction": 0.1,
-            "mttr_s": 3600.0,
-            "burst_rate": 0.5,
-            "migration_failure_rate": 0.1,
-            "telemetry_delay_s": 60.0,
-            "telemetry_dropout": 0.1,
-            "churn_rate_per_h": 2.0,
-        },
-        "degraded_channel": {
-            "delay_s": DEGRADED_DELAY_S,
-            "dropout": DEGRADED_DROPOUT,
-        },
-        "neat_bit_identical": neat_exact,
-        "degraded_runs_degraded": degraded_degraded,
-        "traced_runs_certified": traced_certified,
-        "points": points,
-    }
-    out = Path(__file__).resolve().parent.parent / "BENCH_plane.json"
-    atomic_write_json(out, payload)
-    print("wrote {}".format(out))
-
-    ok = neat_exact and degraded_degraded and traced_certified
-    print("acceptance: {}".format("PASS" if ok else "FAIL"))
-    return 0 if ok else 1
-
-
-if __name__ == "__main__":
-    if len(sys.argv) == 3 and sys.argv[1] == "--point":
-        hosts, mode = sys.argv[2].split(":")
-        print(json.dumps(run_point(int(hosts), mode)))
-        sys.exit(0)
-    sys.exit(main())

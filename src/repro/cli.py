@@ -30,7 +30,13 @@ import time
 from typing import List, Optional
 
 from repro.analysis import render_series, render_table
-from repro.core import ResultCache, ScenarioSpec, run_scenario, run_scenarios
+from repro.core import (
+    ManagerConfig,
+    ResultCache,
+    ScenarioSpec,
+    run_scenario,
+    run_scenarios,
+)
 from repro.core.atomicio import atomic_write_json, atomic_write_text
 from repro.core.cache import default_cache_dir
 from repro.core.policies import POLICIES, policy_by_name
@@ -92,16 +98,13 @@ def _add_scenario_args(parser: argparse.ArgumentParser) -> None:
         help="neat mode: probability a detector report is lost in the "
         "request channel (default: 0)",
     )
-    parser.add_argument(
-        "--timeline",
-        action="store_true",
-        help="print demand / active-host / power sparklines",
-    )
-    parser.add_argument(
-        "--json",
-        action="store_true",
-        help="emit the report(s) as JSON instead of a table",
-    )
+
+
+#: ``--json`` help of the verbs that print report tables.
+_JSON_HELP = "emit the report(s) as JSON instead of a table"
+
+
+def _add_profile_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--profile",
         action="store_true",
@@ -115,6 +118,27 @@ def _add_scenario_args(parser: argparse.ArgumentParser) -> None:
         help="where --profile writes its machine-readable artifact "
         "(top-25 cumulative functions; default: %(default)s)",
     )
+
+
+def _policy_configs(command: str, names: str) -> Optional[List[ManagerConfig]]:
+    """The presets a ``--policies`` comma list names.
+
+    Prints a usage message and returns None when a name is unknown or
+    the list names none.
+    """
+    try:
+        configs = [policy_by_name(n.strip()) for n in names.split(",") if n.strip()]
+    except ValueError:
+        configs = []
+    if not configs:
+        print(
+            "repro {}: --policies {!r} must name presets from {}".format(
+                command, names, ", ".join(sorted(POLICIES))
+            ),
+            file=sys.stderr,
+        )
+        return None
+    return configs
 
 
 def _plane_config(config, args: argparse.Namespace):
@@ -257,20 +281,8 @@ def cmd_branch(args: argparse.Namespace) -> int:
     """Fan a warm checkpoint out across policy variants."""
     from repro.core import CheckpointError, branch_scenarios, read_manifest
 
-    try:
-        names = [n.strip() for n in args.policies.split(",") if n.strip()]
-        configs = [policy_by_name(name) for name in names]
-    except (KeyError, ValueError) as exc:
-        print(
-            "repro branch: unknown policy in {!r} (choose from {})".format(
-                args.policies, ", ".join(sorted(POLICIES))
-            ),
-            file=sys.stderr,
-        )
-        return 2
-    if not configs:
-        print("repro branch: --policies must name at least one preset",
-              file=sys.stderr)
+    configs = _policy_configs("branch", args.policies)
+    if configs is None:
         return 2
     horizon_s = args.hours * 3600.0 if args.hours is not None else None
     try:
@@ -314,16 +326,13 @@ def cmd_branch(args: argparse.Namespace) -> int:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
+    configs = _policy_configs("compare", args.policies)
+    if configs is None:
+        return 2
     kwargs = _scenario_kwargs(args)
-    names = args.policies.split(",") if args.policies else [
-        "AlwaysOn", "S5-PM", "S3-PM", "Hybrid",
-    ]
     specs = [
-        ScenarioSpec(
-            _plane_config(policy_by_name(name.strip()), args),
-            kwargs=dict(kwargs),
-        )
-        for name in names
+        ScenarioSpec(_plane_config(config, args), kwargs=dict(kwargs))
+        for config in configs
     ]
     workers = 1 if args.profile else args.workers
     runner = lambda: run_scenarios(  # noqa: E731
@@ -470,10 +479,12 @@ def cmd_trace(args: argparse.Namespace) -> int:
             print(outcome.render_text())
         return 0 if outcome.ok else 1
 
-    if args.path:
+    if args.path or args.json:
         print(
-            "repro trace: unexpected positional {!r} (a file path only goes "
-            "with 'check')".format(args.path),
+            "repro trace: unexpected {} (a file path and --json only go "
+            "with 'check')".format(
+                "positional {!r}".format(args.path) if args.path else "--json"
+            ),
             file=sys.stderr,
         )
         return 2
@@ -879,7 +890,14 @@ def build_parser() -> argparse.ArgumentParser:
         help="keep O(1) telemetry aggregates instead of full series "
         "(long-horizon service mode; disables --timeline)",
     )
+    run_parser.add_argument(
+        "--timeline",
+        action="store_true",
+        help="print demand / active-host / power sparklines",
+    )
     _add_scenario_args(run_parser)
+    run_parser.add_argument("--json", action="store_true", help=_JSON_HELP)
+    _add_profile_args(run_parser)
     run_parser.set_defaults(func=cmd_run)
 
     branch_parser = sub.add_parser(
@@ -926,8 +944,8 @@ def build_parser() -> argparse.ArgumentParser:
     compare_parser = sub.add_parser("compare", help="run several policies")
     compare_parser.add_argument(
         "--policies",
-        default=None,
-        help="comma-separated preset names (default: the standard four)",
+        default="AlwaysOn,S5-PM,S3-PM,Hybrid",
+        help="comma-separated preset names (default: %(default)s)",
     )
     compare_parser.add_argument(
         "--workers",
@@ -942,6 +960,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="do not read or write the scenario result cache",
     )
     _add_scenario_args(compare_parser)
+    compare_parser.add_argument("--json", action="store_true", help=_JSON_HELP)
+    _add_profile_args(compare_parser)
     compare_parser.set_defaults(func=cmd_compare)
 
     trace_parser = sub.add_parser(
@@ -966,6 +986,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="write the trace JSONL to this file instead of stdout",
     )
     _add_scenario_args(trace_parser)
+    trace_parser.add_argument(
+        "--json",
+        action="store_true",
+        help="with 'check': emit the verdict as JSON",
+    )
     trace_parser.set_defaults(func=cmd_trace)
 
     faults_parser = sub.add_parser(
@@ -1008,6 +1033,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="do not read or write the scenario result cache",
     )
     _add_scenario_args(faults_parser)
+    faults_parser.add_argument("--json", action="store_true", help=_JSON_HELP)
     faults_parser.set_defaults(func=cmd_faults)
 
     chaos_parser = sub.add_parser(
@@ -1046,6 +1072,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="also write the trace JSONL to this file",
     )
     _add_scenario_args(chaos_parser)
+    chaos_parser.add_argument("--json", action="store_true", help=_JSON_HELP)
     chaos_parser.set_defaults(func=cmd_chaos)
 
     fuzz_parser = sub.add_parser(

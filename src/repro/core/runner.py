@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import copy
 import heapq
-import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Tuple, Union
@@ -60,12 +59,6 @@ class ScenarioResult:
     churn: Optional[ChurnGenerator] = None
     #: Decision trace (only when the scenario ran with ``trace=True``).
     trace: Optional[TraceBuffer] = None
-    #: Wall-clock spent building the scenario (fleet generation, initial
-    #: placement, subsystem wiring) before the first event is popped.
-    setup_wall_s: float = 0.0
-    #: Wall-clock spent inside ``env.run`` — the simulation-kernel time
-    #: the F-series benchmark divides events by.
-    sim_wall_s: float = 0.0
     #: In-simulation checkpoint coordinator (only when the scenario ran
     #: with ``checkpoint_every_s``): carries the saved paths/manifests.
     checkpoints: Optional[CheckpointCoordinator] = None
@@ -318,8 +311,6 @@ def build_scenario(
 
 def finalize_scenario(
     live: LiveScenario,
-    setup_wall_s: float = 0.0,
-    sim_wall_s: float = 0.0,
     checkpoints: Optional[CheckpointCoordinator] = None,
 ) -> ScenarioResult:
     """Emit end-of-run trace markers and assemble the result/report."""
@@ -402,8 +393,6 @@ def finalize_scenario(
         env=env,
         churn=churn,
         trace=buf,
-        setup_wall_s=setup_wall_s,
-        sim_wall_s=sim_wall_s,
         checkpoints=checkpoints,
     )
 
@@ -449,11 +438,9 @@ def _run(
 ) -> ScenarioResult:
     """The one run path behind every entry point.
 
-    Starts the setup clock, gets the live scenario from ``start``,
-    attaches the streaming sink, restores processes, drives to the
-    horizon and finalizes.
+    Gets the live scenario from ``start``, attaches the streaming sink,
+    restores processes, drives to the horizon and finalizes.
     """
-    t_setup0 = time.perf_counter()  # reprolint: disable=RL002
     live, records, manifest = start()
     sink = None
     if stream is not None:
@@ -482,15 +469,8 @@ def _run(
             _make_save_fn(live, sink),
         )
         coordinator.start()
-    t_run0 = time.perf_counter()  # reprolint: disable=RL002
     live.env.run(until=live.horizon_s)
-    t_run1 = time.perf_counter()  # reprolint: disable=RL002
-    result = finalize_scenario(
-        live,
-        setup_wall_s=t_run0 - t_setup0,
-        sim_wall_s=t_run1 - t_run0,
-        checkpoints=coordinator,
-    )
+    result = finalize_scenario(live, checkpoints=coordinator)
     if sink is not None:
         sink.close()
     return result

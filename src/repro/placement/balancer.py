@@ -15,7 +15,6 @@ from typing import Callable, List, Optional, Sequence
 
 from repro.datacenter.host import Host
 from repro.datacenter.vm import VM
-from repro.fold import left_sum
 
 DemandFn = Callable[[VM], float]
 
@@ -64,27 +63,20 @@ class LoadBalancer:
     def recommend(
         self,
         hosts: Sequence[Host],
-        demand_fn: Optional[DemandFn] = None,
         now: float = 0.0,
     ) -> List[Move]:
         """Return up to ``max_moves_per_round`` de-overload/balance moves.
 
-        ``demand_fn=None`` selects the canonical demand at ``now``, with
-        per-host loads served from the resident-demand cache — the same
-        values as the explicit per-VM sums, without the walk.
+        VM demand is read at ``now``; per-host loads come from the
+        resident-demand cache.
         """
         cfg = self.config
-        # Planning view: utilization per host, mutated as moves are chosen.
-        if demand_fn is None:
-            def demand_fn(vm: "VM", _t: float = now) -> float:
-                return vm.demand_cores(_t)
 
-            load = {h.name: h.resident_demand_cores(now) for h in hosts}
-        else:
-            load = {
-                h.name: left_sum(demand_fn(vm) for vm in h.vms.values())
-                for h in hosts
-            }
+        def demand_fn(vm: VM) -> float:
+            return vm.demand_cores(now)
+
+        # Planning view: utilization per host, mutated as moves are chosen.
+        load = {h.name: h.resident_demand_cores(now) for h in hosts}
         moves: List[Move] = []
         for _ in range(cfg.max_moves_per_round):
             move = self._best_single_move(hosts, load, demand_fn)

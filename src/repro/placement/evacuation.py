@@ -2,23 +2,19 @@
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 if TYPE_CHECKING:
     from repro.telemetry.trace import TraceBuffer
 
 from repro.datacenter.host import Host
 from repro.datacenter.vm import VM
-from repro.fold import left_sum
 from repro.trace_events import EvacuationPlanned
-
-DemandFn = Callable[[VM], float]
 
 
 def plan_evacuation(
     host: Host,
     targets: Sequence[Host],
-    demand_fn: Optional[DemandFn] = None,
     cpu_target: float = 0.85,
     trace: Optional["TraceBuffer"] = None,
     now: float = 0.0,
@@ -38,24 +34,15 @@ def plan_evacuation(
     if not 0.0 < cpu_target <= 1.0:
         raise ValueError("cpu_target must be in (0, 1]")
 
-    # ``demand_fn=None`` selects the canonical demand — demand at ``now``
-    # served from the per-host resident cache, which is bit-identical to
-    # the explicit per-VM sum it replaces but O(1) per candidate host.
-    canonical = demand_fn is None
-    if demand_fn is None:
-        def demand_fn(vm: VM, _t: float = now) -> float:
-            return vm.demand_cores(_t)
+    def demand_fn(vm: VM) -> float:
+        return vm.demand_cores(now)
 
     cpu_budget: Dict[str, float] = {}
     mem_budget: Dict[str, float] = {}
     groups: Dict[str, set] = {}
     usable = [t for t in targets if t.available_for_placement]
     for t in usable:
-        cpu_budget[t.name] = t.cores * cpu_target - (
-            t.resident_demand_cores(now)
-            if canonical
-            else left_sum(demand_fn(vm) for vm in t.vms.values())
-        )
+        cpu_budget[t.name] = t.cores * cpu_target - t.resident_demand_cores(now)
         mem_budget[t.name] = t.mem_free_gb
         # Same set as scanning every resident VM for its group, served
         # from the host's live group multiset in O(groups) instead.

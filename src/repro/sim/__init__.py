@@ -21,28 +21,23 @@ Typical usage::
 
 from repro.sim.events import (
     AllOf,
-    AnyOf,
     Condition,
     Event,
     EventAlreadyTriggered,
-    Interrupt,
     SharedTimeout,
     Timeout,
 )
-from repro.sim.process import Process, ProcessCrashed, ResumeSpec
+from repro.sim.process import Process, ResumeSpec
 from repro.sim.environment import Environment, StopSimulation
 from repro.sim.resources import Request, Resource
 
 __all__ = [
     "AllOf",
-    "AnyOf",
     "Condition",
     "Environment",
     "Event",
     "EventAlreadyTriggered",
-    "Interrupt",
     "Process",
-    "ProcessCrashed",
     "Request",
     "Resource",
     "ResumeSpec",

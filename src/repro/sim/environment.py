@@ -7,7 +7,6 @@ from typing import Any, Generator, Iterable, List, Optional, Tuple
 
 from repro.sim.events import (
     AllOf,
-    AnyOf,
     Event,
     PRIORITY_NORMAL,
     SharedTimeout,
@@ -36,7 +35,6 @@ class Environment:
         self._queue: List[Tuple[float, int, int, Event]] = []
         self._eid = 0
         self._active_process: Optional[Process] = None
-        self._active_generator = None
         #: Number of events popped and executed by :meth:`step` so far
         #: (the benchmark layer's "events" — scheduled events that never
         #: fire before the horizon are not counted).
@@ -140,9 +138,6 @@ class Environment:
 
     def all_of(self, events: Iterable[Event]) -> AllOf:
         return AllOf(self, events)
-
-    def any_of(self, events: Iterable[Event]) -> AnyOf:
-        return AnyOf(self, events)
 
     # ------------------------------------------------------------------
     # Scheduling & execution
@@ -277,7 +272,6 @@ class Environment:
         state["_queue"] = []
         state["_shared_timeouts"] = {}
         state["_active_process"] = None
-        state["_active_generator"] = None
         state["_live"] = set()
         return state
 

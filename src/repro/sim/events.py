@@ -27,21 +27,6 @@ class EventAlreadyTriggered(RuntimeError):
     """Raised when succeed/fail is called on an already-triggered event."""
 
 
-class Interrupt(Exception):
-    """Thrown into a process by :meth:`repro.sim.Process.interrupt`.
-
-    The interrupted process may catch it and continue; ``cause`` carries
-    arbitrary context supplied by the interrupter.
-    """
-
-    @property
-    def cause(self) -> Any:
-        return self.args[0] if self.args else None
-
-    def __str__(self) -> str:  # pragma: no cover - repr convenience
-        return "Interrupt({!r})".format(self.cause)
-
-
 class Event:
     """A one-shot occurrence in simulated time.
 
@@ -114,12 +99,6 @@ class Event:
         self._ok = event._ok
         self._value = event._value
         self.env.schedule(self)
-
-    def __and__(self, other: "Event") -> "Condition":
-        return Condition(self.env, Condition.all_events, [self, other])
-
-    def __or__(self, other: "Event") -> "Condition":
-        return Condition(self.env, Condition.any_events, [self, other])
 
     def __repr__(self) -> str:
         state = (
@@ -219,7 +198,7 @@ class Initialize(Event):
 
 
 class Condition(Event):
-    """Waits for a combination of events (``&`` / ``|`` composition).
+    """Waits for a combination of events.
 
     The condition's value is a dict mapping each *triggered* constituent
     event to its value, in trigger order.
@@ -254,10 +233,6 @@ class Condition(Event):
     def all_events(events: List[Event], count: int) -> bool:
         return len(events) == count
 
-    @staticmethod
-    def any_events(events: List[Event], count: int) -> bool:
-        return count > 0 or not events
-
     def _collect_values(self) -> dict:
         # Only events that actually fired (processed) contribute a value;
         # Timeout events carry their value from construction, so a bare
@@ -290,10 +265,3 @@ class AllOf(Condition):
 
     def __init__(self, env: "Environment", events: Iterable[Event]) -> None:  # noqa: F821
         super().__init__(env, Condition.all_events, events)
-
-
-class AnyOf(Condition):
-    """Condition that fires once *any* constituent event fires."""
-
-    def __init__(self, env: "Environment", events: Iterable[Event]) -> None:  # noqa: F821
-        super().__init__(env, Condition.any_events, events)

@@ -5,11 +5,7 @@ from __future__ import annotations
 from types import GeneratorType
 from typing import Any, Generator, Optional, Tuple
 
-from repro.sim.events import Event, Initialize, Interrupt, PRIORITY_URGENT, _PENDING
-
-
-class ProcessCrashed(RuntimeError):
-    """Wraps an exception that escaped a process with no waiter to absorb it."""
+from repro.sim.events import Event, Initialize, PRIORITY_URGENT, _PENDING
 
 
 class ResumeSpec:
@@ -98,37 +94,9 @@ class Process(Event):
         """The event this process currently waits on (None if running)."""
         return self._target
 
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`Interrupt` into the process at the current time.
-
-        Interrupting a finished process is an error; interrupting a process
-        that is about to be resumed is safe — the interrupt is delivered
-        first (urgent priority).
-        """
-        if not self.is_alive:
-            raise RuntimeError("cannot interrupt finished process {!r}".format(self))
-        if self._generator is getattr(self.env, "_active_generator", None):
-            raise RuntimeError("a process cannot interrupt itself")
-
-        interrupt_event = Event(self.env)
-        interrupt_event._ok = False
-        interrupt_event._value = Interrupt(cause)
-        interrupt_event.defused = True
-        interrupt_event.callbacks.append(self._resume)
-        self.env.schedule(interrupt_event, priority=PRIORITY_URGENT)
-
     def _resume(self, event: Event) -> None:
         """Advance the generator with ``event``'s outcome."""
         self.env._active_process = self
-        self.env._active_generator = self._generator
-
-        # Detach from the event we were waiting on (relevant for interrupts:
-        # the original target may fire later and must not resume us again).
-        if self._target is not None and self._target.callbacks is not None:
-            try:
-                self._target.callbacks.remove(self._resume)
-            except ValueError:
-                pass
         self._target = None
 
         try:
@@ -148,7 +116,6 @@ class Process(Event):
             return
         finally:
             self.env._active_process = None
-            self.env._active_generator = None
 
         self._wait_on(next_event)
 

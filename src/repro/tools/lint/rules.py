@@ -886,7 +886,8 @@ class AtomicArtifactWriteRule(Rule):
         "corpus.py",
         "project.py",
     )
-    #: Every module under benchmarks/ writes BENCH_*.json artifacts.
+    #: A module under benchmarks/ that writes an artifact must write it
+    #: atomically, although its test_* name would otherwise exempt it.
     artifact_dirs: Tuple[str, ...] = ("benchmarks",)
     _WRITE_MODES = frozenset("wax")
 
@@ -894,8 +895,8 @@ class AtomicArtifactWriteRule(Rule):
         name = module.path.name
         if name == "atomicio.py":  # the helper implements the discipline
             return False
-        # benchmarks/ modules are named test_* but are artifact writers,
-        # so the directory scope wins over the test-file exemption.
+        # benchmarks/ modules are named test_*, so the directory scope
+        # wins over the test-file exemption.
         if module.in_packages(self.artifact_dirs):
             return True
         if module.is_test_file:

@@ -113,7 +113,7 @@ class TestPlannerEnforcement:
         plan = plan_evacuation(
             cluster.hosts[0],
             cluster.hosts[1:],
-            demand_fn=lambda vm: vm.demand_cores(0.0),
+            now=0.0,
         )
         assert plan is not None
         assert plan[0][1] is cluster.hosts[2]
@@ -128,7 +128,7 @@ class TestPlannerEnforcement:
         plan = plan_evacuation(
             cluster.hosts[0],
             cluster.hosts[1:],
-            demand_fn=lambda vm: vm.demand_cores(0.0),
+            now=0.0,
         )
         assert plan is None
 

@@ -21,10 +21,6 @@ def add_vm(cluster, host, name, priority, vcpus=4, level=1.0):
     return vm
 
 
-def demand_at_zero(vm):
-    return vm.demand_cores(0.0)
-
-
 class TestPriorityAwareMoves:
     def test_bronze_migrated_before_gold(self, cluster):
         src = cluster.hosts[0]
@@ -32,7 +28,7 @@ class TestPriorityAwareMoves:
         add_vm(cluster, src, "gold-2", Priority.GOLD)
         add_vm(cluster, src, "bronze-1", Priority.BRONZE)
         add_vm(cluster, src, "bronze-2", Priority.BRONZE)  # 16/16 cores
-        moves = LoadBalancer().recommend(cluster.hosts, demand_at_zero, 0.0)
+        moves = LoadBalancer().recommend(cluster.hosts, now=0.0)
         assert moves
         assert all(m.vm.priority is Priority.BRONZE for m in moves)
 
@@ -42,7 +38,7 @@ class TestPriorityAwareMoves:
         add_vm(cluster, src, "gold-2", Priority.GOLD)
         add_vm(cluster, src, "silver-1", Priority.SILVER)
         add_vm(cluster, src, "silver-2", Priority.SILVER)
-        moves = LoadBalancer().recommend(cluster.hosts, demand_at_zero, 0.0)
+        moves = LoadBalancer().recommend(cluster.hosts, now=0.0)
         assert moves
         assert moves[0].vm.priority is Priority.SILVER
 
@@ -50,7 +46,7 @@ class TestPriorityAwareMoves:
         src = cluster.hosts[0]
         for i in range(4):
             add_vm(cluster, src, "gold-{}".format(i), Priority.GOLD)
-        moves = LoadBalancer().recommend(cluster.hosts, demand_at_zero, 0.0)
+        moves = LoadBalancer().recommend(cluster.hosts, now=0.0)
         # Only gold VMs exist: the balancer still relieves the overload.
         assert moves
         assert all(m.vm.priority is Priority.GOLD for m in moves)
@@ -62,6 +58,6 @@ class TestPriorityAwareMoves:
         add_vm(cluster, src, "gold", Priority.GOLD, vcpus=8)
         moves = LoadBalancer(
             BalanceConfig(max_moves_per_round=1)
-        ).recommend(cluster.hosts, demand_at_zero, 0.0)
+        ).recommend(cluster.hosts, now=0.0)
         assert moves
         assert moves[0].vm.name == "big"

@@ -105,6 +105,14 @@ class TestCommands:
         assert "normalized to AlwaysOn" in out
         assert "S3-PM" in out
 
+    def test_compare_unknown_policy_is_usage_error(self, capsys):
+        code = main(
+            ["compare", "--policies", "S3-PM,Bogus", "--hosts", "2",
+             "--vms", "4", "--hours", "1"]
+        )
+        assert code == 2
+        assert "must name presets" in capsys.readouterr().err
+
 
 class TestJsonOutput:
     def test_run_json(self, capsys):
@@ -199,6 +207,38 @@ class TestTrace:
         assert payload["ok"] is True
         assert payload["violations"] == []
         assert payload["path"] == str(target)
+
+
+class TestOutputFlags:
+    """A verb takes only the output flags it reads."""
+
+    SMALL = ["--hosts", "3", "--vms", "6", "--hours", "1", "--seed", "2"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["trace", "S3-PM", "--timeline"],
+            ["trace", "S3-PM", "--profile"],
+            ["trace", "S3-PM", "--profile-json", "p.json"],
+            ["faults", "S3-PM", "--timeline"],
+            ["faults", "S3-PM", "--profile"],
+            ["faults", "S3-PM", "--profile-json", "p.json"],
+            ["chaos", "S3-PM", "--timeline"],
+            ["chaos", "S3-PM", "--profile"],
+            ["chaos", "S3-PM", "--profile-json", "p.json"],
+            ["compare", "--timeline"],
+        ],
+        ids=lambda argv: argv[0] + [a for a in argv if a.startswith("--")][-1],
+    )
+    def test_unread_output_flag_is_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + self.SMALL)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_trace_run_json_is_usage_error(self, capsys):
+        assert main(["trace", "S3-PM", "--json"] + self.SMALL) == 2
+        assert "--json" in capsys.readouterr().err
 
 
 class TestVersionedJson:

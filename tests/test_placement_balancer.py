@@ -21,10 +21,6 @@ def add_vm(cluster, host, name, vcpus=4, level=1.0):
     return vm
 
 
-def demand_at_zero(vm):
-    return vm.demand_cores(0.0)
-
-
 class TestBalanceConfig:
     def test_defaults_valid(self):
         BalanceConfig()
@@ -42,14 +38,14 @@ class TestRecommendations:
     def test_no_moves_when_balanced(self, cluster):
         for i, host in enumerate(cluster.hosts):
             add_vm(cluster, host, "vm-{}".format(i), vcpus=4, level=0.5)
-        moves = LoadBalancer().recommend(cluster.hosts, demand_at_zero, 0.0)
+        moves = LoadBalancer().recommend(cluster.hosts, now=0.0)
         assert moves == []
 
     def test_overloaded_host_sheds_load(self, cluster):
         src = cluster.hosts[0]
         for i in range(4):
             add_vm(cluster, src, "hot-{}".format(i), vcpus=4, level=1.0)  # 16 cores
-        moves = LoadBalancer().recommend(cluster.hosts, demand_at_zero, 0.0)
+        moves = LoadBalancer().recommend(cluster.hosts, now=0.0)
         assert moves
         assert all(m.src is src for m in moves)
         assert all(m.dst is not src for m in moves)
@@ -62,7 +58,7 @@ class TestRecommendations:
         add_vm(cluster, cluster.hosts[1], "warm-1", vcpus=8, level=1.0)
         add_vm(cluster, cluster.hosts[2], "warm-2", vcpus=8, level=1.0)
         cfg = BalanceConfig(dst_ceiling=0.6, high_watermark=0.85)
-        moves = LoadBalancer(cfg).recommend(cluster.hosts, demand_at_zero, 0.0)
+        moves = LoadBalancer(cfg).recommend(cluster.hosts, now=0.0)
         # 8/16 = 0.5 already; adding a 4-core VM → 0.75 > 0.6 ceiling.
         assert moves == []
 
@@ -71,7 +67,7 @@ class TestRecommendations:
         for i in range(8):
             add_vm(cluster, src, "hot-{}".format(i), vcpus=2, level=1.0)
         cfg = BalanceConfig(max_moves_per_round=2)
-        moves = LoadBalancer(cfg).recommend(cluster.hosts, demand_at_zero, 0.0)
+        moves = LoadBalancer(cfg).recommend(cluster.hosts, now=0.0)
         assert len(moves) <= 2
 
     def test_skips_migrating_vms(self, cluster):
@@ -79,7 +75,7 @@ class TestRecommendations:
         vms = [add_vm(cluster, src, "hot-{}".format(i), vcpus=4) for i in range(4)]
         for vm in vms:
             vm.migrating = True
-        moves = LoadBalancer().recommend(cluster.hosts, demand_at_zero, 0.0)
+        moves = LoadBalancer().recommend(cluster.hosts, now=0.0)
         assert moves == []
 
     def test_skips_evacuating_destinations(self, cluster):
@@ -87,13 +83,13 @@ class TestRecommendations:
         for i in range(4):
             add_vm(cluster, src, "hot-{}".format(i), vcpus=4)
         cluster.hosts[1].evacuating = True
-        moves = LoadBalancer().recommend(cluster.hosts, demand_at_zero, 0.0)
+        moves = LoadBalancer().recommend(cluster.hosts, now=0.0)
         assert all(m.dst is cluster.hosts[2] for m in moves)
 
     def test_below_watermark_no_action(self, cluster):
         src = cluster.hosts[0]
         add_vm(cluster, src, "mild", vcpus=8, level=1.0)  # util 0.5
-        moves = LoadBalancer().recommend(cluster.hosts, demand_at_zero, 0.0)
+        moves = LoadBalancer().recommend(cluster.hosts, now=0.0)
         assert moves == []
 
     def test_planning_accounts_for_chosen_moves(self, cluster):
@@ -103,6 +99,6 @@ class TestRecommendations:
         for i in range(4):
             add_vm(cluster, src, "hot-{}".format(i), vcpus=4, level=1.0)
         cfg = BalanceConfig(max_moves_per_round=10)
-        moves = LoadBalancer(cfg).recommend(cluster.hosts, demand_at_zero, 0.0)
+        moves = LoadBalancer(cfg).recommend(cluster.hosts, now=0.0)
         # Moving one VM: 12/16 = 0.75 < 0.85 — one move suffices.
         assert len(moves) == 1

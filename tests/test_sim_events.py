@@ -4,11 +4,9 @@ import pytest
 
 from repro.sim import (
     AllOf,
-    AnyOf,
     Environment,
     Event,
     EventAlreadyTriggered,
-    Interrupt,
     Timeout,
 )
 
@@ -145,43 +143,10 @@ class TestConditions:
         env.run()
         assert order == [(5.0, ["a", "b"])]
 
-    def test_any_of_fires_on_first(self, env):
-        order = []
-
-        def proc(env):
-            results = yield env.any_of([env.timeout(2, "fast"), env.timeout(9, "slow")])
-            order.append((env.now, list(results.values())))
-
-        env.process(proc(env))
-        env.run(until=20)
-        assert order == [(2.0, ["fast"])]
-
     def test_empty_all_of_succeeds_immediately(self, env):
         cond = env.all_of([])
         assert cond.triggered
         assert cond.value == {}
-
-    def test_and_operator(self, env):
-        times = []
-
-        def proc(env):
-            yield env.timeout(1) & env.timeout(4)
-            times.append(env.now)
-
-        env.process(proc(env))
-        env.run()
-        assert times == [4.0]
-
-    def test_or_operator(self, env):
-        times = []
-
-        def proc(env):
-            yield env.timeout(1) | env.timeout(4)
-            times.append(env.now)
-
-        env.process(proc(env))
-        env.run(until=10)
-        assert times == [1.0]
 
     def test_condition_propagates_failure(self, env):
         def failer(env):
@@ -209,11 +174,3 @@ class TestConditions:
         cond = env.all_of([t, env.timeout(1)])
         env.run(until=2)
         assert cond.processed
-
-
-class TestInterruptException:
-    def test_cause_accessible(self):
-        assert Interrupt("why").cause == "why"
-
-    def test_cause_defaults_to_none(self):
-        assert Interrupt().cause is None

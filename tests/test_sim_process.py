@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import Environment, Interrupt
+from repro.sim import Environment
 
 
 @pytest.fixture
@@ -109,89 +109,3 @@ class TestProcessBasics:
         p = env.process(proc(env))
         env.run(until=5)
         assert p.target is t_holder["timeout"]
-
-
-class TestInterrupts:
-    def test_interrupt_delivers_cause(self, env):
-        causes = []
-
-        def sleeper(env):
-            try:
-                yield env.timeout(100)
-            except Interrupt as i:
-                causes.append(i.cause)
-
-        p = env.process(sleeper(env))
-
-        def interrupter(env):
-            yield env.timeout(2)
-            p.interrupt("reason")
-
-        env.process(interrupter(env))
-        env.run()
-        assert causes == ["reason"]
-
-    def test_interrupted_process_can_continue(self, env):
-        log = []
-
-        def sleeper(env):
-            try:
-                yield env.timeout(100)
-            except Interrupt:
-                log.append(("interrupted", env.now))
-            yield env.timeout(3)
-            log.append(("resumed", env.now))
-
-        p = env.process(sleeper(env))
-
-        def interrupter(env):
-            yield env.timeout(4)
-            p.interrupt()
-
-        env.process(interrupter(env))
-        env.run()
-        assert log == [("interrupted", 4.0), ("resumed", 7.0)]
-
-    def test_interrupt_finished_process_raises(self, env):
-        def quick(env):
-            yield env.timeout(1)
-
-        p = env.process(quick(env))
-        env.run()
-        with pytest.raises(RuntimeError):
-            p.interrupt()
-
-    def test_original_target_does_not_resume_after_interrupt(self, env):
-        resumes = []
-
-        def sleeper(env):
-            try:
-                yield env.timeout(10)
-                resumes.append("timeout fired into process")
-            except Interrupt:
-                resumes.append("interrupt")
-            yield env.timeout(50)
-            resumes.append("second wait done")
-
-        p = env.process(sleeper(env))
-
-        def interrupter(env):
-            yield env.timeout(1)
-            p.interrupt()
-
-        env.process(interrupter(env))
-        env.run()
-        # The 10s timeout still fires at t=10 but must not resume the
-        # process a second time (which would corrupt the second wait).
-        assert resumes == ["interrupt", "second wait done"]
-
-    def test_self_interrupt_rejected(self, env):
-        holder = {}
-
-        def proc(env):
-            with pytest.raises(RuntimeError, match="cannot interrupt itself"):
-                holder["p"].interrupt()
-            yield env.timeout(1)
-
-        holder["p"] = env.process(proc(env))
-        env.run()
