@@ -457,11 +457,33 @@ def cmd_lint(args: argparse.Namespace) -> int:
     return 0 if report.ok else 1
 
 
+def _run_only_flags(args: argparse.Namespace) -> List[str]:
+    """The ``trace`` options given that only a traced run reads.
+
+    An option reads as given when its value differs from the parser
+    default, so one repeated at its default value is not reported.
+    """
+    defaults = vars(build_parser().parse_args(["trace", "check"]))
+    return [
+        "--" + dest.replace("_", "-")
+        for dest, value in vars(args).items()
+        if dest not in ("path", "json") and value != defaults[dest]
+    ]
+
+
 def cmd_trace(args: argparse.Namespace) -> int:
     from repro.telemetry.trace import TraceError, read_trace
     from repro.telemetry.validate import validate_trace
 
     if args.target == "check":
+        stray = _run_only_flags(args)
+        if stray:
+            print(
+                "repro trace check: unexpected {} (--out and the scenario "
+                "flags only go with a policy)".format(", ".join(stray)),
+                file=sys.stderr,
+            )
+            return 2
         if not args.path:
             print("repro trace check: a trace file path is required", file=sys.stderr)
             return 2

@@ -51,7 +51,7 @@ from repro.datacenter.vm import VM
 from repro.fold import left_sum
 from repro.migration.engine import MigrationEngine
 from repro.placement.balancer import LoadBalancer
-from repro.placement.evacuation import plan_evacuation
+from repro.placement.evacuation import TargetView, plan_evacuation
 from repro.power.states import PowerState
 from repro.sim import ResumeSpec
 from repro.trace_events import (
@@ -588,6 +588,11 @@ class PowerAwareManager:
             self._park_candidates(),
             key=self._park_candidate_key,
         )
+        # One target view for the round: nothing a plan reads changes
+        # between candidates (the evacuations started here first run at
+        # a later event) except the ``evacuating`` flag of the hosts
+        # started, which leave the view as they leave the placeable set.
+        view: Optional[TargetView] = None
         for host in candidates:
             if parks >= self.config.max_parks_per_round:
                 break
@@ -595,23 +600,15 @@ class PowerAwareManager:
                 break
             if not self._can_spare(host):
                 break
-            targets = [
-                t
-                for t in self.cluster.placeable_hosts()
-                if t is not host and not t.evacuating
-            ]
-            plan = plan_evacuation(
-                host,
-                targets,
-                cpu_target=target,
-                trace=self.log.trace,
-                now=now,
-            )
+            if view is None:
+                view = TargetView(self.cluster.placeable_hosts(), target, now)
+            plan = view.plan(host, trace=self.log.trace)
             if plan is None:
                 continue
             task = _EvacuationTask(host, plan)
             self._evacs[host.name] = task
             host.evacuating = True
+            view.drop(host)
             self.log.emit(
                 ManagerDecision(
                     now, "evac-start", host.name, "{} vm(s)".format(len(plan))

@@ -195,6 +195,37 @@ class TestTrace:
         assert code == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize(
+        "flag",
+        [
+            ["--out", "x.jsonl"],
+            ["--hosts", "999"],
+            ["--vms", "5"],
+            ["--hours", "2"],
+            ["--seed", "3"],
+            ["--churn", "5"],
+            ["--shared-fraction", "0.5"],
+            ["--wake-latency", "1.5"],
+            ["--wake-failure-rate", "0.1"],
+            ["--plane", "neat"],
+            ["--plane-delay-s", "30"],
+            ["--plane-dropout", "0.2"],
+        ],
+        ids=lambda flag: flag[0],
+    )
+    def test_trace_check_run_only_flag_is_usage_error(
+        self, flag, tmp_path, monkeypatch, capsys
+    ):
+        from pathlib import Path
+
+        golden = Path(__file__).parent / "golden" / "trace_small.jsonl"
+        monkeypatch.chdir(tmp_path)
+        assert main(["trace", "check", str(golden)] + flag) == 2
+        out, err = capsys.readouterr()
+        assert flag[0] in err
+        assert out == ""
+        assert list(tmp_path.iterdir()) == []
+
     def test_trace_check_json_payload(self, tmp_path, capsys):
         import json as json_mod
 

@@ -97,3 +97,14 @@ class TestPlanEvacuation:
         assert plan is not None
         destinations = {dst.name for _, dst in plan}
         assert len(destinations) == 2
+
+    def test_equal_slack_goes_to_the_first_target(self, cluster):
+        host, a, b = cluster.hosts
+        add_vm(cluster, host, "vm-0")
+        add_vm(cluster, a, "resident-a", vcpus=4, level=0.5)
+        add_vm(cluster, b, "resident-b", vcpus=4, level=0.5)
+        assert a.resident_demand_cores(0.0) == b.resident_demand_cores(0.0)
+        plan = plan_evacuation(host, [a, b], now=0.0)
+        assert [dst for _, dst in plan] == [a]
+        plan = plan_evacuation(host, [b, a], now=0.0)
+        assert [dst for _, dst in plan] == [b]
