@@ -457,49 +457,48 @@ def cmd_lint(args: argparse.Namespace) -> int:
     return 0 if report.ok else 1
 
 
-def _run_only_flags(args: argparse.Namespace) -> List[str]:
-    """The ``trace`` options given that only a traced run reads.
+def cmd_trace_check(argv: List[str]) -> int:
+    """``repro trace check FILE [--json]``: validate an existing trace file.
 
-    An option reads as given when its value differs from the parser
-    default, so one repeated at its default value is not reported.
+    It reads the file and nothing else, so it parses its own arguments
+    (``argv``: the command line after ``trace``): any other flag is
+    refused, also one given at its default value.
     """
-    defaults = vars(build_parser().parse_args(["trace", "check"]))
-    return [
-        "--" + dest.replace("_", "-")
-        for dest, value in vars(args).items()
-        if dest not in ("path", "json") and value != defaults[dest]
-    ]
-
-
-def cmd_trace(args: argparse.Namespace) -> int:
     from repro.telemetry.trace import TraceError, read_trace
     from repro.telemetry.validate import validate_trace
 
-    if args.target == "check":
-        stray = _run_only_flags(args)
-        if stray:
-            print(
-                "repro trace check: unexpected {} (--out and the scenario "
-                "flags only go with a policy)".format(", ".join(stray)),
-                file=sys.stderr,
-            )
-            return 2
-        if not args.path:
-            print("repro trace check: a trace file path is required", file=sys.stderr)
-            return 2
-        try:
-            log = read_trace(args.path)
-        except TraceError as exc:
-            print("repro trace check: {}".format(exc), file=sys.stderr)
-            return 2
-        outcome = validate_trace(log)
-        if args.json:
-            payload = outcome.to_dict()
-            payload["path"] = args.path
-            print(json.dumps(payload, indent=2, sort_keys=True))
-        else:
-            print(outcome.render_text())
-        return 0 if outcome.ok else 1
+    parser = argparse.ArgumentParser(prog="repro trace check", add_help=False)
+    parser.add_argument("check")
+    parser.add_argument("path", nargs="?", default=None)
+    parser.add_argument("--json", action="store_true")
+    args, stray = parser.parse_known_args(argv)
+    if stray:
+        print(
+            "repro trace check: unexpected {} (--out and the scenario "
+            "flags only go with a policy)".format(" ".join(stray)),
+            file=sys.stderr,
+        )
+        return 2
+    if not args.path:
+        print("repro trace check: a trace file path is required", file=sys.stderr)
+        return 2
+    try:
+        log = read_trace(args.path)
+    except TraceError as exc:
+        print("repro trace check: {}".format(exc), file=sys.stderr)
+        return 2
+    outcome = validate_trace(log)
+    if args.json:
+        payload = outcome.to_dict()
+        payload["path"] = args.path
+        print(json.dumps(payload, indent=2, sort_keys=True))
+    else:
+        print(outcome.render_text())
+    return 0 if outcome.ok else 1
+
+
+def cmd_trace(args: argparse.Namespace) -> int:
+    from repro.telemetry.validate import validate_trace
 
     if args.path or args.json:
         print(
@@ -1241,8 +1240,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command == "trace" and args.target == "check":
+        return cmd_trace_check(argv[1:])
     try:
         return args.func(args)
     except KeyboardInterrupt:

@@ -52,6 +52,7 @@ from repro.core.config import ManagerConfig
 from repro.power.states import PowerState
 from repro.telemetry.metrics import SimReport
 from repro.telemetry.timeseries import TimeSeries
+from repro.telemetry.trace import jsonl_hash
 
 
 # ----------------------------------------------------------------------
@@ -89,7 +90,7 @@ def snapshot_result(result: "ScenarioResult") -> ScenarioArtifacts:
     trace_jsonl = None
     if result.trace is not None:
         trace_jsonl = result.trace.to_jsonl()
-        trace_hash = result.trace.trace_hash()
+        trace_hash = jsonl_hash(trace_jsonl)
     return ScenarioArtifacts(
         report=result.report,
         series=dict(result.sampler.series),

@@ -50,26 +50,3 @@ def stream_rng(stream: str, seed: int, *qualifiers: Any) -> "np.random.Generator
     import numpy as np
 
     return np.random.default_rng(stream_digest(stream, seed, *qualifiers))
-
-
-def stream_state(rng: "np.random.Generator") -> Any:
-    """Extract a generator's full state for checkpointing.
-
-    The returned object is plain dicts/ints (``bit_generator.state``), so
-    it pickles and JSON-inspects cleanly.  Restoring it with
-    :func:`restore_stream` reproduces the exact remaining draw sequence —
-    the checkpoint layer relies on this to resume mid-stream without
-    replaying consumed draws.
-    """
-    return rng.bit_generator.state
-
-
-def restore_stream(rng: "np.random.Generator", state: Any) -> "np.random.Generator":
-    """Install ``state`` (from :func:`stream_state`) into ``rng``.
-
-    Returns ``rng`` for chaining.  numpy validates the bit-generator name
-    inside ``state``, so restoring across generator types raises rather
-    than silently diverging.
-    """
-    rng.bit_generator.state = state
-    return rng

@@ -394,11 +394,6 @@ class Cluster:
     def energy_j(self) -> float:
         return left_sum(h.energy_j() for h in self.hosts)
 
-    def refresh_utilization(self, t: Optional[float] = None) -> float:
-        """Push fresh demand into every host; return total shortfall cores."""
-        when = self.env.now if t is None else t
-        return left_sum(h.refresh_utilization(when) for h in self.hosts)
-
     def __repr__(self) -> str:
         return "<Cluster {} hosts ({} active), {} VMs>".format(
             len(self.hosts), len(self.active_hosts()), len(self._vms)

@@ -13,7 +13,7 @@ if TYPE_CHECKING:
     from repro.telemetry.trace import TraceBuffer
 
 from repro.datacenter.faults import FaultInjector, FaultModel
-from repro.datacenter.vm import Priority, VM
+from repro.datacenter.vm import VM
 from repro.power.dvfs import DvfsModel
 from repro.power.machine import HostPowerStateMachine
 from repro.power.profiles import ServerPowerProfile
@@ -39,9 +39,9 @@ class HostNotActive(RuntimeError):
 class Host:
     """A server: CPU/memory capacity plus a power-state machine.
 
-    Memory is a hard constraint (no overcommit by default); CPU is
-    work-conserving — demand above capacity is *delivered pro rata* and the
-    shortfall is what the telemetry layer books as a performance violation.
+    Memory is a hard constraint (no overcommit by default); CPU is not:
+    demand above capacity goes undelivered, and the sampler's tick books
+    that shortfall, class by class in strict priority, as a violation.
     """
 
     def __init__(
@@ -352,71 +352,6 @@ class Host:
         if (t, self._demand_epoch) != self._demand_key:
             self.demand_cores(t)
         return self._resident_value
-
-    def shortfall_by_class(self, t: float) -> Dict[Priority, float]:
-        """Undelivered cores per service class at ``t``.
-
-        Delivery is strict-priority: the migration tax is served first
-        (infrastructure work cannot be deprioritized), then GOLD, SILVER,
-        BRONZE in order until capacity runs out.  A parked host with VMs
-        delivers nothing.
-
-        NOTE: :meth:`ClusterSampler.sample_once` inlines this arithmetic
-        in its fused per-host walk; keep the two in lockstep.
-        """
-        demand_per_class: Dict[Priority, float] = {p: 0.0 for p in Priority}
-        for vm in self.vms.values():
-            demand_per_class[vm.priority] += vm.demand_cores(t)
-        shortfall: Dict[Priority, float] = {p: 0.0 for p in Priority}
-        if not self.is_active and self.vms:
-            return demand_per_class
-        capacity_left = max(0.0, self.cores - self._migration_tax_cores)
-        if self.is_active and self.dvfs is not None:
-            capacity_left = max(
-                0.0, self.cores * self.frequency - self._migration_tax_cores
-            )
-        for priority in sorted(Priority):
-            demand = demand_per_class[priority]
-            delivered = min(demand, capacity_left)
-            capacity_left -= delivered
-            shortfall[priority] = demand - delivered
-        return shortfall
-
-    def refresh_utilization(self, t: float) -> float:
-        """Re-sample demand, push utilization into the power machine.
-
-        Returns the *shortfall* in cores (demand beyond capacity) so the
-        caller can book performance violations.  A parked host with VMs is
-        a management-layer bug, guarded against in ``park()``.
-
-        When a DVFS governor is attached, the frequency is re-selected
-        each refresh (ondemand-style): the lowest P-state that keeps load
-        under ``dvfs_target`` of the scaled capacity.  Demand beyond the
-        scaled capacity is a shortfall — but the governor never selects a
-        frequency that creates one if nominal frequency avoids it.
-
-        NOTE: :meth:`ClusterSampler.sample_once` inlines this refresh in
-        its fused per-host walk; keep the two in lockstep.
-        """
-        demand = self.demand_cores(t)
-        if self.machine.is_active and self.dvfs is not None:
-            self.frequency = self.dvfs.level_for(
-                demand / self.cores, target=self.dvfs_target
-            )
-        elif self.dvfs is not None:
-            self.frequency = self.dvfs.levels[0]
-        capacity = self.cores * (self.frequency if self.dvfs else 1.0)
-        shortfall = max(0.0, demand - capacity)
-        utilization = min(demand / self.cores, 1.0)
-        if self.machine.is_active:
-            scale = self.dvfs.power_scale(self.frequency) if self.dvfs else 1.0
-            self.machine.set_utilization(utilization, dynamic_scale=scale)
-        else:
-            self.machine.set_utilization(0.0)
-            if self.vms:
-                # Host is unavailable: nothing is delivered.
-                shortfall = demand
-        return shortfall
 
     def power_w(self) -> float:
         return self.machine.power_w()

@@ -103,9 +103,3 @@ def load_corpus_entry(path: Union[str, Path]) -> CorpusEntry:
         if isinstance(exc, SpecError):
             raise
         raise SpecError("{}: {}".format(path, exc)) from exc
-
-
-def write_corpus_entry(path: Union[str, Path], entry: CorpusEntry) -> None:
-    from repro.core.atomicio import atomic_write_text
-
-    atomic_write_text(Path(path), entry.dumps())

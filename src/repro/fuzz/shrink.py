@@ -27,7 +27,7 @@ oracle, and target id, the reduction sequence is fully deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, FrozenSet, List, Optional, Tuple
 
 from repro.core.cache import ResultCache
 from repro.fuzz.oracle import run_spec
@@ -330,11 +330,3 @@ def ddmin_evaluation_bound(spec: FuzzSpec) -> int:
     bound += len(_SUBSYSTEM_RESETS)
     bound += 6 * len(_SCALAR_FIELDS)
     return bound
-
-
-def minimal_moves(spec: FuzzSpec) -> Sequence[Tuple[str, ...]]:
-    """The move-set paths (for documentation/tests of 1-minimality)."""
-    return tuple(path for path, _kind, _floor in _SCALAR_FIELDS) + (
-        ("faults", "bursts"),
-        ("faults", "brownouts"),
-    )

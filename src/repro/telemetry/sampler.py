@@ -138,9 +138,9 @@ class ClusterSampler:
         operations for their case, minus terms that are exactly zero.
         The accumulation order — hosts in inventory order, VMs in
         per-host dict order, classes GOLD→SILVER→BRONZE, then the cluster
-        VM registry for class demand — is exactly the order of the
-        separate walks this replaces, so every series value stays
-        bit-identical.
+        VM registry for class demand — is fixed, and the reference in
+        ``tests/test_telemetry_sampler.py`` sums direct trace reads in
+        the same orders to check every series value bit for bit.
         """
         now = self.env.now
         cluster = self.cluster
@@ -228,7 +228,7 @@ class ClusterSampler:
             host._demand_key = (now, host._demand_epoch)
             host._demand_value = demand
             host._resident_value = vm_sum
-            # Inline Host.refresh_utilization(now):
+            # DVFS: the ondemand level while stably ACTIVE, else the lowest.
             if dvfs is not None:
                 if active:
                     host.frequency = dvfs.level_for(
@@ -289,7 +289,7 @@ class ClusterSampler:
             power_total += meter._power_w
             if sf > 0.0:
                 shortfall += sf
-            # Inline Host.shortfall_by_class(now) accumulation:
+            # Strict-priority delivery: tax first, then GOLD, SILVER, BRONZE.
             if vms:
                 if not active:
                     gold_sf += g

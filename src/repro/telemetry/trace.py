@@ -186,7 +186,12 @@ class TraceBuffer:
 
     def trace_hash(self) -> str:
         """SHA-256 of the JSONL byte stream — the differential-test key."""
-        return hashlib.sha256(self.to_jsonl().encode("utf-8")).hexdigest()
+        return jsonl_hash(self.to_jsonl())
+
+
+def jsonl_hash(text: str) -> str:
+    """:meth:`TraceBuffer.trace_hash` of a trace already encoded as ``text``."""
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 #: ``json.dumps(payload, sort_keys=True, separators=(",", ":"))`` builds

@@ -269,28 +269,37 @@ def display_path_for(path: Path, root: Optional[Path] = None) -> str:
     return rel.replace(os.sep, "/")
 
 
-def lint_file(
-    path: Path,
-    rules: Sequence[Rule],
-    display_path: Optional[str] = None,
-) -> List[Finding]:
-    """Run every applicable rule over one file; suppressions applied."""
+def read_source(path: Path) -> str:
+    """The text of ``path``; FileNotFoundError names it when unreadable."""
     try:
-        source = path.read_text(encoding="utf-8")
+        return path.read_text(encoding="utf-8")
     except OSError as exc:
         raise FileNotFoundError("cannot read {}: {}".format(path, exc)) from exc
+
+
+def lint_source(
+    path: Path,
+    source: str,
+    rules: Sequence[Rule],
+    display_path: Optional[str] = None,
+) -> Tuple[List[Finding], Optional[ModuleContext]]:
+    """Run every applicable rule over one module's source.
+
+    Returns the findings (suppressions applied, sorted) and the parsed
+    module, or a lone parse-error finding and None when ``source`` does
+    not parse.
+    """
     try:
         module = ModuleContext(path, source, display_path=display_path)
     except SyntaxError as exc:
-        return [
-            Finding(
-                rule=PARSE_ERROR_RULE,
-                message="syntax error: {}".format(exc.msg),
-                path=display_path if display_path is not None else str(path),
-                line=exc.lineno or 1,
-                col=(exc.offset or 1) - 1,
-            )
-        ]
+        finding = Finding(
+            rule=PARSE_ERROR_RULE,
+            message="syntax error: {}".format(exc.msg),
+            path=display_path if display_path is not None else str(path),
+            line=exc.lineno or 1,
+            col=(exc.offset or 1) - 1,
+        )
+        return [finding], None
     findings: List[Finding] = []
     for rule in rules:
         if not rule.applies_to(module):
@@ -299,7 +308,16 @@ def lint_file(
             if not module.is_suppressed(finding):
                 findings.append(finding)
     findings.sort(key=Finding.sort_key)
-    return findings
+    return findings, module
+
+
+def lint_file(
+    path: Path,
+    rules: Sequence[Rule],
+    display_path: Optional[str] = None,
+) -> List[Finding]:
+    """Run every applicable rule over one file; suppressions applied."""
+    return lint_source(path, read_source(path), rules, display_path)[0]
 
 
 @dataclass

@@ -46,7 +46,6 @@ from typing import (
 )
 
 from repro.tools.lint.engine import (
-    PARSE_ERROR_RULE,
     Finding,
     LintReport,
     ModuleContext,
@@ -54,7 +53,9 @@ from repro.tools.lint.engine import (
     apply_baseline,
     display_path_for,
     iter_python_files,
+    lint_source,
     load_baseline,
+    read_source,
 )
 
 #: Bump when the ModuleSummary layout (or any extraction below) changes —
@@ -966,26 +967,10 @@ def _split_rules(
 def _analyze_one(
     path: Path, display: str, source: str, module_rules: Sequence[Rule]
 ) -> Tuple[List[Finding], ModuleSummary]:
-    """Pass 1 for one file: parse, run module rules, summarize."""
-    try:
-        module = ModuleContext(path, source, display_path=display)
-    except SyntaxError as exc:
-        finding = Finding(
-            rule=PARSE_ERROR_RULE,
-            message="syntax error: {}".format(exc.msg),
-            path=display,
-            line=exc.lineno or 1,
-            col=(exc.offset or 1) - 1,
-        )
-        return [finding], ModuleSummary(path=display, parse_error=True)
-    findings: List[Finding] = []
-    for rule in module_rules:
-        if not rule.applies_to(module):
-            continue
-        for finding in rule.check(module):
-            if not module.is_suppressed(finding):
-                findings.append(finding)
-    findings.sort(key=Finding.sort_key)
+    """Pass 1 for one file: :func:`lint_source`, then summarize."""
+    findings, module = lint_source(path, source, module_rules, display)
+    if module is None:
+        return findings, ModuleSummary(path=display, parse_error=True)
     return findings, summarize_module(module)
 
 
@@ -1029,10 +1014,7 @@ def lint_project(
     reparsed = 0
     for path in files:
         display = display_path_for(path, base_root)
-        try:
-            source = path.read_text(encoding="utf-8")
-        except OSError as exc:
-            raise FileNotFoundError("cannot read {}: {}".format(path, exc)) from exc
+        source = read_source(path)
         outcome = None
         if cache_obj is not None:
             content_hash = hashlib.sha256(source.encode("utf-8")).hexdigest()

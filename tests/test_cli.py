@@ -210,6 +210,10 @@ class TestTrace:
             ["--plane", "neat"],
             ["--plane-delay-s", "30"],
             ["--plane-dropout", "0.2"],
+            # A flag given at its parser default is still a flag given.
+            pytest.param(["--hosts", "16"], id="--hosts-at-default"),
+            pytest.param(["--seed", "0"], id="--seed-at-default"),
+            pytest.param(["--plane", "centralized"], id="--plane-at-default"),
         ],
         ids=lambda flag: flag[0],
     )

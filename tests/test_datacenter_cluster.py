@@ -8,6 +8,8 @@ from repro.prototype import PROTOTYPE_BLADE
 from repro.sim import Environment
 from repro.workload import FlatTrace
 
+from .test_telemetry_sampler import tick
+
 
 @pytest.fixture
 def env():
@@ -115,7 +117,8 @@ class TestAggregates:
     def test_refresh_returns_total_shortfall(self, env):
         cluster = Cluster.homogeneous(env, PROTOTYPE_BLADE, 2, cores=2.0, mem_gb=64.0)
         cluster.add_vm(make_vm("a", vcpus=4, level=1.0), cluster.hosts[0])
-        assert cluster.refresh_utilization(0.0) == pytest.approx(2.0)
+        shortfall, _ = tick(cluster)
+        assert shortfall == pytest.approx(2.0)
 
     def test_placeable_excludes_evacuating(self, cluster):
         cluster.hosts[2].evacuating = True

@@ -10,6 +10,8 @@ from repro.prototype import PROTOTYPE_BLADE
 from repro.sim import Environment
 from repro.workload import FlatTrace, StepTrace
 
+from .test_telemetry_sampler import tick
+
 
 class TestFaultModel:
     def test_defaults_inert(self):
@@ -128,7 +130,8 @@ class TestManagerResilience:
         # Demand surge eventually gets served despite failed wake attempts:
         # capacity recovered and shortfall cleared by simulation end.
         assert cluster.active_capacity_cores() >= 40.0
-        assert cluster.refresh_utilization() == 0.0
+        shortfall, _ = tick(cluster)
+        assert shortfall == 0.0
 
     def test_out_of_service_hosts_not_retried(self):
         env = Environment()

@@ -2,11 +2,13 @@
 
 import pytest
 
-from repro.datacenter import Host, HostNotActive, InsufficientCapacity, VM
+from repro.datacenter import Cluster, Host, HostNotActive, InsufficientCapacity, VM
 from repro.power import PowerState
 from repro.prototype import PROTOTYPE_BLADE
 from repro.sim import Environment
 from repro.workload import FlatTrace
+
+from .test_telemetry_sampler import tick
 
 
 @pytest.fixture
@@ -72,26 +74,31 @@ class TestDemandAndUtilization:
         host.migration_tax_cores = 0.5
         assert host.demand_cores(0.0) == pytest.approx(2.0 + 2.0 + 0.5)
 
-    def test_refresh_sets_power(self, host):
-        host.place(make_vm("a", vcpus=8, level=1.0))  # 8 cores of 16
-        shortfall = host.refresh_utilization(0.0)
+    def test_refresh_sets_power(self, env, host):
+        cluster = Cluster(env, [host])
+        cluster.add_vm(make_vm("a", vcpus=8, level=1.0), host)  # 8 cores of 16
+        shortfall, _ = tick(cluster)
         assert shortfall == 0.0
         expected = PROTOTYPE_BLADE.active_model.power_at(0.5)
         assert host.power_w() == pytest.approx(expected)
 
     def test_refresh_reports_shortfall(self, env):
         host = Host(env, "small", PROTOTYPE_BLADE, cores=2.0, mem_gb=64.0)
-        host.place(make_vm("a", vcpus=4, level=1.0))  # wants 4 of 2 cores
-        assert host.refresh_utilization(0.0) == pytest.approx(2.0)
+        cluster = Cluster(env, [host])
+        cluster.add_vm(make_vm("a", vcpus=4, level=1.0), host)  # wants 4 of 2 cores
+        shortfall, _ = tick(cluster)
+        assert shortfall == pytest.approx(2.0)
         assert host.machine.utilization == 1.0
 
     def test_parked_host_with_vms_full_shortfall(self, env):
         # Pathological state the manager must never create; accounting
         # still charges the full demand as undelivered.
         host = Host(env, "h", PROTOTYPE_BLADE)
-        host.place(make_vm("a", vcpus=4, level=0.5))
+        cluster = Cluster(env, [host])
+        cluster.add_vm(make_vm("a", vcpus=4, level=0.5), host)
         host.machine._state = PowerState.SLEEP  # force the bad state
-        assert host.refresh_utilization(0.0) == pytest.approx(2.0)
+        shortfall, _ = tick(cluster)
+        assert shortfall == pytest.approx(2.0)
 
 
 class TestParkWake:

@@ -2,11 +2,13 @@
 
 import pytest
 
-from repro.datacenter import Host, VM
+from repro.datacenter import Cluster, Host, VM
 from repro.power import DvfsModel
 from repro.prototype import PROTOTYPE_BLADE
 from repro.sim import Environment
 from repro.workload import FlatTrace
+
+from .test_telemetry_sampler import tick
 
 
 class TestDvfsModel:
@@ -75,44 +77,45 @@ class TestHostDvfsIntegration:
             mem_gb=128.0,
             dvfs=DvfsModel(),
         )
-        vm = VM("vm", vcpus=16, mem_gb=16, trace=FlatTrace(level))
-        host.place(vm)
-        return env, host
+        cluster = Cluster(env, [host])
+        cluster.add_vm(VM("vm", vcpus=16, mem_gb=16, trace=FlatTrace(level)), host)
+        return cluster, host
 
     def test_light_load_drops_frequency(self):
-        env, host = self.make_host(level=0.2)
-        host.refresh_utilization(0.0)
+        cluster, host = self.make_host(level=0.2)
+        tick(cluster)
         assert host.frequency < 1.0
 
     def test_heavy_load_keeps_nominal(self):
-        env, host = self.make_host(level=0.95)
-        host.refresh_utilization(0.0)
+        cluster, host = self.make_host(level=0.95)
+        tick(cluster)
         assert host.frequency == 1.0
 
     def test_dvfs_reduces_power_at_partial_load(self):
         env_a = Environment()
         plain = Host(env_a, "plain", PROTOTYPE_BLADE, cores=16.0, mem_gb=128.0)
-        plain.place(VM("v1", vcpus=16, mem_gb=16, trace=FlatTrace(0.3)))
-        plain.refresh_utilization(0.0)
+        cluster_a = Cluster(env_a, [plain])
+        cluster_a.add_vm(VM("v1", vcpus=16, mem_gb=16, trace=FlatTrace(0.3)), plain)
+        tick(cluster_a)
 
-        env_b, scaled = self.make_host(level=0.3)
-        scaled.refresh_utilization(0.0)
+        cluster_b, scaled = self.make_host(level=0.3)
+        tick(cluster_b)
         assert scaled.power_w() < plain.power_w()
 
     def test_dvfs_never_reduces_power_below_idle(self):
-        env, host = self.make_host(level=0.05)
-        host.refresh_utilization(0.0)
+        cluster, host = self.make_host(level=0.05)
+        tick(cluster)
         assert host.power_w() >= PROTOTYPE_BLADE.idle_w - 1e-9
 
     def test_governor_never_creates_shortfall_nominal_avoids(self):
-        env, host = self.make_host(level=0.9)  # 14.4 cores of 16
-        shortfall = host.refresh_utilization(0.0)
+        cluster, host = self.make_host(level=0.9)  # 14.4 cores of 16
+        shortfall, _ = tick(cluster)
         assert shortfall == 0.0
 
     def test_no_dvfs_keeps_frequency_at_one(self):
         env = Environment()
         host = Host(env, "h0", PROTOTYPE_BLADE)
-        host.refresh_utilization(0.0)
+        tick(Cluster(env, [host]))
         assert host.frequency == 1.0
 
     def test_invalid_target_rejected(self):
@@ -129,12 +132,12 @@ class TestDvfsClassAccounting:
         host = Host(
             env, "h0", PROTOTYPE_BLADE, cores=16.0, mem_gb=128.0, dvfs=DvfsModel()
         )
-        host.place(VM("g", vcpus=4, mem_gb=8, trace=FlatTrace(1.0),
-                      priority=Priority.GOLD))
-        host.place(VM("b", vcpus=4, mem_gb=8, trace=FlatTrace(1.0),
-                      priority=Priority.BRONZE))
-        aggregate = host.refresh_utilization(0.0)
-        by_class = host.shortfall_by_class(0.0)
+        cluster = Cluster(env, [host])
+        cluster.add_vm(VM("g", vcpus=4, mem_gb=8, trace=FlatTrace(1.0),
+                          priority=Priority.GOLD), host)
+        cluster.add_vm(VM("b", vcpus=4, mem_gb=8, trace=FlatTrace(1.0),
+                          priority=Priority.BRONZE), host)
+        aggregate, by_class = tick(cluster)
         assert sum(by_class.values()) == pytest.approx(aggregate)
         # Demand 8 of 16 cores: governor picks f=0.7 (8 <= 0.8*0.7*16);
         # scaled capacity 11.2 covers everything.

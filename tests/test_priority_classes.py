@@ -8,6 +8,8 @@ from repro.sim import Environment
 from repro.telemetry import ClusterSampler
 from repro.workload import FlatTrace, FleetSpec, build_fleet
 
+from .test_telemetry_sampler import tick
+
 
 def make_vm(name, vcpus, level, priority, mem_gb=8):
     return VM(
@@ -30,60 +32,64 @@ class TestPriorityEnum:
 
 class TestShortfallByClass:
     @pytest.fixture
-    def host(self):
+    def cluster(self):
         env = Environment()
-        return Host(env, "h0", PROTOTYPE_BLADE, cores=8.0, mem_gb=128.0)
+        return Cluster(env, [Host(env, "h0", PROTOTYPE_BLADE, cores=8.0, mem_gb=128.0)])
 
-    def test_no_shortfall_when_capacity_sufficient(self, host):
-        host.place(make_vm("g", 4, 0.5, Priority.GOLD))
-        host.place(make_vm("b", 4, 0.5, Priority.BRONZE))
-        shortfall = host.shortfall_by_class(0.0)
+    @staticmethod
+    def place(cluster, *vms):
+        for vm in vms:
+            cluster.add_vm(vm, cluster.hosts[0])
+
+    def test_no_shortfall_when_capacity_sufficient(self, cluster):
+        self.place(cluster, make_vm("g", 4, 0.5, Priority.GOLD),
+                   make_vm("b", 4, 0.5, Priority.BRONZE))
+        _, shortfall = tick(cluster)
         assert all(v == 0.0 for v in shortfall.values())
 
-    def test_bronze_absorbs_overload_first(self, host):
-        host.place(make_vm("g", 6, 1.0, Priority.GOLD))  # 6 cores
-        host.place(make_vm("b", 6, 1.0, Priority.BRONZE))  # 6 cores, cap 8
-        shortfall = host.shortfall_by_class(0.0)
+    def test_bronze_absorbs_overload_first(self, cluster):
+        self.place(cluster, make_vm("g", 6, 1.0, Priority.GOLD),  # 6 cores
+                   make_vm("b", 6, 1.0, Priority.BRONZE))  # 6 cores, cap 8
+        _, shortfall = tick(cluster)
         assert shortfall[Priority.GOLD] == 0.0
         assert shortfall[Priority.BRONZE] == pytest.approx(4.0)
 
-    def test_gold_only_suffers_after_lower_classes_starve(self, host):
-        host.place(make_vm("g", 12, 1.0, Priority.GOLD))  # 12 of 8 cores
-        host.place(make_vm("b", 4, 1.0, Priority.BRONZE))
-        shortfall = host.shortfall_by_class(0.0)
+    def test_gold_only_suffers_after_lower_classes_starve(self, cluster):
+        self.place(cluster, make_vm("g", 12, 1.0, Priority.GOLD),  # 12 of 8 cores
+                   make_vm("b", 4, 1.0, Priority.BRONZE))
+        _, shortfall = tick(cluster)
         assert shortfall[Priority.GOLD] == pytest.approx(4.0)
         assert shortfall[Priority.BRONZE] == pytest.approx(4.0)
 
-    def test_silver_between_gold_and_bronze(self, host):
-        host.place(make_vm("g", 4, 1.0, Priority.GOLD))
-        host.place(make_vm("s", 4, 1.0, Priority.SILVER))
-        host.place(make_vm("b", 4, 1.0, Priority.BRONZE))  # total 12 of 8
-        shortfall = host.shortfall_by_class(0.0)
+    def test_silver_between_gold_and_bronze(self, cluster):
+        self.place(cluster, make_vm("g", 4, 1.0, Priority.GOLD),
+                   make_vm("s", 4, 1.0, Priority.SILVER),
+                   make_vm("b", 4, 1.0, Priority.BRONZE))  # total 12 of 8
+        _, shortfall = tick(cluster)
         assert shortfall[Priority.GOLD] == 0.0
         assert shortfall[Priority.SILVER] == 0.0
         assert shortfall[Priority.BRONZE] == pytest.approx(4.0)
 
-    def test_migration_tax_served_before_everything(self, host):
-        host.place(make_vm("g", 8, 1.0, Priority.GOLD))
-        host.migration_tax_cores = 2.0
-        shortfall = host.shortfall_by_class(0.0)
+    def test_migration_tax_served_before_everything(self, cluster):
+        self.place(cluster, make_vm("g", 8, 1.0, Priority.GOLD))
+        cluster.hosts[0].migration_tax_cores = 2.0
+        _, shortfall = tick(cluster)
         assert shortfall[Priority.GOLD] == pytest.approx(2.0)
 
-    def test_parked_host_starves_all_classes(self, host):
-        host.place(make_vm("g", 4, 0.5, Priority.GOLD))
+    def test_parked_host_starves_all_classes(self, cluster):
+        self.place(cluster, make_vm("g", 4, 0.5, Priority.GOLD))
         from repro.power import PowerState
 
-        host.machine._state = PowerState.SLEEP
-        shortfall = host.shortfall_by_class(0.0)
+        cluster.hosts[0].machine._state = PowerState.SLEEP
+        _, shortfall = tick(cluster)
         assert shortfall[Priority.GOLD] == pytest.approx(2.0)
 
-    def test_class_totals_match_aggregate_shortfall(self, host):
-        host.place(make_vm("g", 6, 1.0, Priority.GOLD))
-        host.place(make_vm("s", 6, 1.0, Priority.SILVER))
-        host.place(make_vm("b", 6, 1.0, Priority.BRONZE))
-        aggregate = host.refresh_utilization(0.0)
-        by_class = sum(host.shortfall_by_class(0.0).values())
-        assert by_class == pytest.approx(aggregate)
+    def test_class_totals_match_aggregate_shortfall(self, cluster):
+        self.place(cluster, make_vm("g", 6, 1.0, Priority.GOLD),
+                   make_vm("s", 6, 1.0, Priority.SILVER),
+                   make_vm("b", 6, 1.0, Priority.BRONZE))
+        aggregate, by_class = tick(cluster)
+        assert sum(by_class.values()) == pytest.approx(aggregate)
 
 
 class TestSamplerClassAccounting:

@@ -12,12 +12,14 @@ from hypothesis import strategies as st
 
 from repro.analysis import extract_episodes, render_table
 from repro.core.predictor import EwmaPredictor, HistoryPredictor, PeakWindowPredictor
-from repro.datacenter import FaultInjector, FaultModel, Host, Priority, VM
+from repro.datacenter import Cluster, FaultInjector, FaultModel, Host, Priority, VM
 from repro.power import DvfsModel
 from repro.prototype import PROTOTYPE_BLADE
 from repro.sim import Environment
 from repro.telemetry import TimeSeries
 from repro.workload import FlatTrace, PlateauTrace, WeeklyTrace
+
+from .test_telemetry_sampler import tick
 
 
 # ---------------------------------------------------------------------------
@@ -71,13 +73,15 @@ class_demands = st.lists(
 def test_class_shortfalls_sum_to_aggregate(specs, cores):
     env = Environment()
     host = Host(env, "h", PROTOTYPE_BLADE, cores=cores, mem_gb=10_000.0)
+    cluster = Cluster(env, [host])
     for i, (priority, vcpus) in enumerate(specs):
-        host.place(
+        cluster.add_vm(
             VM("vm-{}".format(i), vcpus=vcpus, mem_gb=1.0,
-               trace=FlatTrace(1.0), priority=priority)
+               trace=FlatTrace(1.0), priority=priority),
+            host,
         )
     aggregate = max(0.0, host.demand_cores(0.0) - cores)
-    by_class = host.shortfall_by_class(0.0)
+    _, by_class = tick(cluster)
     assert sum(by_class.values()) == pytest.approx(aggregate, abs=1e-9)
     # Strict priority: a higher class can only starve if every lower
     # class is fully starved.

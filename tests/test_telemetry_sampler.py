@@ -1,13 +1,108 @@
-"""Unit tests for the cluster sampler and report builder."""
+"""Unit tests for the cluster sampler and report builder.
+
+``ClusterSampler.sample_once`` is the only code that refreshes hosts and
+delivers demand, so it is checked here against a reference that shares
+no demand value with it (``naive_sample``), and the delivery and DVFS
+unit tests elsewhere run it through :func:`tick`.
+"""
 
 import pytest
 
-from repro.datacenter import Cluster, VM
-from repro.power import PowerState
+from repro.core.runner import spread_placement
+from repro.datacenter import Cluster, Priority, VM
+from repro.fold import left_sum
+from repro.power import DvfsModel, PowerState
 from repro.prototype import PROTOTYPE_BLADE
 from repro.sim import Environment
 from repro.telemetry import ClusterSampler, SimReport, build_report
-from repro.workload import FlatTrace, StepTrace
+from repro.workload import FlatTrace, FleetSpec, StepTrace, build_fleet
+
+
+def tick(cluster):
+    """Run one ``sample_once`` at the cluster's current instant.
+
+    Returns the shortfall cores it books and the per-class shortfall it
+    records, keyed by priority.
+    """
+    sampler = ClusterSampler(cluster.env, cluster)
+    shortfall = sampler.sample_once()
+    s = sampler.series
+    return shortfall, {
+        Priority.GOLD: s["shortfall_gold"].values[-1],
+        Priority.SILVER: s["shortfall_silver"].values[-1],
+        Priority.BRONZE: s["shortfall_bronze"].values[-1],
+    }
+
+
+def trace_cores(vm, now):
+    """``vm``'s demand read straight from its trace: no memo, no lattice."""
+    return min(vm.trace.at(now), 1.0) * vm.vcpus
+
+
+def naive_sample(cluster, now):
+    """The tick's identity reference: separate walks over direct trace reads.
+
+    It shares no demand value with the tick: every VM demand comes from
+    ``trace_cores``, summed in the tick's orders (hosts in inventory
+    order, VMs in per-host dict order, then the registry).  Per host it
+    spells out the DVFS governor's level and capacity and strict-priority
+    delivery (migration tax first, then GOLD, SILVER, BRONZE; a host that
+    is not stably ACTIVE delivers nothing) on those sums.  The class
+    demands total with the left fold the tick uses, not ``sum()``, which
+    is compensated on Python 3.12.
+    """
+    shortfall = 0.0
+    class_shortfall = {p: 0.0 for p in Priority}
+    for host in cluster.hosts:
+        per_class = {p: 0.0 for p in Priority}
+        resident = 0.0
+        for vm in host.vms.values():
+            v = trace_cores(vm, now)
+            resident += v
+            per_class[vm.priority] += v
+        tax = host.migration_tax_cores
+        demand = resident + tax
+        frequency = 1.0
+        if host.dvfs is not None and host.is_active:
+            frequency = host.dvfs.level_for(demand / host.cores, target=host.dvfs_target)
+        elif host.dvfs is not None:
+            frequency = host.dvfs.levels[0]
+        if not host.is_active and host.vms:
+            shortfall += demand
+            for p in Priority:
+                class_shortfall[p] += per_class[p]
+            continue
+        shortfall += max(0.0, demand - host.cores * frequency)
+        if not host.vms:
+            continue
+        capacity_left = max(0.0, host.cores * frequency - tax)
+        for p in sorted(Priority):
+            delivered = min(per_class[p], capacity_left)
+            capacity_left -= delivered
+            class_shortfall[p] += per_class[p] - delivered
+    class_demand = {p: 0.0 for p in Priority}
+    for vm in cluster.iter_vms():
+        class_demand[vm.priority] += trace_cores(vm, now)
+    demand = left_sum(class_demand.values())
+    return shortfall, class_shortfall, class_demand, demand
+
+
+def build_cluster(n_hosts=40, dvfs=False, seed=17):
+    env = Environment()
+    cluster = Cluster.homogeneous(
+        env,
+        PROTOTYPE_BLADE,
+        n_hosts=n_hosts,
+        dvfs=DvfsModel() if dvfs else None,
+    )
+    spec = FleetSpec(
+        n_vms=4 * n_hosts, horizon_s=4 * 3600.0, shared_fraction=0.3
+    )
+    vms = build_fleet(spec, seed=seed)
+    spread_placement(vms, cluster)
+    for vm in vms:
+        cluster._vms[vm.name] = vm
+    return env, cluster
 
 
 @pytest.fixture
@@ -194,16 +289,41 @@ def tick_steps(sampler):
     return steps, registry_changed
 
 
+class TestFusedTickIdentity:
+    def _assert_identical(self, dvfs):
+        env, cluster = build_cluster(n_hosts=24, dvfs=dvfs)
+        sampler = ClusterSampler(env, cluster, epoch_s=60.0)
+        for k in range(16):
+            now = float(k) * 60.0
+            env._now = now
+            ref_sf, ref_cls_sf, ref_cls_d, ref_demand = naive_sample(
+                cluster, now
+            )
+            sampler.sample_once()
+            s = sampler.series
+            assert s["shortfall_cores"].values[-1] == ref_sf
+            assert s["demand_cores"].values[-1] == ref_demand
+            assert s["shortfall_gold"].values[-1] == ref_cls_sf[Priority.GOLD]
+            assert (
+                s["shortfall_silver"].values[-1]
+                == ref_cls_sf[Priority.SILVER]
+            )
+            assert (
+                s["shortfall_bronze"].values[-1]
+                == ref_cls_sf[Priority.BRONZE]
+            )
+
+    def test_fused_tick_matches_naive_reference(self):
+        self._assert_identical(dvfs=False)
+
+    def test_fused_tick_matches_naive_reference_with_dvfs(self):
+        self._assert_identical(dvfs=True)
+
+
 class TestTickPaths:
     """Every step of the tick walk equals a direct trace-read reference."""
 
     def test_every_step_matches_the_trace_read_reference(self):
-        from benchmarks.test_sampler_micro import naive_sample, trace_cores
-        from repro.datacenter.vm import Priority
-        from repro.fold import left_sum
-        from repro.power.dvfs import DvfsModel
-        from repro.workload import FleetSpec, build_fleet
-
         env = Environment()
         cluster = Cluster.heterogeneous(
             env,
