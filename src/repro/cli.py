@@ -47,7 +47,8 @@ from repro.prototype import (
     format_characterization_table,
     make_prototype_blade_profile,
 )
-from repro.telemetry import SimReport
+from repro.telemetry import SimReport, TraceBuffer
+from repro.telemetry.trace import jsonl_hash
 from repro.workload import FleetSpec
 
 
@@ -497,6 +498,16 @@ def cmd_trace_check(argv: List[str]) -> int:
     return 0 if outcome.ok else 1
 
 
+def _write_trace(buf: TraceBuffer, path: str) -> str:
+    """Write ``buf``'s JSONL to ``path`` atomically; returns its sha256.
+
+    The trace is encoded once, for the file and for the hash.
+    """
+    text = buf.to_jsonl()
+    atomic_write_text(path, text)
+    return jsonl_hash(text)
+
+
 def cmd_trace(args: argparse.Namespace) -> int:
     from repro.telemetry.validate import validate_trace
 
@@ -527,10 +538,9 @@ def cmd_trace(args: argparse.Namespace) -> int:
         raise RuntimeError("run_scenario(trace=True) returned no trace")
     outcome = validate_trace(buf, report=result.report)
     if args.out:
-        buf.write(args.out)
         print(
             "wrote {} event(s) to {} (sha256 {})".format(
-                len(buf), args.out, buf.trace_hash()
+                len(buf), args.out, _write_trace(buf, args.out)
             )
         )
         print(outcome.render_text())
@@ -671,20 +681,17 @@ def cmd_chaos(args: argparse.Namespace) -> int:
     if buf is None:  # pragma: no cover - run_scenario(trace=True) guarantees it
         raise RuntimeError("run_scenario(trace=True) returned no trace")
     outcome = validate_trace(buf, report=result.report)
+    digest = None
     if args.out:
-        buf.write(args.out)
-        print(
-            "wrote {} event(s) to {} (sha256 {})".format(
-                len(buf), args.out, buf.trace_hash()
-            )
-        )
+        digest = _write_trace(buf, args.out)
+        print("wrote {} event(s) to {} (sha256 {})".format(len(buf), args.out, digest))
     if args.json:
         import repro
 
         payload = result.report.to_dict()
         payload["version"] = repro.__version__
         payload["seed"] = args.seed
-        payload["trace_hash"] = buf.trace_hash()
+        payload["trace_hash"] = buf.trace_hash() if digest is None else digest
         payload["trace_check"] = outcome.to_dict()
         print(json.dumps(payload, indent=2, sort_keys=True))
         return 0 if outcome.ok else 1

@@ -70,8 +70,10 @@ if TYPE_CHECKING:
 #: 3: one demand lattice instead of per-object ``_grid*`` fields;
 #: 4: the plane's trace lives on its ``ManagementLog``, not on each
 #: component; 5: the trace event classes live in ``repro.trace_events``,
-#: and a pickle names each class's module).
-CHECKPOINT_SCHEMA = 5
+#: and a pickle names each class's module; 6: the demand lattice keeps
+#: the slot its rows were rebuilt from and rows for VMs admitted after
+#: its fill).
+CHECKPOINT_SCHEMA = 6
 
 _MAGIC = b"REPROCKPT1\n"
 

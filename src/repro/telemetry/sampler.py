@@ -130,15 +130,19 @@ class ClusterSampler:
         This is the simulation's per-instant hot path, so the whole tick
         is one fused walk over the host inventory.  A *settled* host
         (stably ACTIVE, untaxed, no DVFS, lattice rows current, a core of
-        slack) copies its rows; an untaxed *empty* host that is not
-        stably ACTIVE refreshes its caches; every other host takes the
-        general step, which reads each VM's demand once and runs the
-        utilization refresh plus per-class strict-priority shortfall
-        arithmetic inline.  The short steps run the general step's float
-        operations for their case, minus terms that are exactly zero.
-        The accumulation order — hosts in inventory order, VMs in
-        per-host dict order, classes GOLD→SILVER→BRONZE, then the cluster
-        VM registry for class demand — is fixed, and the reference in
+        slack) copies its rows, which the walk first rebuilds from this
+        slot on if a placement or tax change made them stale; an untaxed
+        *empty* host that is not stably ACTIVE refreshes its caches;
+        every other host takes the general step, which reads each VM's
+        demand once and runs the utilization refresh plus per-class
+        strict-priority shortfall arithmetic inline.  The short steps run
+        the general step's float operations for their case, minus terms
+        that are exactly zero.  Class demand comes from the slot's class
+        rows, rebuilt from this slot on after admissions and
+        retirements; the registry is walked only where the lattice
+        refuses.  The accumulation order — hosts in inventory order, VMs
+        in per-host dict order, classes GOLD→SILVER→BRONZE, then the
+        cluster VM registry for class demand — is fixed, and the reference in
         ``tests/test_telemetry_sampler.py`` sums direct trace reads in
         the same orders to check every series value bit for bit.
         """
@@ -167,19 +171,21 @@ class ClusterSampler:
             tax = host._migration_tax_cores
             # Inline machine.is_active (a property + method chain):
             active = machine._state is ACTIVE and machine._transition is None
-            if active:
+            if active and on and tax == 0.0 and dvfs is None:
                 # Settled-host short step.  The host's rows are current
-                # while its demand epoch matches the fill (no placement or
-                # tax change since); a core of slack makes the shortfall,
-                # overload and per-class terms zero; and the unit DVFS
-                # scale drops out of the wattage (``x * 1.0 == x``).
-                if (
-                    on and tags[k] == host._demand_epoch and tax == 0.0
-                    and dvfs is None and not resident_now[k] > cores - 1.0
-                ):
+                # while its demand epoch matches theirs; rows a placement
+                # or tax change made stale are rebuilt from this slot on
+                # (a VM without a row keeps the general step).  A core of
+                # slack makes the shortfall, overload and per-class terms
+                # zero, and the unit DVFS scale drops out of the wattage
+                # (``x * 1.0 == x``).
+                epoch = host._demand_epoch
+                if tags[k] != epoch:
+                    lattice.rebuild_host(k, host)
+                if tags[k] == epoch and not resident_now[k] > cores - 1.0:
                     vm_sum = resident_now[k]
                     demand = vm_sum + tax
-                    host._demand_key = (now, host._demand_epoch)
+                    host._demand_key = (now, epoch)
                     host._demand_value = demand
                     host._resident_value = vm_sum
                     if ceiling is not None and not (
@@ -194,7 +200,7 @@ class ClusterSampler:
                     meter.set_power(now, idle + (power_now[k] - idle))
                     power_total += meter._power_w
                     continue
-            elif not vms and tax == 0.0:
+            elif not active and not vms and tax == 0.0:
                 # Empty-host short step: no demand, no shortfall, and a
                 # machine that is not stably ACTIVE takes no meter write.
                 host._demand_key = (now, host._demand_epoch)
@@ -316,9 +322,10 @@ class ClusterSampler:
                         capacity_left -= delivered
                         silver_sf += sv - delivered
                         bronze_sf += b - min(b, capacity_left)
-        if on and lattice.class_tag == cluster._vm_epoch:
-            # Registry unchanged since the fill: the class demand totals
-            # are the slot's precomputed values.
+        if on and (lattice.class_tag == cluster._vm_epoch or lattice.rebuild_classes()):
+            # Registry unchanged since the class rows were built, or they
+            # were rebuilt from this slot on: the class demand totals are
+            # the slot's precomputed values.
             gold_d, silver_d, bronze_d, registry_total = lattice.classes_now
         else:
             gold_d = silver_d = bronze_d = 0.0

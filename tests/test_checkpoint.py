@@ -166,8 +166,9 @@ class TestRejection:
         # demand lattice replaced; schema 3 pickled the trace on each plane
         # component and a ManagementLog without one, so a traced resume
         # would drop every plane event; schema 4 pickled trace events
-        # under repro.telemetry.trace, which no longer defines them.  The
-        # manifest check must refuse all four before anything is
+        # under repro.telemetry.trace, which no longer defines them;
+        # schema 5 pickled a demand lattice without its rebuild slots.
+        # The manifest check must refuse all five before anything is
         # unpickled.
         import repro.core.checkpoint as checkpoint
 
@@ -179,7 +180,7 @@ class TestRejection:
             raise AssertionError("an old-schema payload was unpickled")
 
         monkeypatch.setattr(checkpoint, "pickle", type("P", (), {"loads": unpickled}))
-        for schema in (1, 2, 3, 4):
+        for schema in (1, 2, 3, 4, 5):
             path.write_bytes(
                 magic + b"\n"
                 + json.dumps(dict(manifest, schema=schema), sort_keys=True).encode()

@@ -309,6 +309,49 @@ class TestVersionedJson:
         assert "trace_check" in payload
 
 
+class TestTraceWrittenOnce:
+    """A written trace is encoded once, and its printed sha256 is the file's."""
+
+    SMALL = ["--hosts", "3", "--vms", "6", "--hours", "1", "--seed", "2"]
+
+    def _encodes(self, monkeypatch):
+        from repro.telemetry import TraceBuffer
+
+        calls = []
+        to_jsonl = TraceBuffer.to_jsonl
+
+        def counted(self):
+            calls.append(1)
+            return to_jsonl(self)
+
+        monkeypatch.setattr(TraceBuffer, "to_jsonl", counted)
+        return calls
+
+    def test_trace_out(self, tmp_path, capsys, monkeypatch):
+        import hashlib
+
+        target = tmp_path / "t.jsonl"
+        calls = self._encodes(monkeypatch)
+        assert main(["trace", "S3-PM", "--out", str(target)] + self.SMALL) == 0
+        assert len(calls) == 1
+        digest = hashlib.sha256(target.read_bytes()).hexdigest()
+        assert "(sha256 {})".format(digest) in capsys.readouterr().out
+
+    def test_chaos_out_json(self, tmp_path, capsys, monkeypatch):
+        import hashlib
+        import json as json_mod
+
+        target = tmp_path / "c.jsonl"
+        calls = self._encodes(monkeypatch)
+        code = main(["chaos", "S3-PM", "--out", str(target), "--json"] + self.SMALL)
+        assert code == 0
+        assert len(calls) == 1
+        digest = hashlib.sha256(target.read_bytes()).hexdigest()
+        wrote, _, payload = capsys.readouterr().out.partition("\n")
+        assert wrote.endswith("(sha256 {})".format(digest))
+        assert json_mod.loads(payload)["trace_hash"] == digest
+
+
 class TestFuzz:
     def test_parser_defaults(self):
         args = build_parser().parse_args(["fuzz"])

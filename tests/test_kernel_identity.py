@@ -24,6 +24,7 @@ from repro.datacenter.vm import Priority
 from repro.power.models import LinearPowerModel, PiecewisePowerModel
 from repro.prototype import PROTOTYPE_BLADE
 from repro.sim import Environment
+from repro.telemetry import ClusterSampler
 from repro.telemetry.lattice import DemandLattice
 from repro.workload import FleetSpec
 from repro.workload.fleet import _Choice, _make_shared_trace, build_fleet
@@ -289,6 +290,87 @@ class TestScenarioGridIdentity:
         assert served["vm"] > 1000 and served["host"] > 100, served
         assert served["cluster"] > 20, served
         assert min(refused.values()) > 0, refused
+
+
+class TestRebuiltRows:
+    """Rows the tick rebuilds in place hold from their slot on, never before."""
+
+    def test_rebuilt_rows_equal_scalar_and_refuse_earlier_slots(self):
+        env = Environment()
+        cluster = Cluster.homogeneous(env, PROTOTYPE_BLADE, 2, cores=16.0, mem_gb=256.0)
+        a, b = cluster.hosts
+        fleet = build_fleet(FleetSpec(n_vms=9, horizon_s=4 * 3600.0, shared_fraction=0.3), seed=5)
+        for i, vm in enumerate(fleet[:-1]):
+            cluster.add_vm(vm, cluster.hosts[i % 2])
+        sampler = ClusterSampler(env, cluster, epoch_s=60.0)
+        lattice = sampler.lattice
+        sampler.start()
+        env.run(until=5 * 60.0 + 1.0)
+        moved = next(iter(a.vms.values()))
+        a.remove(moved)
+        b.place(moved)
+        cluster.add_vm(fleet[-1], b)
+        # Tick 6 rebuilds a's rows and the class rows (b holds a VM the
+        # lattice has not met yet); tick 7 rebuilds b's from the VM rows
+        # tick 6 made.
+        env.run(until=7 * 60.0 + 1.0)
+        assert lattice.host_from == [6, 7] and lattice.class_from == 6
+        assert (lattice.host_tags, lattice.class_tag) == (
+            [a._demand_epoch, b._demand_epoch], cluster._vm_epoch
+        )
+        for i in range(1, lattice.CHUNK_TICKS):
+            t = i * 60.0
+            residents = []
+            for k, host in enumerate(cluster.hosts):
+                expected = 0.0
+                for vm in host.vms.values():
+                    expected += min(vm.trace.at(t), 1.0) * vm.vcpus
+                residents.append(expected)
+                row = lattice.resident_cores(host, t)
+                if i < lattice.host_from[k]:
+                    assert row is None
+                else:
+                    assert row == expected
+                    u = min(expected / host.cores, 1.0)
+                    assert lattice.util_now[k] == u
+                    assert lattice.power_now[k] == host.machine.profile.active_model.power_at(u)
+            totals = [0.0] * 4
+            for vm in cluster.iter_vms():
+                v = min(vm.trace.at(t), 1.0) * vm.vcpus
+                totals[vm.priority] += v
+                totals[3] += v
+            if i < lattice.class_from:
+                assert lattice.registry_cores(t) is None
+            else:
+                assert lattice.registry_cores(t) == totals[3]
+                assert lattice.classes_now == totals
+
+
+    def test_class_rows_rebuild_after_an_empty_fill(self):
+        # Every VM arrives after the fill: the class rows come from rows
+        # made for VMs the lattice had not met.
+        env = Environment()
+        cluster = Cluster.homogeneous(env, PROTOTYPE_BLADE, 2, cores=16.0, mem_gb=256.0)
+        sampler = ClusterSampler(env, cluster, epoch_s=60.0)
+        lattice = sampler.lattice
+        sampler.start()
+        env.run(until=2 * 60.0 + 1.0)
+        fleet = build_fleet(FleetSpec(n_vms=5, horizon_s=3600.0), seed=9)
+        for i, vm in enumerate(fleet):
+            cluster.add_vm(vm, cluster.hosts[i % 2])
+        env.run(until=4 * 60.0 + 1.0)
+        assert (lattice.class_tag, lattice.class_from) == (cluster._vm_epoch, 3)
+        assert lattice.host_from == [4, 4]
+        t = 4 * 60.0
+        totals = [0.0] * 4
+        for vm in cluster.iter_vms():
+            v = min(vm.trace.at(t), 1.0) * vm.vcpus
+            totals[vm.priority] += v
+            totals[3] += v
+        assert lattice.registry_cores(t) == totals[3]
+        assert lattice.classes_now == totals
+        gold, silver, bronze, _ = totals
+        assert sampler.series["demand_cores"].values[-1] == gold + silver + bronze
 
 
 def reference_samples(archetype, rng, spec):

@@ -256,24 +256,40 @@ class TestBuildReport:
         assert len(SimReport.header().split()) == len(report.row().split())
 
 
+def has_row(lattice, vm):
+    """Whether a rebuild can read ``vm``'s row at the selected slot.
+
+    Its fill column, or rows an earlier class rebuild made for it.
+    """
+    if vm in lattice.vm_col:
+        return True
+    return lattice.late_rows.get(vm) is not None
+
+
 def tick_steps(sampler):
     """Which step of ``sample_once`` each host takes at ``env.now``.
 
     Mirrors the walk's tests: ``settled`` and ``empty`` are its two short
-    steps, everything else the general step.  Selecting the tick first is
-    what ``sample_once`` does itself; the second selection is a no-op.
+    steps, ``rebuilt`` a stale host whose rows the tick rebuilds (it then
+    takes the settled or the general step), everything else the general
+    step.  The second value names the class-total path: the slot's class
+    rows, rows the tick rebuilds (a VM the lattice has not met gets rows
+    unless its trace goes negative before the chunk's end), or the
+    registry walk.  Selecting the tick first is what ``sample_once`` does
+    itself; the second selection is a no-op.
     """
     lattice = sampler.lattice
-    on = lattice.tick(sampler.env.now)
+    now = sampler.env.now
+    on = lattice.tick(now)
     steps = []
     for k, host in enumerate(sampler.cluster.hosts):
         active = host.is_active
         current = on and lattice.host_tags[k] == host._demand_epoch
         tax = host.migration_tax_cores
-        if (
-            active and current and tax == 0.0 and host.dvfs is None
-            and not lattice.resident_now[k] > host.cores - 1.0
-        ):
+        plain = active and on and tax == 0.0 and host.dvfs is None
+        if plain and not current and all(has_row(lattice, vm) for vm in host.vms.values()):
+            steps.append("rebuilt")
+        elif plain and current and not lattice.resident_now[k] > host.cores - 1.0:
             steps.append("settled")
         elif not active and not host.vms and tax == 0.0:
             steps.append("empty")
@@ -285,8 +301,127 @@ def tick_steps(sampler):
             steps.append("general-stale")
         else:
             steps.append("general")
-    registry_changed = not (on and lattice.class_tag == sampler.cluster._vm_epoch)
-    return steps, registry_changed
+    cluster = sampler.cluster
+    if on and lattice.class_tag == cluster._vm_epoch:
+        return steps, "registry-rows"
+    ticks = [
+        i * sampler.epoch_s
+        for i in range(lattice._i0 + lattice._j, lattice._i0 + lattice._n)
+    ]
+
+    def gets_row(vm):
+        if vm in lattice.vm_col or vm in lattice.late_rows:
+            return has_row(lattice, vm)
+        return min(vm.trace.at(t) for t in ticks) >= 0.0
+
+    if on and all(gets_row(vm) for vm in cluster.iter_vms()):
+        return steps, "class-rebuilt"
+    return steps, "registry-walk"
+
+
+def checked_run(env, sampler, script, horizon, ceiling=None):
+    """Run ``script`` with every tick checked against ``naive_sample``.
+
+    Each tick's series values, run totals, host caches, machines and
+    meters must equal the direct trace-read reference bit for bit, and
+    a rebuild the tick was predicted to make must have happened.
+    Returns how often each path of :func:`tick_steps` ran.
+    """
+    cluster = sampler.cluster
+    hosts = cluster.hosts
+    lattice = sampler.lattice
+    epoch = sampler.epoch_s
+    seen = {}
+    expected = {"shortfall": 0.0, "demand": 0.0}
+    expected_class = {p: [0.0, 0.0] for p in Priority}
+    sample_once = sampler.sample_once
+
+    def checked_sample():
+        now = env.now
+        steps, registry = tick_steps(sampler)
+        for step in steps + [registry]:
+            seen[step] = seen.get(step, 0) + 1
+        shortfall, class_sf, class_d, demand = naive_sample(cluster, now)
+        sample_once()
+        j = lattice._j
+        for k, step in enumerate(steps):
+            if step == "rebuilt":
+                assert (lattice.host_tags[k], lattice.host_from[k]) == (
+                    hosts[k]._demand_epoch, j
+                )
+        if registry == "class-rebuilt":
+            assert (lattice.class_tag, lattice.class_from) == (cluster._vm_epoch, j)
+        s = sampler.series
+        assert s["shortfall_cores"].values[-1] == shortfall
+        assert s["demand_cores"].values[-1] == demand
+        for p, name in ((Priority.GOLD, "gold"), (Priority.SILVER, "silver"),
+                        (Priority.BRONZE, "bronze")):
+            assert s["shortfall_" + name].values[-1] == class_sf[p]
+            expected_class[p][0] += class_sf[p] * epoch
+            expected_class[p][1] += class_d[p] * epoch
+        expected["shortfall"] += shortfall * epoch
+        expected["demand"] += demand * epoch
+        # Per host: the caches, the machine and the meter the step
+        # wrote, from the same trace reads.
+        watts = []
+        overload = headroom = 0.0
+        for host in hosts:
+            resident = 0.0
+            for vm in host.vms.values():
+                resident += trace_cores(vm, now)
+            demand_h = resident + host.migration_tax_cores
+            assert host._demand_key == (now, host._demand_epoch)
+            assert (host._resident_value, host._demand_value) == (resident, demand_h)
+            machine = host.machine
+            if host.is_active:
+                u = min(demand_h / host.cores, 1.0)
+                scale = 1.0
+                if host.dvfs is not None:
+                    freq = host.dvfs.level_for(demand_h / host.cores, target=host.dvfs_target)
+                    assert host.frequency == freq
+                    scale = host.dvfs.power_scale(freq)
+                idle = machine.profile.idle_w
+                power = idle + (machine.profile.active_model.power_at(u) - idle) * scale
+                assert (machine.utilization, machine.meter.power_w) == (u, power)
+                overload += max(0.0, demand_h - host.cores)
+                if ceiling is not None and not (host.evacuating or host.in_maintenance):
+                    headroom += max(0.0, host.cores * ceiling - demand_h)
+            else:
+                assert machine.utilization == 0.0
+            watts.append(machine.meter.power_w)
+        assert s["power_w"].values[-1] == left_sum(watts)
+        if ceiling is not None:
+            assert (sampler._agg_overload, sampler._agg_headroom) == (overload, headroom)
+        assert s["vm_count"].values[-1] == cluster.vm_count
+        assert s["active_hosts"].values[-1] == cluster.n_active_hosts()
+        assert s["parked_hosts"].values[-1] == cluster.n_parked_hosts()
+        assert s["transitioning_hosts"].values[-1] == cluster.n_transitioning_hosts()
+        assert s["active_capacity_cores"].values[-1] == cluster.active_capacity_cores()
+        assert s["committed_capacity_cores"].values[-1] == cluster.committed_capacity_cores()
+
+    sampler.sample_once = checked_sample
+    sampler.start()
+    env.process(script(env))
+    env.run(until=horizon)
+    assert sampler.samples == int(horizon / epoch)
+    assert (sampler.shortfall_core_s, sampler.demand_core_s) == (
+        expected["shortfall"], expected["demand"]
+    )
+    for p in Priority:
+        assert (
+            sampler.class_shortfall_core_s[p], sampler.class_demand_core_s[p]
+        ) == tuple(expected_class[p])
+    return seen
+
+
+class NegativeFrom:
+    """A steady load whose trace goes negative from ``at_s`` on."""
+
+    def __init__(self, at_s):
+        self.at_s = at_s
+
+    def at(self, t):
+        return 0.45 if t < self.at_s else -0.1
 
 
 class TestFusedTickIdentity:
@@ -342,6 +477,10 @@ class TestTickPaths:
             cluster.add_vm(vm, hosts[1 + i % 6])
         for vm in fleet[-5:-3]:
             cluster.add_vm(vm, hosts[7])
+        # Negative just past the horizon, inside the last chunk (ticks
+        # 256-383): the fill leaves it off, so its host keeps the general
+        # step and the class totals the registry walk there.
+        cluster.add_vm(VM("dips", vcpus=2, mem_gb=4.0, trace=NegativeFrom(horizon)), hosts[2])
         ceiling = 0.8
         sampler = ClusterSampler(env, cluster, epoch_s=60.0, headroom_ceiling=ceiling)
 
@@ -362,83 +501,49 @@ class TestTickPaths:
             cluster.remove_vm(next(iter(hosts[4].vms.values())))
             env.process(hosts[0].wake())
 
-        seen = {}
-        expected = {"shortfall": 0.0, "demand": 0.0}
-        expected_class = {p: [0.0, 0.0] for p in Priority}
-        sample_once = sampler.sample_once
-
-        def checked_sample():
-            now = env.now
-            steps, registry_changed = tick_steps(sampler)
-            for step in steps:
-                seen[step] = seen.get(step, 0) + 1
-            seen["registry-walk"] = seen.get("registry-walk", 0) + registry_changed
-            shortfall, class_sf, class_d, demand = naive_sample(cluster, now)
-            sample_once()
-            s = sampler.series
-            assert s["shortfall_cores"].values[-1] == shortfall
-            assert s["demand_cores"].values[-1] == demand
-            for p, name in ((Priority.GOLD, "gold"), (Priority.SILVER, "silver"),
-                            (Priority.BRONZE, "bronze")):
-                assert s["shortfall_" + name].values[-1] == class_sf[p]
-                expected_class[p][0] += class_sf[p] * 60.0
-                expected_class[p][1] += class_d[p] * 60.0
-            expected["shortfall"] += shortfall * 60.0
-            expected["demand"] += demand * 60.0
-            # Per host: the caches, the machine and the meter the step
-            # wrote, from the same trace reads.
-            watts = []
-            overload = headroom = 0.0
-            for host in hosts:
-                resident = 0.0
-                for vm in host.vms.values():
-                    resident += trace_cores(vm, now)
-                demand_h = resident + host.migration_tax_cores
-                assert host._demand_key == (now, host._demand_epoch)
-                assert (host._resident_value, host._demand_value) == (resident, demand_h)
-                machine = host.machine
-                if host.is_active:
-                    u = min(demand_h / host.cores, 1.0)
-                    scale = 1.0
-                    if host.dvfs is not None:
-                        freq = host.dvfs.level_for(demand_h / host.cores, target=host.dvfs_target)
-                        assert host.frequency == freq
-                        scale = host.dvfs.power_scale(freq)
-                    idle = machine.profile.idle_w
-                    power = idle + (machine.profile.active_model.power_at(u) - idle) * scale
-                    assert (machine.utilization, machine.meter.power_w) == (u, power)
-                    overload += max(0.0, demand_h - host.cores)
-                    if not (host.evacuating or host.in_maintenance):
-                        headroom += max(0.0, host.cores * ceiling - demand_h)
-                else:
-                    assert machine.utilization == 0.0
-                watts.append(machine.meter.power_w)
-            assert s["power_w"].values[-1] == left_sum(watts)
-            assert (sampler._agg_overload, sampler._agg_headroom) == (overload, headroom)
-            assert s["vm_count"].values[-1] == cluster.vm_count
-            assert s["active_hosts"].values[-1] == cluster.n_active_hosts()
-            assert s["parked_hosts"].values[-1] == cluster.n_parked_hosts()
-            assert s["transitioning_hosts"].values[-1] == cluster.n_transitioning_hosts()
-            assert s["active_capacity_cores"].values[-1] == cluster.active_capacity_cores()
-            assert s["committed_capacity_cores"].values[-1] == cluster.committed_capacity_cores()
-
-        sampler.sample_once = checked_sample
-        sampler.start()
-        env.process(script(env))
-        env.run(until=horizon)
-        assert sampler.samples == 360
-        assert (sampler.shortfall_core_s, sampler.demand_core_s) == (
-            expected["shortfall"], expected["demand"]
-        )
-        for p in Priority:
-            assert (
-                sampler.class_shortfall_core_s[p], sampler.class_demand_core_s[p]
-            ) == tuple(expected_class[p])
+        seen = checked_run(env, sampler, script, horizon, ceiling)
         assert sampler.shortfall_core_s > 0.0
-        # Not vacuous: both short steps, every kind of general step and the
-        # registry walk all ran.
+        # Not vacuous: both short steps, both rebuilds, every kind of
+        # general step and the registry walk all ran.
         for step in (
-            "settled", "empty", "general", "general-dvfs-rows", "general-dvfs",
-            "general-taxed", "general-stale", "registry-walk",
+            "settled", "empty", "rebuilt", "general", "general-dvfs-rows", "general-dvfs",
+            "general-taxed", "general-stale", "registry-rows", "class-rebuilt",
+            "registry-walk",
         ):
             assert seen.get(step, 0) > 0, (step, seen)
+
+    def test_class_order_tax_and_parked_delivery(self):
+        # A short host serving all three classes, a taxed host at
+        # capacity and a parked host that still holds VMs: the strict
+        # priority order, the tax's place in it and a parked host's
+        # delivery all move the shortfall series.
+        env = Environment()
+        cluster = Cluster.homogeneous(env, PROTOTYPE_BLADE, 3, cores=4.0, mem_gb=64.0)
+        short, taxed, parked = cluster.hosts
+        horizon = 3 * 3600.0
+
+        def vm(name, vcpus, level, priority):
+            steps = StepTrace([(0.0, level), (3600.0, level * 0.7), (7200.0, level)])
+            return VM(name, vcpus=vcpus, mem_gb=4.0, trace=steps, priority=priority)
+
+        for i, p in enumerate((Priority.BRONZE, Priority.GOLD, Priority.SILVER)):
+            cluster.add_vm(vm("short-{}".format(i), 2, 0.93 - 0.07 * i, p), short)
+        for i, p in enumerate((Priority.SILVER, Priority.GOLD)):
+            cluster.add_vm(vm("taxed-{}".format(i), 2, 0.91, p), taxed)
+        for i, p in enumerate((Priority.GOLD, Priority.BRONZE)):
+            cluster.add_vm(vm("parked-{}".format(i), 1, 0.6, p), parked)
+        parked.machine._state = PowerState.SLEEP
+        parked.machine.on_change()
+        taxed.migration_tax_cores = 1.25
+        sampler = ClusterSampler(env, cluster, epoch_s=60.0)
+
+        def script(env):
+            yield env.timeout(5400.0)
+            # Untaxed, still short: its rows are rebuilt from here on.
+            taxed.migration_tax_cores = 0.0
+
+        seen = checked_run(env, sampler, script, horizon)
+        series = sampler.series
+        for name in ("shortfall_gold", "shortfall_silver", "shortfall_bronze"):
+            assert max(series[name].values) > 0.0, name
+        assert seen["rebuilt"] == 1 and seen["general-taxed"] > 0, seen
