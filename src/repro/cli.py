@@ -442,8 +442,6 @@ def cmd_lint(args: argparse.Namespace) -> int:
         report = lint_paths(
             args.paths or ["src", "benchmarks"],
             rules=rules,
-            cache=not args.no_cache,
-            baseline=args.baseline,
             exclude=tuple(args.exclude or ()),
         )
     except (FileNotFoundError, ValueError) as exc:
@@ -1214,24 +1212,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="list the registered rules and exit",
     )
     lint_parser.add_argument(
-        "--baseline",
-        default=None,
-        metavar="FILE",
-        help="suppress findings recorded in FILE (a --format json report); "
-        "only new findings fail the run",
-    )
-    lint_parser.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="disable the pass-1 summary cache (REPRO_NO_LINT_CACHE=1 too)",
-    )
-    lint_parser.add_argument(
         "--exclude",
         action="append",
         default=None,
         metavar="NAME",
-        help="skip files whose path contains this directory name "
-        "(repeatable; explicit file arguments are always linted)",
+        help="skip files whose path below a directory argument contains "
+        "this directory name (repeatable; explicit file arguments are "
+        "always linted)",
     )
     lint_parser.set_defaults(func=cmd_lint)
 

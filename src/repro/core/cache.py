@@ -8,8 +8,8 @@ outcome:
 
 * the policy :class:`~repro.core.config.ManagerConfig` (all fields),
 * every ``run_scenario`` keyword argument (fleet spec, seed, horizon …),
-* the installed package version (:data:`repro.__version__`) and a cache
-  schema number.
+* the installed package version (:data:`repro.__version__`), a cache
+  schema number, and a sha256 of the package's own ``.py`` sources.
 
 The key is built from a canonical JSON encoding, so two configs with the
 same values always hash identically regardless of construction order.
@@ -19,8 +19,9 @@ still *run*, they just skip the cache.
 
 Invalidation rules:
 
-* bumping ``repro.__version__`` or :data:`CACHE_SCHEMA` invalidates every
-  entry (stale entries are simply never looked up again);
+* bumping ``repro.__version__`` or :data:`CACHE_SCHEMA`, or changing
+  any byte of the package's sources, invalidates every entry (stale
+  entries are simply never looked up again);
 * ``ResultCache.clear()`` (or ``repro cache clear``) deletes everything;
 * the ``REPRO_NO_CACHE`` environment variable disables lookups entirely;
 * ``REPRO_CACHE_DIR`` relocates the cache (default
@@ -29,6 +30,7 @@ Invalidation rules:
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
@@ -53,7 +55,9 @@ from repro.fold import left_sum
 #: 6: ScenarioArtifacts carries ``series``/``residency_s``/``transit_s``
 #:    instead of sampler/cluster/manager snapshots, and a traced spec
 #:    asks for its trace in ``kwargs`` instead of a ``trace`` field.
-CACHE_SCHEMA = 6
+#: 7: the key folds in a sha256 of the package's own sources, so results
+#:    recorded by different code are never served.
+CACHE_SCHEMA = 7
 
 #: On-disk entry framing: magic line, sha256 hex of the payload, newline,
 #: pickle payload.  A read that fails any of these checks is *quarantined*
@@ -118,6 +122,24 @@ def _package_version() -> str:
     import repro
 
     return repro.__version__
+
+
+#: The package's source tree, whose bytes are part of every key.
+_PACKAGE_ROOT = Path(__file__).resolve().parent.parent
+
+
+@functools.lru_cache(maxsize=None)
+def _source_sha256(root: Path) -> str:
+    """sha256 over the names and bytes of every ``.py`` file under ``root``.
+
+    Read once per process: a run's results depend on the code that
+    produced them, and ``repro.__version__`` does not move with it.
+    """
+    digest = hashlib.sha256()
+    for path in sorted(root.rglob("*.py")):
+        digest.update(path.relative_to(root).as_posix().encode("utf-8"))
+        digest.update(path.read_bytes())
+    return digest.hexdigest()
 
 
 def canonical(obj: Any) -> Any:
@@ -207,6 +229,7 @@ def scenario_digest(
         payload = {
             "schema": CACHE_SCHEMA,
             "version": _package_version(),
+            "source": _source_sha256(_PACKAGE_ROOT),
             "config": canonical(config),
             "kwargs": canonical(kwargs),
         }

@@ -5,7 +5,6 @@ Run it from the CLI::
     repro lint src benchmarks
     repro lint src --format json
     repro lint src --format sarif > lint.sarif
-    repro lint src --baseline tools/lint_baseline.json
     repro lint src --rules RL001,RL014
     repro lint --list-rules
 
@@ -17,10 +16,12 @@ or programmatically::
     for finding in report.findings:
         print(finding.render())
 
-The analyzer is two-pass: per-module rules (RL001–RL011, RL015) run over
-each file during pass 1 — whose parse + findings are memoized in a
-content-hash summary cache — and project-wide rules (RL012–RL014)
-analyze the assembled :class:`ProjectContext` in pass 2.
+The analyzer is two-pass.  Pass 1 derives each file once — one parse,
+one node list, one import map, one comment scan, held by its
+:class:`ModuleContext` — runs the per-module rules (RL001–RL011, RL015,
+RL016) over it and distills its :class:`ModuleSummary`.  Pass 2 runs the
+project-wide rules (RL012–RL014) over the assembled
+:class:`ProjectContext`.  Nothing is cached between runs.
 
 Suppress a finding in place with a trailing comment, naming the rule
 (on any physical line the flagged statement spans)::
@@ -37,19 +38,15 @@ from repro.tools.lint.engine import (
     LintReport,
     ModuleContext,
     Rule,
-    apply_baseline,
     display_path_for,
     iter_python_files,
     lint_file,
-    lint_paths,
-    load_baseline,
 )
 from repro.tools.lint.project import (
     ModuleSummary,
     ProjectContext,
     ProjectRule,
-    SummaryCache,
-    lint_project,
+    lint_paths,
     summarize_module,
 )
 from repro.tools.lint.project_rules import ALL_PROJECT_RULES, default_project_rules
@@ -72,16 +69,12 @@ __all__ = [
     "ProjectRule",
     "RULES_BY_ID",
     "Rule",
-    "SummaryCache",
-    "apply_baseline",
     "default_project_rules",
     "default_rules",
     "display_path_for",
     "iter_python_files",
     "lint_file",
     "lint_paths",
-    "lint_project",
-    "load_baseline",
     "registry",
     "rules_for_ids",
     "summarize_module",

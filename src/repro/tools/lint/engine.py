@@ -7,6 +7,12 @@ honouring ``# reprolint: disable=...`` comments, ordering output,
 rendering text or JSON — lives here, so a new rule is ~30 lines of AST
 visiting and nothing more.
 
+:class:`ModuleContext` is the one place a file is derived.  It parses
+the source once, lists the tree's nodes once (in :func:`ast.walk`
+order), builds the import map once, and finds the ``# reprolint:``
+comments in one :mod:`tokenize` pass; rules and the project pass read
+those fields instead of walking or tokenizing the file again.
+
 Suppression syntax (per physical line)::
 
     power_w = power_w + energy_j  # reprolint: disable=RL003
@@ -57,15 +63,11 @@ class Finding:
     line: int
     col: int = 0
     #: Last physical line of the flagged node (suppression span); not part
-    #: of the serialized/rendered form, so baselines stay stable.
+    #: of the serialized/rendered form.
     end_line: int = field(default=0, compare=False)
 
     def sort_key(self) -> Tuple[str, int, int, str]:
         return (self.path, self.line, self.col, self.rule)
-
-    def baseline_key(self) -> Tuple[str, str, int]:
-        """Identity used by ``--baseline`` matching."""
-        return (self.rule, self.path, self.line)
 
     def to_dict(self) -> Dict[str, Any]:
         return {
@@ -83,16 +85,26 @@ class Finding:
 
 
 class ModuleContext:
-    """Everything a rule may want to know about one parsed module."""
+    """One parsed module: everything a rule may want to know about it.
+
+    ``nodes`` lists every node of ``tree`` in :func:`ast.walk` order,
+    ``imports`` maps each local alias to its canonical dotted name, and
+    ``suppressions``/``hot_lines`` hold the ``# reprolint:`` comments.
+    """
 
     def __init__(self, path: Path, source: str, display_path: Optional[str] = None) -> None:
         self.path = path
         self.display_path = display_path if display_path is not None else str(path)
         self.source = source
-        self.lines: List[str] = source.splitlines()
         self.tree: ast.Module = ast.parse(source, filename=str(path))
-        self.suppressions: Dict[int, FrozenSet[str]] = _parse_suppressions(source)
-        self.hot_lines: FrozenSet[int] = _parse_hot_lines(source)
+        self.nodes: List[ast.AST] = list(ast.walk(self.tree))
+        self.imports: Dict[str, str] = _import_map(self.nodes)
+        self.suppressions: Dict[int, FrozenSet[str]] = {}
+        self.hot_lines: FrozenSet[int] = frozenset()
+        # Every marker comment contains the word, so a file without it
+        # needs no tokenize pass.
+        if "reprolint" in source:
+            self.suppressions, self.hot_lines = _scan_comments(source)
         #: Path components, used by package-scoped rules (e.g. RL002 only
         #: polices ``sim``/``core``/``datacenter``/``power``).
         self.package_parts: Tuple[str, ...] = path.parts
@@ -130,59 +142,76 @@ class ModuleContext:
         )
 
     def is_suppressed(self, finding: Finding) -> bool:
-        """True when any physical line the finding spans suppresses it.
-
-        The span runs from the flagged node's first line to its
-        ``end_lineno``, so a trailing ``# reprolint: disable=...`` on any
-        line of a wrapped multi-line statement takes effect.
-        """
-        last = max(finding.line, finding.end_line)
-        for line in range(finding.line, last + 1):
-            rules = self.suppressions.get(line)
-            if rules is not None and ("ALL" in rules or finding.rule.upper() in rules):
-                return True
-        return False
+        return suppressed(self.suppressions, finding)
 
 
-def _parse_suppressions(source: str) -> Dict[int, FrozenSet[str]]:
-    """Map line number -> set of suppressed rule ids (``ALL`` = every rule).
+def suppressed(suppressions: Dict[int, FrozenSet[str]], finding: Finding) -> bool:
+    """True when any physical line the finding spans suppresses it.
 
-    Comments are located with :mod:`tokenize` so a ``#`` inside a string
-    literal never counts as a suppression.
+    The span runs from the flagged node's first line to its
+    ``end_lineno``, so a trailing ``# reprolint: disable=...`` on any
+    line of a wrapped multi-line statement takes effect.
+    """
+    last = max(finding.line, finding.end_line)
+    for line in range(finding.line, last + 1):
+        rules = suppressions.get(line)
+        if rules is not None and ("ALL" in rules or finding.rule.upper() in rules):
+            return True
+    return False
+
+
+def _import_map(nodes: Iterable[ast.AST]) -> Dict[str, str]:
+    """Local alias -> canonical dotted path, for every import in ``nodes``.
+
+    ``import numpy as np``            -> ``np: numpy``
+    ``from numpy import random``      -> ``random: numpy.random``
+    ``from time import time as now``  -> ``now: time.time``
+    """
+    aliases: Dict[str, str] = {}
+    for node in nodes:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                local = alias.asname or alias.name.split(".")[0]
+                target = alias.name if alias.asname else alias.name.split(".")[0]
+                aliases[local] = target
+        elif isinstance(node, ast.ImportFrom) and node.module and node.level == 0:
+            for alias in node.names:
+                if alias.name == "*":
+                    continue
+                local = alias.asname or alias.name
+                aliases[local] = "{}.{}".format(node.module, alias.name)
+    return aliases
+
+
+def _scan_comments(source: str) -> Tuple[Dict[int, FrozenSet[str]], FrozenSet[int]]:
+    """The suppression map and the hot-marker lines, in one tokenize pass.
+
+    The map sends a line number to the rule ids disabled there (``ALL``
+    = every rule).  Comments are located with :mod:`tokenize` so a ``#``
+    inside a string literal never counts.
     """
     suppressions: Dict[int, FrozenSet[str]] = {}
+    hot: List[int] = []
     lines = iter(source.splitlines(keepends=True))
     try:
         for token in tokenize.generate_tokens(lambda: next(lines, "")):
             if token.type != tokenize.COMMENT:
                 continue
-            match = _SUPPRESS_RE.search(token.string)
-            if match is None:
-                continue
-            spec = match.group("rules")
-            if spec == "all":
-                rules = frozenset({"ALL"})
-            else:
-                rules = frozenset(r.strip().upper() for r in spec.split(","))
             line = token.start[0]
-            suppressions[line] = suppressions.get(line, frozenset()) | rules
+            match = _SUPPRESS_RE.search(token.string)
+            if match is not None:
+                spec = match.group("rules")
+                if spec == "all":
+                    rules = frozenset({"ALL"})
+                else:
+                    rules = frozenset(r.strip().upper() for r in spec.split(","))
+                suppressions[line] = suppressions.get(line, frozenset()) | rules
+            if _HOT_RE.search(token.string):
+                hot.append(line)
     except tokenize.TokenError:
         # Unterminated string etc. — ast.parse will produce the real error.
         pass
-    return suppressions
-
-
-def _parse_hot_lines(source: str) -> FrozenSet[int]:
-    """Line numbers carrying a ``# reprolint: hot`` registry marker."""
-    hot: List[int] = []
-    lines = iter(source.splitlines(keepends=True))
-    try:
-        for token in tokenize.generate_tokens(lambda: next(lines, "")):
-            if token.type == tokenize.COMMENT and _HOT_RE.search(token.string):
-                hot.append(token.start[0])
-    except tokenize.TokenError:
-        pass
-    return frozenset(hot)
+    return suppressions, frozenset(hot)
 
 
 class Rule:
@@ -219,21 +248,30 @@ def iter_python_files(
 ) -> List[Path]:
     """Expand files/directories into a stable, sorted list of ``.py`` files.
 
-    ``exclude`` names path components that disqualify a file found under a
-    directory argument (e.g. ``("lint_fixtures",)`` so fixture trees —
-    which exist to be dirty — never pollute a directory sweep).  Files
-    named explicitly are always linted.
+    Below a directory argument, a file is skipped when a component of its
+    path under that directory is ``__pycache__``, starts with ``.``, or is
+    named in ``exclude`` (e.g. ``("lint_fixtures",)`` so fixture trees —
+    which exist to be dirty — never pollute a directory sweep).  The
+    directory's own path is not filtered, so a checkout under a
+    dot-directory lints like any other.  A directory that yields no file
+    raises FileNotFoundError, as does an argument that is neither a
+    directory nor a ``.py`` file.  Files named explicitly are always
+    linted.
     """
     files: List[Path] = []
     for path in paths:
         if path.is_dir():
-            files.extend(
+            found = [
                 p
                 for p in sorted(path.rglob("*.py"))
-                if "__pycache__" not in p.parts
-                and not any(part.startswith(".") for part in p.parts)
-                and not any(part in exclude for part in p.parts)
-            )
+                if not any(
+                    part == "__pycache__" or part.startswith(".") or part in exclude
+                    for part in p.relative_to(path).parts
+                )
+            ]
+            if not found:
+                raise FileNotFoundError("no python files under {}".format(path))
+            files.extend(found)
         elif path.suffix == ".py":
             files.append(path)
         else:
@@ -251,17 +289,15 @@ def iter_python_files(
     return unique
 
 
-def display_path_for(path: Path, root: Optional[Path] = None) -> str:
+def display_path_for(path: Path) -> str:
     """Repo-relative, ``/``-separated display path for ``path``.
 
-    Findings render (and enter baseline files) with this path, so output
-    is stable across machines and working copies.  Paths outside ``root``
-    (default: the current working directory) fall back to their literal
-    form.
+    Findings render with this path, so output is stable across machines
+    and working copies.  Paths outside the current working directory
+    fall back to their literal form.
     """
-    base = root if root is not None else Path.cwd()
     try:
-        rel = os.path.relpath(path, start=base)
+        rel = os.path.relpath(path, start=Path.cwd())
     except ValueError:  # different drive on windows
         return path.as_posix()
     if rel.startswith(".."):
@@ -326,11 +362,6 @@ class LintReport:
 
     findings: List[Finding]
     files_checked: int
-    #: Pass-1 summary-cache accounting (0/0 when the cache is disabled).
-    modules_reparsed: int = 0
-    cache_hits: int = 0
-    #: Findings suppressed by a ``--baseline`` file.
-    baselined: int = 0
 
     @property
     def ok(self) -> bool:
@@ -339,9 +370,6 @@ class LintReport:
     def to_dict(self) -> Dict[str, Any]:
         return {
             "files_checked": self.files_checked,
-            "modules_reparsed": self.modules_reparsed,
-            "cache_hits": self.cache_hits,
-            "baselined": self.baselined,
             "findings": [f.to_dict() for f in self.findings],
             "ok": self.ok,
         }
@@ -351,12 +379,6 @@ class LintReport:
         tail = "reprolint: {} finding(s) in {} file(s)".format(
             len(self.findings), self.files_checked
         )
-        if self.cache_hits or self.modules_reparsed:
-            tail += " ({} re-parsed, {} from summary cache)".format(
-                self.modules_reparsed, self.cache_hits
-            )
-        if self.baselined:
-            tail += " [{} baselined]".format(self.baselined)
         out.append(tail)
         return "\n".join(out)
 
@@ -412,46 +434,3 @@ class LintReport:
             ],
         }
         return json.dumps(doc, indent=2, sort_keys=True)
-
-
-def load_baseline(path: Path) -> FrozenSet[Tuple[str, str, int]]:
-    """Read a baseline file into a set of finding identities.
-
-    The format is the ``--format json`` report (or any JSON object with a
-    ``findings`` list, or a bare list of finding dicts), so a baseline is
-    captured with ``repro lint --format json > baseline.json``.
-    """
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    records = payload.get("findings", []) if isinstance(payload, dict) else payload
-    keys = set()
-    for record in records:
-        keys.add((record["rule"], record["path"], int(record["line"])))
-    return frozenset(keys)
-
-
-def apply_baseline(
-    findings: List[Finding], baseline: FrozenSet[Tuple[str, str, int]]
-) -> Tuple[List[Finding], int]:
-    """Split findings into (new, suppressed-count) against ``baseline``."""
-    fresh = [f for f in findings if f.baseline_key() not in baseline]
-    return fresh, len(findings) - len(fresh)
-
-
-def lint_paths(
-    paths: Iterable[Path],
-    rules: Optional[Sequence[Rule]] = None,
-    **kwargs: Any,
-) -> LintReport:
-    """Lint every python file under ``paths``.
-
-    This is the public entry point; it delegates to
-    :func:`repro.tools.lint.project.lint_project`, which runs the
-    per-module rules (pass 1, summary-cached) *and* the project-wide
-    rules (pass 2) and emits repo-relative display paths.  ``rules``
-    defaults to the full registered set — module and project rules; a
-    mixed sequence is split automatically.  See ``lint_project`` for the
-    keyword options (``cache``, ``baseline``, ``exclude``, ``root``).
-    """
-    from repro.tools.lint.project import lint_project
-
-    return lint_project(paths, rules=rules, **kwargs)

@@ -1,41 +1,36 @@
 """Pass 1 + pass 2 of the project-wide reprolint analyzer.
 
-The original engine ran each rule over one :class:`ModuleContext` at a
-time, which is enough for local invariants but blind to the properties
-recent regressions actually violated — RNG streams shared between
-subsystems, trace events nobody validates, a mutation path that forgets
-to bump ``_demand_epoch``.  This module adds the whole-program layer:
+The per-module rules see one :class:`ModuleContext` at a time, which is
+enough for local invariants but blind to the properties recent
+regressions actually violated — RNG streams shared between subsystems,
+trace events nobody validates, a mutation path that forgets to bump
+``_demand_epoch``.  This module adds the whole-program layer:
 
-* **Pass 1** parses every file once and distills it into a
-  :class:`ModuleSummary` — imports, function/class tables with
-  attribute-write and call sets, RNG-constructor sites with their seed
-  provenance, trace-event / registry / ``report.extra`` extractions, the
-  suppression map, and the ``# reprolint: hot`` registry.  Summaries are
-  plain data (JSON-serializable), so they live in a content-hash disk
-  cache (same idiom as :mod:`repro.core.cache`): a warm run re-parses
-  only files whose bytes changed.
+* **Pass 1** derives each file once (its :class:`ModuleContext`), runs
+  the per-module rules over it and distills it into a
+  :class:`ModuleSummary` — function/class tables with attribute-write
+  and call sets, RNG-constructor sites with their seed provenance,
+  trace-event / registry / ``report.extra`` extractions, the
+  suppression map, and the ``# reprolint: hot`` registry.
 * **Pass 2** assembles the summaries into a :class:`ProjectContext`
   (module table, call-site index, class-attribute write map) that
   :class:`ProjectRule` subclasses analyze globally — RL012/RL013/RL014
   live in :mod:`repro.tools.lint.project_rules`.
 
-The per-module rules still run (during pass 1, so their findings cache
-alongside the summary) — :func:`lint_project` is the single entry point
-for both kinds and what ``repro lint`` calls.
+:func:`lint_paths` runs both passes; it is the single entry point for
+both kinds of rule and what ``repro lint`` calls.
 """
 
 from __future__ import annotations
 
 import ast
-import hashlib
-import json
-import os
 import re
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import (
     Any,
     Dict,
+    FrozenSet,
     Iterable,
     Iterator,
     List,
@@ -50,21 +45,12 @@ from repro.tools.lint.engine import (
     LintReport,
     ModuleContext,
     Rule,
-    apply_baseline,
     display_path_for,
     iter_python_files,
     lint_source,
-    load_baseline,
     read_source,
+    suppressed,
 )
-
-#: Bump when the ModuleSummary layout (or any extraction below) changes —
-#: invalidates every cached summary, exactly like ``CACHE_SCHEMA`` does
-#: for scenario results.
-SUMMARY_SCHEMA = 1
-
-_ENV_CACHE_DIR = "REPRO_LINT_CACHE_DIR"
-_ENV_NO_CACHE = "REPRO_NO_LINT_CACHE"
 
 #: Attribute names that version a memoized aggregate: an integer counter
 #: incremented (``self.X += 1``) on every mutation of the aggregate's
@@ -92,7 +78,7 @@ _SEEDISH_NAME_RE = re.compile(r"seed|digest", re.IGNORECASE)
 
 
 # ----------------------------------------------------------------------
-# Summary data model (all plain data — must round-trip through JSON)
+# Summary data model (plain data)
 # ----------------------------------------------------------------------
 
 
@@ -188,30 +174,10 @@ class ModuleSummary:
     registries: Dict[str, Dict[str, Any]] = field(default_factory=dict)
     flag_invariants: List[str] = field(default_factory=list)
     extra_writes: List[List[Any]] = field(default_factory=list)  # [key, line]
-    suppressions: Dict[str, List[str]] = field(default_factory=dict)
+    suppressions: Dict[int, FrozenSet[str]] = field(default_factory=dict)
 
     def in_packages(self, packages: Sequence[str]) -> bool:
         return any(part in packages for part in self.package_parts)
-
-    def to_dict(self) -> Dict[str, Any]:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "ModuleSummary":
-        data = dict(data)
-        data["rng_sites"] = [RngSite(**s) for s in data.get("rng_sites", [])]
-        data["call_sites"] = [CallSite(**s) for s in data.get("call_sites", [])]
-        classes = {}
-        for name, cdata in data.get("classes", {}).items():
-            methods = {
-                mname: MethodSummary(**mdata)
-                for mname, mdata in cdata.get("methods", {}).items()
-            }
-            classes[name] = ClassSummary(
-                name=cdata["name"], lineno=cdata["lineno"], methods=methods
-            )
-        data["classes"] = classes
-        return cls(**data)
 
 
 # ----------------------------------------------------------------------
@@ -577,17 +543,14 @@ def _registry_entry(value: ast.expr) -> Optional[List[str]]:
 
 def summarize_module(module: ModuleContext) -> ModuleSummary:
     """Distill one parsed module into its :class:`ModuleSummary`."""
-    from repro.tools.lint.rules import build_import_map, resolve_dotted
+    from repro.tools.lint.rules import resolve_dotted
 
-    imports = build_import_map(module.tree)
+    imports = module.imports
     summary = ModuleSummary(
         path=module.display_path,
         package_parts=list(module.package_parts),
         is_test_file=module.is_test_file,
-        suppressions={
-            str(line): sorted(rules)
-            for line, rules in module.suppressions.items()
-        },
+        suppressions=module.suppressions,
     )
 
     # --- registries, trace events, flag() invariants (module level) ---
@@ -614,7 +577,7 @@ def summarize_module(module: ModuleContext) -> ModuleSummary:
                             "": [values, node.lineno]
                         }
 
-    for node in ast.walk(module.tree):
+    for node in module.nodes:
         if isinstance(node, ast.ClassDef):
             for stmt in node.body:
                 value = None
@@ -644,6 +607,21 @@ def summarize_module(module: ModuleContext) -> ModuleSummary:
             )
         elif isinstance(node, ast.Call):
             name = _callee_name(node.func)
+            # Call sites for seed tainting.
+            if name is not None and (node.args or node.keywords):
+                summary.call_sites.append(
+                    CallSite(
+                        callee=name,
+                        line=node.lineno,
+                        col=node.col_offset,
+                        arg_seedish=[_is_seedish(a) for a in node.args],
+                        kwarg_seedish={
+                            kw.arg: _is_seedish(kw.value)
+                            for kw in node.keywords
+                            if kw.arg is not None
+                        },
+                    )
+                )
             if (
                 name == "flag"
                 and node.args
@@ -674,8 +652,16 @@ def summarize_module(module: ModuleContext) -> ModuleSummary:
                 ):
                     summary.extra_writes.append([target.slice.value, target.lineno])
 
-    # --- functions: hot registry, RNG sites, call sites -------------
-    class_stack: List[str] = []
+    # --- functions: hot registry, RNG sites ---------------------------
+    # Only a module that calls an RNG constructor has sites to classify.
+    has_rng = any(
+        isinstance(node, ast.Call)
+        and (
+            resolve_dotted(node.func, imports) in _RNG_CONSTRUCTORS
+            or _callee_name(node.func) == "stream_rng"
+        )
+        for node in module.nodes
+    )
 
     def visit_scope(
         body: Sequence[ast.stmt], qual: str, owner_class: Optional[str]
@@ -687,7 +673,8 @@ def summarize_module(module: ModuleContext) -> ModuleSummary:
                 fq = _join(qual, stmt.name)
                 if module.is_hot(stmt):
                     summary.hot_functions.append(fq)
-                _scan_function(stmt, fq, owner_class)
+                if has_rng:
+                    _scan_function(stmt, fq, owner_class)
                 visit_scope(stmt.body, fq, None)
 
     def _join(qual: str, name: str) -> str:
@@ -743,28 +730,6 @@ def summarize_module(module: ModuleContext) -> ModuleSummary:
                 )
 
     visit_scope(module.tree.body, "", None)
-
-    # Call sites for seed tainting (module-wide, one walk).
-    for node in ast.walk(module.tree):
-        if not isinstance(node, ast.Call):
-            continue
-        name = _callee_name(node.func)
-        if name is None or (not node.args and not node.keywords):
-            continue
-        summary.call_sites.append(
-            CallSite(
-                callee=name,
-                line=node.lineno,
-                col=node.col_offset,
-                arg_seedish=[_is_seedish(a) for a in node.args],
-                kwarg_seedish={
-                    kw.arg: _is_seedish(kw.value)
-                    for kw in node.keywords
-                    if kw.arg is not None
-                },
-            )
-        )
-    del class_stack
     return summary
 
 
@@ -794,16 +759,7 @@ class ProjectContext:
 
     def is_suppressed(self, finding: Finding) -> bool:
         summary = self.modules.get(finding.path)
-        if summary is None:
-            return False
-        last = max(finding.line, finding.end_line)
-        for line in range(finding.line, last + 1):
-            rules = summary.suppressions.get(str(line))
-            if rules is not None and (
-                "ALL" in rules or finding.rule.upper() in rules
-            ):
-                return True
-        return False
+        return summary is not None and suppressed(summary.suppressions, finding)
 
 
 class ProjectRule:
@@ -837,117 +793,7 @@ class ProjectRule:
 
 
 # ----------------------------------------------------------------------
-# Summary cache (content-hash keyed, one JSON document)
-# ----------------------------------------------------------------------
-
-
-def _lint_package_fingerprint() -> str:
-    """Hash of the lint package's own sources.
-
-    Editing a rule invalidates cached findings without a version bump —
-    the analogue of ``repro.__version__`` in the scenario cache key,
-    scoped to the code that actually computes lint results.
-    """
-    digest = hashlib.sha256()
-    package_dir = Path(__file__).resolve().parent
-    for path in sorted(package_dir.glob("*.py")):
-        digest.update(path.name.encode())
-        digest.update(path.read_bytes())
-    return digest.hexdigest()
-
-
-def rules_signature(rules: Sequence[Rule]) -> str:
-    """Cache signature covering schema, lint sources, and the rule set."""
-    payload = {
-        "schema": SUMMARY_SCHEMA,
-        "package": _lint_package_fingerprint(),
-        "rules": sorted(r.rule_id for r in rules),
-    }
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
-
-
-def lint_cache_disabled() -> bool:
-    return bool(os.environ.get(_ENV_NO_CACHE))
-
-
-def default_lint_cache_dir() -> Path:
-    override = os.environ.get(_ENV_CACHE_DIR)
-    if override:
-        return Path(override).expanduser()
-    return Path.home() / ".cache" / "repro-lint"
-
-
-class SummaryCache:
-    """Disk cache of pass-1 results, keyed by file content hash.
-
-    One JSON document maps display path -> {hash, sig, findings,
-    summary}; a warm run whose tree is unchanged re-parses nothing.
-    """
-
-    def __init__(self, root: Optional[Any] = None) -> None:
-        self.root = Path(root).expanduser() if root else default_lint_cache_dir()
-        self.path = self.root / "summaries.json"
-        self.hits = 0
-        self.misses = 0
-        self._data: Dict[str, Dict[str, Any]] = {}
-        self._dirty = False
-        try:
-            payload = json.loads(self.path.read_text(encoding="utf-8"))
-            if isinstance(payload, dict):
-                self._data = payload
-        except (OSError, ValueError):
-            self._data = {}
-
-    def get(
-        self, display_path: str, content_hash: str, sig: str
-    ) -> Optional[Tuple[List[Finding], ModuleSummary]]:
-        entry = self._data.get(display_path)
-        if (
-            entry is None
-            or entry.get("hash") != content_hash
-            or entry.get("sig") != sig
-        ):
-            self.misses += 1
-            return None
-        try:
-            findings = [Finding(**f) for f in entry["findings"]]
-            summary = ModuleSummary.from_dict(entry["summary"])
-        except (KeyError, TypeError):
-            self.misses += 1
-            return None
-        self.hits += 1
-        return findings, summary
-
-    def put(
-        self,
-        display_path: str,
-        content_hash: str,
-        sig: str,
-        findings: Sequence[Finding],
-        summary: ModuleSummary,
-    ) -> None:
-        self._data[display_path] = {
-            "hash": content_hash,
-            "sig": sig,
-            "findings": [f.to_dict() for f in findings],
-            "summary": summary.to_dict(),
-        }
-        self._dirty = True
-
-    def save(self) -> None:
-        if not self._dirty:
-            return
-        # Lazy import: the lint package stays importable without pulling
-        # in the simulation core at module load.
-        from repro.core.atomicio import atomic_write_text
-
-        atomic_write_text(self.path, json.dumps(self._data, sort_keys=True))
-        self._dirty = False
-
-
-# ----------------------------------------------------------------------
-# lint_project — the two-pass entry point
+# lint_paths — the two-pass entry point
 # ----------------------------------------------------------------------
 
 
@@ -964,72 +810,37 @@ def _split_rules(
     return module_rules, project_rules
 
 
-def _analyze_one(
-    path: Path, display: str, source: str, module_rules: Sequence[Rule]
-) -> Tuple[List[Finding], ModuleSummary]:
-    """Pass 1 for one file: :func:`lint_source`, then summarize."""
-    findings, module = lint_source(path, source, module_rules, display)
-    if module is None:
-        return findings, ModuleSummary(path=display, parse_error=True)
-    return findings, summarize_module(module)
-
-
-def lint_project(
+def lint_paths(
     paths: Iterable[Any],
     rules: Optional[Sequence[Any]] = None,
     *,
-    root: Optional[Path] = None,
-    cache: Any = True,
-    baseline: Optional[Any] = None,
     exclude: Sequence[str] = (),
 ) -> LintReport:
-    """Run pass 1 (per-module, cached) and pass 2 (project rules).
+    """Lint every python file under ``paths``: pass 1, then pass 2.
 
     ``rules`` may mix :class:`Rule` and :class:`ProjectRule` instances
-    (None = the full default set of both).  ``cache`` is True (default
-    location), False, a directory path, or a :class:`SummaryCache`;
-    ``REPRO_NO_LINT_CACHE`` force-disables.  ``baseline`` names a JSON
-    findings file whose entries are suppressed (only *new* findings
-    fail).
+    (None = the full default set of both).  ``exclude`` names directory
+    components to skip below a directory argument (see
+    :func:`~repro.tools.lint.engine.iter_python_files`).  Findings carry
+    paths relative to the working directory.
     """
     module_rules, project_rules = _split_rules(rules)
     files = iter_python_files([Path(p) for p in paths], exclude)
-    base_root = Path(root) if root is not None else None
 
-    cache_obj: Optional[SummaryCache]
-    if lint_cache_disabled() or cache is False or cache is None:
-        cache_obj = None
-    elif isinstance(cache, SummaryCache):
-        cache_obj = cache
-    elif cache is True:
-        cache_obj = SummaryCache()
-    else:
-        cache_obj = SummaryCache(cache)
-    sig = rules_signature(module_rules + project_rules) if cache_obj else ""
-
-    # Pass 1: per-module rules, served from the summary cache on a hit.
+    # Pass 1: derive each file once, run the module rules, summarize.
     findings: List[Finding] = []
     summaries: List[ModuleSummary] = []
-    hits = 0
-    reparsed = 0
     for path in files:
-        display = display_path_for(path, base_root)
-        source = read_source(path)
-        outcome = None
-        if cache_obj is not None:
-            content_hash = hashlib.sha256(source.encode("utf-8")).hexdigest()
-            outcome = cache_obj.get(display, content_hash, sig)
-        if outcome is not None:
-            hits += 1
-        else:
-            outcome = _analyze_one(path, display, source, module_rules)
-            reparsed += 1
-            if cache_obj is not None:
-                cache_obj.put(display, content_hash, sig, outcome[0], outcome[1])
-        findings.extend(outcome[0])
-        summaries.append(outcome[1])
-    if cache_obj is not None:
-        cache_obj.save()
+        display = display_path_for(path)
+        module_findings, module = lint_source(
+            path, read_source(path), module_rules, display
+        )
+        findings.extend(module_findings)
+        summaries.append(
+            summarize_module(module)
+            if module is not None
+            else ModuleSummary(path=display, parse_error=True)
+        )
 
     # Pass 2: project rules over the assembled context.
     project = ProjectContext(summaries)
@@ -1039,18 +850,4 @@ def lint_project(
                 findings.append(finding)
 
     findings.sort(key=Finding.sort_key)
-    baselined = 0
-    if baseline is not None:
-        known = (
-            baseline
-            if isinstance(baseline, frozenset)
-            else load_baseline(Path(baseline))
-        )
-        findings, baselined = apply_baseline(findings, known)
-    return LintReport(
-        findings=findings,
-        files_checked=len(files),
-        modules_reparsed=reparsed,
-        cache_hits=hits,
-        baselined=baselined,
-    )
+    return LintReport(findings=findings, files_checked=len(files))

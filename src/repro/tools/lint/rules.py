@@ -18,8 +18,8 @@ assembled :class:`~repro.tools.lint.project.ProjectContext`.
 
 Adding a rule: subclass :class:`~repro.tools.lint.engine.Rule`, set
 ``rule_id``/``title``/``rationale``, implement ``check`` (usually ~30
-lines of AST walking over ``module.tree``), and append the class to
-:data:`ALL_RULES`.
+lines over ``module.nodes``, the tree's nodes listed once), and append
+the class to :data:`ALL_RULES`.
 """
 
 from __future__ import annotations
@@ -33,29 +33,6 @@ from repro.tools.lint.units import UnitInferencer, describe
 # ----------------------------------------------------------------------
 # Shared helpers
 # ----------------------------------------------------------------------
-
-
-def build_import_map(tree: ast.Module) -> Dict[str, str]:
-    """Local alias -> canonical dotted path, for every import in the module.
-
-    ``import numpy as np``            -> ``np: numpy``
-    ``from numpy import random``      -> ``random: numpy.random``
-    ``from time import time as now``  -> ``now: time.time``
-    """
-    aliases: Dict[str, str] = {}
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                local = alias.asname or alias.name.split(".")[0]
-                target = alias.name if alias.asname else alias.name.split(".")[0]
-                aliases[local] = target
-        elif isinstance(node, ast.ImportFrom) and node.module and node.level == 0:
-            for alias in node.names:
-                if alias.name == "*":
-                    continue
-                local = alias.asname or alias.name
-                aliases[local] = "{}.{}".format(node.module, alias.name)
-    return aliases
 
 
 def resolve_dotted(node: ast.expr, imports: Dict[str, str]) -> Optional[str]:
@@ -155,11 +132,10 @@ class UnseededRandomRule(Rule):
     )
 
     def check(self, module: ModuleContext) -> Iterator[Finding]:
-        imports = build_import_map(module.tree)
-        for node in ast.walk(module.tree):
+        for node in module.nodes:
             if not isinstance(node, ast.Call):
                 continue
-            dotted = resolve_dotted(node.func, imports)
+            dotted = resolve_dotted(node.func, module.imports)
             if dotted is None:
                 continue
             if dotted.startswith("numpy.random."):
@@ -240,10 +216,9 @@ class WallClockRule(Rule):
     )
 
     def check(self, module: ModuleContext) -> Iterator[Finding]:
-        imports = build_import_map(module.tree)
-        for node in ast.walk(module.tree):
+        for node in module.nodes:
             if isinstance(node, ast.Call):
-                dotted = resolve_dotted(node.func, imports)
+                dotted = resolve_dotted(node.func, module.imports)
                 if dotted in _WALL_CLOCK_CALLS:
                     yield module.finding(
                         self.rule_id,
@@ -394,7 +369,7 @@ class OverbroadExceptRule(Rule):
     )
 
     def check(self, module: ModuleContext) -> Iterator[Finding]:
-        for node in ast.walk(module.tree):
+        for node in module.nodes:
             if not isinstance(node, ast.ExceptHandler):
                 continue
             broad = self._broad_name(node.type)
@@ -447,7 +422,7 @@ class RuntimeAssertRule(Rule):
     skip_test_files = True
 
     def check(self, module: ModuleContext) -> Iterator[Finding]:
-        for node in ast.walk(module.tree):
+        for node in module.nodes:
             if isinstance(node, ast.Assert):
                 yield module.finding(
                     self.rule_id,
@@ -506,7 +481,7 @@ class UnpicklableFieldRule(Rule):
     )
 
     def check(self, module: ModuleContext) -> Iterator[Finding]:
-        for node in ast.walk(module.tree):
+        for node in module.nodes:
             if not isinstance(node, ast.ClassDef):
                 continue
             if not self._is_result_dataclass(node):
@@ -611,7 +586,7 @@ class UntracedTransitionRule(Rule):
     def check(self, module: ModuleContext) -> Iterator[Finding]:
         if module.path.name == "machine.py" and module.in_packages(("power",)):
             return
-        for node in ast.walk(module.tree):
+        for node in module.nodes:
             if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
                 targets = (
                     node.targets
@@ -670,7 +645,7 @@ class RawMigrateRule(Rule):
             return
         if module.path.name == "arbiter.py" and module.in_packages(("plane",)):
             return
-        for node in ast.walk(module.tree):
+        for node in module.nodes:
             if not isinstance(node, ast.Call):
                 continue
             func = node.func
@@ -737,7 +712,7 @@ class HotPathClusterScanRule(Rule):
     skip_test_files = True
 
     def check(self, module: ModuleContext) -> Iterator[Finding]:
-        for node in ast.walk(module.tree):
+        for node in module.nodes:
             if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 continue
             if not _is_hot_function(module, node):
@@ -809,7 +784,7 @@ class AllocationHygieneRule(Rule):
     _CONTAINER_BUILTINS = frozenset({"dict", "list", "set"})
 
     def check(self, module: ModuleContext) -> Iterator[Finding]:
-        for node in ast.walk(module.tree):
+        for node in module.nodes:
             if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 continue
             if not _is_hot_function(module, node):
@@ -884,7 +859,6 @@ class AtomicArtifactWriteRule(Rule):
         "stream.py",
         "cli.py",
         "corpus.py",
-        "project.py",
     )
     #: A module under benchmarks/ that writes an artifact must write it
     #: atomically, although its test_* name would otherwise exempt it.
@@ -921,8 +895,7 @@ class AtomicArtifactWriteRule(Rule):
     def check(self, module: ModuleContext) -> Iterator[Finding]:
         if not self._in_scope(module):
             return
-        imports = build_import_map(module.tree)
-        for node in ast.walk(module.tree):
+        for node in module.nodes:
             if not isinstance(node, ast.Call):
                 continue
             if isinstance(node.func, ast.Name) and node.func.id == "open":
@@ -935,7 +908,7 @@ class AtomicArtifactWriteRule(Rule):
                         "cannot tear the file",
                     )
                 continue
-            dotted = resolve_dotted(node.func, imports)
+            dotted = resolve_dotted(node.func, module.imports)
             if dotted == "os.fdopen" and self._mode_writes(node, mode_position=1):
                 yield module.finding(
                     self.rule_id,

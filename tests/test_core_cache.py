@@ -1,5 +1,7 @@
 """Tests for the scenario result cache (repro.core.cache)."""
 
+import shutil
+
 import pytest
 
 from repro.core import ScenarioSpec, s3_policy, s5_policy
@@ -88,6 +90,44 @@ class TestScenarioDigest:
         before = scenario_digest(s3_policy(), kw)
         monkeypatch.setattr(repro, "__version__", "999.0.0")
         assert scenario_digest(s3_policy(), kw) != before
+
+    def test_sensitive_to_package_source(self, monkeypatch, tmp_path):
+        # A copy of the package stands in for it; one changed byte in one
+        # module changes every key, and restoring the byte restores it.
+        from repro.core import cache as cache_module
+
+        root = tmp_path / "repro"
+        shutil.copytree(
+            cache_module._PACKAGE_ROOT,
+            root,
+            ignore=shutil.ignore_patterns("__pycache__"),
+        )
+        monkeypatch.setattr(cache_module, "_PACKAGE_ROOT", root)
+        kw = dict(n_hosts=4, seed=1)
+        before = scenario_digest(s3_policy(), kw)
+        module = root / "core" / "plane" / "observer.py"
+        original = module.read_bytes()
+        mutated = original.replace(
+            b"UNDERLOAD_THRESHOLD = 0.3", b"UNDERLOAD_THRESHOLD = 0.4"
+        )
+        assert mutated != original
+        module.write_bytes(mutated)
+        cache_module._source_sha256.cache_clear()
+        assert scenario_digest(s3_policy(), kw) != before
+        module.write_bytes(original)
+        cache_module._source_sha256.cache_clear()
+        assert scenario_digest(s3_policy(), kw) == before
+
+    def test_source_is_read_once_and_stable(self):
+        from repro.core import cache as cache_module
+
+        cache_module._source_sha256.cache_clear()
+        kw = dict(n_hosts=4, seed=1)
+        first = scenario_digest(s3_policy(), kw)
+        assert scenario_digest(s3_policy(), kw) == first
+        assert ScenarioSpec(s3_policy(), kwargs=kw).digest() == first
+        info = cache_module._source_sha256.cache_info()
+        assert (info.misses, info.hits) == (1, 2)
 
     def test_generated_fleet_is_cacheable(self):
         """build_fleet VMs are pure value objects — they hash cleanly."""

@@ -260,6 +260,24 @@ class TestEngine:
         files = iter_python_files([tmp_path, tmp_path / "a.py"])
         assert files == [tmp_path / "a.py"]
 
+    def test_checkout_under_a_dot_directory_is_linted(self, tmp_path):
+        # Only the components below the directory argument are filtered:
+        # a tree under ``.hidden`` lints, a ``.cache`` inside it does not.
+        tree = tmp_path / ".hidden" / "tree"
+        (tree / ".cache").mkdir(parents=True)
+        shutil.copy(FIXTURES / "rl004_bad.py", tree / "rl004_bad.py")
+        shutil.copy(FIXTURES / "rl004_bad.py", tree / ".cache" / "rl004_bad.py")
+        report = lint_paths([tree.resolve()], rules=rules_for_ids(["RL004"]))
+        assert report.files_checked == 1
+        assert {f.line for f in report.findings} == expected_lines(
+            FIXTURES / "rl004_bad.py"
+        )
+
+    def test_exclude_name_above_the_directory_argument_excludes_nothing(self):
+        files = iter_python_files([FIXTURES], exclude=("lint_fixtures",))
+        assert files
+        assert files == iter_python_files([FIXTURES])
+
     def test_report_json_roundtrip(self):
         report = LintReport(
             findings=[Finding("RL001", "msg", "a.py", 3, 1)],
@@ -343,6 +361,11 @@ class TestCli:
         capsys.readouterr()
         assert code == 2
 
+    def test_directory_without_python_files_is_usage_error(self, tmp_path, capsys):
+        code = main(["lint", str(tmp_path)])
+        assert code == 2
+        assert str(tmp_path) in capsys.readouterr().err
+
     def test_list_rules(self, capsys):
         assert main(["lint", "--list-rules"]) == 0
         out = capsys.readouterr().out
@@ -354,9 +377,14 @@ class TestHeadClean:
     """The shipped tree must satisfy its own invariants."""
 
     def test_src_and_benchmarks_are_lint_clean(self):
-        report = lint_paths([REPO_ROOT / "src", REPO_ROOT / "benchmarks"])
+        # Every registered rule, module and project, over every file: a
+        # run that silently skips files must not pass.
+        trees = [REPO_ROOT / "src", REPO_ROOT / "benchmarks"]
+        report = lint_paths(trees)
         assert report.ok, "\n" + report.render_text()
-        assert report.files_checked > 50
+        assert report.files_checked == sum(
+            len(list(tree.rglob("*.py"))) for tree in trees
+        )
 
     def test_examples_and_tests_are_lint_clean(self):
         # Part of the CI lint scope since the project-wide pass; fixtures

@@ -1,5 +1,5 @@
-"""Tests for the project-wide lint pass (RL012-RL014), the summary
-cache, baselines, SARIF output, and the seeded-mutation guarantees.
+"""Tests for the project-wide lint pass (RL012-RL014), SARIF output,
+and the seeded-mutation guarantees.
 
 RL013 fixtures are linted one file at a time: the registry lookup takes
 the first module (in path order) that defines ``EVENT_COVERAGE`` /
@@ -15,14 +15,11 @@ import shutil
 from pathlib import Path
 
 from repro.tools.lint import lint_paths, registry
-from repro.tools.lint.project import SummaryCache, lint_project
 from repro.tools.lint.project_rules import (
     MemoInvalidationRule,
     RngStreamProvenanceRule,
     TraceCoverageRule,
-    default_project_rules,
 )
-from repro.tools.lint.rules import default_rules
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = Path(__file__).resolve().parent / "lint_fixtures"
@@ -39,7 +36,7 @@ def marked_lines(path: Path) -> list:
 
 
 def run(paths, rules):
-    return lint_paths(paths, rules=rules, cache=False)
+    return lint_paths(paths, rules=rules)
 
 
 class TestRl012Fixtures:
@@ -90,61 +87,9 @@ class TestRl014Fixtures:
         assert report.findings == []
 
 
-class TestSummaryCache:
-    def _tree(self, tmp_path: Path) -> Path:
-        tree = tmp_path / "tree"
-        tree.mkdir()
-        for name in ("rl001_good.py", "rl004_good.py", "rl006_good.py"):
-            shutil.copy(FIXTURES / name, tree / name)
-        return tree
-
-    def test_warm_run_reparses_nothing(self, tmp_path):
-        tree = self._tree(tmp_path)
-        cache_dir = tmp_path / "cache"
-        cold = lint_paths([tree], cache=cache_dir)
-        warm = lint_paths([tree], cache=cache_dir)
-        assert cold.modules_reparsed == cold.files_checked == 3
-        assert cold.cache_hits == 0
-        assert warm.modules_reparsed == 0
-        assert warm.cache_hits == 3
-        assert [f.to_dict() for f in warm.findings] == [
-            f.to_dict() for f in cold.findings
-        ]
-
-    def test_edit_invalidates_only_that_module(self, tmp_path):
-        tree = self._tree(tmp_path)
-        cache_dir = tmp_path / "cache"
-        lint_paths([tree], cache=cache_dir)
-        target = tree / "rl004_good.py"
-        target.write_text(target.read_text() + "\n# touched\n")
-        after = lint_paths([tree], cache=cache_dir)
-        assert after.modules_reparsed == 1
-        assert after.cache_hits == 2
-
-    def test_cache_object_counts_hits_and_misses(self, tmp_path):
-        tree = self._tree(tmp_path)
-        cache = SummaryCache(tmp_path / "cache")
-        lint_paths([tree], cache=cache)
-        assert cache.misses == 3 and cache.hits == 0
-        cache.save()
-        reloaded = SummaryCache(tmp_path / "cache")
-        lint_paths([tree], cache=reloaded)
-        assert reloaded.hits == 3 and reloaded.misses == 0
-
-
 class TestBaselineAndFormats:
-    def test_baseline_round_trip(self, tmp_path):
-        target = FIXTURES / "rl004_bad.py"
-        first = lint_paths([target], cache=False)
-        assert not first.ok
-        baseline = tmp_path / "baseline.json"
-        baseline.write_text(first.render_json())
-        second = lint_paths([target], cache=False, baseline=baseline)
-        assert second.ok
-        assert second.baselined == len(first.findings)
-
     def test_sarif_output_parses_and_matches(self):
-        report = lint_paths([FIXTURES / "rl004_bad.py"], cache=False)
+        report = lint_paths([FIXTURES / "rl004_bad.py"])
         rules = [cls() for cls in registry().values()]
         doc = json.loads(report.render_sarif(rules))
         assert doc["version"] == "2.1.0"
@@ -174,7 +119,7 @@ class TestMutationDetection:
 
     def test_rl012_catches_shared_stream_mutation(self, tmp_path):
         tree = self._rng_tree(tmp_path)
-        clean = lint_paths([tree], rules=[RngStreamProvenanceRule()], cache=False)
+        clean = lint_paths([tree], rules=[RngStreamProvenanceRule()])
         assert clean.findings == [], clean.render_text()
 
         faults = tree / "datacenter" / "faults.py"
@@ -182,7 +127,7 @@ class TestMutationDetection:
         assert mutated != faults.read_text()
         faults.write_text(mutated)
 
-        dirty = lint_paths([tree], rules=[RngStreamProvenanceRule()], cache=False)
+        dirty = lint_paths([tree], rules=[RngStreamProvenanceRule()])
         shared = [
             f
             for f in dirty.findings
@@ -196,7 +141,7 @@ class TestMutationDetection:
         host = tree / "datacenter" / "host.py"
         shutil.copy(SRC / "repro" / "datacenter" / "host.py", host)
 
-        clean = lint_paths([tree], rules=[MemoInvalidationRule()], cache=False)
+        clean = lint_paths([tree], rules=[MemoInvalidationRule()])
         assert clean.findings == [], clean.render_text()
 
         # Drop the bump in place(); remove() still bumps, so the shared
@@ -212,28 +157,13 @@ class TestMutationDetection:
         lines[bumps[1]] = indent + "pass\n"
         host.write_text("".join(lines))
 
-        dirty = lint_paths([tree], rules=[MemoInvalidationRule()], cache=False)
+        dirty = lint_paths([tree], rules=[MemoInvalidationRule()])
         hits = [
             f
             for f in dirty.findings
             if f.rule == "RL014" and "_demand_epoch" in f.message
         ]
         assert hits, dirty.render_text()
-
-
-class TestHeadProjectClean:
-    def test_head_is_clean_under_all_fifteen_rules(self, tmp_path):
-        rules = list(default_rules()) + list(default_project_rules())
-        report = lint_project(
-            [SRC, REPO_ROOT / "benchmarks"], rules, cache=tmp_path / "cache"
-        )
-        assert report.ok, "\n" + report.render_text()
-        warm = lint_project(
-            [SRC, REPO_ROOT / "benchmarks"], rules, cache=tmp_path / "cache"
-        )
-        assert warm.ok
-        assert warm.modules_reparsed == 0
-        assert warm.cache_hits == warm.files_checked
 
 
 class TestDocsDrift:
