@@ -72,8 +72,9 @@ if TYPE_CHECKING:
 #: component; 5: the trace event classes live in ``repro.trace_events``,
 #: and a pickle names each class's module; 6: the demand lattice keeps
 #: the slot its rows were rebuilt from and rows for VMs admitted after
-#: its fill).
-CHECKPOINT_SCHEMA = 6
+#: its fill; 7: a host machine holds the maker of its latency generator
+#: until its first jittered transition).
+CHECKPOINT_SCHEMA = 7
 
 _MAGIC = b"REPROCKPT1\n"
 

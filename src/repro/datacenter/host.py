@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from functools import partial
 from typing import TYPE_CHECKING, Any, Callable, Dict, Generator, Optional, Set, Tuple
 
 if TYPE_CHECKING:
@@ -22,7 +23,12 @@ from repro.trace_events import HostInit
 
 
 def _latency_rng(seed: int, name: str) -> "np.random.Generator":
-    """Per-host seeded RNG for transition-latency jitter."""
+    """Per-host seeded RNG for transition-latency jitter.
+
+    Keyed by seed and host name only, so it draws the same latencies
+    whenever it is made: the host's machine makes it on its first
+    jittered transition.
+    """
     from repro.core.seeding import stream_rng
 
     return stream_rng("latency", seed, name)
@@ -83,7 +89,7 @@ class Host:
             env,
             profile,
             initial_state=initial_state,
-            latency_rng=_latency_rng(fault_seed, name),
+            latency_rng=partial(_latency_rng, fault_seed, name),
             name=name,
             trace=trace,
             wake_latency_scale=(

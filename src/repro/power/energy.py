@@ -32,7 +32,13 @@ class EnergyMeter:
         """Change the draw to ``power_w`` effective at time ``now``."""
         if power_w < 0:
             raise ValueError("power must be non-negative")
-        self._accumulate(now)
+        # _accumulate, inlined: the sampler's tick calls this per host.
+        last = self._last_time
+        if now < last - 1e-9:
+            raise ValueError("time went backwards: {} < {}".format(now, last))
+        if now > last:
+            self._energy_j += self._power_w * (now - last)
+            self._last_time = now
         self._power_w = power_w
         # Exact != is intentional: this dedups change-points recorded with
         # the *same* float, not quantities from independent arithmetic.

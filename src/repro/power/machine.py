@@ -58,7 +58,10 @@ class HostPowerStateMachine:
         #: cluster's host index so views never rescan the inventory.
         self.on_change: Optional[Callable[[], None]] = None
         #: Optional RNG for per-transition latency jitter (see
-        #: :meth:`repro.power.TransitionSpec.sample_latency_s`).
+        #: :meth:`repro.power.TransitionSpec.sample_latency_s`), or a
+        #: zero-argument callable that makes it.  The machine calls it on
+        #: the first transition with jitter, so a profile without jitter
+        #: never builds the generator.
         self.latency_rng = latency_rng
         self._transition: Optional[Tuple[PowerState, PowerState]] = None
         # Hot-path bindings: ``_active_power`` runs once per utilization
@@ -179,6 +182,8 @@ class HostPowerStateMachine:
         self._mark()
         self._transition = (src, dst)
         self.meter.set_power(self.env.now, spec.power_w)
+        if spec.jitter_s > 0.0 and callable(self.latency_rng):
+            self.latency_rng = self.latency_rng()
         latency_s = spec.sample_latency_s(self.latency_rng)
         if dst is PowerState.ACTIVE and self.wake_latency_scale is not None:
             latency_s *= self.wake_latency_scale(self.env.now)

@@ -112,6 +112,12 @@ class PiecewisePowerModel(PowerModel):
                 raise ValueError("negative wattage in calibration point")
         self._us: List[float] = us
         self._ws: List[float] = [w for _, w in pts]
+        # The knots as arrays, and at ``j`` segment j's rises
+        # ``us[j + 1] - us[j]`` and ``ws[j + 1] - ws[j]``.
+        self._grid_us = np.array(us)
+        self._grid_ws = np.array(self._ws)
+        self._grid_du = np.diff(self._grid_us)
+        self._grid_dw = np.diff(self._grid_ws)
 
     def power_at(self, utilization: float) -> float:
         u = self._check_utilization(utilization)
@@ -128,26 +134,22 @@ class PiecewisePowerModel(PowerModel):
     def power_at_grid(self, utilizations: "np.ndarray") -> "np.ndarray":
         """Batched interpolation, bit-identical to :meth:`power_at`.
 
-        ``utilizations`` must already be clamped to [0, 1] (the callers
-        pass ``min(demand / cores, 1.0)`` grids).  Each element follows
-        the exact scalar branch structure: ``searchsorted`` is
-        ``bisect_left``, and the interpolation arithmetic runs the same
-        float64 operation sequence elementwise, so every watt matches the
-        scalar method to the last bit.
+        ``utilizations`` must already lie in [0, 1] (the callers pass
+        ``min(demand / cores, 1.0)`` grids).  Each element follows the
+        scalar branch structure: the segment is ``bisect_left``'s upper
+        knot less one, clamped to segment 0 at ``u == 0``, where the
+        ``where`` returns ``ws[0]`` as the scalar ``hi == 0`` branch does.
+        The rises are the scalar method's differences, and the
+        interpolation runs its float64 operation sequence elementwise,
+        so every watt matches to the last bit.  Knots are distinct, so
+        no segment divides by zero.
         """
-        us = np.asarray(self._us)
-        ws = np.asarray(self._ws)
         u = np.asarray(utilizations, dtype=float)
-        hi = np.searchsorted(us, u, side="left")
-        lo = np.maximum(hi - 1, 0)
-        hi_c = np.minimum(hi, len(us) - 1)
-        us_lo = us[lo]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            frac = (u - us_lo) / (us[hi_c] - us_lo)
-            interp = ws[lo] + (ws[hi_c] - ws[lo]) * frac
-        out = np.where(us_lo == u, ws[lo], interp)
-        out[hi == 0] = ws[0]
-        return out
+        lo = np.searchsorted(self._grid_us[1:], u, side="left")
+        us_lo = self._grid_us.take(lo)
+        ws_lo = self._grid_ws.take(lo)
+        interp = ws_lo + self._grid_dw.take(lo) * ((u - us_lo) / self._grid_du.take(lo))
+        return np.where(us_lo == u, ws_lo, interp)
 
     def __repr__(self) -> str:
         return "PiecewisePowerModel({} points, idle={}W, peak={}W)".format(

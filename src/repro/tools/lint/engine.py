@@ -87,8 +87,10 @@ class Finding:
 class ModuleContext:
     """One parsed module: everything a rule may want to know about it.
 
-    ``nodes`` lists every node of ``tree`` in :func:`ast.walk` order,
-    ``imports`` maps each local alias to its canonical dotted name, and
+    ``path`` is the module's path as package-scoped rules read it (see
+    :func:`scope_path`; the source is read by the caller).  ``nodes``
+    lists every node of ``tree`` in :func:`ast.walk` order, ``imports``
+    maps each local alias to its canonical dotted name, and
     ``suppressions``/``hot_lines`` hold the ``# reprolint:`` comments.
     """
 
@@ -243,6 +245,60 @@ class Rule:
         raise NotImplementedError
 
 
+def scope_path(path: Path, directory: Optional[Path] = None) -> Path:
+    """The path of a linted file that package-scoped rules read.
+
+    A file found under a directory argument is scoped by that
+    directory's name and the path below it; a file argument by its path
+    below the working directory, or its whole path when it lies
+    elsewhere.  The directories a tree sits in never put its modules in
+    a scoped package (RL002's ``sim``, RL016's ``benchmarks``), so a
+    tree linted by relative or by absolute path gives the same findings.
+    """
+    if directory is not None:
+        return Path(directory.name, path.relative_to(directory))
+    try:
+        return path.resolve().relative_to(Path.cwd().resolve())
+    except ValueError:  # not below the working directory
+        return path
+
+
+def python_files(
+    paths: Iterable[Path], exclude: Sequence[str] = ()
+) -> List[Tuple[Path, Path]]:
+    """Each file :func:`iter_python_files` lists, with its :func:`scope_path`."""
+    files: List[Tuple[Path, Path]] = []
+    for path in paths:
+        if path.is_dir():
+            found = [
+                (p, scope_path(p, path))
+                for p in sorted(path.rglob("*.py"))
+                if not any(
+                    part == "__pycache__" or part.startswith(".") or part in exclude
+                    for part in p.relative_to(path).parts
+                )
+            ]
+            if not found:
+                raise FileNotFoundError("no python files under {}".format(path))
+            files.extend(found)
+        elif path.suffix == ".py":
+            files.append((path, scope_path(path)))
+        else:
+            raise FileNotFoundError(
+                "not a python file or directory: {}".format(path)
+            )
+    # De-duplicate on the file itself, however it was named, keeping the
+    # sorted order per input path.
+    seen = set()
+    unique: List[Tuple[Path, Path]] = []
+    for f, scope in files:
+        key = f.resolve()
+        if key not in seen:
+            seen.add(key)
+            unique.append((f, scope))
+    return unique
+
+
 def iter_python_files(
     paths: Iterable[Path], exclude: Sequence[str] = ()
 ) -> List[Path]:
@@ -256,37 +312,9 @@ def iter_python_files(
     dot-directory lints like any other.  A directory that yields no file
     raises FileNotFoundError, as does an argument that is neither a
     directory nor a ``.py`` file.  Files named explicitly are always
-    linted.
+    linted, and a file reached twice, by whatever names, once.
     """
-    files: List[Path] = []
-    for path in paths:
-        if path.is_dir():
-            found = [
-                p
-                for p in sorted(path.rglob("*.py"))
-                if not any(
-                    part == "__pycache__" or part.startswith(".") or part in exclude
-                    for part in p.relative_to(path).parts
-                )
-            ]
-            if not found:
-                raise FileNotFoundError("no python files under {}".format(path))
-            files.extend(found)
-        elif path.suffix == ".py":
-            files.append(path)
-        else:
-            raise FileNotFoundError(
-                "not a python file or directory: {}".format(path)
-            )
-    # De-duplicate while preserving sorted order per input path.
-    seen = set()
-    unique: List[Path] = []
-    for f in files:
-        key = str(f)
-        if key not in seen:
-            seen.add(key)
-            unique.append(f)
-    return unique
+    return [f for f, _ in python_files(paths, exclude)]
 
 
 def display_path_for(path: Path) -> str:
@@ -353,7 +381,8 @@ def lint_file(
     display_path: Optional[str] = None,
 ) -> List[Finding]:
     """Run every applicable rule over one file; suppressions applied."""
-    return lint_source(path, read_source(path), rules, display_path)[0]
+    display = display_path if display_path is not None else str(path)
+    return lint_source(scope_path(path), read_source(path), rules, display)[0]
 
 
 @dataclass

@@ -46,8 +46,8 @@ from repro.tools.lint.engine import (
     ModuleContext,
     Rule,
     display_path_for,
-    iter_python_files,
     lint_source,
+    python_files,
     read_source,
     suppressed,
 )
@@ -825,15 +825,15 @@ def lint_paths(
     paths relative to the working directory.
     """
     module_rules, project_rules = _split_rules(rules)
-    files = iter_python_files([Path(p) for p in paths], exclude)
+    files = python_files([Path(p) for p in paths], exclude)
 
     # Pass 1: derive each file once, run the module rules, summarize.
     findings: List[Finding] = []
     summaries: List[ModuleSummary] = []
-    for path in files:
+    for path, scope in files:
         display = display_path_for(path)
         module_findings, module = lint_source(
-            path, read_source(path), module_rules, display
+            scope, read_source(path), module_rules, display
         )
         findings.extend(module_findings)
         summaries.append(

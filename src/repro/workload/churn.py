@@ -71,7 +71,7 @@ class ChurnGenerator:
         # The draw tables are rebuilt per arrival rather than kept: a new
         # attribute would change the pickled generator that checkpoints hold.
         self._next_id += 1
-        return _VmDraws(self.spec).draw(self.rng, "churn-{:05d}".format(self._next_id))
+        return _VmDraws(self.spec).draw(self.rng, ["churn-{:05d}".format(self._next_id)])[0]
 
     def _arrivals(self, resume_at: Optional[float] = None):
         # Each inter-arrival gap is drawn when its timeout is *created*,

@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Sequence
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Type
 
 import numpy as np
 
@@ -17,6 +17,7 @@ from repro.workload.traces import (
     DiurnalTrace,
     FlatTrace,
     NoisyTrace,
+    SampledTrace,
     SpikeTrace,
     Trace,
 )
@@ -102,7 +103,10 @@ def enterprise_mix(n_vms: int = 100, horizon_s: float = 2 * 86_400.0) -> FleetSp
     return FleetSpec(n_vms=n_vms, horizon_s=horizon_s)
 
 
-def _make_trace(archetype: str, rng: np.random.Generator, spec: FleetSpec) -> Trace:
+def _draw_trace(
+    archetype: str, rng: np.random.Generator, spec: FleetSpec
+) -> Tuple[Type[SampledTrace], Tuple[Any, ...]]:
+    """One VM's trace class and its leading constructor arguments, drawn from ``rng``."""
     seed = int(rng.integers(0, 2**31 - 1))
     if archetype == "diurnal":
         inner = DiurnalTrace(
@@ -111,36 +115,24 @@ def _make_trace(archetype: str, rng: np.random.Generator, spec: FleetSpec) -> Tr
             peak_hour=float(rng.uniform(10.0, 17.0)),
             sharpness=float(rng.uniform(0.8, 2.0)),
         )
-        return NoisyTrace(
-            inner,
-            seed,
-            sigma=spec.noise_sigma,
-            horizon_s=spec.horizon_s,
-        )
+        return NoisyTrace, (inner, seed, spec.noise_sigma)
     if archetype == "bursty":
-        return BurstyTrace(
+        return BurstyTrace, (
             seed,
-            base=float(rng.uniform(0.05, 0.15)),
-            burst=float(rng.uniform(0.6, 0.95)),
-            mean_gap_s=float(rng.uniform(1.0, 4.0)) * 3600.0,
-            mean_burst_s=float(rng.uniform(10.0, 40.0)) * 60.0,
-            horizon_s=spec.horizon_s,
+            float(rng.uniform(0.05, 0.15)),
+            float(rng.uniform(0.6, 0.95)),
+            float(rng.uniform(1.0, 4.0)) * 3600.0,
+            float(rng.uniform(10.0, 40.0)) * 60.0,
         )
     if archetype == "flat":
-        inner = FlatTrace(float(rng.uniform(0.15, 0.5)))
-        return NoisyTrace(
-            inner,
-            seed,
-            sigma=spec.noise_sigma,
-            horizon_s=spec.horizon_s,
-        )
+        return NoisyTrace, (FlatTrace(float(rng.uniform(0.15, 0.5))), seed, spec.noise_sigma)
     if archetype == "spiky":
-        return SpikeTrace(
+        return SpikeTrace, (
             seed,
-            base=float(rng.uniform(0.02, 0.08)),
-            spikes_per_day=float(rng.uniform(3.0, 10.0)),
-            spike_s=float(rng.uniform(2.0, 10.0)) * 60.0,
-            horizon_s=spec.horizon_s,
+            float(rng.uniform(0.02, 0.08)),
+            1.0,
+            float(rng.uniform(3.0, 10.0)),
+            float(rng.uniform(2.0, 10.0)) * 60.0,
         )
     raise ValueError("unknown archetype {!r}".format(archetype))
 
@@ -209,10 +201,12 @@ class _Choice:
 
 
 class _VmDraws:
-    """Draws the VMs of ``spec`` one at a time, for fleets and churn.
+    """Draws the VMs of ``spec``, for fleets and churn alike.
 
-    Each VM takes its RNG draws in one order: archetype, vCPUs, trace,
-    priority.
+    Each VM takes its RNG draws in one order: archetype, vCPUs, trace seed
+    and parameters, priority.  No draw reads a built trace, so every VM's
+    draws come first and the traces are built afterwards, one block per
+    trace class (:meth:`~repro.workload.traces.SampledTrace.block`).
     """
 
     def __init__(self, spec: FleetSpec) -> None:
@@ -227,27 +221,44 @@ class _VmDraws:
         )
 
     def draw(
-        self, rng: np.random.Generator, name: str, shared: Optional[Trace] = None
-    ) -> VM:
-        """One VM; ``shared`` is blended in at ``spec.shared_fraction``."""
+        self, rng: np.random.Generator, names: Sequence[str], shared: Optional[Trace] = None
+    ) -> List[VM]:
+        """One VM per name; ``shared`` is blended in at ``spec.shared_fraction``."""
         spec = self.spec
-        archetype = self._archetype.draw(rng)
-        vcpus = int(self._vcpus.draw(rng))
-        trace = _make_trace(archetype, rng, spec)
-        if shared is not None:
-            trace = CompositeTrace(
-                [
-                    (spec.shared_fraction, shared),
-                    (1.0 - spec.shared_fraction, trace),
-                ]
+        drawn = []
+        # Trace class -> (VM positions, constructor arguments), in VM order.
+        blocks: Dict[Type[SampledTrace], Tuple[List[int], List[Tuple[Any, ...]]]] = {}
+        for k, name in enumerate(names):
+            archetype = self._archetype.draw(rng)
+            vcpus = int(self._vcpus.draw(rng))
+            cls, args = _draw_trace(archetype, rng, spec)
+            positions, arguments = blocks.setdefault(cls, ([], []))
+            positions.append(k)
+            arguments.append(args)
+            drawn.append((name, vcpus, self._priority.draw(rng)))
+        traces: Dict[int, Trace] = {}
+        for cls, (positions, arguments) in blocks.items():
+            traces.update(zip(positions, cls.block(arguments, spec.horizon_s)))
+        vms = []
+        for k, (name, vcpus, priority) in enumerate(drawn):
+            trace = traces[k]
+            if shared is not None:
+                trace = CompositeTrace(
+                    [
+                        (spec.shared_fraction, shared),
+                        (1.0 - spec.shared_fraction, trace),
+                    ]
+                )
+            vms.append(
+                VM(
+                    name=name,
+                    vcpus=vcpus,
+                    mem_gb=vcpus * spec.mem_gb_per_vcpu,
+                    trace=trace,
+                    priority=priority,
+                )
             )
-        return VM(
-            name=name,
-            vcpus=vcpus,
-            mem_gb=vcpus * spec.mem_gb_per_vcpu,
-            trace=trace,
-            priority=self._priority.draw(rng),
-        )
+        return vms
 
 
 def build_fleet(spec: FleetSpec, seed: int = 0, name_prefix: str = "vm") -> List[VM]:
@@ -259,8 +270,5 @@ def build_fleet(spec: FleetSpec, seed: int = 0, name_prefix: str = "vm") -> List
     """
     rng = np.random.default_rng(seed)
     shared = _make_shared_trace(spec, rng) if spec.shared_fraction > 0 else None
-    draws = _VmDraws(spec)
-    return [
-        draws.draw(rng, "{}-{:04d}".format(name_prefix, i), shared)
-        for i in range(spec.n_vms)
-    ]
+    names = ["{}-{:04d}".format(name_prefix, i) for i in range(spec.n_vms)]
+    return _VmDraws(spec).draw(rng, names, shared)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from itertools import repeat
+from itertools import chain, repeat
 from typing import Any, Dict, List, Sequence, Tuple
 
 import numpy as np
@@ -19,18 +19,14 @@ from repro.fold import left_sum
 
 DAY_S = 86_400.0
 
+#: Elements per ``math.cos``/``pow`` map in a diurnal block, taken in
+#: whole rows (at least one).  A map goes through a list of Python
+#: floats, and a whole fleet's block at once would hold half a million.
+MAP_CHUNK = 32_768
+
 
 def _clamp01(x: float) -> float:
     return 0.0 if x < 0.0 else 1.0 if x > 1.0 else x
-
-
-def trace_grid(trace: "Trace", ticks: Sequence[float]) -> "np.ndarray":
-    """``trace.at`` over many instants: the one-trace case of :func:`trace_grids`."""
-    if isinstance(trace, CompositeTrace):
-        return trace_grids([trace], ticks)[0]
-    out = np.empty((1, len(ticks)))
-    _leaf_rows(_kind(trace), [trace], ticks, out)
-    return out[0]
 
 
 def trace_grids(traces: Sequence["Trace"], ticks: Sequence[float]) -> "np.ndarray":
@@ -44,10 +40,11 @@ def trace_grids(traces: Sequence["Trace"], ticks: Sequence[float]) -> "np.ndarra
     the scalar libm call.  Every distinct trace reachable from ``traces``
     (composite parts included) is evaluated once, in one block per kind:
 
-    * :class:`DiurnalTrace` rows do their arithmetic on arrays but map
-      ``math.cos`` and ``pow`` over the elements: numpy's vectorized
-      ``cos``/``power`` kernels may round differently from libm (on
-      AVX-512 builds ``np.power`` does);
+    * :class:`DiurnalTrace` rows do their arithmetic on the whole block,
+      each row's phase, period, low and high a column, but map
+      ``math.cos`` and ``pow`` over the elements, :data:`MAP_CHUNK` at a
+      time: numpy's vectorized ``cos``/``power`` kernels may round
+      differently from libm (on AVX-512 builds ``np.power`` does);
     * :class:`FlatTrace` rows are their levels;
     * :class:`SampledTrace` blocks, one per grid shape, gather the sample
       columns the ticks read, wrapped grids included, from one stacked
@@ -104,14 +101,27 @@ def _kind(trace: "Trace") -> Any:
 def _leaf_rows(kind: Any, block: List["Trace"], ticks: Sequence[float], out: "np.ndarray") -> None:
     """Write one row per trace of a block of one ``_kind`` into ``out``."""
     if kind is DiurnalTrace:
-        t = np.asarray(ticks, dtype=float)
-        for k, d in enumerate(block):
-            # ``at``'s expression in its evaluation order, one array op each.
-            angle = 2.0 * math.pi * (t - d.phase_s) / d.period_s
-            base = 0.5 * (1.0 + np.fromiter(map(math.cos, angle.tolist()), float, len(t)))
-            if d.sharpness != 1.0:
-                base = np.fromiter(map(pow, base.tolist(), repeat(d.sharpness)), float, len(t))
-            out[k] = d.low + (d.high - d.low) * base
+        n = len(ticks)
+        columns = np.array([(d.phase_s, d.period_s, d.low, d.high) for d in block])
+        phase, period, low, high = columns.T[:, :, None]  # (len(block), 1) each
+        # ``at``'s expression in its evaluation order, one op over the
+        # block each, in place in ``out`` (IEEE ``+`` and ``*`` commute).
+        np.subtract(np.asarray(ticks, dtype=float), phase, out=out)
+        out *= 2.0 * math.pi
+        out /= period
+        rows = max(1, MAP_CHUNK // max(n, 1))
+        for a in range(0, len(block), rows):
+            out[a : a + rows] = _map_rows(math.cos, out[a : a + rows])
+        out += 1.0
+        out *= 0.5
+        # ``x ** 1.0 == x``: rows of sharpness 1.0 skip the map, as ``at`` does.
+        sharp = [k for k, d in enumerate(block) if d.sharpness != 1.0]
+        for a in range(0, len(sharp), rows):
+            ks = sharp[a : a + rows]
+            exponents = chain.from_iterable(repeat(block[k].sharpness, n) for k in ks)
+            out[ks] = _map_rows(pow, out[ks], exponents)
+        out *= high - low
+        out += low
     elif kind is FlatTrace:
         out[...] = np.array([f.level for f in block])[:, None]
     else:
@@ -125,6 +135,13 @@ def _leaf_rows(kind: Any, block: List["Trace"], ticks: Sequence[float], out: "np
         lo, hi = min(idx, default=0), max(idx, default=0) + 1
         span = np.array([s._samples[lo:hi] for s in block])
         np.take(span, [i - lo for i in idx], axis=1, out=out)
+
+
+def _map_rows(fn: Any, rows: "np.ndarray", *args: Any) -> "np.ndarray":
+    """``fn`` mapped over a 2-D block's elements in row order, as float64."""
+    return np.fromiter(map(fn, rows.ravel().tolist(), *args), float, rows.size).reshape(
+        rows.shape
+    )
 
 
 def _blend(
@@ -232,11 +249,37 @@ class DiurnalTrace(Trace):
         return self.low + (self.high - self.low) * shaped
 
 
+def _check_unit(samples: "np.ndarray") -> None:
+    """Refuse a sample block with a value outside [0, 1], NaN included."""
+    # Written so that NaN fails: every comparison with NaN is False.  An
+    # empty block has no minimum, and nothing to refuse.
+    if samples.size and not (samples.min() >= 0.0 and samples.max() <= 1.0):
+        raise ValueError("samples must be within [0, 1]")
+
+
+def _trace_rng(seed: int) -> "np.random.Generator":
+    """A drawn trace's own generator: its samples are the first draws of it."""
+    return np.random.default_rng(seed)
+
+
+def _sample_count(horizon_s: float, step_s: float) -> int:
+    """Samples a drawn trace holds over ``[0, horizon_s)``: at least one."""
+    if step_s <= 0:
+        raise ValueError("step_s must be positive")
+    n = int(horizon_s // step_s)
+    if n < 1:
+        raise ValueError("need at least one sample")
+    return n
+
+
 class SampledTrace(Trace):
     """A trace backed by a pre-drawn sample grid.
 
     Lookups are step-function reads; time beyond the grid wraps around
     (tiling), which keeps long simulations well-defined.
+
+    The subclasses that draw their samples build many traces at once
+    with :meth:`block`; their constructors are its one-row case.
     """
 
     def __init__(self, samples: Sequence[float], step_s: float = 60.0) -> None:
@@ -245,12 +288,38 @@ class SampledTrace(Trace):
         if step_s <= 0:
             raise ValueError("step_s must be positive")
         arr = np.asarray(samples, dtype=float)
-        # Written so that NaN fails: every comparison with NaN is False.
-        if not (arr.min() >= 0.0 and arr.max() <= 1.0):
-            raise ValueError("samples must be within [0, 1]")
-        self._samples = arr
-        self._n_samples = len(arr)
+        _check_unit(arr)
+        self._hold(arr, step_s, ())
+
+    def _hold(self, samples: "np.ndarray", step_s: float, draw: Tuple[Any, ...]) -> None:
+        """Take ``samples``, already checked, drawn from ``draw``'s arguments."""
+        self._samples = samples
+        self._n_samples = len(samples)
         self.step_s = step_s
+
+    @staticmethod
+    def _rows(draws: Sequence[Tuple[Any, ...]], horizon_s: float, step_s: float) -> "np.ndarray":
+        """The checked ``(len(draws), n)`` sample block of a drawing subclass."""
+        raise NotImplementedError
+
+    @classmethod
+    def block(
+        cls, draws: Sequence[Tuple[Any, ...]], horizon_s: float, step_s: float = 60.0
+    ) -> List["SampledTrace"]:
+        """``[cls(*d, horizon_s=horizon_s, step_s=step_s) for d in draws]``, in block passes.
+
+        Each ``d`` holds the constructor's leading arguments, up to
+        ``horizon_s``.  The samples come from one block: each row is
+        filled from its own seed, then one clip (where the class clips)
+        and one range check cover the block, and each trace keeps a view
+        of its row (it pickles to the same bytes as a copy).
+        """
+        traces = []
+        for row, draw in zip(cls._rows(draws, horizon_s, step_s), draws):
+            trace = cls.__new__(cls)
+            trace._hold(row, step_s, draw)
+            traces.append(trace)
+        return traces
 
     @property
     def horizon_s(self) -> float:
@@ -279,21 +348,32 @@ class BurstyTrace(SampledTrace):
         horizon_s: float = 2 * DAY_S,
         step_s: float = 60.0,
     ) -> None:
-        if not 0.0 <= base <= burst <= 1.0:
-            raise ValueError("need 0 <= base <= burst <= 1")
-        rng = np.random.default_rng(seed)
-        n = int(horizon_s // step_s)
-        samples = np.full(n, base)
-        t = float(rng.exponential(mean_gap_s))
-        while t < horizon_s:
-            length = float(rng.exponential(mean_burst_s))
-            lo = int(t // step_s)
-            hi = min(n, int((t + length) // step_s) + 1)
-            samples[lo:hi] = burst
-            t += length + float(rng.exponential(mean_gap_s))
-        super().__init__(samples, step_s)
-        self.base = base
-        self.burst = burst
+        draw = (seed, base, burst, mean_gap_s, mean_burst_s)
+        self._hold(self._rows([draw], horizon_s, step_s)[0], step_s, draw)
+
+    def _hold(self, samples: "np.ndarray", step_s: float, draw: Tuple[Any, ...]) -> None:
+        super()._hold(samples, step_s, draw)
+        self.base = draw[1]
+        self.burst = draw[2]
+
+    @staticmethod
+    def _rows(draws: Sequence[Tuple[Any, ...]], horizon_s: float, step_s: float) -> "np.ndarray":
+        n = _sample_count(horizon_s, step_s)
+        samples = np.empty((len(draws), n))
+        for row, (seed, base, burst, mean_gap_s, mean_burst_s) in zip(samples, draws):
+            if not 0.0 <= base <= burst <= 1.0:
+                raise ValueError("need 0 <= base <= burst <= 1")
+            rng = _trace_rng(seed)
+            row.fill(base)
+            t = float(rng.exponential(mean_gap_s))
+            while t < horizon_s:
+                length = float(rng.exponential(mean_burst_s))
+                lo = int(t // step_s)
+                hi = min(n, int((t + length) // step_s) + 1)
+                row[lo:hi] = burst
+                t += length + float(rng.exponential(mean_gap_s))
+        _check_unit(samples)
+        return samples
 
 
 class SpikeTrace(SampledTrace):
@@ -309,15 +389,23 @@ class SpikeTrace(SampledTrace):
         horizon_s: float = 2 * DAY_S,
         step_s: float = 60.0,
     ) -> None:
-        rng = np.random.default_rng(seed)
-        n = int(horizon_s // step_s)
-        samples = np.full(n, base)
-        expected = spikes_per_day * horizon_s / DAY_S
-        count = int(rng.poisson(expected))
-        width = max(1, int(spike_s // step_s))
-        for start in rng.integers(0, max(1, n - width), size=count):
-            samples[start : start + width] = spike
-        super().__init__(np.clip(samples, 0.0, 1.0), step_s)
+        draw = (seed, base, spike, spikes_per_day, spike_s)
+        self._hold(self._rows([draw], horizon_s, step_s)[0], step_s, draw)
+
+    @staticmethod
+    def _rows(draws: Sequence[Tuple[Any, ...]], horizon_s: float, step_s: float) -> "np.ndarray":
+        n = _sample_count(horizon_s, step_s)
+        samples = np.empty((len(draws), n))
+        for row, (seed, base, spike, spikes_per_day, spike_s) in zip(samples, draws):
+            rng = _trace_rng(seed)
+            row.fill(base)
+            count = int(rng.poisson(spikes_per_day * horizon_s / DAY_S))
+            width = max(1, int(spike_s // step_s))
+            for start in rng.integers(0, max(1, n - width), size=count):
+                row[start : start + width] = spike
+        np.clip(samples, 0.0, 1.0, out=samples)
+        _check_unit(samples)
+        return samples
 
 
 class NoisyTrace(SampledTrace):
@@ -331,13 +419,22 @@ class NoisyTrace(SampledTrace):
         horizon_s: float = 2 * DAY_S,
         step_s: float = 60.0,
     ) -> None:
-        if sigma < 0:
+        draw = (inner, seed, sigma)
+        self._hold(self._rows([draw], horizon_s, step_s)[0], step_s, draw)
+
+    @staticmethod
+    def _rows(draws: Sequence[Tuple[Any, ...]], horizon_s: float, step_s: float) -> "np.ndarray":
+        # Every inner signal in one grid pass; each row then adds the first
+        # draws of its own seed's generator.
+        if any(sigma < 0 for _, _, sigma in draws):
             raise ValueError("sigma must be non-negative")
-        rng = np.random.default_rng(seed)
-        n = int(horizon_s // step_s)
-        base = trace_grid(inner, np.arange(n) * step_s)
-        noisy = np.clip(base + rng.normal(0.0, sigma, size=n), 0.0, 1.0)
-        super().__init__(noisy, step_s)
+        n = _sample_count(horizon_s, step_s)
+        samples = trace_grids([inner for inner, _, _ in draws], np.arange(n) * step_s)
+        for row, (_, seed, sigma) in zip(samples, draws):
+            row += _trace_rng(seed).normal(0.0, sigma, size=n)
+        np.clip(samples, 0.0, 1.0, out=samples)
+        _check_unit(samples)
+        return samples
 
 
 class PlateauTrace(Trace):

@@ -167,9 +167,10 @@ class TestRejection:
         # component and a ManagementLog without one, so a traced resume
         # would drop every plane event; schema 4 pickled trace events
         # under repro.telemetry.trace, which no longer defines them;
-        # schema 5 pickled a demand lattice without its rebuild slots.
-        # The manifest check must refuse all five before anything is
-        # unpickled.
+        # schema 5 pickled a demand lattice without its rebuild slots;
+        # schema 6 pickled each host's latency generator, which a machine
+        # now makes on its first jittered transition.  The manifest check
+        # must refuse all six before anything is unpickled.
         import repro.core.checkpoint as checkpoint
 
         path = self._one_checkpoint(tmp_path)
@@ -180,7 +181,7 @@ class TestRejection:
             raise AssertionError("an old-schema payload was unpickled")
 
         monkeypatch.setattr(checkpoint, "pickle", type("P", (), {"loads": unpickled}))
-        for schema in (1, 2, 3, 4, 5):
+        for schema in (1, 2, 3, 4, 5, 6):
             path.write_bytes(
                 magic + b"\n"
                 + json.dumps(dict(manifest, schema=schema), sort_keys=True).encode()

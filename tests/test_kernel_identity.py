@@ -21,14 +21,15 @@ from repro.core.runner import build_scenario
 from repro.datacenter import VM, Cluster
 from repro.datacenter.faults import FaultModel, MigrationFaultModel
 from repro.datacenter.vm import Priority
-from repro.power.models import LinearPowerModel, PiecewisePowerModel
+from repro.power.models import LinearPowerModel, PiecewisePowerModel, specpower_like_model
 from repro.prototype import PROTOTYPE_BLADE
 from repro.sim import Environment
 from repro.telemetry import ClusterSampler
 from repro.telemetry.lattice import DemandLattice
-from repro.workload import FleetSpec
+from repro.workload import ChurnGenerator, FleetSpec
 from repro.workload.fleet import _Choice, _make_shared_trace, build_fleet
 from repro.workload.traces import (
+    MAP_CHUNK,
     BurstyTrace,
     CompositeTrace,
     DiurnalTrace,
@@ -41,7 +42,6 @@ from repro.workload.traces import (
     StepTrace,
     Trace,
     WeeklyTrace,
-    trace_grid,
     trace_grids,
 )
 
@@ -70,6 +70,13 @@ class TestPowerGridIdentity:
         grid = model.power_at_grid(pts)
         assert [float(v) for v in grid] == [model.power_at(u) for u in pts]
 
+    def test_specpower_like_model(self):
+        # The 11-point curve every prototype profile uses; every knot is hit.
+        model = specpower_like_model()
+        pts = self._points() + [i / 10.0 for i in range(11)] + [-0.0]
+        grid = model.power_at_grid(np.array(pts))
+        assert grid.tobytes() == np.array([model.power_at(u) for u in pts]).tobytes()
+
 
 class TestTraceGridIdentity:
     """``trace_grids`` equals scalar ``trace.at`` over the whole fleet."""
@@ -85,7 +92,7 @@ class TestTraceGridIdentity:
         for vm, grid in zip(fleet, grids):
             scalar = [vm.trace.at(t) for t in ticks]
             assert [float(v) for v in grid] == scalar, vm.name
-            assert trace_grid(vm.trace, ticks).tolist() == scalar, vm.name
+            assert trace_grids([vm.trace], ticks)[0].tolist() == scalar, vm.name
 
     def test_shared_index_cache_is_per_shape(self):
         # Sample grids of different shapes in one batch are gathered
@@ -184,7 +191,7 @@ class TestBatchedGridIdentity:
         for trace, row in zip(traces, grid):
             scalar = np.array([trace.at(t) for t in ticks], dtype=float)
             assert row.tobytes() == scalar.tobytes(), trace
-            assert trace_grid(trace, ticks).tobytes() == scalar.tobytes(), trace
+            assert trace_grids([trace], ticks)[0].tobytes() == scalar.tobytes(), trace
 
     @settings(max_examples=40, deadline=None)
     @given(traces=trace_lists(), i0=st.integers(0, 2_000), dip=st.integers(0, 127))
@@ -386,26 +393,47 @@ def reference_samples(archetype, rng, spec):
     elif archetype == "flat":
         inner = FlatTrace(float(rng.uniform(0.15, 0.5)))
     elif archetype == "bursty":
-        return BurstyTrace(
-            seed,
-            base=float(rng.uniform(0.05, 0.15)),
-            burst=float(rng.uniform(0.6, 0.95)),
-            mean_gap_s=float(rng.uniform(1.0, 4.0)) * 3600.0,
-            mean_burst_s=float(rng.uniform(10.0, 40.0)) * 60.0,
-            horizon_s=spec.horizon_s,
-        )._samples
+        base = float(rng.uniform(0.05, 0.15))
+        burst = float(rng.uniform(0.6, 0.95))
+        mean_gap_s = float(rng.uniform(1.0, 4.0)) * 3600.0
+        mean_burst_s = float(rng.uniform(10.0, 40.0)) * 60.0
+        return reference_bursty(seed, base, burst, mean_gap_s, mean_burst_s, spec.horizon_s)
     else:
-        return SpikeTrace(
-            seed,
-            base=float(rng.uniform(0.02, 0.08)),
-            spikes_per_day=float(rng.uniform(3.0, 10.0)),
-            spike_s=float(rng.uniform(2.0, 10.0)) * 60.0,
-            horizon_s=spec.horizon_s,
-        )._samples
+        base = float(rng.uniform(0.02, 0.08))
+        spikes_per_day = float(rng.uniform(3.0, 10.0))
+        spike_s = float(rng.uniform(2.0, 10.0)) * 60.0
+        return reference_spikes(seed, base, spikes_per_day, spike_s, spec.horizon_s)
     noise = np.random.default_rng(seed)
     n = int(spec.horizon_s // 60.0)
     base = np.array([inner.at(i * 60.0) for i in range(n)])
     return np.clip(base + noise.normal(0.0, spec.noise_sigma, size=n), 0.0, 1.0)
+
+
+def reference_bursty(seed, base, burst, mean_gap_s, mean_burst_s, horizon_s, step_s=60.0):
+    """A bursty trace's samples, drawn one trace at a time."""
+    rng = np.random.default_rng(seed)
+    n = int(horizon_s // step_s)
+    samples = [base] * n
+    t = float(rng.exponential(mean_gap_s))
+    while t < horizon_s:
+        length = float(rng.exponential(mean_burst_s))
+        for i in range(int(t // step_s), min(n, int((t + length) // step_s) + 1)):
+            samples[i] = burst
+        t += length + float(rng.exponential(mean_gap_s))
+    return np.array(samples)
+
+
+def reference_spikes(seed, base, spikes_per_day, spike_s, horizon_s, step_s=60.0):
+    """A spiky trace's samples (spikes of 1.0), drawn one trace at a time."""
+    rng = np.random.default_rng(seed)
+    n = int(horizon_s // step_s)
+    samples = [min(max(base, 0.0), 1.0)] * n
+    count = int(rng.poisson(spikes_per_day * horizon_s / 86_400.0))
+    width = max(1, int(spike_s // step_s))
+    for start in rng.integers(0, max(1, n - width), size=count):
+        for i in range(start, min(n, start + width)):
+            samples[i] = 1.0
+    return np.array(samples)
 
 
 def reference_fleet(spec, seed):
@@ -454,8 +482,10 @@ class TestSetupIdentity:
                 vcpu_weights=(0.0, 0.5, 0.5, 0.0),
                 priority_weights={"gold": 0.0, "silver": 1.0, "bronze": 1.0},
             ),
+            # No noisy archetype: the builder makes no noisy block.
+            dict(archetype_weights={"bursty": 0.5, "spiky": 0.5}, shared_fraction=0.3),
         ],
-        ids=["shared-diurnal", "shared-bursty", "unshared", "zero-weights"],
+        ids=["shared-diurnal", "shared-bursty", "unshared", "zero-weights", "no-noisy"],
     )
     def test_build_fleet_matches_the_choice_loop(self, seed, hours, mix):
         spec = FleetSpec(n_vms=48, horizon_s=hours * 3600.0, **mix)
@@ -484,6 +514,44 @@ class TestSetupIdentity:
                     assert vars(shared_part) == vars(ref_shared)
             assert trace._samples.tobytes() == samples.tobytes(), vm.name
 
+    @pytest.mark.parametrize("seed", [11, 2013])
+    def test_churn_draws_match_the_choice_loop(self, seed):
+        # Churn draws one VM per arrival through the fleet's builder: with
+        # no draw between arrivals, its VMs are the loop's, in order.
+        spec = FleetSpec(n_vms=6, horizon_s=6 * 3600.0)
+        churn = ChurnGenerator(Environment(), seed, lambda vm: True, lambda vm: None, spec=spec)
+        for i, (name, vcpus, mem_gb, priority, samples, _) in enumerate(
+            reference_fleet(spec, seed)
+        ):
+            vm = churn._draw_vm()
+            assert vm.name == "churn-{:05d}".format(i + 1)
+            assert (vm.vcpus, vm.mem_gb, vm.priority) == (vcpus, mem_gb, priority), name
+            assert vm.trace._samples.tobytes() == samples.tobytes(), name
+
+    def test_diurnal_block_spans_map_chunks(self):
+        # More distinct diurnal rows than three map chunks hold, their
+        # sharpness 1.0 on every third, so chunk boundaries fall inside the
+        # block for the cos map and for the pow map alike, between other
+        # kinds' rows.
+        ticks = [-7_777.25 + 61.5 * i for i in range(100)]
+        rows = MAP_CHUNK // len(ticks)
+        rng = random.Random(26)
+        traces = []
+        for k in range(3 * rows + rows // 2):
+            low = rng.uniform(0.0, 0.5)
+            traces.append(DiurnalTrace(
+                low, rng.uniform(low, 1.0),
+                period_s=rng.choice([3_600.0, 86_400.0, 604_800.0]),
+                peak_hour=rng.uniform(-24.0, 48.0),
+                sharpness=1.0 if k % 3 == 0 else rng.uniform(0.3, 3.0),
+            ))
+            if k % 97 == 0:
+                traces.append(FlatTrace(rng.uniform(0.0, 1.0)))
+        grid = trace_grids(traces, ticks)
+        for trace, row in zip(traces, grid):
+            scalar = np.array([trace.at(t) for t in ticks], dtype=float)
+            assert row.tobytes() == scalar.tobytes(), vars(trace)
+
     @given(
         bounds=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)).map(sorted),
         period_s=st.floats(min_value=1.0, max_value=1e7),
@@ -494,15 +562,15 @@ class TestSetupIdentity:
     def test_diurnal_grid_equals_scalar_at(self, bounds, period_s, peak_hour, sharpness, ticks):
         trace = DiurnalTrace(bounds[0], bounds[1], period_s, peak_hour, sharpness)
         scalar = np.array([trace.at(t) for t in ticks], dtype=float).tobytes()
-        assert trace_grid(trace, ticks).tobytes() == scalar
-        assert trace_grid(trace, np.array(ticks, dtype=float)).tobytes() == scalar
+        assert trace_grids([trace], ticks)[0].tobytes() == scalar
+        assert trace_grids([trace], np.array(ticks, dtype=float))[0].tobytes() == scalar
 
     @given(level=st.floats(0.0, 1.0), ticks=st.lists(_FLOATS, max_size=64))
     def test_flat_grid_equals_scalar_at(self, level, ticks):
         trace = FlatTrace(level)
         scalar = np.array([trace.at(t) for t in ticks], dtype=float).tobytes()
-        assert trace_grid(trace, ticks).tobytes() == scalar
-        assert trace_grid(trace, np.array(ticks, dtype=float)).tobytes() == scalar
+        assert trace_grids([trace], ticks)[0].tobytes() == scalar
+        assert trace_grids([trace], np.array(ticks, dtype=float))[0].tobytes() == scalar
 
     @given(
         weights=st.lists(st.floats(0.0, 1e6), min_size=1, max_size=8).filter(

@@ -3,10 +3,14 @@
 import numpy as np
 import pytest
 
+import repro.core.seeding as seeding
+from repro.core.seeding import stream_rng
 from repro.datacenter import Host
 from repro.power import HostPowerStateMachine, PowerState, TransitionSpec
 from repro.prototype import make_prototype_blade_profile
 from repro.sim import Environment
+from repro.telemetry.trace import TraceBuffer
+from repro.trace_events import TransitionStart
 
 
 class TestTransitionSpecJitter:
@@ -103,3 +107,46 @@ class TestJitteredMachine:
             env.run(until=proc)
             durations.add(env.now - start)
         assert len(durations) > 1
+
+
+def park_and_wake(profile, fault_seed=9, name="h0"):
+    """Park a host to SLEEP and wake it; return it and its sampled latencies."""
+    env = Environment()
+    trace = TraceBuffer()
+    host = Host(env, name, profile, fault_seed=fault_seed, trace=trace)
+    env.run(until=env.process(host.park(PowerState.SLEEP)))
+    env.run(until=env.process(host.wake()))
+    assert host.machine.is_active
+    latencies = [e.latency_s for e in trace.events if isinstance(e, TransitionStart)]
+    return host, latencies
+
+
+class TestLatencyGeneratorOnFirstDraw:
+    def test_unjittered_host_makes_no_generator(self, monkeypatch):
+        made = []
+
+        def counted(*args):
+            made.append(args)
+            return stream_rng(*args)
+
+        monkeypatch.setattr(seeding, "stream_rng", counted)
+        host, latencies = park_and_wake(make_prototype_blade_profile())
+        assert len(latencies) == 2
+        assert made == []
+        assert not isinstance(host.machine.latency_rng, np.random.Generator)
+
+    def test_jittered_host_draws_from_its_stream(self):
+        # The generator a host makes on its first jittered transition is
+        # its ``latency`` stream, so it draws what one made with the host
+        # would have drawn.
+        profile = make_prototype_blade_profile(latency_jitter=0.4)
+        for fault_seed, name in ((9, "h0"), (2013, "host-007")):
+            host, latencies = park_and_wake(profile, fault_seed, name)
+            rng = stream_rng("latency", fault_seed, name)
+            expected = [
+                profile.transition(PowerState.ACTIVE, PowerState.SLEEP).sample_latency_s(rng),
+                profile.transition(PowerState.SLEEP, PowerState.ACTIVE).sample_latency_s(rng),
+            ]
+            assert latencies == expected
+            assert isinstance(host.machine.latency_rng, np.random.Generator)
+            assert host.machine.latency_rng.bit_generator.state == rng.bit_generator.state

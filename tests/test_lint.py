@@ -273,6 +273,41 @@ class TestEngine:
             FIXTURES / "rl004_bad.py"
         )
 
+    def test_directories_above_the_tree_are_not_packages(self, tmp_path, monkeypatch):
+        # A tree under a directory named ``sim`` lints the same by relative
+        # and by absolute path, from its root and from outside it: only a
+        # module of the tree's own ``core`` package is in RL002's scope.
+        source = (FIXTURES / "sim/rl002_bad.py").read_text()
+        root = tmp_path / "sim" / "repo"
+        for package in ("tools", "core"):
+            (root / package).mkdir(parents=True)
+            (root / package / "helper.py").write_text(source)
+        rules = rules_for_ids(["RL002"])
+
+        def flagged(paths):
+            report = lint_paths(paths, rules=rules)
+            return sorted((Path(f.path).parent.name, f.line) for f in report.findings)
+
+        monkeypatch.chdir(root)
+        expected = flagged(["tools", "core"])
+        assert expected and {package for package, _ in expected} == {"core"}
+        assert flagged([root / "tools", root / "core"]) == expected
+        assert flagged(["tools/helper.py", "core/helper.py"]) == expected
+        assert flagged([root / "tools" / "helper.py", root / "core" / "helper.py"]) == expected
+        monkeypatch.chdir(tmp_path)
+        assert flagged([root / "tools", root / "core"]) == expected
+
+    def test_one_file_named_two_ways_is_linted_once(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(REPO_ROOT)
+        relative = "tests/lint_fixtures/rl004_bad.py"
+        findings = lint_file(REPO_ROOT / relative, default_rules())
+        assert main(["lint", relative, str(REPO_ROOT / relative)]) == 1
+        tail = capsys.readouterr().out.splitlines()[-1]
+        assert tail == "reprolint: {} finding(s) in 1 file(s)".format(len(findings))
+        (tmp_path / "a.py").write_text("x = 1\n")
+        monkeypatch.chdir(tmp_path)
+        assert iter_python_files([Path("a.py"), tmp_path / "a.py", tmp_path]) == [Path("a.py")]
+
     def test_exclude_name_above_the_directory_argument_excludes_nothing(self):
         files = iter_python_files([FIXTURES], exclude=("lint_fixtures",))
         assert files
@@ -389,11 +424,15 @@ class TestHeadClean:
     def test_examples_and_tests_are_lint_clean(self):
         # Part of the CI lint scope since the project-wide pass; fixtures
         # are excluded (they exist to be dirty).
-        report = lint_paths(
-            [REPO_ROOT / "examples", REPO_ROOT / "tests"],
-            exclude=("lint_fixtures",),
-        )
+        trees = [REPO_ROOT / "examples", REPO_ROOT / "tests"]
+        report = lint_paths(trees, exclude=("lint_fixtures",))
         assert report.ok, "\n" + report.render_text()
+        assert report.files_checked == sum(
+            1
+            for tree in trees
+            for path in tree.rglob("*.py")
+            if "lint_fixtures" not in path.relative_to(tree).parts
+        )
 
     def test_lint_paths_emits_repo_relative_display_paths(self):
         # Absolute input paths must still render repo-relative findings,

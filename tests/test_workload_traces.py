@@ -16,7 +16,7 @@ from repro.workload import (
     SpikeTrace,
     StepTrace,
 )
-from repro.workload.traces import DAY_S, trace_grid
+from repro.workload.traces import DAY_S, trace_grids
 
 
 def sample_range(trace, horizon=DAY_S, step=300.0):
@@ -124,7 +124,7 @@ class TestSampledTrace:
         assert restored._samples_list == trace._samples.tolist()
         ticks = [i * 37.0 for i in range(-10, 2 * 1440 * 60 // 37)]
         assert [restored.at(t) for t in ticks] == [trace.at(t) for t in ticks]
-        assert trace_grid(restored, ticks).tobytes() == trace_grid(trace, ticks).tobytes()
+        assert trace_grids([restored], ticks).tobytes() == trace_grids([trace], ticks).tobytes()
 
 
 class TestBurstyTrace:
@@ -178,6 +178,59 @@ class TestNoisyTrace:
     def test_negative_sigma_rejected(self):
         with pytest.raises(ValueError):
             NoisyTrace(FlatTrace(0.5), seed=0, sigma=-0.1)
+
+
+class NanTrace(FlatTrace):
+    """A signal that reads NaN: no clip can bring it into [0, 1]."""
+
+    def at(self, t):
+        return float("nan")
+
+
+class TestBlocks:
+    """``block`` builds many drawn traces at once, each as its constructor would."""
+
+    HORIZON = 6 * 3600.0
+
+    DRAWS = [
+        (NoisyTrace, [(DiurnalTrace(0.1, 0.7, sharpness=s), seed, 0.08)
+                      for seed, s in ((1, 1.0), (2, 1.7), (3, 0.6))]
+         + [(FlatTrace(0.95), 4, 0.2)]),
+        (BurstyTrace, [(seed, 0.1, 0.9, 1800.0, 600.0) for seed in (5, 6, 7)]),
+        (SpikeTrace, [(8, 0.05, 1.0, 40.0, 300.0), (9, -0.2, 1.5, 80.0, 120.0)]),
+    ]
+
+    @pytest.mark.parametrize("cls,draws", DRAWS, ids=["noisy", "bursty", "spike"])
+    def test_block_rows_equal_the_constructor(self, cls, draws):
+        block = cls.block(draws, self.HORIZON)
+        assert [type(t) for t in block] == [cls] * len(draws)
+        for trace, draw in zip(block, draws):
+            one = cls(*draw, horizon_s=self.HORIZON)
+            assert trace._samples.tobytes() == one._samples.tobytes()
+            assert vars(trace).keys() == vars(one).keys()
+            assert 0.0 <= trace._samples.min() and trace._samples.max() <= 1.0
+            # A view of the block's row pickles as a copy of it would.
+            copied = copy.copy(trace)
+            copied._samples = trace._samples.copy()
+            assert pickle.dumps(trace) == pickle.dumps(copied)
+        assert cls.block([], self.HORIZON) == []
+
+    def test_one_nan_row_fails_the_block(self):
+        good = [(FlatTrace(0.5), seed, 0.1) for seed in range(3)]
+        NoisyTrace.block(good, self.HORIZON)
+        for draws in (good + [(NanTrace(0.5), 9, 0.1)], [(NanTrace(0.5), 9, 0.1)] + good):
+            with pytest.raises(ValueError, match="within"):
+                NoisyTrace.block(draws, self.HORIZON)
+        with pytest.raises(ValueError, match="within"):
+            NoisyTrace(NanTrace(0.5), seed=9, horizon_s=self.HORIZON)
+        with pytest.raises(ValueError, match="within"):
+            SpikeTrace.block([(8, 0.05, 1.0, 4.0, 300.0), (9, float("nan"), 1.0, 4.0, 300.0)],
+                             self.HORIZON)
+
+    def test_short_horizon_has_no_samples(self):
+        for cls, draws in self.DRAWS:
+            with pytest.raises(ValueError, match="at least one sample"):
+                cls.block(draws, 59.0)
 
 
 class TestCompositeAndScaled:
