@@ -4,16 +4,25 @@ Gives operators the paper's experiments without writing Python::
 
     python -m repro.cli characterize
     python -m repro.cli run --policy S3-PM --hosts 16 --vms 64 --hours 24
+    python -m repro.cli run --policy S3-PM --migration-fail-rate 0.1 \
+        --telemetry-staleness-s 60 --out run.jsonl
+    python -m repro.cli run --policy S3-PM --plane neat --plane-delay-s 120 \
+        --plane-dropout 0.2 --out run.jsonl
     python -m repro.cli compare --hosts 12 --vms 48 --hours 24 --workers 4
-    python -m repro.cli faults S3-PM --rate 0,0.05,0.1,0.2 --mttr-h 4
-    python -m repro.cli chaos S3-PM --migration-fail-rate 0.1 \
-        --telemetry-staleness-s 60
-    python -m repro.cli chaos S3-PM --plane neat --plane-delay-s 120 \
-        --plane-dropout 0.2
+    python -m repro.cli compare --policies S3-PM \
+        --wake-failure-rate 0,0.05,0.1,0.2 --permanent-fraction 0.2 --mttr-h 4
+    python -m repro.cli trace check run.jsonl
     python -m repro.cli fuzz --campaign 100 --seed 7 --json
     python -m repro.cli fuzz shrink tests/corpus/behavior-safe-mode.json
     python -m repro.cli policies
     python -m repro.cli cache info
+
+``run`` and ``compare`` take one set of scenario flags: a scenario is
+written the same way whichever verb runs it.  ``run --out FILE`` traces
+the run, writes the trace and certifies it.  ``compare`` runs every
+policy at every ``--wake-failure-rate`` in its list.  The parser checks
+the range of every number ``run``, ``compare`` and ``branch`` take, so a
+bad value is a usage error (exit 2) before anything runs or is written.
 
 Comparisons fan out over a process pool (``--workers``) and memoize
 finished scenarios in the disk result cache (disable per-invocation with
@@ -25,9 +34,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
-from typing import List, Optional
+from typing import Callable, List, Optional
 
 from repro.analysis import render_series, render_table
 from repro.core import (
@@ -40,43 +50,114 @@ from repro.core import (
 from repro.core.atomicio import atomic_write_json, atomic_write_text
 from repro.core.cache import default_cache_dir
 from repro.core.policies import POLICIES, policy_by_name
-from repro.datacenter import FaultModel, RepairModel
+from repro.datacenter import FaultModel, MigrationFaultModel, RepairModel
 from repro.prototype import (
     PROTOTYPE_BLADE,
     breakeven_curve,
     format_characterization_table,
     make_prototype_blade_profile,
 )
-from repro.telemetry import SimReport, TraceBuffer
+from repro.telemetry import SimReport, StalenessModel, TraceBuffer
 from repro.telemetry.trace import jsonl_hash
 from repro.workload import FleetSpec
 
 
+def _ranged(parse: Callable, test: Callable, wants: str) -> Callable:
+    """An argparse ``type=``: ``parse`` the text, then refuse a value
+    that fails ``test``.
+
+    argparse turns the refusal into a usage error that names the flag
+    (exit 2), before any scenario is built.  NaN fails every ``test``
+    below, and the float ones also refuse infinity.
+    """
+
+    def convert(text: str):
+        value = parse(text)
+        if not test(value):
+            raise argparse.ArgumentTypeError("{} is not {}".format(text, wants))
+        return value
+
+    # argparse names the type in its "invalid <type> value" message.
+    convert.__name__ = parse.__name__
+    return convert
+
+
+_COUNT = _ranged(int, lambda v: v >= 1, "an integer >= 1")
+_SEED = _ranged(int, lambda v: v >= 0, "an integer >= 0")
+_NON_NEGATIVE = _ranged(float, lambda v: 0.0 <= v < math.inf, "a number >= 0")
+_POSITIVE = _ranged(float, lambda v: 0.0 < v < math.inf, "a number > 0")
+_RATE = _ranged(float, lambda v: 0.0 <= v < 1.0, "a probability in [0, 1)")
+_FRACTION = _ranged(float, lambda v: 0.0 <= v <= 1.0, "a fraction in [0, 1]")
+
+
+def _rates(text: str) -> List[float]:
+    """``compare --wake-failure-rate``: a comma-separated list of rates."""
+    rates = [_RATE(item) for item in text.split(",") if item.strip()]
+    if not rates:
+        raise argparse.ArgumentTypeError("{!r} lists no rate".format(text))
+    return rates
+
+
 def _add_scenario_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--hosts", type=int, default=16, help="cluster size")
-    parser.add_argument("--vms", type=int, default=64, help="fleet size")
-    parser.add_argument("--hours", type=float, default=24.0, help="simulated hours")
-    parser.add_argument("--seed", type=int, default=0, help="RNG seed")
+    """The scenario flags ``run`` and ``compare`` share.
+
+    Each verb adds its own ``--wake-failure-rate``: one value for
+    ``run``, a list for ``compare``.  Every model flag defaults to the
+    library's "off" value.
+    """
+    parser.add_argument("--hosts", type=_COUNT, default=16, help="cluster size")
+    parser.add_argument("--vms", type=_COUNT, default=64, help="fleet size")
+    parser.add_argument("--hours", type=_POSITIVE, default=24.0, help="simulated hours")
+    parser.add_argument("--seed", type=_SEED, default=0, help="RNG seed")
     parser.add_argument(
-        "--churn", type=float, default=0.0, help="VM arrivals per hour (0 = off)"
+        "--churn",
+        type=_NON_NEGATIVE,
+        default=0.0,
+        help="VM arrivals per hour (0 = off)",
     )
     parser.add_argument(
         "--shared-fraction",
-        type=float,
+        type=_FRACTION,
         default=0.3,
         help="fraction of demand driven by one cluster-wide signal",
     )
     parser.add_argument(
         "--wake-latency",
-        type=float,
+        type=_NON_NEGATIVE,
         default=None,
         help="override the S3 resume latency in seconds",
     )
     parser.add_argument(
-        "--wake-failure-rate",
-        type=float,
+        "--permanent-fraction",
+        type=_FRACTION,
         default=0.0,
-        help="probability a wake attempt fails (fault injection)",
+        help="fraction of wake failures that take the host out of service "
+        "(default: 0)",
+    )
+    parser.add_argument(
+        "--mttr-h",
+        type=_NON_NEGATIVE,
+        default=0.0,
+        help="mean operator repair time in hours (default: 0, no repair)",
+    )
+    parser.add_argument(
+        "--migration-fail-rate",
+        type=_RATE,
+        default=0.0,
+        help="probability a migration fails mid-copy (default: 0)",
+    )
+    parser.add_argument(
+        "--telemetry-staleness-s",
+        type=_NON_NEGATIVE,
+        default=0.0,
+        help="publication delay of the manager's telemetry view in seconds "
+        "(default: 0)",
+    )
+    parser.add_argument(
+        "--telemetry-dropout",
+        type=_RATE,
+        default=0.0,
+        help="probability an individual sampler tick is lost (default: 0)",
     )
     parser.add_argument(
         "--plane",
@@ -87,14 +168,14 @@ def _add_scenario_args(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--plane-delay-s",
-        type=float,
+        type=_NON_NEGATIVE,
         default=0.0,
         help="neat mode: delivery delay of the detector request channel "
         "in seconds (default: 0)",
     )
     parser.add_argument(
         "--plane-dropout",
-        type=float,
+        type=_RATE,
         default=0.0,
         help="neat mode: probability a detector report is lost in the "
         "request channel (default: 0)",
@@ -121,24 +202,16 @@ def _add_profile_args(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _policy_configs(command: str, names: str) -> Optional[List[ManagerConfig]]:
-    """The presets a ``--policies`` comma list names.
-
-    Prints a usage message and returns None when a name is unknown or
-    the list names none.
-    """
+def _policies(text: str) -> List[ManagerConfig]:
+    """``--policies``: the presets a comma list names (at least one)."""
     try:
-        configs = [policy_by_name(n.strip()) for n in names.split(",") if n.strip()]
+        configs = [policy_by_name(n.strip()) for n in text.split(",") if n.strip()]
     except ValueError:
         configs = []
     if not configs:
-        print(
-            "repro {}: --policies {!r} must name presets from {}".format(
-                command, names, ", ".join(sorted(POLICIES))
-            ),
-            file=sys.stderr,
+        raise argparse.ArgumentTypeError(
+            "{!r} must name presets from {}".format(text, ", ".join(sorted(POLICIES)))
         )
-        return None
     return configs
 
 
@@ -154,7 +227,13 @@ def _plane_config(config, args: argparse.Namespace):
     return config.with_overrides(**overrides) if overrides else config
 
 
-def _scenario_kwargs(args: argparse.Namespace) -> dict:
+def _scenario_kwargs(args: argparse.Namespace, wake_failure_rate: float) -> dict:
+    """``run_scenario``'s keyword arguments for the scenario flags.
+
+    A fault or telemetry model is built only when one of its rates or
+    delays is above 0; otherwise the argument is left out, so a scenario
+    without one keeps its cache key and its trace.
+    """
     horizon_s = args.hours * 3600.0
     kwargs = dict(
         n_hosts=args.hosts,
@@ -171,14 +250,24 @@ def _scenario_kwargs(args: argparse.Namespace) -> dict:
         kwargs["profile"] = make_prototype_blade_profile(
             resume_latency_s=args.wake_latency
         )
-    if args.wake_failure_rate > 0:
-        kwargs["fault_model"] = FaultModel(wake_failure_rate=args.wake_failure_rate)
+    if wake_failure_rate > 0 or args.migration_fail_rate > 0:
+        repair = RepairModel(mttr_s=args.mttr_h * 3600.0) if args.mttr_h > 0 else None
+        kwargs["fault_model"] = FaultModel(
+            wake_failure_rate=wake_failure_rate,
+            permanent_fraction=args.permanent_fraction,
+            repair=repair,
+            migration=(
+                MigrationFaultModel(failure_rate=args.migration_fail_rate)
+                if args.migration_fail_rate > 0
+                else None
+            ),
+        )
+    if args.telemetry_staleness_s > 0 or args.telemetry_dropout > 0:
+        kwargs["telemetry_model"] = StalenessModel(
+            delay_s=args.telemetry_staleness_s,
+            dropout_rate=args.telemetry_dropout,
+        )
     return kwargs
-
-
-def _print_timeline(result) -> None:
-    for name in ("demand_cores", "active_hosts", "power_w"):
-        print(render_series(result.sampler.series[name].points(), name=name))
 
 
 def _profiled(fn, json_path: Optional[str] = None):
@@ -230,6 +319,7 @@ def _profiled(fn, json_path: Optional[str] = None):
 
 def cmd_run(args: argparse.Namespace) -> int:
     from repro.core import CheckpointError, resume_scenario
+    from repro.telemetry.validate import validate_trace
 
     service_kwargs = dict(
         checkpoint_every_s=args.checkpoint_every_s,
@@ -243,9 +333,10 @@ def cmd_run(args: argparse.Namespace) -> int:
         runner = lambda: resume_scenario(args.resume, **service_kwargs)  # noqa: E731
     else:
         config = _plane_config(policy_by_name(args.policy), args)
-        kwargs = _scenario_kwargs(args)
+        kwargs = _scenario_kwargs(args, args.wake_failure_rate)
         kwargs.update(service_kwargs)
         kwargs["bounded_series"] = args.bounded
+        kwargs["trace"] = bool(args.out)
         runner = lambda: run_scenario(config, **kwargs)  # noqa: E731
     try:
         if args.profile:
@@ -264,38 +355,49 @@ def cmd_run(args: argparse.Namespace) -> int:
             ),
             file=sys.stderr,
         )
+    outcome = None
+    digest = None
+    if args.out:
+        buf = result.trace
+        outcome = validate_trace(buf, report=result.report)
+        digest = _write_trace(buf, args.out)
+        print("wrote {} event(s) to {} (sha256 {})".format(len(buf), args.out, digest))
     if args.json:
-        print(json.dumps(result.report.to_dict(), indent=2, sort_keys=True))
-        return 0
-    print(SimReport.header())
-    print(result.report.row())
-    if args.timeline:
-        try:
-            _print_timeline(result)
-        except RuntimeError as exc:
-            # Bounded series keep no samples — aggregates only.
-            print("repro run: no timeline: {}".format(exc), file=sys.stderr)
-    return 0
+        import repro
+
+        payload = result.report.to_dict()
+        payload["version"] = repro.__version__
+        payload["seed"] = result.sampler.seed
+        if outcome is not None:
+            payload["trace_hash"] = digest
+            payload["trace_check"] = outcome.to_dict()
+        print(json.dumps(payload, indent=2, sort_keys=True))
+    else:
+        print(SimReport.header())
+        print(result.report.row())
+        if args.timeline:
+            for name in ("demand_cores", "active_hosts", "power_w"):
+                print(render_series(result.sampler.series[name].points(), name=name))
+        if outcome is not None:
+            print(outcome.render_text())
+    return 0 if outcome is None or outcome.ok else 1
 
 
 def cmd_branch(args: argparse.Namespace) -> int:
     """Fan a warm checkpoint out across policy variants."""
     from repro.core import CheckpointError, branch_scenarios, read_manifest
 
-    configs = _policy_configs("branch", args.policies)
-    if configs is None:
-        return 2
     horizon_s = args.hours * 3600.0 if args.hours is not None else None
     try:
         manifest = read_manifest(args.checkpoint)
         results = branch_scenarios(
             args.checkpoint,
-            configs,
+            args.policies,
             horizon_s=horizon_s,
             workers=args.workers,
             cache=not args.no_cache,
         )
-    except (CheckpointError, OSError) as exc:
+    except (CheckpointError, OSError, ValueError) as exc:
         print("repro branch: {}".format(exc), file=sys.stderr)
         return 2
     reports = [artifacts.report for artifacts in results]
@@ -316,7 +418,7 @@ def cmd_branch(args: argparse.Namespace) -> int:
             args.checkpoint,
             manifest.get("sim_time_s", float("nan")),
             manifest.get("policy", "?"),
-            len(configs),
+            len(args.policies),
         ),
         file=sys.stderr,
     )
@@ -327,13 +429,15 @@ def cmd_branch(args: argparse.Namespace) -> int:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    configs = _policy_configs("compare", args.policies)
-    if configs is None:
-        return 2
-    kwargs = _scenario_kwargs(args)
+    """Run every ``--policies`` preset at every ``--wake-failure-rate``.
+
+    Results come grouped by policy, in the order the flags list them.
+    """
+    rates = args.wake_failure_rate
+    cells = [(config, rate) for config in args.policies for rate in rates]
     specs = [
-        ScenarioSpec(_plane_config(config, args), kwargs=dict(kwargs))
-        for config in configs
+        ScenarioSpec(_plane_config(config, args), kwargs=_scenario_kwargs(args, rate))
+        for config, rate in cells
     ]
     workers = 1 if args.profile else args.workers
     runner = lambda: run_scenarios(  # noqa: E731
@@ -346,11 +450,15 @@ def cmd_compare(args: argparse.Namespace) -> int:
     )
     reports = [artifacts.report for artifacts in results]
     if args.json:
-        print(
-            json.dumps(
-                [report.to_dict() for report in reports], indent=2, sort_keys=True
-            )
-        )
+        import repro
+
+        payload = {
+            "version": repro.__version__,
+            "seed": args.seed,
+            "rates": rates,
+            "results": [report.to_dict() for report in reports],
+        }
+        print(json.dumps(payload, indent=2, sort_keys=True))
         return 0
     print(SimReport.header())
     for report in reports:
@@ -359,10 +467,10 @@ def cmd_compare(args: argparse.Namespace) -> int:
     print()
     print(
         render_table(
-            ["policy", "normalized_energy", "undelivered"],
+            ["policy", "wake_failure_rate", "normalized_energy", "undelivered"],
             [
-                [r.policy, r.energy_kwh / base, r.violation_fraction]
-                for r in reports
+                [r.policy, rate, r.energy_kwh / base, r.violation_fraction]
+                for (_config, rate), r in zip(cells, reports)
             ],
             title="normalized to {}".format(reports[0].policy),
         )
@@ -456,31 +564,11 @@ def cmd_lint(args: argparse.Namespace) -> int:
     return 0 if report.ok else 1
 
 
-def cmd_trace_check(argv: List[str]) -> int:
-    """``repro trace check FILE [--json]``: validate an existing trace file.
-
-    It reads the file and nothing else, so it parses its own arguments
-    (``argv``: the command line after ``trace``): any other flag is
-    refused, also one given at its default value.
-    """
+def cmd_trace_check(args: argparse.Namespace) -> int:
+    """``repro trace check FILE [--json]``: validate an existing trace file."""
     from repro.telemetry.trace import TraceError, read_trace
     from repro.telemetry.validate import validate_trace
 
-    parser = argparse.ArgumentParser(prog="repro trace check", add_help=False)
-    parser.add_argument("check")
-    parser.add_argument("path", nargs="?", default=None)
-    parser.add_argument("--json", action="store_true")
-    args, stray = parser.parse_known_args(argv)
-    if stray:
-        print(
-            "repro trace check: unexpected {} (--out and the scenario "
-            "flags only go with a policy)".format(" ".join(stray)),
-            file=sys.stderr,
-        )
-        return 2
-    if not args.path:
-        print("repro trace check: a trace file path is required", file=sys.stderr)
-        return 2
     try:
         log = read_trace(args.path)
     except TraceError as exc:
@@ -506,230 +594,10 @@ def _write_trace(buf: TraceBuffer, path: str) -> str:
     return jsonl_hash(text)
 
 
-def cmd_trace(args: argparse.Namespace) -> int:
-    from repro.telemetry.validate import validate_trace
-
-    if args.path or args.json:
-        print(
-            "repro trace: unexpected {} (a file path and --json only go "
-            "with 'check')".format(
-                "positional {!r}".format(args.path) if args.path else "--json"
-            ),
-            file=sys.stderr,
-        )
-        return 2
-    try:
-        config = policy_by_name(args.target)
-    except (KeyError, ValueError):
-        print(
-            "repro trace: unknown policy {!r} (choose from {} or 'check')".format(
-                args.target, ", ".join(sorted(POLICIES))
-            ),
-            file=sys.stderr,
-        )
-        return 2
-    config = _plane_config(config, args)
-    kwargs = _scenario_kwargs(args)
-    result = run_scenario(config, trace=True, **kwargs)
-    buf = result.trace
-    if buf is None:  # pragma: no cover - run_scenario(trace=True) guarantees it
-        raise RuntimeError("run_scenario(trace=True) returned no trace")
-    outcome = validate_trace(buf, report=result.report)
-    if args.out:
-        print(
-            "wrote {} event(s) to {} (sha256 {})".format(
-                len(buf), args.out, _write_trace(buf, args.out)
-            )
-        )
-        print(outcome.render_text())
-        return 0 if outcome.ok else 1
-    sys.stdout.write(buf.to_jsonl())
-    print(outcome.render_text(), file=sys.stderr)
-    return 0 if outcome.ok else 1
-
-
-def cmd_faults(args: argparse.Namespace) -> int:
-    """Resilience curve: one policy swept over wake-failure rates."""
-    try:
-        config = policy_by_name(args.policy)
-    except (KeyError, ValueError):
-        print(
-            "repro faults: unknown policy {!r} (choose from {})".format(
-                args.policy, ", ".join(sorted(POLICIES))
-            ),
-            file=sys.stderr,
-        )
-        return 2
-    try:
-        rates = [float(r) for r in args.rate.split(",") if r.strip()]
-    except ValueError:
-        print(
-            "repro faults: --rate wants a comma-separated list of "
-            "probabilities, got {!r}".format(args.rate),
-            file=sys.stderr,
-        )
-        return 2
-    if not rates or not all(0.0 <= r < 1.0 for r in rates):
-        print("repro faults: rates must lie in [0, 1)", file=sys.stderr)
-        return 2
-    config = _plane_config(config, args)
-    kwargs = _scenario_kwargs(args)
-    kwargs.pop("fault_model", None)  # the sweep owns the fault model
-    repair = RepairModel(mttr_s=args.mttr_h * 3600.0) if args.mttr_h > 0 else None
-    specs = []
-    for rate in rates:
-        per_rate = dict(kwargs)
-        if rate > 0:
-            per_rate["fault_model"] = FaultModel(
-                wake_failure_rate=rate,
-                permanent_fraction=args.permanent_fraction,
-                repair=repair,
-            )
-        specs.append(ScenarioSpec(config, kwargs=per_rate))
-    results = run_scenarios(specs, workers=args.workers, cache=not args.no_cache)
-    reports = [artifacts.report for artifacts in results]
-    if args.json:
-        import repro
-
-        payload = {
-            "version": repro.__version__,
-            "seed": args.seed,
-            "rates": rates,
-            "results": [report.to_dict() for report in reports],
-        }
-        print(json.dumps(payload, indent=2, sort_keys=True))
-        return 0
-    base = reports[0].energy_kwh
-    rows = []
-    for rate, report in zip(rates, reports):
-        ex = report.extra
-        rows.append(
-            [
-                rate,
-                report.energy_kwh,
-                report.energy_kwh / base if base else float("nan"),
-                report.violation_fraction,
-                ex.get("violation_gold", 0.0),
-                int(ex.get("wake_failures", 0)),
-                int(ex.get("wake_retries", 0)),
-                int(ex.get("blacklists", 0)),
-                int(ex.get("hosts_repaired", 0)),
-                int(ex.get("hosts_out_of_service", 0)),
-            ]
-        )
-    print(
-        render_table(
-            ["rate", "energy_kwh", "norm_energy", "undelivered", "gold_viol",
-             "failures", "retries", "blacklists", "repaired", "oos_end"],
-            rows,
-            title="{}: resilience vs wake-failure rate".format(config.name),
-        )
-    )
-    return 0
-
-
-def cmd_chaos(args: argparse.Namespace) -> int:
-    """Degraded-plane scenario: migration faults plus stale telemetry."""
-    from repro.datacenter.faults import MigrationFaultModel
-    from repro.telemetry.validate import validate_trace
-    from repro.telemetry.view import StalenessModel
-
-    try:
-        config = policy_by_name(args.policy)
-    except (KeyError, ValueError):
-        print(
-            "repro chaos: unknown policy {!r} (choose from {})".format(
-                args.policy, ", ".join(sorted(POLICIES))
-            ),
-            file=sys.stderr,
-        )
-        return 2
-    if not 0.0 <= args.migration_fail_rate < 1.0:
-        print("repro chaos: --migration-fail-rate must lie in [0, 1)",
-              file=sys.stderr)
-        return 2
-    if args.telemetry_staleness_s < 0:
-        print("repro chaos: --telemetry-staleness-s must be >= 0",
-              file=sys.stderr)
-        return 2
-    if not 0.0 <= args.telemetry_dropout < 1.0:
-        print("repro chaos: --telemetry-dropout must lie in [0, 1)",
-              file=sys.stderr)
-        return 2
-    config = _plane_config(config, args)
-    kwargs = _scenario_kwargs(args)
-    kwargs.pop("fault_model", None)  # chaos owns the fault model
-    if args.migration_fail_rate > 0 or args.wake_failure_rate > 0:
-        migration = (
-            MigrationFaultModel(failure_rate=args.migration_fail_rate)
-            if args.migration_fail_rate > 0
-            else None
-        )
-        kwargs["fault_model"] = FaultModel(
-            wake_failure_rate=args.wake_failure_rate,
-            migration=migration,
-        )
-    if args.telemetry_staleness_s > 0 or args.telemetry_dropout > 0:
-        kwargs["telemetry_model"] = StalenessModel(
-            delay_s=args.telemetry_staleness_s,
-            dropout_rate=args.telemetry_dropout,
-        )
-    result = run_scenario(config, trace=True, **kwargs)
-    buf = result.trace
-    if buf is None:  # pragma: no cover - run_scenario(trace=True) guarantees it
-        raise RuntimeError("run_scenario(trace=True) returned no trace")
-    outcome = validate_trace(buf, report=result.report)
-    digest = None
-    if args.out:
-        digest = _write_trace(buf, args.out)
-        print("wrote {} event(s) to {} (sha256 {})".format(len(buf), args.out, digest))
-    if args.json:
-        import repro
-
-        payload = result.report.to_dict()
-        payload["version"] = repro.__version__
-        payload["seed"] = args.seed
-        payload["trace_hash"] = buf.trace_hash() if digest is None else digest
-        payload["trace_check"] = outcome.to_dict()
-        print(json.dumps(payload, indent=2, sort_keys=True))
-        return 0 if outcome.ok else 1
-    print(SimReport.header())
-    print(result.report.row())
-    ex = result.report.extra
-    print()
-    print(
-        render_table(
-            ["started", "completed", "aborted", "failed", "retries",
-             "safe_enters", "safe_exits", "telemetry_drop"],
-            [[
-                int(ex.get("migrations_started", 0)),
-                int(ex.get("migrations_completed", 0)),
-                int(ex.get("migrations_aborted", 0)),
-                int(ex.get("migrations_failed", 0)),
-                int(ex.get("migration_retries", 0)),
-                int(ex.get("safe_mode_enters", 0)),
-                int(ex.get("safe_mode_exits", 0)),
-                int(ex.get("telemetry_dropped", 0)),
-            ]],
-            title="{}: degraded-plane counters".format(config.name),
-        )
-    )
-    print()
-    print(outcome.render_text())
-    return 0 if outcome.ok else 1
-
-
 def cmd_fuzz(args: argparse.Namespace) -> int:
     """Grammar-driven fuzzing: run a campaign, or shrink one spec file."""
     if args.action == "shrink":
         return _cmd_fuzz_shrink(args)
-    if args.action != "campaign":
-        print(
-            "repro fuzz: unknown action {!r} (choose 'campaign' or "
-            "'shrink')".format(args.action),
-            file=sys.stderr,
-        )
-        return 2
     if args.path:
         print(
             "repro fuzz: unexpected positional {!r} (a spec file only goes "
@@ -883,7 +751,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run_parser.add_argument(
         "--checkpoint-every-s",
-        type=float,
+        type=_POSITIVE,
         default=None,
         metavar="SECONDS",
         help="write a crash-safe checkpoint every SECONDS of simulated "
@@ -895,13 +763,22 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="DIR",
         help="directory for checkpoint files (ckpt-<sim-ms>.repro)",
     )
-    run_parser.add_argument(
+    # --out traces a run from its first event, which a resumed run lacks.
+    origin = run_parser.add_mutually_exclusive_group()
+    origin.add_argument(
         "--resume",
         default=None,
         metavar="FROM",
         help="resume a previous run from this checkpoint file; the "
         "scenario-shape flags (--policy/--hosts/...) are ignored — the "
         "checkpoint defines the scenario",
+    )
+    origin.add_argument(
+        "--out",
+        default=None,
+        metavar="FILE",
+        help="trace the run, write the trace JSONL to FILE, print its "
+        "sha256 and certify it (exit 1 on a violation)",
     )
     run_parser.add_argument(
         "--stream",
@@ -910,18 +787,26 @@ def build_parser() -> argparse.ArgumentParser:
         help="stream per-window metrics to this JSONL file as the run "
         "progresses (service mode; survives crashes via --resume)",
     )
-    run_parser.add_argument(
+    # Bounded series keep no samples to draw a timeline from.
+    series = run_parser.add_mutually_exclusive_group()
+    series.add_argument(
         "--bounded",
         action="store_true",
         help="keep O(1) telemetry aggregates instead of full series "
-        "(long-horizon service mode; disables --timeline)",
+        "(long-horizon service mode; excludes --timeline)",
     )
-    run_parser.add_argument(
+    series.add_argument(
         "--timeline",
         action="store_true",
         help="print demand / active-host / power sparklines",
     )
     _add_scenario_args(run_parser)
+    run_parser.add_argument(
+        "--wake-failure-rate",
+        type=_RATE,
+        default=0.0,
+        help="probability a wake attempt fails (fault injection; default: 0)",
+    )
     run_parser.add_argument("--json", action="store_true", help=_JSON_HELP)
     _add_profile_args(run_parser)
     run_parser.set_defaults(func=cmd_run)
@@ -937,20 +822,21 @@ def build_parser() -> argparse.ArgumentParser:
     )
     branch_parser.add_argument(
         "--policies",
+        type=_policies,
         default="S3-PM,S5-PM,Hybrid",
         help="comma-separated preset names to continue with "
         "(default: %(default)s)",
     )
     branch_parser.add_argument(
         "--hours",
-        type=float,
+        type=_POSITIVE,
         default=None,
         help="extend the horizon to this many simulated hours "
         "(default: the parent run's horizon)",
     )
     branch_parser.add_argument(
         "--workers",
-        type=int,
+        type=_COUNT,
         default=None,
         help="process-pool width for the fan-out (default: REPRO_WORKERS "
         "or the CPU count)",
@@ -967,15 +853,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     branch_parser.set_defaults(func=cmd_branch)
 
-    compare_parser = sub.add_parser("compare", help="run several policies")
+    compare_parser = sub.add_parser(
+        "compare", help="run several policies, each at every wake-failure rate"
+    )
     compare_parser.add_argument(
         "--policies",
+        type=_policies,
         default="AlwaysOn,S5-PM,S3-PM,Hybrid",
         help="comma-separated preset names (default: %(default)s)",
     )
     compare_parser.add_argument(
         "--workers",
-        type=int,
+        type=_COUNT,
         default=None,
         help="process-pool width for the comparison (default: REPRO_WORKERS "
         "or the CPU count)",
@@ -986,120 +875,29 @@ def build_parser() -> argparse.ArgumentParser:
         help="do not read or write the scenario result cache",
     )
     _add_scenario_args(compare_parser)
+    compare_parser.add_argument(
+        "--wake-failure-rate",
+        type=_rates,
+        default="0",
+        metavar="RATES",
+        help="comma-separated probabilities a wake attempt fails; every "
+        "policy runs at every rate (default: 0)",
+    )
     compare_parser.add_argument("--json", action="store_true", help=_JSON_HELP)
     _add_profile_args(compare_parser)
     compare_parser.set_defaults(func=cmd_compare)
 
     trace_parser = sub.add_parser(
-        "trace",
-        help="run one policy with decision tracing (JSONL), or validate a "
-        "trace file ('trace check FILE')",
+        "trace", help="validate a decision-trace file ('trace check FILE')"
     )
     trace_parser.add_argument(
-        "target",
-        help="policy preset to run with tracing, or 'check' to validate an "
-        "existing trace file",
+        "action", choices=["check"], help="replay and certify a trace file"
     )
+    trace_parser.add_argument("path", help="trace JSONL file to validate")
     trace_parser.add_argument(
-        "path",
-        nargs="?",
-        default=None,
-        help="trace JSONL file to validate (only with 'check')",
+        "--json", action="store_true", help="emit the verdict as JSON"
     )
-    trace_parser.add_argument(
-        "--out",
-        default=None,
-        help="write the trace JSONL to this file instead of stdout",
-    )
-    _add_scenario_args(trace_parser)
-    trace_parser.add_argument(
-        "--json",
-        action="store_true",
-        help="with 'check': emit the verdict as JSON",
-    )
-    trace_parser.set_defaults(func=cmd_trace)
-
-    faults_parser = sub.add_parser(
-        "faults",
-        help="sweep a policy over wake-failure rates (resilience curve)",
-    )
-    faults_parser.add_argument(
-        "policy",
-        nargs="?",
-        default="S3-PM",
-        help="policy preset to stress (default: S3-PM)",
-    )
-    faults_parser.add_argument(
-        "--rate",
-        default="0,0.05,0.1,0.2",
-        help="comma-separated wake-failure probabilities to sweep",
-    )
-    faults_parser.add_argument(
-        "--permanent-fraction",
-        type=float,
-        default=0.2,
-        help="fraction of failures that take the host out of service",
-    )
-    faults_parser.add_argument(
-        "--mttr-h",
-        type=float,
-        default=4.0,
-        help="mean operator repair time in hours (0 disables repair)",
-    )
-    faults_parser.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="process-pool width for the sweep (default: REPRO_WORKERS "
-        "or the CPU count)",
-    )
-    faults_parser.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="do not read or write the scenario result cache",
-    )
-    _add_scenario_args(faults_parser)
-    faults_parser.add_argument("--json", action="store_true", help=_JSON_HELP)
-    faults_parser.set_defaults(func=cmd_faults)
-
-    chaos_parser = sub.add_parser(
-        "chaos",
-        help="run one traced degraded-plane scenario (migration faults + "
-        "stale telemetry) and certify its trace",
-    )
-    chaos_parser.add_argument(
-        "policy",
-        nargs="?",
-        default="S3-PM",
-        help="policy preset to stress (default: S3-PM)",
-    )
-    chaos_parser.add_argument(
-        "--migration-fail-rate",
-        type=float,
-        default=0.1,
-        help="probability a migration fails mid-copy (default: 0.1)",
-    )
-    chaos_parser.add_argument(
-        "--telemetry-staleness-s",
-        type=float,
-        default=60.0,
-        help="publication delay of the manager's telemetry view in seconds "
-        "(default: 60)",
-    )
-    chaos_parser.add_argument(
-        "--telemetry-dropout",
-        type=float,
-        default=0.0,
-        help="probability an individual sampler tick is lost (default: 0)",
-    )
-    chaos_parser.add_argument(
-        "--out",
-        default=None,
-        help="also write the trace JSONL to this file",
-    )
-    _add_scenario_args(chaos_parser)
-    chaos_parser.add_argument("--json", action="store_true", help=_JSON_HELP)
-    chaos_parser.set_defaults(func=cmd_chaos)
+    trace_parser.set_defaults(func=cmd_trace_check)
 
     fuzz_parser = sub.add_parser(
         "fuzz",
@@ -1109,6 +907,7 @@ def build_parser() -> argparse.ArgumentParser:
     fuzz_parser.add_argument(
         "action",
         nargs="?",
+        choices=["campaign", "shrink"],
         default="campaign",
         help="'campaign' (default): generate, run and certify N scenarios; "
         "'shrink': minimize one spec JSON file",
@@ -1234,11 +1033,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "trace" and args.target == "check":
-        return cmd_trace_check(argv[1:])
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except KeyboardInterrupt:

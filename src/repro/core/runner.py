@@ -198,7 +198,8 @@ def build_scenario(
             run places copies and leaves these VMs untouched.
         fleet_spec: fleet shape (default: the enterprise mix).
         epoch_s: telemetry/demand refresh interval.
-        churn_rate_per_h: VM arrivals per hour (0 disables churn).
+        churn_rate_per_h: VM arrivals per hour (0 disables churn; a
+            negative rate is refused).
         churn_lifetime_s: mean lifetime of a churned VM.
         fault_model: optional fault injection — wake failures and, via
             its ``migration`` field, mid-copy migration failures (see
@@ -216,6 +217,8 @@ def build_scenario(
     """
     if horizon_s <= 0:
         raise ValueError("horizon_s must be positive")
+    if churn_rate_per_h < 0:
+        raise ValueError("churn_rate_per_h must be >= 0")
     env = Environment()
     buf: Optional[TraceBuffer] = None
     if trace:

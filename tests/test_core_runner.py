@@ -96,3 +96,8 @@ class TestRunScenario:
     def test_invalid_horizon(self):
         with pytest.raises(ValueError):
             run_scenario(always_on(), horizon_s=0)
+
+    def test_negative_churn_rate_rejected(self):
+        # A negative rate is refused, not run as a scenario without churn.
+        with pytest.raises(ValueError, match="churn_rate_per_h"):
+            run_scenario(always_on(), n_hosts=2, n_vms=4, churn_rate_per_h=-3.0)

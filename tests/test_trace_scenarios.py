@@ -78,6 +78,21 @@ class TestGoldenTrace:
         # Determinism holds independently of what is pinned on disk.
         assert golden_result().trace.to_jsonl() == golden_result().trace.to_jsonl()
 
+    def test_cli_writes_the_golden_trace(self, tmp_path, capsys):
+        # The command line maps its flags onto GOLDEN_KW: --shared-fraction
+        # 0 is the library's FleetSpec default.
+        from repro.cli import main
+
+        target = tmp_path / "trace.jsonl"
+        code = main(
+            ["run", "--policy", "S3-PM", "--hosts", "8", "--vms", "24",
+             "--hours", "6", "--seed", "3", "--churn", "2",
+             "--shared-fraction", "0", "--out", str(target)]
+        )
+        assert code == 0
+        assert target.read_bytes() == GOLDEN.read_bytes()
+        assert "0 violation(s)" in capsys.readouterr().out
+
 
 class TestPolicySweep:
     @pytest.mark.parametrize("name", sorted(POLICIES))
