@@ -60,6 +60,7 @@ from repro.prototype import (
 from repro.telemetry import SimReport, StalenessModel, TraceBuffer
 from repro.telemetry.trace import jsonl_hash
 from repro.workload import FleetSpec
+from repro.workload.traces import TRACE_STEP_S
 
 
 def _ranged(parse: Callable, test: Callable, wants: str) -> Callable:
@@ -88,6 +89,12 @@ _NON_NEGATIVE = _ranged(float, lambda v: 0.0 <= v < math.inf, "a number >= 0")
 _POSITIVE = _ranged(float, lambda v: 0.0 < v < math.inf, "a number > 0")
 _RATE = _ranged(float, lambda v: 0.0 <= v < 1.0, "a probability in [0, 1)")
 _FRACTION = _ranged(float, lambda v: 0.0 <= v <= 1.0, "a fraction in [0, 1]")
+#: ``--hours`` of a scenario: its fleet's traces need one sample.
+_HOURS = _ranged(
+    float,
+    lambda v: TRACE_STEP_S <= v * 3600.0 < math.inf,
+    "a number of hours covering one {:g} s trace sample".format(TRACE_STEP_S),
+)
 
 
 def _rates(text: str) -> List[float]:
@@ -107,7 +114,7 @@ def _add_scenario_args(parser: argparse.ArgumentParser) -> None:
     """
     parser.add_argument("--hosts", type=_COUNT, default=16, help="cluster size")
     parser.add_argument("--vms", type=_COUNT, default=64, help="fleet size")
-    parser.add_argument("--hours", type=_POSITIVE, default=24.0, help="simulated hours")
+    parser.add_argument("--hours", type=_HOURS, default=24.0, help="simulated hours")
     parser.add_argument("--seed", type=_SEED, default=0, help="RNG seed")
     parser.add_argument(
         "--churn",
@@ -1033,7 +1040,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if getattr(args, "checkpoint_every_s", None) is not None and args.checkpoint_dir is None:
+        parser.error("argument --checkpoint-every-s: requires --checkpoint-dir")
     try:
         return args.func(args)
     except KeyboardInterrupt:

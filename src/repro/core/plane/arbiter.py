@@ -30,6 +30,8 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING, Any, Dict, Generator, List, Optional, Tuple
 
+import numpy as np
+
 if TYPE_CHECKING:
     from repro.sim.environment import Environment
     from repro.sim.events import Event
@@ -52,6 +54,7 @@ from repro.fold import left_sum
 from repro.migration.engine import MigrationEngine
 from repro.placement.balancer import LoadBalancer
 from repro.placement.evacuation import TargetView, plan_evacuation
+from repro.placement.planning import PlanningView
 from repro.power.states import PowerState
 from repro.sim import ResumeSpec
 from repro.trace_events import (
@@ -313,6 +316,8 @@ class PowerAwareManager:
             - self.cluster.evacuating_cores()
         )
 
+        # The round's planning view, built when the round first needs it.
+        view: Optional[PlanningView] = None
         if self.config.enable_power_mgmt:
             min_host_cores = self.cluster.min_host_cores()
             if self.governor.active:
@@ -327,7 +332,8 @@ class PowerAwareManager:
                 # Power-budget violation beats hysteresis: shed capacity
                 # now, even if demand would prefer to keep it — remaining
                 # hosts may run overloaded (booked as violations).
-                self._shrink(committed - cap_cores, evac_cpu_target=1.0)
+                view = self._planning_view()
+                self._shrink(view, committed - cap_cores, evac_cpu_target=1.0)
             elif committed < needed_cores:
                 self._surplus_rounds = 0
                 self._grow(needed_cores - committed, reactive=False)
@@ -336,25 +342,26 @@ class PowerAwareManager:
                 if surplus >= min_host_cores:
                     self._surplus_rounds += 1
                     if self._surplus_rounds > self.config.park_delay_rounds:
-                        self._shrink(surplus)
+                        view = self._planning_view()
+                        self._shrink(view, surplus)
                 else:
                     self._surplus_rounds = 0
 
         if self.config.enable_balancing:
-            self._balance()
+            self._balance(view if view is not None else self._planning_view())
 
     @property
     def safe_mode(self) -> bool:
         """True while the degradation governor has consolidation frozen."""
         return self.governor.active
 
-    def _balance(self) -> None:
+    def _planning_view(self) -> PlanningView:
+        """The cluster's planning view now (see :class:`PlanningView`)."""
+        return PlanningView.of_cluster(self.cluster, self.env.now)
+
+    def _balance(self, view: PlanningView) -> None:
         now = self.env.now
-        moves = self.balancer.recommend(
-            self.cluster.active_hosts(),
-            now=now,
-        )
-        for move in moves:
+        for move in self.balancer.moves(view):
             if move.vm.migrating or move.vm.host is not move.src:
                 continue
             if not move.dst.fits(move.vm):
@@ -470,7 +477,7 @@ class PowerAwareManager:
         if trigger == "host-overload":
             # Give the balancer an immediate chance to use new capacity
             # once it wakes; meanwhile spread what we can.
-            self._balance()
+            self._balance(self._planning_view())
 
     def _grow(
         self, cores_short: float, reactive: bool, extra_hosts: int = 0
@@ -562,53 +569,67 @@ class PowerAwareManager:
     # Shrinking capacity (evacuate + park)
     # ------------------------------------------------------------------
 
-    def _park_candidates(self) -> List[Host]:
-        """Hosts the shrink path may evacuate-and-park this round.
+    def _park_candidates(self, view: PlanningView) -> List[Host]:
+        """Hosts the shrink path may evacuate-and-park this round, in order.
 
-        The observer filters them: on a degraded neat round (global view
-        assembled from stale reports) only hosts whose own detector
-        reported underload are eligible, so the arbiter never parks a
-        host it has no fresh evidence about.
+        The active hosts that are neither evacuating nor holding memory
+        for an inbound migration, ordered by ``ManagerConfig.park_preference``:
+
+        * ``load``: strictly emptiest-first (cheapest evacuation), a
+          stable sort of the planning load;
+        * ``efficiency``: load bucketed to 10 % of capacity (Python
+          ``round``); within a bucket the host with the highest idle draw
+          parks first, so mixed-generation clusters shed their least
+          efficient machines, then the lighter one.
+
+        Ties keep host order.  The observer then filters them: on a
+        degraded neat round (global view assembled from stale reports)
+        only hosts whose own detector reported underload are eligible, so
+        the arbiter never parks a host it has no fresh evidence about.
         """
-        return self.observer.park_filter(
-            [
-                h
-                for h in self.cluster.active_hosts()
-                if not h.evacuating and h.mem_reserved_gb <= 0
-            ]
-        )
+        slots = np.flatnonzero(view.active & ~view.evacuating & ~view.reserved())
+        load = view.load()[slots]
+        hosts = view.hosts
+        if self.config.park_preference == "efficiency":
+            ratio = (load / view.cores[slots]).tolist()
+            buckets = np.array([round(r, 1) for r in ratio], dtype=float)
+            idle = np.array([-hosts[k].profile.idle_w for k in slots.tolist()], dtype=float)
+            order = np.lexsort((load, idle, buckets))
+        else:
+            order = np.argsort(load, kind="stable")
+        return self.observer.park_filter([hosts[k] for k in slots[order].tolist()])
 
     def _shrink(
-        self, surplus_cores: float, evac_cpu_target: Optional[float] = None
+        self,
+        view: PlanningView,
+        surplus_cores: float,
+        evac_cpu_target: Optional[float] = None,
     ) -> None:
         now = self.env.now
         target = evac_cpu_target if evac_cpu_target is not None else self.config.cpu_target
         parks = 0
-        candidates = sorted(
-            self._park_candidates(),
-            key=self._park_candidate_key,
-        )
         # One target view for the round: nothing a plan reads changes
         # between candidates (the evacuations started here first run at
         # a later event) except the ``evacuating`` flag of the hosts
-        # started, which leave the view as they leave the placeable set.
-        view: Optional[TargetView] = None
-        for host in candidates:
+        # started, which leave the views as they leave the placeable set.
+        targets: Optional[TargetView] = None
+        for host in self._park_candidates(view):
             if parks >= self.config.max_parks_per_round:
                 break
             if surplus_cores < host.cores:
                 break
             if not self._can_spare(host):
                 break
-            if view is None:
-                view = TargetView(self.cluster.placeable_hosts(), target, now)
-            plan = view.plan(host, trace=self.log.trace)
+            if targets is None:
+                targets = TargetView.of(view, target)
+            plan = targets.plan(host, trace=self.log.trace)
             if plan is None:
                 continue
             task = _EvacuationTask(host, plan)
             self._evacs[host.name] = task
             host.evacuating = True
-            view.drop(host)
+            targets.drop(host)
+            view.mark_evacuating(host)
             self.log.emit(
                 ManagerDecision(
                     now, "evac-start", host.name, "{} vm(s)".format(len(plan))
@@ -617,20 +638,6 @@ class PowerAwareManager:
             self.env.process(self._evacuate_and_park(task))
             surplus_cores -= host.cores
             parks += 1
-
-    def _park_candidate_key(self, host: Host) -> Tuple[float, ...]:
-        """Ordering of park candidates (see ``ManagerConfig.park_preference``).
-
-        ``load``: strictly emptiest-first (cheapest evacuation).
-        ``efficiency``: load bucketed to 10 % of capacity; within a bucket
-        the host with the highest idle draw parks first, so mixed-
-        generation clusters shed their least efficient machines.
-        """
-        load = self._planning_load(host)
-        if self.config.park_preference == "efficiency":
-            bucket = round(load / host.cores, 1)
-            return (bucket, -host.profile.idle_w, load)
-        return (load,)
 
     def _can_spare(self, host: Host) -> bool:
         # Hosts already evacuating are on their way out; ``host`` itself is

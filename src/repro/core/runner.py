@@ -44,6 +44,7 @@ from repro.telemetry.view import Channel, ClusterView, StalenessModel
 from repro.trace_events import AdmissionEvent, HostFinal, RunEnd
 from repro.workload.churn import ChurnGenerator
 from repro.workload.fleet import FleetSpec, build_fleet
+from repro.workload.traces import TRACE_STEP_S
 
 
 @dataclass
@@ -219,6 +220,15 @@ def build_scenario(
         raise ValueError("horizon_s must be positive")
     if churn_rate_per_h < 0:
         raise ValueError("churn_rate_per_h must be >= 0")
+    if fleet is None:
+        spec = fleet_spec or FleetSpec(n_vms=n_vms, horizon_s=min(horizon_s, 7 * 86_400.0))
+        # Every drawn trace needs one sample: refuse before building anything.
+        if spec.horizon_s < TRACE_STEP_S:
+            raise ValueError(
+                "horizon_s {:g} s is shorter than one {:g} s trace sample".format(
+                    spec.horizon_s, TRACE_STEP_S
+                )
+            )
     env = Environment()
     buf: Optional[TraceBuffer] = None
     if trace:
@@ -242,7 +252,6 @@ def build_scenario(
         trace=buf,
     )
     if fleet is None:
-        spec = fleet_spec or FleetSpec(n_vms=n_vms, horizon_s=min(horizon_s, 7 * 86_400.0))
         fleet = build_fleet(spec, seed=seed)
     else:
         # Run copies: the caller's VMs (a spec's kwargs, say) must come out
@@ -441,9 +450,12 @@ def _run(
 ) -> ScenarioResult:
     """The one run path behind every entry point.
 
-    Gets the live scenario from ``start``, attaches the streaming sink,
+    Refuses ``checkpoint_every_s`` without ``checkpoint_dir`` first, then
+    gets the live scenario from ``start``, attaches the streaming sink,
     restores processes, drives to the horizon and finalizes.
     """
+    if checkpoint_every_s is not None and checkpoint_dir is None:
+        raise ValueError("checkpoint_every_s requires a checkpoint_dir")
     live, records, manifest = start()
     sink = None
     if stream is not None:
@@ -461,10 +473,6 @@ def _run(
         restore_processes(live.env, records)
     coordinator = None
     if checkpoint_every_s is not None:
-        if checkpoint_dir is None:
-            raise ValueError(
-                "checkpoint_every_s requires a checkpoint_dir"
-            )
         coordinator = CheckpointCoordinator(
             live.env,
             checkpoint_every_s,

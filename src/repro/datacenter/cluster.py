@@ -15,7 +15,11 @@ from __future__ import annotations
 from bisect import bisect_left, insort
 from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Optional, Tuple
 
+import numpy as np
+
 if TYPE_CHECKING:
+    import numpy.typing as npt
+
     from repro.sim.environment import Environment
     from repro.telemetry.lattice import DemandLattice
     from repro.telemetry.trace import TraceBuffer
@@ -37,6 +41,8 @@ _B_OOS = 8
 _B_TRANSIT = 16
 _B_WAKING = 32
 _B_EVACUATING = 64
+#: The bits of :meth:`Cluster.host_masks`' rows, as a column.
+_MASK_BITS = np.array([[_B_ACTIVE], [_B_PLACEABLE], [_B_EVACUATING]], dtype=np.int64)
 
 
 class Cluster:
@@ -305,6 +311,11 @@ class Cluster:
         """Hosts the manager is draining ahead of a park."""
         hosts = self.hosts
         return [hosts[i] for i in self._evacuating]
+
+    def host_masks(self) -> "npt.NDArray[np.bool_]":
+        """Rows of active, placeable and evacuating flags by host position, from the index."""
+        bits = np.fromiter(self._membership, dtype=np.int64, count=len(self._membership))
+        return (bits & _MASK_BITS) != 0
 
     # O(1) category counts, for telemetry that only needs sizes.
 

@@ -11,12 +11,13 @@ cost/benefit filter to avoid migration churn).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.datacenter.host import Host
 from repro.datacenter.vm import VM
-
-DemandFn = Callable[[VM], float]
+from repro.placement.planning import PlanningView
 
 
 @dataclass(frozen=True)
@@ -67,68 +68,69 @@ class LoadBalancer:
     ) -> List[Move]:
         """Return up to ``max_moves_per_round`` de-overload/balance moves.
 
-        VM demand is read at ``now``; per-host loads come from the
-        resident-demand cache.
+        VM demand is read at ``now``; per-host loads are the hosts'
+        resident demand.  Sources are the active hosts, destinations the
+        placeable ones.
         """
+        return self.moves(PlanningView.of_hosts(hosts, now))
+
+    def moves(self, view: PlanningView) -> List[Move]:
+        """:meth:`recommend` over a planning view's hosts."""
         cfg = self.config
-
-        def demand_fn(vm: VM) -> float:
-            return vm.demand_cores(now)
-
-        # Planning view: utilization per host, mutated as moves are chosen.
-        load = {h.name: h.resident_demand_cores(now) for h in hosts}
+        now = view.now
+        # Utilization per host, mutated as moves are chosen.
+        load = view.resident.copy()
         moves: List[Move] = []
         for _ in range(cfg.max_moves_per_round):
-            move = self._best_single_move(hosts, load, demand_fn)
-            if move is None:
+            found = self._best_single_move(view, load)
+            if found is None:
                 break
+            move, src, dst = found
             moves.append(move)
-            d = demand_fn(move.vm)
-            load[move.src.name] -= d
-            load[move.dst.name] += d
+            d = move.vm.demand_cores(now)
+            load[src] -= d
+            load[dst] += d
         return moves
 
-    def _utilization(self, host: Host, load: dict) -> float:
-        return load[host.name] / host.cores
-
     def _best_single_move(
-        self,
-        hosts: Sequence[Host],
-        load: dict,
-        demand_fn: DemandFn,
-    ) -> Optional[Move]:
+        self, view: PlanningView, load: np.ndarray
+    ) -> Optional[Tuple[Move, int, int]]:
         cfg = self.config
-        # Single max pass instead of a full descending sort: strict ``>``
-        # keeps the first host among equal utilizations — the same host a
-        # stable reverse sort put at index 0.
-        src: Optional[Host] = None
-        src_util = 0.0
-        for h in hosts:
-            if h.is_active and h.vms:
-                u = self._utilization(h, load)
-                if src is None or u > src_util:
-                    src, src_util = h, u
-        if src is None:
-            return None
-        if src_util < cfg.high_watermark:
-            return None
-        destinations = sorted(
-            (h for h in hosts if h.available_for_placement and h is not src),
-            key=lambda h: self._utilization(h, load),
-        )
+        hosts = view.hosts
+        util = load / view.cores
+        # Source: the first maximum over the active hosts that hold VMs.
+        # A host without VMs is at utilization 0 unless an earlier move
+        # of this pass planned load onto it; it is passed over as found.
+        candidates = np.where(view.active, util, -np.inf)
+        while True:
+            k = int(candidates.argmax())
+            src_util = candidates.item(k)
+            if src_util < cfg.high_watermark:
+                return None
+            if hosts[k].vms:
+                break
+            candidates[k] = -np.inf
+        src = hosts[k]
+        # Destinations: least utilized first, ties in host order.
+        dests = np.flatnonzero(view.placeable)
+        dests = dests[dests != k]
+        dests = dests[np.argsort(util[dests], kind="stable")]
+        dest_utils = util[dests].tolist()
+        dests_list = dests.tolist()
         # Prefer moving low-priority VMs (migration slowdown lands on the
         # class that can best absorb it), biggest movers first per class.
-        candidates = sorted(
+        now = view.now
+        movers = sorted(
             (vm for vm in src.vms.values() if not vm.migrating),
-            key=lambda vm: (vm.priority, demand_fn(vm)),
+            key=lambda vm: (vm.priority, vm.demand_cores(now)),
             reverse=True,
         )
-        for vm in candidates:
-            demand = demand_fn(vm)
+        for vm in movers:
+            demand = vm.demand_cores(now)
             if demand <= 0:
                 continue
-            for dst in destinations:
-                dst_util = self._utilization(dst, load)
+            for d, dst_util in zip(dests_list, dest_utils):
+                dst = hosts[d]
                 new_dst_util = dst_util + demand / dst.cores
                 new_src_util = src_util - demand / src.cores
                 if not dst.fits(vm):
@@ -140,7 +142,8 @@ class LoadBalancer:
                 )
                 if improvement < cfg.min_improvement:
                     continue
-                return Move(
+                move = Move(
                     vm=vm, src=src, dst=dst, reason="overload {:.2f}".format(src_util)
                 )
+                return move, k, d
         return None

@@ -6,11 +6,14 @@ from math import fsum
 from operator import itemgetter
 from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
+import numpy as np
+
 if TYPE_CHECKING:
     from repro.telemetry.trace import TraceBuffer
 
 from repro.datacenter.host import Host
 from repro.datacenter.vm import VM
+from repro.placement.planning import PlanningView
 from repro.trace_events import EvacuationPlanned
 
 
@@ -20,60 +23,71 @@ _ROUNDING = 2.0**-50
 
 
 class TargetView:
-    """The evacuation budgets of a target list at one instant.
+    """The evacuation budgets of a planning view's placeable hosts.
 
-    Built once from ``targets`` (the usable ones, in order, each host
-    once); every :meth:`plan` starts from these budgets on copy-on-write
-    copies, so a caller that plans several hosts while nothing the
-    budgets read can change (one shrink round: the evacuations it starts
-    run at a later event) builds them once instead of once per host.  A
-    host that starts evacuating must leave the view (:meth:`drop`), as it
-    leaves the placeable set.  The view also keeps its spare capacity,
-    the total of the positive budgets, so a plan that cannot fit is
-    refused before best fit runs (:meth:`bounded_demands`).
+    Built once from a :class:`~repro.placement.planning.PlanningView`
+    (:meth:`of`), or from a target list as a one-shot view; every
+    :meth:`plan` starts from these budgets on copies, so a caller that
+    plans several hosts while nothing the budgets read can change (one
+    shrink round: the evacuations it starts run at a later event) builds
+    them once instead of once per host.  A host that starts evacuating
+    must leave the view (:meth:`drop`), as it leaves the placeable set.
+    ``hosts`` are the targets in view order, ``cpu`` and ``mem`` their
+    budgets and ``share_cpu``/``share_mem`` the positive parts of those,
+    whose totals ``spare_cpu``/``spare_mem`` let a plan that cannot fit
+    be refused before best fit runs (:meth:`bounded_demands`).
     """
 
-    __slots__ = ("now", "hosts", "cpu", "mem", "groups", "share", "spare_cpu", "spare_mem")
+    __slots__ = (
+        "now", "hosts", "index", "cpu", "mem",
+        "share_cpu", "share_mem", "spare_cpu", "spare_mem",
+    )
 
     def __init__(
         self, targets: Iterable[Host], cpu_target: float, now: float
     ) -> None:
+        """A one-shot view: the usable ``targets``, in order, each once."""
+        self._bind(PlanningView.of_hosts(targets, now), cpu_target)
+        if len(self.index) != len(self.hosts):
+            raise ValueError("evacuation targets must be distinct hosts")
+
+    @classmethod
+    def of(cls, view: PlanningView, cpu_target: float) -> "TargetView":
+        """The placeable hosts of ``view``, read from its arrays."""
+        targets = cls.__new__(cls)
+        targets._bind(view, cpu_target)
+        return targets
+
+    def _bind(self, view: PlanningView, cpu_target: float) -> None:
         if not 0.0 < cpu_target <= 1.0:
             raise ValueError("cpu_target must be in (0, 1]")
-        usable = [t for t in targets if t.available_for_placement]
-        self.now = now
-        self.hosts = usable
-        self.cpu = [t.cores * cpu_target - t.resident_demand_cores(now) for t in usable]
-        self.mem = [t.mem_free_gb for t in usable]
-        # Same set as scanning every resident VM for its group, served
-        # from the host's live group multiset in O(groups) instead.
-        self.groups: List[Set[str]] = [
-            set(t._aa_groups) | t.groups_reserved for t in usable
-        ]
-        #: Each target's positive CPU and memory budgets: its share of
-        #: the spare, subtracted when the planned host is itself a target.
-        self.share: Dict[Host, Tuple[float, float]] = {
-            t: (c if c > 0.0 else 0.0, m if m > 0.0 else 0.0)
-            for t, c, m in zip(usable, self.cpu, self.mem)
-        }
-        if len(self.share) != len(usable):
-            raise ValueError("evacuation targets must be distinct hosts")
+        slots = np.flatnonzero(view.placeable)
+        self.now = view.now
+        self.hosts = [view.hosts[k] for k in slots.tolist()]
+        #: Each target's index in ``hosts``.
+        self.index = dict(zip(self.hosts, range(len(self.hosts))))
+        self.cpu = view.cores[slots] * cpu_target - view.resident[slots]
+        self.mem = view.mem_free()[slots]
+        self.share_cpu = [c if c > 0.0 else 0.0 for c in self.cpu.tolist()]
+        self.share_mem = [m if m > 0.0 else 0.0 for m in self.mem.tolist()]
         self._total()
 
     def _total(self) -> None:
         # ``fsum`` is correctly rounded: the proof in ``bounded_demands``
         # needs one rounding of each total, whatever the fleet size.
-        self.spare_cpu = fsum([c for c, _ in self.share.values()])
-        self.spare_mem = fsum([m for _, m in self.share.values()])
+        self.spare_cpu = fsum(self.share_cpu)
+        self.spare_mem = fsum(self.share_mem)
 
     def drop(self, host: Host) -> None:
         """Take ``host`` out of every later plan (it started evacuating)."""
-        for i, t in enumerate(self.hosts):
-            if t is host:
-                del self.hosts[i], self.cpu[i], self.mem[i], self.groups[i]
-                del self.share[host]
-                self._total()
-                return
+        i = self.index.get(host)
+        if i is None:
+            return
+        del self.hosts[i], self.share_cpu[i], self.share_mem[i]
+        self.index = dict(zip(self.hosts, range(len(self.hosts))))
+        self.cpu = np.delete(self.cpu, i)
+        self.mem = np.delete(self.mem, i)
+        self._total()
 
     def bounded_demands(
         self, host: Host, movable: Sequence[VM]
@@ -114,11 +128,11 @@ class TargetView:
            of the test itself; the bound refuses only above it.
         """
         cpu, mem = self.spare_cpu, self.spare_mem
-        own = self.share.get(host)
+        own = self.index.get(host)
         if own is not None:
             # Best fit skips the host itself: its own budget is no spare.
-            cpu -= own[0]
-            mem -= own[1]
+            cpu -= self.share_cpu[own]
+            mem -= self.share_mem[own]
         n = len(movable)
         slack = n * 1e-9
         rounding = (n + 2) * _ROUNDING
@@ -155,10 +169,14 @@ class TargetView:
                 trace.emit(EvacuationPlanned(now, host.name, len(movable), ok=False))
             return None
         hosts = self.hosts
-        cpu = self.cpu[:]
-        mem = self.mem[:]
-        shared = self.groups
-        groups = shared[:]
+        cpu = self.cpu.copy()
+        mem = self.mem.copy()
+        # Each budget plus the fit tolerance, kept in step with it.
+        cpu_room = cpu + 1e-9
+        mem_room = mem + 1e-9
+        own = self.index.get(host)
+        #: Groups this plan has put on a target so far, by target index.
+        added: Dict[int, Set[str]] = {}
         plan: List[Tuple[VM, Host]] = []
         # Largest first, ties in residence order (a stable reverse sort,
         # as ``sorted(..., reverse=True)`` keeps).
@@ -166,33 +184,39 @@ class TargetView:
             mem_gb = vm.mem_gb
             group = vm.anti_affinity_group
             # Best fit: least slack left; the first target wins a tie.
-            best = -1
-            best_slack = 0.0
-            for i, t in enumerate(hosts):
-                budget = cpu[i]
-                if (
-                    demand <= budget + 1e-9
-                    and mem_gb <= mem[i] + 1e-9
-                    and t is not host
-                    and (group is None or group not in groups[i])
-                ):
-                    slack = budget - demand
-                    if best < 0 or slack < best_slack:
-                        best, best_slack = i, slack
-            if best < 0:
-                if trace is not None:
-                    trace.emit(EvacuationPlanned(now, host.name, len(movable), ok=False))
-                return None
+            fits = (demand <= cpu_room) & (mem_gb <= mem_room)
+            if own is not None:
+                fits[own] = False
+            slack = np.where(fits, cpu - demand, np.inf)
+            while True:
+                best = int(slack.argmin())
+                if not fits[best]:
+                    if trace is not None:
+                        trace.emit(EvacuationPlanned(now, host.name, len(movable), ok=False))
+                    return None
+                if group is None or not _holds(hosts[best], group, added.get(best)):
+                    break
+                fits[best] = False
+                slack[best] = np.inf
             cpu[best] -= demand
             mem[best] -= mem_gb
+            cpu_room[best] = cpu[best] + 1e-9
+            mem_room[best] = mem[best] + 1e-9
             if group is not None:
-                if groups[best] is shared[best]:
-                    groups[best] = set(shared[best])
-                groups[best].add(group)
+                added.setdefault(best, set()).add(group)
             plan.append((vm, hosts[best]))
         if trace is not None:
             trace.emit(EvacuationPlanned(now, host.name, len(plan), ok=True))
         return plan
+
+
+def _holds(target: Host, group: str, added: Optional[Set[str]]) -> bool:
+    """True when ``target`` has, reserves, or was planned a VM of ``group``."""
+    return (
+        target.hosts_group(group)
+        or group in target.groups_reserved
+        or (added is not None and group in added)
+    )
 
 
 def plan_evacuation(

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from itertools import compress, count
+from operator import ne
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -19,12 +21,14 @@ class DemandLattice:
     pass and accumulates each host's resident, utilization and wattage
     rows and the registry-order class totals in the scalar walks' orders,
     so every value is bit-identical to the scalar ``Trace.at`` walk.  Rows
-    are float64 arrays; the slot last asked for is materialized once as
-    Python floats.  ``VM``, ``Host`` and ``Cluster`` reach the lattice
-    through their ``_lattice`` field, which only this class sets.  The
-    sampler's tick rebuilds a host's rows (:meth:`rebuild_host`) or the
-    class rows (:meth:`rebuild_classes`) in place, from its slot to the
-    chunk's end, when their epoch moved since the fill.  A read answers
+    are float64 arrays; the host and class rows of the slot last asked for
+    are materialized once as Python floats, and a VM's value is read from
+    the slot's row with ``.item(col)``.  ``VM``, ``Host`` and ``Cluster``
+    reach the lattice through their ``_lattice`` field, which only this
+    class sets.  The sampler's tick rebuilds a host's rows
+    (:meth:`rebuild_host`) or the class rows (:meth:`rebuild_classes`) in
+    place, from its slot to the chunk's end, when their epoch moved since
+    the fill.  A read answers
     None, and the caller walks the traces, for an instant off the lattice
     or outside the chunk, a VM without a row (admitted after the fill, or
     its trace goes negative inside the chunk), a host whose
@@ -67,7 +71,6 @@ class DemandLattice:
         # orders.
         self._t: Optional[float] = None
         self._j = 0
-        self.vm_now: List[float] = []
         self.resident_now: List[float] = []
         self.util_now: List[float] = []
         self.power_now: List[float] = []
@@ -96,7 +99,6 @@ class DemandLattice:
             j = 0
         self._t = t
         self._j = j
-        self.vm_now = self._vm[j].tolist()
         self.resident_now, self.util_now, self.power_now = self._hosts[j].tolist()
         self.classes_now = self._classes[j].tolist()
         return True
@@ -109,7 +111,14 @@ class DemandLattice:
         if t != self._t and not self._select(t):
             return None
         col = self.vm_col.get(vm)
-        return None if col is None else self.vm_now[col]
+        return None if col is None else self._vm.item(self._j, col)
+
+    def vm_slot(self) -> np.ndarray:
+        """The selected slot's VM row, by column (read it with ``.item(col)``).
+
+        Before the first fill there is no slot: an empty row stands in.
+        """
+        return self._vm[self._j] if self._n else self._vm.reshape(0)
 
     def resident_cores(self, host: "Host", t: float) -> Optional[float]:
         if t != self._t and not self._select(t):
@@ -118,6 +127,22 @@ class DemandLattice:
         if self.host_tags[k] == host._demand_epoch and self.host_from[k] <= self._j:
             return self.resident_now[k]
         return None
+
+    def resident_row(self, t: float) -> Optional[Tuple[np.ndarray, List[int]]]:
+        """``t``'s resident row, as a fresh array, and the positions of its stale rows.
+
+        A row is stale where :meth:`resident_cores` would refuse it: the
+        host's ``_demand_epoch`` moved since the row was built, or the row
+        was rebuilt from a later slot.  None when ``t`` has no slot.
+        """
+        if t != self._t and not self._select(t):
+            return None
+        j = self._j
+        epochs = [host._demand_epoch for host in self.cluster.hosts]
+        flags: Iterable[bool] = map(ne, self.host_tags, epochs)
+        if max(self.host_from) > j:
+            flags = (moved or start > j for moved, start in zip(flags, self.host_from))
+        return self._hosts[j, 0].copy(), list(compress(count(), flags))
 
     def registry_cores(self, t: float) -> Optional[float]:
         if t != self._t and not self._select(t):

@@ -152,9 +152,10 @@ class ClusterSampler:
         # ``on``: this tick has a lattice slot, whose rows the walk reads.
         on = lattice.tick(now)
         tags = lattice.host_tags
-        # VM -> column of this tick's slot; nothing is read off a stale slot.
+        # VM -> column of this tick's slot, and the slot row's reader;
+        # off the lattice ``cols`` is empty, so no stale slot is read.
         cols = lattice.vm_col if on else {}
-        vm_now = lattice.vm_now
+        vm_at = lattice.vm_slot().item
         resident_now = lattice.resident_now
         util_now = lattice.util_now
         power_now = lattice.power_now
@@ -218,7 +219,7 @@ class ClusterSampler:
                 # itself reads the lattice, so any later reader at this
                 # instant resolves the same value in O(1).
                 c = cols.get(vm)
-                v = vm.demand_cores(now) if c is None else vm_now[c]
+                v = vm.demand_cores(now) if c is None else vm_at(c)
                 vm_sum += v
                 p = vm.priority
                 if p == 0:
@@ -334,7 +335,7 @@ class ClusterSampler:
                 # The VM's row, as ``VM.demand_cores`` would read it, or
                 # the scalar read for a VM the fill left off.
                 c = cols.get(vm)
-                v = vm.demand_cores(now) if c is None else vm_now[c]
+                v = vm.demand_cores(now) if c is None else vm_at(c)
                 registry_total += v
                 p = vm.priority
                 if p == 0:

@@ -40,6 +40,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
 
+from repro.tools.lint.units import UnitOperands, unit_operands
+
 #: Pseudo rule id used for files the engine cannot parse.
 PARSE_ERROR_RULE = "RL000"
 
@@ -111,6 +113,16 @@ class ModuleContext:
         #: polices ``sim``/``core``/``datacenter``/``power``).
         self.package_parts: Tuple[str, ...] = path.parts
         self.is_test_file: bool = bool(_TEST_FILE_RE.match(path.name))
+        self._unit_operands: Optional[List[UnitOperands]] = None
+
+    @property
+    def unit_operands(self) -> List[UnitOperands]:
+        """The module's ``+``/``-`` and comparison nodes with their operands'
+        units (see :func:`~repro.tools.lint.units.unit_operands`), derived on
+        first use by one scoped walk."""
+        if self._unit_operands is None:
+            self._unit_operands = unit_operands(self.tree.body)
+        return self._unit_operands
 
     def in_packages(self, packages: Sequence[str]) -> bool:
         return any(part in packages for part in self.package_parts)

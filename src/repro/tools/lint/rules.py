@@ -28,7 +28,7 @@ import ast
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple, Type
 
 from repro.tools.lint.engine import Finding, ModuleContext, Rule
-from repro.tools.lint.units import UnitInferencer, describe
+from repro.tools.lint.units import describe
 
 # ----------------------------------------------------------------------
 # Shared helpers
@@ -54,53 +54,6 @@ def resolve_dotted(node: ast.expr, imports: Dict[str, str]) -> Optional[str]:
         return None
     parts.append(base)
     return ".".join(reversed(parts))
-
-
-def _expr_roots(stmt: ast.stmt) -> Iterator[ast.expr]:
-    """The expression trees directly owned by one statement.
-
-    Nested statements (bodies of ``if``/``for``/``with``/``def`` …) are
-    *not* included — scope walking handles those explicitly.
-    """
-    for _field, value in ast.iter_fields(stmt):
-        values = value if isinstance(value, list) else [value]
-        for item in values:
-            if isinstance(item, ast.expr):
-                yield item
-
-
-def iter_scoped_exprs(
-    body: Sequence[ast.stmt],
-) -> Iterator[Tuple[ast.expr, UnitInferencer]]:
-    """Yield every expression node with the unit table live at that point.
-
-    Each function/class body opens a fresh :class:`UnitInferencer`;
-    straight-line assignments update it in statement order, so
-    ``total = a_w + b_w; total + c_j`` resolves ``total`` to watts.
-    """
-
-    def walk_body(
-        stmts: Sequence[ast.stmt], inferencer: UnitInferencer
-    ) -> Iterator[Tuple[ast.expr, UnitInferencer]]:
-        for stmt in stmts:
-            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                yield from walk_body(stmt.body, UnitInferencer())
-                continue
-            for root in _expr_roots(stmt):
-                for node in ast.walk(root):
-                    if isinstance(node, ast.expr):
-                        yield node, inferencer
-            inferencer.learn_assign(stmt)
-            for _field, value in ast.iter_fields(stmt):
-                if not isinstance(value, list) or not value:
-                    continue
-                if isinstance(value[0], ast.stmt):
-                    yield from walk_body(value, inferencer)
-                elif isinstance(value[0], ast.ExceptHandler):
-                    for handler in value:
-                        yield from walk_body(handler.body, inferencer)
-
-    yield from walk_body(body, UnitInferencer())
 
 
 # ----------------------------------------------------------------------
@@ -277,12 +230,9 @@ class UnitMixRule(Rule):
     )
 
     def check(self, module: ModuleContext) -> Iterator[Finding]:
-        for node, inferencer in iter_scoped_exprs(module.tree.body):
-            if isinstance(node, ast.BinOp) and isinstance(
-                node.op, (ast.Add, ast.Sub)
-            ):
-                left = inferencer.infer(node.left)
-                right = inferencer.infer(node.right)
+        for node, units in module.unit_operands:
+            if isinstance(node, ast.BinOp):
+                left, right = units
                 if left is not None and right is not None and left != right:
                     op = "+" if isinstance(node.op, ast.Add) else "-"
                     yield module.finding(
@@ -291,13 +241,11 @@ class UnitMixRule(Rule):
                         "`{}` mixes {} and {} without an explicit "
                         "conversion".format(op, describe(left), describe(right)),
                     )
-            elif isinstance(node, ast.Compare):
-                operands = [node.left] + list(node.comparators)
+            else:
                 for i, op in enumerate(node.ops):
                     if not isinstance(op, (ast.Lt, ast.LtE, ast.Gt, ast.GtE)):
                         continue
-                    left = inferencer.infer(operands[i])
-                    right = inferencer.infer(operands[i + 1])
+                    left, right = units[i], units[i + 1]
                     if left is not None and right is not None and left != right:
                         yield module.finding(
                             self.rule_id,
@@ -325,7 +273,7 @@ class UnitEqualityRule(Rule):
     skip_test_files = True
 
     def check(self, module: ModuleContext) -> Iterator[Finding]:
-        for node, inferencer in iter_scoped_exprs(module.tree.body):
+        for node, units in module.unit_operands:
             if not isinstance(node, ast.Compare):
                 continue
             operands = [node.left] + list(node.comparators)
@@ -335,8 +283,7 @@ class UnitEqualityRule(Rule):
                 left, right = operands[i], operands[i + 1]
                 if self._is_none(left) or self._is_none(right):
                     continue
-                left_unit = inferencer.infer(left)
-                right_unit = inferencer.infer(right)
+                left_unit, right_unit = units[i], units[i + 1]
                 unit = left_unit if left_unit is not None else right_unit
                 if unit is None:
                     continue

@@ -22,7 +22,7 @@ zero.
 from __future__ import annotations
 
 import ast
-from typing import Dict, Optional
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 #: suffix token -> physical dimension.  Two identifiers conflict when
 #: their suffix tokens differ (``_s`` + ``_h`` needs an explicit
@@ -160,3 +160,72 @@ class UnitInferencer:
                 return body
             return None
         return None
+
+
+def _expr_roots(stmt: ast.stmt) -> Iterator[ast.expr]:
+    """The expression trees directly owned by one statement.
+
+    Nested statements (bodies of ``if``/``for``/``with``/``def`` …) are
+    *not* included — scope walking handles those explicitly.
+    """
+    for _field, value in ast.iter_fields(stmt):
+        values = value if isinstance(value, list) else [value]
+        for item in values:
+            if isinstance(item, ast.expr):
+                yield item
+
+
+def iter_scoped_exprs(
+    body: Sequence[ast.stmt],
+) -> Iterator[Tuple[ast.expr, UnitInferencer]]:
+    """Yield every expression node with the unit table live at that point.
+
+    Each function/class body opens a fresh :class:`UnitInferencer`;
+    straight-line assignments update it in statement order, so
+    ``total = a_w + b_w; total + c_j`` resolves ``total`` to watts.
+    """
+
+    def walk_body(
+        stmts: Sequence[ast.stmt], inferencer: UnitInferencer
+    ) -> Iterator[Tuple[ast.expr, UnitInferencer]]:
+        for stmt in stmts:
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                yield from walk_body(stmt.body, UnitInferencer())
+                continue
+            for root in _expr_roots(stmt):
+                for node in ast.walk(root):
+                    if isinstance(node, ast.expr):
+                        yield node, inferencer
+            inferencer.learn_assign(stmt)
+            for _field, value in ast.iter_fields(stmt):
+                if not isinstance(value, list) or not value:
+                    continue
+                if isinstance(value[0], ast.stmt):
+                    yield from walk_body(value, inferencer)
+                elif isinstance(value[0], ast.ExceptHandler):
+                    for handler in value:
+                        yield from walk_body(handler.body, inferencer)
+
+    yield from walk_body(body, UnitInferencer())
+
+
+#: An arithmetic or comparison node and the units of its operands.
+UnitOperands = Tuple[ast.expr, List[Optional[str]]]
+
+
+def unit_operands(body: Sequence[ast.stmt]) -> List[UnitOperands]:
+    """Every ``+``/``-`` and every comparison, with its operands' units.
+
+    One scoped walk (:func:`iter_scoped_exprs`): a ``BinOp`` carries the
+    units of its left and right operand, a ``Compare`` those of its left
+    operand and each comparator, each inferred with the unit table live
+    where the node sits.  RL003 and RL004 both read this list.
+    """
+    found: List[UnitOperands] = []
+    for node, inferencer in iter_scoped_exprs(body):
+        if isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Add, ast.Sub)):
+            found.append((node, [inferencer.infer(node.left), inferencer.infer(node.right)]))
+        elif isinstance(node, ast.Compare):
+            operands = [node.left] + list(node.comparators)
+            found.append((node, [inferencer.infer(o) for o in operands]))
+    return found

@@ -262,6 +262,10 @@ def _trace_rng(seed: int) -> "np.random.Generator":
     return np.random.default_rng(seed)
 
 
+#: The sample step of a drawn trace: a horizon shorter than this holds no sample.
+TRACE_STEP_S = 60.0
+
+
 def _sample_count(horizon_s: float, step_s: float) -> int:
     """Samples a drawn trace holds over ``[0, horizon_s)``: at least one."""
     if step_s <= 0:

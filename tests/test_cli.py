@@ -177,6 +177,9 @@ BAD = [
      "argument --telemetry-staleness-s"),
     (["run", "--telemetry-dropout", "1"], "argument --telemetry-dropout"),
     (["run", "--checkpoint-every-s", "0"], "argument --checkpoint-every-s"),
+    # Shorter than one 60 s trace sample: nothing to draw a fleet from.
+    (["run", "--hours", "0.01"], "argument --hours"),
+    (["compare", "--hours", "0.01"], "argument --hours"),
     (["compare", "--hosts", "0"], "argument --hosts"),
     (["compare", "--wake-failure-rate", "1.5"], "argument --wake-failure-rate"),
     (["compare", "--wake-failure-rate", "0,1.5"], "argument --wake-failure-rate"),
@@ -186,6 +189,7 @@ BAD = [
     (["branch", "ck.repro", "--hours", "-1"], "argument --hours"),
     # Contradictory pairs.
     (["run", "--bounded", "--timeline"], "argument --timeline"),
+    (["run", "--checkpoint-every-s", "600"], "argument --checkpoint-every-s"),
     (["run", "--out", "t.jsonl", "--resume", "ck.repro"], "argument --resume"),
     # A flag the verb does not take (TestTrace covers ``trace check``).
     (["compare", "--out", "t.jsonl"], "unrecognized arguments: --out"),

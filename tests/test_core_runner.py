@@ -101,3 +101,35 @@ class TestRunScenario:
         # A negative rate is refused, not run as a scenario without churn.
         with pytest.raises(ValueError, match="churn_rate_per_h"):
             run_scenario(always_on(), n_hosts=2, n_vms=4, churn_rate_per_h=-3.0)
+
+
+class TestRefusedBeforeSetUp:
+    """Argument errors raise before a fleet, cluster or checkpoint is touched."""
+
+    @pytest.fixture
+    def nothing_built(self, monkeypatch):
+        import repro.core.runner as runner
+
+        def built(*args, **kwargs):
+            raise AssertionError("set-up ran before the arguments were checked")
+
+        monkeypatch.setattr(runner, "build_scenario", built)
+        monkeypatch.setattr(runner, "load_checkpoint", built)
+
+    def test_checkpoint_every_s_without_dir(self, nothing_built):
+        from repro.core import resume_scenario
+
+        with pytest.raises(ValueError, match="checkpoint_every_s requires a checkpoint_dir"):
+            run_scenario(s3_policy(), n_hosts=200, n_vms=800, checkpoint_every_s=600.0)
+        with pytest.raises(ValueError, match="checkpoint_every_s requires a checkpoint_dir"):
+            resume_scenario("ckpt-missing.repro", checkpoint_every_s=600.0)
+
+    def test_horizon_shorter_than_one_trace_sample(self, monkeypatch):
+        import repro.core.runner as runner
+
+        def built(*args, **kwargs):
+            raise AssertionError("a cluster was built for a horizon with no sample")
+
+        monkeypatch.setattr(runner, "Environment", built)
+        with pytest.raises(ValueError, match="shorter than one 60 s trace sample"):
+            run_scenario(s3_policy(), n_hosts=3, n_vms=6, horizon_s=36.0)

@@ -192,7 +192,7 @@ def test_drop_keeps_the_spare_current():
     assert (view.spare_cpu, view.spare_mem) == (4.0 + 5.0 + 6.0 + 7.0, 24.0)
     view.drop(hosts[2])
     assert (view.spare_cpu, view.spare_mem) == (4.0 + 5.0 + 7.0, 16.0)
-    assert hosts[2] not in view.share
+    assert hosts[2] not in view.hosts
 
 
 def test_duplicate_targets_rejected():

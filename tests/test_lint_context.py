@@ -168,3 +168,27 @@ def test_import_map_keeps_the_walk_order_binding():
     module = ModuleContext(Path("mod.py"), source)
     assert module.imports == {"np": "random", "now": "time.time"}
     assert mismatches(Path("mod.py"), source) == []
+
+
+def test_unit_rules_share_one_scoped_walk(monkeypatch):
+    """RL003 and RL004 read ``unit_operands``: one unit-scope walk per module."""
+    from repro.tools.lint import units
+    from repro.tools.lint.engine import lint_source
+    from repro.tools.lint.rules import UnitEqualityRule, UnitMixRule
+
+    walked = []
+    real = units.iter_scoped_exprs
+
+    def counting(body):
+        walked.append(body)
+        return real(body)
+
+    monkeypatch.setattr(units, "iter_scoped_exprs", counting)
+    source = "def f(a_w, b_j):\n    x = a_w + b_j\n    return x == a_w\n"
+    for name in ("m.py", "n.py"):
+        findings, module = lint_source(
+            Path("lib") / name, source, [UnitMixRule(), UnitEqualityRule()]
+        )
+        assert [f.rule for f in findings] == ["RL003", "RL004"]
+        assert walked[-1] is module.tree.body
+    assert len(walked) == 2

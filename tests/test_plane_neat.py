@@ -162,7 +162,7 @@ class TestNeatObservation:
 
     def test_degraded_round_restricts_park_candidates(self):
         env, cluster, manager = build_neat(self.cfg())
-        baseline = manager._park_candidates()
+        baseline = manager._park_candidates(manager._planning_view())
         assert {h.name for h in baseline} == {
             "host-000", "host-001", "host-002"
         }
@@ -174,7 +174,8 @@ class TestNeatObservation:
             "host-000": report("host-000", 0.0, underloaded=True),
             "host-001": report("host-001", 0.0, underloaded=False),
         }
-        assert [h.name for h in manager._park_candidates()] == ["host-000"]
+        view = manager._planning_view()
+        assert [h.name for h in manager._park_candidates(view)] == ["host-000"]
 
 
 class TestPlaneEquivalence:

@@ -1,9 +1,10 @@
 """The shrink round's target view plans exactly like per-candidate planning.
 
 ``PowerAwareManager._shrink`` builds one :class:`TargetView` per round
-and plans every park candidate on it.  The reference below is the loop
-it replaced, kept here verbatim in behaviour: it rebuilds the target
-list and every budget for each candidate.  Each case runs one
+from the round's planning view and plans every park candidate on it.
+The reference below is the loop it replaced, kept here verbatim in
+behaviour: it walks the hosts for the candidate order and rebuilds the
+target list and every budget for each candidate.  Each case runs one
 ``_shrink`` call on two identically built clusters, one per loop, and
 compares the plans, the hosts flagged evacuating and every trace event
 the round emits (``evacuation-planned`` and ``evac-start``).
@@ -64,16 +65,31 @@ def reference_plan(host, targets, cpu_target, trace, now):
     return plan
 
 
+def reference_candidates(manager):
+    """The host-walking park-candidate order: one key per host, ``sorted``."""
+    now = manager.env.now
+
+    def key(host):
+        load = host.demand_cores(now)
+        if manager.config.park_preference == "efficiency":
+            return (round(load / host.cores, 1), -host.profile.idle_w, load)
+        return (load,)
+
+    hosts = [
+        h
+        for h in manager.cluster.active_hosts()
+        if not h.evacuating and h.mem_reserved_gb <= 0
+    ]
+    return sorted(manager.observer.park_filter(hosts), key=key)
+
+
 def reference_shrink(manager, surplus_cores, evac_cpu_target=None):
     """The shrink loop with one fresh target list and plan per candidate."""
     now = manager.env.now
     cfg = manager.config
     target = evac_cpu_target if evac_cpu_target is not None else cfg.cpu_target
     parks = 0
-    candidates = sorted(
-        manager._park_candidates(), key=manager._park_candidate_key
-    )
-    for host in candidates:
+    for host in reference_candidates(manager):
         if parks >= cfg.max_parks_per_round:
             break
         if surplus_cores < host.cores:
@@ -153,9 +169,14 @@ def outcome(shrink, hosts, config, surplus, evac_cpu_target):
     return plans, evacuating, trace.events[before:]
 
 
+def view_shrink(manager, surplus_cores, evac_cpu_target=None):
+    """``_shrink`` on the round's planning view."""
+    manager._shrink(manager._planning_view(), surplus_cores, evac_cpu_target)
+
+
 def assert_same(hosts, config, surplus=1e6, evac_cpu_target=None):
     """Both loops agree; returns the round's plans and planner events."""
-    got = outcome(PowerAwareManager._shrink, hosts, config, surplus, evac_cpu_target)
+    got = outcome(view_shrink, hosts, config, surplus, evac_cpu_target)
     want = outcome(reference_shrink, hosts, config, surplus, evac_cpu_target)
     assert got == want
     plans, _, events = got
