@@ -846,7 +846,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=_COUNT,
         default=None,
         help="process-pool width for the fan-out (default: REPRO_WORKERS "
-        "or the CPU count)",
+        "or the CPUs this process may use)",
     )
     branch_parser.add_argument(
         "--no-cache",
@@ -874,7 +874,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=_COUNT,
         default=None,
         help="process-pool width for the comparison (default: REPRO_WORKERS "
-        "or the CPU count)",
+        "or the CPUs this process may use)",
     )
     compare_parser.add_argument(
         "--no-cache",
@@ -927,7 +927,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     fuzz_parser.add_argument(
         "--campaign",
-        type=int,
+        type=_COUNT,
         default=100,
         metavar="N",
         help="number of scenarios to generate (default: %(default)s)",
@@ -937,9 +937,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     fuzz_parser.add_argument(
         "--workers",
-        type=int,
+        type=_COUNT,
         default=None,
-        help="process-pool width (default: REPRO_WORKERS or the CPU count)",
+        help="process-pool width (default: REPRO_WORKERS or the CPUs this "
+        "process may use)",
     )
     fuzz_parser.add_argument(
         "--json",
@@ -958,7 +959,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     fuzz_parser.add_argument(
         "--shrink-budget",
-        type=int,
+        type=_COUNT,
         default=256,
         metavar="N",
         help="max oracle evaluations per shrink session "

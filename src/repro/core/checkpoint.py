@@ -73,8 +73,9 @@ if TYPE_CHECKING:
 #: and a pickle names each class's module; 6: the demand lattice keeps
 #: the slot its rows were rebuilt from and rows for VMs admitted after
 #: its fill; 7: a host machine holds the maker of its latency generator
-#: until its first jittered transition).
-CHECKPOINT_SCHEMA = 7
+#: until its first jittered transition; 8: a cluster holds its hosts'
+#: cores and memory capacity as arrays for the planning view).
+CHECKPOINT_SCHEMA = 8
 
 _MAGIC = b"REPROCKPT1\n"
 

@@ -45,7 +45,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Dict, Iterable, Iterator, List, Optional, Union
 
 if TYPE_CHECKING:
-    from repro.core.runner import ScenarioResult
+    from repro.core.runner import FleetStore, ScenarioResult
 
 from repro.core.cache import ResultCache, Uncacheable, cache_disabled, scenario_digest
 from repro.core.config import ManagerConfig
@@ -136,26 +136,41 @@ class ScenarioSpec:
             self.config, self.kwargs, extra=self.digest_extra or None
         )
 
-    def run(self) -> ScenarioArtifacts:
-        """Execute the scenario in this process and freeze the outcome."""
+    def run(self, fleet_store: Optional["FleetStore"] = None) -> ScenarioArtifacts:
+        """Execute the scenario in this process and freeze the outcome.
+
+        ``fleet_store`` is the sweep's (see :class:`~repro.core.runner.FleetStore`);
+        the artifacts are the same with or without it.
+        """
         from repro.core.runner import run_scenario
 
-        return snapshot_result(run_scenario(self.config, **self.kwargs))
+        return snapshot_result(
+            run_scenario(self.config, fleet_store=fleet_store, **self.kwargs)
+        )
+
+
+#: A pool worker's fleet store, made by the pool initializer: it lives as
+#: long as the worker, that is, for one :func:`run_scenarios` call.
+_worker_fleets: Optional["FleetStore"] = None
 
 
 def _execute_spec(spec: Union[ScenarioSpec, BranchSpec]) -> ScenarioArtifacts:
     """Module-level worker entry point (must be picklable by name)."""
-    return spec.run()
+    return spec.run(_worker_fleets)
 
 
 def _pool_worker_init() -> None:
-    """Make pool workers deaf to Ctrl-C.
+    """Give a pool worker its fleet store, and make it deaf to Ctrl-C.
 
     A terminal SIGINT goes to the whole foreground process group; if
     workers also raise KeyboardInterrupt mid-pickle, the pool machinery
     deadlocks or leaves orphans.  Only the parent handles the signal —
     it then cancels and drains the workers deterministically.
     """
+    global _worker_fleets
+    from repro.core.runner import FleetStore
+
+    _worker_fleets = FleetStore()
     signal.signal(signal.SIGINT, signal.SIG_IGN)
 
 
@@ -210,19 +225,36 @@ def _graceful_signals() -> Iterator[None]:
 
 
 def default_workers() -> int:
-    """Worker count when unspecified: ``REPRO_WORKERS`` env or CPU count.
+    """Worker count when unspecified: ``REPRO_WORKERS`` env or usable CPUs.
 
-    Raises ``ValueError`` when ``REPRO_WORKERS`` is set but not an integer.
+    The CPUs are those this process may run on (its affinity mask, where
+    the platform has one), so a pinned process starts no more workers
+    than it can run.  Raises ``ValueError`` when ``REPRO_WORKERS`` is set
+    but not an integer >= 1.
     """
     env = os.environ.get("REPRO_WORKERS")
     if env:
         try:
-            return max(1, int(env))
+            workers = int(env)
         except ValueError:
+            workers = 0  # refused below, with the same message
+        if workers < 1:
             raise ValueError(
-                "REPRO_WORKERS must be an integer, got {!r}".format(env)
-            ) from None
-    return max(1, os.cpu_count() or 1)
+                "REPRO_WORKERS must be an integer >= 1, got {!r}".format(env)
+            )
+        return workers
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def resolve_workers(workers: Optional[int]) -> int:
+    """``workers``, or :func:`default_workers` when None; below 1 is a ``ValueError``."""
+    if workers is None:
+        return default_workers()
+    if workers < 1:
+        raise ValueError("workers must be >= 1, got {!r}".format(workers))
+    return workers
 
 
 def _resolve_cache(
@@ -248,7 +280,8 @@ def run_scenarios(
         specs: scenario or branch descriptions (order defines result
             order).
         workers: process count; ``None`` uses :func:`default_workers`,
-            ``1`` runs inline (no pool, no pickling).
+            ``1`` runs inline (no pool, no pickling), below 1 is a
+            ``ValueError``.
         cache: ``True`` (default) uses the shared disk cache, ``False`` /
             ``None`` disables caching, or pass a :class:`ResultCache` to
             control the location.  The ``REPRO_NO_CACHE`` environment
@@ -257,8 +290,12 @@ def run_scenarios(
     Identical specs (same digest) are simulated once and the artifacts
     shared.  Results are deterministic: the pool only changes *where*
     each simulation runs, never its seeded RNG streams, and ordering is
-    by spec position, not completion time.
+    by spec position, not completion time.  Each process that runs
+    specs (this one when serial, else each pool worker) keeps one
+    :class:`~repro.core.runner.FleetStore` for the call, so consecutive
+    specs that draw the same fleet build it once.
     """
+    n_workers = resolve_workers(workers)
     specs = list(specs)
     store = _resolve_cache(cache)
     results: List[Optional[ScenarioArtifacts]] = [None] * len(specs)
@@ -291,12 +328,14 @@ def run_scenarios(
         to_run.append(i)
 
     if to_run:
-        n_workers = default_workers() if workers is None else max(1, workers)
         n_workers = min(n_workers, len(to_run))
-        if n_workers <= 1:
+        if n_workers == 1:
+            from repro.core.runner import FleetStore
+
+            fleets = FleetStore()
             with _graceful_signals():
                 for i in to_run:
-                    artifacts = _execute_spec(specs[i])
+                    artifacts = specs[i].run(fleets)
                     results[i] = artifacts
                     if store is not None and digests[i] is not None:
                         store.put(digests[i], artifacts)
@@ -388,7 +427,9 @@ class BranchSpec:
     def digest(self) -> str:
         return branch_digest(self.checkpoint_sha256, self.config, self.horizon_s)
 
-    def run(self) -> ScenarioArtifacts:
+    def run(self, fleet_store: Optional["FleetStore"] = None) -> ScenarioArtifacts:
+        """Resume the checkpoint under ``config``; a resumed run draws no
+        fleet, so ``fleet_store`` goes unused."""
         from repro.core.runner import resume_scenario
 
         return snapshot_result(

@@ -13,10 +13,12 @@ from __future__ import annotations
 
 import copy
 import heapq
+import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
+from repro.core.cache import Uncacheable, canonical
 from repro.core.checkpoint import (
     CheckpointCoordinator,
     ResumeRecord,
@@ -89,6 +91,41 @@ class LiveScenario:
     trace: Optional[TraceBuffer] = None
     #: Extra scenario identity carried into checkpoint manifests.
     meta: Dict[str, Any] = field(default_factory=dict)
+
+
+class FleetStore:
+    """The fleet a sweep process drew last, kept pristine for its later specs.
+
+    :func:`~repro.core.parallel.run_scenarios` gives each process that
+    runs specs one store for the call, and :func:`build_scenario` asks it
+    for the fleet a spec draws: specs that share a ``(FleetSpec, seed)``
+    then place copies of one build.  The key is the result cache's
+    :func:`~repro.core.cache.canonical` encoding of the spec, plus the
+    seed.  Only the most recent fleet is kept, as a sweep submits each
+    fleet's specs together.  Its VMs are never placed, and their traces
+    are read-only, so every copy starts from the state a fresh build has.
+    """
+
+    def __init__(self) -> None:
+        self._key: Optional[str] = None
+        self._fleet: List[VM] = []
+
+    def fleet(self, spec: FleetSpec, seed: int) -> List[VM]:
+        """The VMs ``build_fleet(spec, seed=seed)`` returns, built on a miss.
+
+        The caller places copies, never these.  A spec without a canonical
+        encoding shares no build: it gets a fresh one.
+        """
+        try:
+            key = json.dumps([canonical(spec), canonical(seed)], sort_keys=True)
+        except Uncacheable:
+            return build_fleet(spec, seed=seed)
+        if key != self._key:
+            # Drop the old fleet first: a process never holds two.
+            self._key, self._fleet = None, []
+            self._fleet = build_fleet(spec, seed=seed)
+            self._key = key
+        return self._fleet
 
 
 def _placement_failure(vm: VM, cluster: Cluster) -> str:
@@ -174,6 +211,7 @@ def build_scenario(
     profile: Optional[ServerPowerProfile] = None,
     fleet: Optional[List[VM]] = None,
     fleet_spec: Optional[FleetSpec] = None,
+    fleet_store: Optional[FleetStore] = None,
     epoch_s: float = 60.0,
     churn_rate_per_h: float = 0.0,
     churn_lifetime_s: float = 6 * 3600.0,
@@ -198,6 +236,9 @@ def build_scenario(
         fleet: explicit VM list (overrides ``n_vms``/``fleet_spec``); the
             run places copies and leaves these VMs untouched.
         fleet_spec: fleet shape (default: the enterprise mix).
+        fleet_store: a sweep's :class:`FleetStore`; the drawn fleet comes
+            from it, and the run places copies.  Outputs are the same
+            with or without it.
         epoch_s: telemetry/demand refresh interval.
         churn_rate_per_h: VM arrivals per hour (0 disables churn; a
             negative rate is refused).
@@ -251,11 +292,14 @@ def build_scenario(
         fault_seed=seed,
         trace=buf,
     )
+    if fleet is None and fleet_store is not None:
+        fleet = fleet_store.fleet(spec, seed)
     if fleet is None:
         fleet = build_fleet(spec, seed=seed)
     else:
-        # Run copies: the caller's VMs (a spec's kwargs, say) must come out
-        # of the run unplaced and unmigrated, or their digest would change.
+        # Run copies: the caller's VMs (a spec's kwargs, or a sweep's
+        # pristine fleet) must come out of the run unplaced and unmigrated,
+        # or a digest would change and a later run would start placed.
         fleet = [copy.copy(vm) for vm in fleet]
     spread_placement(fleet, cluster)
     if buf is not None:

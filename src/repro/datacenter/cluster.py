@@ -45,6 +45,22 @@ _B_EVACUATING = 64
 _MASK_BITS = np.array([[_B_ACTIVE], [_B_PLACEABLE], [_B_EVACUATING]], dtype=np.int64)
 
 
+def host_constants(
+    hosts: List[Host],
+) -> Tuple["npt.NDArray[np.float64]", "npt.NDArray[np.float64]"]:
+    """The cores and memory capacity of ``hosts``, in order.
+
+    Memory capacity is ``Host.mem_free_gb``'s ``mem_gb * mem_overcommit``,
+    the same product elementwise.  Neither changes after a host is built:
+    they are the constant entries of a planning view.
+    """
+    cores = np.array([h.cores for h in hosts], dtype=float)
+    mem_capacity = np.array([h.mem_gb for h in hosts], dtype=float) * np.array(
+        [h.mem_overcommit for h in hosts], dtype=float
+    )
+    return cores, mem_capacity
+
+
 class Cluster:
     """A managed pool of hosts and the VMs running on them."""
 
@@ -78,6 +94,8 @@ class Cluster:
         self._host_cores_desc: List[float] = sorted(
             (h.cores for h in self.hosts), reverse=True
         )
+        # Read by every round's planning view, by host position.
+        self._host_constants = host_constants(self.hosts)
         # Incremental host index: per-category position-sorted lists plus
         # the current membership bitmask per host position.
         self._active: List[int] = []
@@ -371,6 +389,12 @@ class Cluster:
     def host_cores_desc(self) -> List[float]:
         """Host core sizes, largest first (callers must not mutate)."""
         return self._host_cores_desc
+
+    def planning_constants(
+        self,
+    ) -> Tuple["npt.NDArray[np.float64]", "npt.NDArray[np.float64]"]:
+        """:func:`host_constants` of the inventory, built once (callers must not mutate)."""
+        return self._host_constants
 
     def demand_cores(self, t: Optional[float] = None) -> float:
         when = self.env.now if t is None else t

@@ -17,7 +17,7 @@ from typing import Any, Callable, Dict, List, Optional, Union
 
 import repro
 from repro.core.cache import ResultCache
-from repro.core.parallel import run_scenarios
+from repro.core.parallel import resolve_workers, run_scenarios
 from repro.fold import left_sum
 from repro.fuzz.generate import generate_campaign
 from repro.fuzz.oracle import SpecOutcome, classify_artifacts, run_spec
@@ -132,6 +132,9 @@ def run_campaign(
         raise ValueError("campaign size must be >= 1")
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
+    # Up front: a batch's failure falls back to serial runs, which would
+    # hide a bad worker count.
+    workers = resolve_workers(workers)
 
     specs = generate_campaign(seed, campaign)
     summary = CampaignSummary(seed=seed, campaign=campaign)

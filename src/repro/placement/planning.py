@@ -2,14 +2,12 @@
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List, Optional
 
 import numpy as np
 
+from repro.datacenter.cluster import Cluster, host_constants
 from repro.datacenter.host import Host
-
-if TYPE_CHECKING:
-    from repro.datacenter.cluster import Cluster
 
 
 class PlanningView:
@@ -19,8 +17,10 @@ class PlanningView:
     per-host scan of the round reads it: the park-candidate order, the
     evacuation budgets (:class:`~repro.placement.evacuation.TargetView`),
     best fit and the balancer's source and destination scans.  It holds
-    ``resident`` (resident VM demand), ``cores`` and the ``active``,
-    ``placeable`` and ``evacuating`` masks.  :meth:`load` (the planning
+    ``resident`` (resident VM demand), ``cores``, ``mem_capacity``
+    (``mem_gb * mem_overcommit``) and the ``active``, ``placeable`` and
+    ``evacuating`` masks; a view of the whole cluster shares ``cores`` and
+    ``mem_capacity`` with the cluster, as neither changes.  :meth:`load` (the planning
     load, resident demand plus the migration tax), :meth:`reserved`
     (memory held for an inbound migration) and :meth:`mem_free` are read
     on first use, as nothing they read changes while a round plans.
@@ -32,12 +32,19 @@ class PlanningView:
     """
 
     def __init__(
-        self, hosts: List[Host], now: float, resident: np.ndarray, flags: np.ndarray
+        self,
+        hosts: List[Host],
+        now: float,
+        resident: np.ndarray,
+        flags: np.ndarray,
+        cores: np.ndarray,
+        mem_capacity: np.ndarray,
     ) -> None:
         self.hosts = hosts
         self.now = now
         self.resident = resident
-        self.cores = np.array([h.cores for h in hosts], dtype=float)
+        self.cores = cores
+        self.mem_capacity = mem_capacity
         self.active, self.placeable, self.evacuating = flags
         self._load: Optional[np.ndarray] = None
         self._mem_reserved: Optional[np.ndarray] = None
@@ -45,7 +52,7 @@ class PlanningView:
         self._positions: Optional[Dict[Host, int]] = None
 
     @classmethod
-    def of_cluster(cls, cluster: "Cluster", now: float) -> "PlanningView":
+    def of_cluster(cls, cluster: Cluster, now: float) -> "PlanningView":
         """The whole cluster at ``now``, without walking every host's VMs.
 
         Resident demand is the lattice slot's row.  Only active hosts
@@ -53,7 +60,8 @@ class PlanningView:
         take the scalar ``Host.resident_demand_cores`` read; a host that
         is not active holds no VM (placement needs an active host, parking
         an empty one), so its stale entry is that read's ``0.0``.  The
-        masks come from the cluster's host index.
+        masks come from the cluster's host index, cores and memory
+        capacity from its constants.
         """
         hosts = cluster.hosts
         flags = cluster.host_masks()
@@ -67,7 +75,7 @@ class PlanningView:
                 active = flags[0].tolist()
                 for k in stale:
                     resident[k] = hosts[k].resident_demand_cores(now) if active[k] else 0.0
-        return cls(hosts, now, resident, flags)
+        return cls(hosts, now, resident, flags, *cluster.planning_constants())
 
     @classmethod
     def of_hosts(cls, hosts: Iterable[Host], now: float) -> "PlanningView":
@@ -80,7 +88,7 @@ class PlanningView:
             dtype=bool,
         ).reshape(3, len(hosts))
         resident = np.array([h.resident_demand_cores(now) for h in hosts], dtype=float)
-        return cls(hosts, now, resident, flags)
+        return cls(hosts, now, resident, flags, *host_constants(hosts))
 
     def load(self) -> np.ndarray:
         """Planning load: ``Host.demand_cores``, resident demand plus the tax."""
@@ -102,12 +110,8 @@ class PlanningView:
     def mem_free(self) -> np.ndarray:
         """``Host.mem_free_gb``: capacity times overcommit, less used and reserved."""
         if self._mem_free is None:
-            hosts = self.hosts
-            capacity = np.array([h.mem_gb for h in hosts], dtype=float) * np.array(
-                [h.mem_overcommit for h in hosts], dtype=float
-            )
-            used = np.array([h._mem_used_gb for h in hosts], dtype=float)
-            self._mem_free = capacity - used - self.mem_reserved()
+            used = np.array([h._mem_used_gb for h in self.hosts], dtype=float)
+            self._mem_free = self.mem_capacity - used - self.mem_reserved()
         return self._mem_free
 
     def position(self, host: Host) -> Optional[int]:

@@ -249,12 +249,19 @@ class DiurnalTrace(Trace):
         return self.low + (self.high - self.low) * shaped
 
 
-def _check_unit(samples: "np.ndarray") -> None:
-    """Refuse a sample block with a value outside [0, 1], NaN included."""
+def _sealed(samples: "np.ndarray") -> "np.ndarray":
+    """``samples``, refused with a value outside [0, 1] (NaN included), made read-only.
+
+    A held trace may be shared by many runs (a sweep's fleet store), so
+    its samples are never written after this check; the views a block
+    hands out are read-only with it.  Pickles do not carry the flag.
+    """
     # Written so that NaN fails: every comparison with NaN is False.  An
     # empty block has no minimum, and nothing to refuse.
     if samples.size and not (samples.min() >= 0.0 and samples.max() <= 1.0):
         raise ValueError("samples must be within [0, 1]")
+    samples.flags.writeable = False
+    return samples
 
 
 def _trace_rng(seed: int) -> "np.random.Generator":
@@ -291,9 +298,8 @@ class SampledTrace(Trace):
             raise ValueError("need at least one sample")
         if step_s <= 0:
             raise ValueError("step_s must be positive")
-        arr = np.asarray(samples, dtype=float)
-        _check_unit(arr)
-        self._hold(arr, step_s, ())
+        # A copy: the caller's array stays theirs to write.
+        self._hold(_sealed(np.array(samples, dtype=float)), step_s, ())
 
     def _hold(self, samples: "np.ndarray", step_s: float, draw: Tuple[Any, ...]) -> None:
         """Take ``samples``, already checked, drawn from ``draw``'s arguments."""
@@ -303,7 +309,7 @@ class SampledTrace(Trace):
 
     @staticmethod
     def _rows(draws: Sequence[Tuple[Any, ...]], horizon_s: float, step_s: float) -> "np.ndarray":
-        """The checked ``(len(draws), n)`` sample block of a drawing subclass."""
+        """The checked, read-only ``(len(draws), n)`` sample block of a drawing subclass."""
         raise NotImplementedError
 
     @classmethod
@@ -315,8 +321,8 @@ class SampledTrace(Trace):
         Each ``d`` holds the constructor's leading arguments, up to
         ``horizon_s``.  The samples come from one block: each row is
         filled from its own seed, then one clip (where the class clips)
-        and one range check cover the block, and each trace keeps a view
-        of its row (it pickles to the same bytes as a copy).
+        and one range check cover the block, and each trace keeps a
+        read-only view of its row (it pickles to the same bytes as a copy).
         """
         traces = []
         for row, draw in zip(cls._rows(draws, horizon_s, step_s), draws):
@@ -376,8 +382,7 @@ class BurstyTrace(SampledTrace):
                 hi = min(n, int((t + length) // step_s) + 1)
                 row[lo:hi] = burst
                 t += length + float(rng.exponential(mean_gap_s))
-        _check_unit(samples)
-        return samples
+        return _sealed(samples)
 
 
 class SpikeTrace(SampledTrace):
@@ -408,8 +413,7 @@ class SpikeTrace(SampledTrace):
             for start in rng.integers(0, max(1, n - width), size=count):
                 row[start : start + width] = spike
         np.clip(samples, 0.0, 1.0, out=samples)
-        _check_unit(samples)
-        return samples
+        return _sealed(samples)
 
 
 class NoisyTrace(SampledTrace):
@@ -437,8 +441,7 @@ class NoisyTrace(SampledTrace):
         for row, (_, seed, sigma) in zip(samples, draws):
             row += _trace_rng(seed).normal(0.0, sigma, size=n)
         np.clip(samples, 0.0, 1.0, out=samples)
-        _check_unit(samples)
-        return samples
+        return _sealed(samples)
 
 
 class PlateauTrace(Trace):

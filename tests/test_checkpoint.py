@@ -169,8 +169,10 @@ class TestRejection:
         # under repro.telemetry.trace, which no longer defines them;
         # schema 5 pickled a demand lattice without its rebuild slots;
         # schema 6 pickled each host's latency generator, which a machine
-        # now makes on its first jittered transition.  The manifest check
-        # must refuse all six before anything is unpickled.
+        # now makes on its first jittered transition; schema 7 pickled a
+        # cluster without the cores and memory-capacity arrays its
+        # planning views read.  The manifest check must refuse all seven
+        # before anything is unpickled.
         import repro.core.checkpoint as checkpoint
 
         path = self._one_checkpoint(tmp_path)
@@ -181,7 +183,7 @@ class TestRejection:
             raise AssertionError("an old-schema payload was unpickled")
 
         monkeypatch.setattr(checkpoint, "pickle", type("P", (), {"loads": unpickled}))
-        for schema in (1, 2, 3, 4, 5, 6):
+        for schema in (1, 2, 3, 4, 5, 6, 7):
             path.write_bytes(
                 magic + b"\n"
                 + json.dumps(dict(manifest, schema=schema), sort_keys=True).encode()

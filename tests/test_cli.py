@@ -186,6 +186,13 @@ BAD = [
     (["compare", "--wake-failure-rate", ","], "argument --wake-failure-rate"),
     (["compare", "--permanent-fraction", "2"], "argument --permanent-fraction"),
     (["compare", "--workers", "0"], "argument --workers"),
+    # Each used to run: run_scenarios clamped the workers to 1, and a
+    # budget below 1 shrank nothing.  A campaign of 0 exited 2 without
+    # naming the flag.
+    (["fuzz", "--workers", "-2"], "argument --workers"),
+    (["fuzz", "--workers", "0"], "argument --workers"),
+    (["fuzz", "--shrink-budget", "-5"], "argument --shrink-budget"),
+    (["fuzz", "--campaign", "0"], "argument --campaign"),
     (["branch", "ck.repro", "--hours", "-1"], "argument --hours"),
     # Contradictory pairs.
     (["run", "--bounded", "--timeline"], "argument --timeline"),

@@ -1,5 +1,7 @@
 """Tests for the parallel scenario execution layer (repro.core.parallel)."""
 
+import os
+
 import pytest
 
 from repro.core import (
@@ -140,6 +142,29 @@ class TestDefaultWorkers:
         monkeypatch.setenv("REPRO_WORKERS", "four")
         with pytest.raises(ValueError, match="REPRO_WORKERS.*'four'"):
             default_workers()
+
+    @pytest.mark.parametrize("env", ["0", "-4"])
+    def test_env_below_one_is_an_error(self, monkeypatch, env):
+        # Both used to run one worker through ``max(1, ...)``.
+        monkeypatch.setenv("REPRO_WORKERS", env)
+        with pytest.raises(ValueError, match="REPRO_WORKERS.*'{}'".format(env)):
+            default_workers()
+        with pytest.raises(ValueError, match="REPRO_WORKERS"):
+            run_scenarios([small_spec()], cache=False)
+
+    @pytest.mark.parametrize("workers", [0, -2])
+    def test_worker_count_below_one_is_an_error(self, workers):
+        with pytest.raises(ValueError, match="workers must be >= 1, got {}".format(workers)):
+            run_scenarios([small_spec()], workers=workers, cache=False)
+
+    def test_unset_env_counts_the_cpus_this_process_may_use(self, monkeypatch):
+        monkeypatch.delenv("REPRO_WORKERS", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
+        assert default_workers() == 3
+        # Without an affinity call (not Linux): the CPU count.
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert default_workers() == 64
 
 
 class TestArtifacts:

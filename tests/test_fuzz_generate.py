@@ -82,6 +82,23 @@ class TestPoolDeterminism:
         assert all(h is not None for h in serial_hashes)
 
 
+class TestCampaignWorkers:
+    @pytest.mark.parametrize("workers, env", [(0, None), (-3, None), (None, "0")])
+    def test_a_worker_count_below_one_is_refused_before_any_run(
+        self, workers, env, monkeypatch
+    ):
+        # A failed batch falls back to serial runs, which would hide the
+        # bad count; the campaign refuses it before generating anything.
+        if env is not None:
+            monkeypatch.setenv("REPRO_WORKERS", env)
+        monkeypatch.setattr(
+            "repro.fuzz.campaign.generate_campaign",
+            lambda *a: pytest.fail("a campaign ran with a bad worker count"),
+        )
+        with pytest.raises(ValueError, match=">= 1"):
+            run_campaign(4, 7, workers=workers, cache=False)
+
+
 class TestCampaignGolden:
     def test_campaign_summary_byte_identical(self, update_golden):
         summary = run_campaign(20, 7, workers=1, cache=False)

@@ -3,6 +3,7 @@
 import copy
 import pickle
 
+import numpy as np
 import pytest
 
 from repro.workload import (
@@ -113,6 +114,29 @@ class TestSampledTrace:
             SampledTrace([0.5], step_s=0.0)
         with pytest.raises(ValueError):
             SampledTrace([0.2, float("nan")], step_s=60.0)
+
+    def test_keeps_a_copy_of_the_callers_samples(self):
+        # ``np.asarray`` would hold a float64 input itself, so the caller's
+        # later write reached the trace, past its [0, 1] check.
+        samples = np.array([0.2, 0.4, 0.6])
+        t = SampledTrace(samples, step_s=60.0)
+        samples[1] = 7.5
+        assert t.at(60.0) == 0.4
+
+    @pytest.mark.parametrize("make", [
+        lambda: SampledTrace([0.2, 0.4, 0.6], step_s=60.0),
+        lambda: BurstyTrace(seed=1, horizon_s=DAY_S),
+        lambda: SpikeTrace(seed=2, horizon_s=DAY_S),
+        lambda: NoisyTrace(DiurnalTrace(), seed=3, horizon_s=DAY_S),
+        lambda: NoisyTrace.block([(FlatTrace(0.5), 4, 0.1)] * 2, DAY_S)[1],
+    ], ids=["sampled", "bursty", "spike", "noisy", "block-row"])
+    def test_held_samples_are_read_only(self, make):
+        # A sweep's specs share one fleet's traces: none may be written.
+        t = make()
+        before = t.at(0.0)
+        with pytest.raises(ValueError, match="read-only"):
+            t._samples[0] = 0.99
+        assert t.at(0.0) == before
 
     def test_unpickles_state_with_the_old_list_mirror(self):
         # Checkpoints written before the mirror was dropped pickle each
