@@ -49,6 +49,7 @@ from repro.core import (
 )
 from repro.core.atomicio import atomic_write_json, atomic_write_text
 from repro.core.cache import default_cache_dir
+from repro.core.parallel import resolve_workers
 from repro.core.policies import POLICIES, policy_by_name
 from repro.datacenter import FaultModel, MigrationFaultModel, RepairModel
 from repro.prototype import (
@@ -446,7 +447,11 @@ def cmd_compare(args: argparse.Namespace) -> int:
         ScenarioSpec(_plane_config(config, args), kwargs=_scenario_kwargs(args, rate))
         for config, rate in cells
     ]
-    workers = 1 if args.profile else args.workers
+    try:
+        workers = 1 if args.profile else resolve_workers(args.workers)
+    except ValueError as exc:  # a bad REPRO_WORKERS
+        print("repro compare: {}".format(exc), file=sys.stderr)
+        return 2
     runner = lambda: run_scenarios(  # noqa: E731
         specs, workers=workers, cache=not args.no_cache
     )
@@ -933,7 +938,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="number of scenarios to generate (default: %(default)s)",
     )
     fuzz_parser.add_argument(
-        "--seed", type=int, default=0, help="campaign seed (default: 0)"
+        "--seed", type=_SEED, default=0, help="campaign seed (default: 0)"
     )
     fuzz_parser.add_argument(
         "--workers",

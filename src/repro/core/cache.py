@@ -57,7 +57,9 @@ from repro.fold import left_sum
 #:    asks for its trace in ``kwargs`` instead of a ``trace`` field.
 #: 7: the key folds in a sha256 of the package's own sources, so results
 #:    recorded by different code are never served.
-CACHE_SCHEMA = 7
+#: 8: ScenarioArtifacts carries the sampler's ``SampleFrame`` as its
+#:    ``series`` instead of a dict of list-backed series.
+CACHE_SCHEMA = 8
 
 #: On-disk entry framing: magic line, sha256 hex of the payload, newline,
 #: pickle payload.  A read that fails any of these checks is *quarantined*

@@ -74,8 +74,9 @@ if TYPE_CHECKING:
 #: the slot its rows were rebuilt from and rows for VMs admitted after
 #: its fill; 7: a host machine holds the maker of its latency generator
 #: until its first jittered transition; 8: a cluster holds its hosts'
-#: cores and memory capacity as arrays for the planning view).
-CHECKPOINT_SCHEMA = 8
+#: cores and memory capacity as arrays for the planning view; 9: the
+#: sampler holds one sample frame instead of a dict of series).
+CHECKPOINT_SCHEMA = 9
 
 _MAGIC = b"REPROCKPT1\n"
 

@@ -8,7 +8,7 @@ execution plan:
 * :class:`ScenarioSpec` — a picklable description of one ``run_scenario``
   call (policy config + keyword arguments + a display label);
 * :class:`ScenarioArtifacts` — the picklable subset of a finished run
-  that experiments actually consume (report, sampler series, fleet
+  that experiments actually consume (report, sample frame, fleet
   power-state residency, decision trace) — everything that can cross a
   process boundary or live in the disk cache;
 * :func:`run_scenarios` — execute many specs, fanned out over a
@@ -51,7 +51,7 @@ from repro.core.cache import ResultCache, Uncacheable, cache_disabled, scenario_
 from repro.core.config import ManagerConfig
 from repro.power.states import PowerState
 from repro.telemetry.metrics import SimReport
-from repro.telemetry.timeseries import TimeSeries
+from repro.telemetry.timeseries import SampleFrame
 from repro.telemetry.trace import jsonl_hash
 
 
@@ -65,8 +65,9 @@ class ScenarioArtifacts:
     """Everything a benchmark consumes from a run, in picklable form."""
 
     report: SimReport
-    #: The sampler's time series by name (``power_w``, ``demand_cores`` …).
-    series: Dict[str, TimeSeries]
+    #: The sampler's frame as it is: ``series[name]`` reads one series
+    #: (``power_w``, ``demand_cores`` …); it pickles as packed columns.
+    series: SampleFrame
     #: Fleet host-seconds per power state, summed over hosts in inventory
     #: order.
     residency_s: Dict[PowerState, float]
@@ -93,7 +94,7 @@ def snapshot_result(result: "ScenarioResult") -> ScenarioArtifacts:
         trace_hash = jsonl_hash(trace_jsonl)
     return ScenarioArtifacts(
         report=result.report,
-        series=dict(result.sampler.series),
+        series=result.sampler.series,
         residency_s=residency_s,
         transit_s=transit_s,
         trace_hash=trace_hash,

@@ -6,7 +6,7 @@ power machines, and accumulates the series and integrals every experiment
 reads (power, capacity, shortfall, host counts).
 """
 
-from repro.telemetry.timeseries import TimeSeries
+from repro.telemetry.timeseries import SampleFrame, TimeSeries
 from repro.telemetry.sampler import ClusterSampler
 from repro.telemetry.metrics import SimReport, build_report
 from repro.telemetry.trace import (
@@ -29,6 +29,7 @@ __all__ = [
     "Channel",
     "ClusterSampler",
     "ClusterView",
+    "SampleFrame",
     "SimReport",
     "StalenessModel",
     "TimeSeries",

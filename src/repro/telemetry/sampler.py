@@ -10,7 +10,7 @@ from repro.datacenter.vm import Priority
 from repro.sim import ResumeSpec
 from repro.power.states import PowerState
 from repro.telemetry.lattice import DemandLattice
-from repro.telemetry.timeseries import BoundedTimeSeries, TimeSeries
+from repro.telemetry.timeseries import SampleFrame
 from repro.telemetry.view import Channel, ClusterView
 
 
@@ -21,7 +21,7 @@ class ClusterSampler:
 
     1. re-evaluates every VM's demand and pushes host utilizations into
        the power machines (this *is* the simulation's workload dynamics);
-    2. appends one sample to each recorded series;
+    2. appends one row to its sample frame, one value per series;
     3. accumulates shortfall (demand not delivered) integrals for the
        performance-violation metrics.
     """
@@ -41,13 +41,8 @@ class ClusterSampler:
         "shortfall_bronze",
     )
 
-    #: Hoisted (priority, series-name) pairs: the per-tick loop binds both
-    #: directly instead of doing dict lookups keyed on the enum.
-    _CLASS_COLUMNS = (
-        (Priority.GOLD, "shortfall_gold"),
-        (Priority.SILVER, "shortfall_silver"),
-        (Priority.BRONZE, "shortfall_bronze"),
-    )
+    #: The classes of the last three series, in their order.
+    _CLASSES = (Priority.GOLD, Priority.SILVER, Priority.BRONZE)
 
     def __init__(
         self,
@@ -73,15 +68,14 @@ class ClusterSampler:
         self.seed = seed
         #: Telemetry snapshots the channel lost.
         self.telemetry_dropped = 0
-        #: Bounded mode (service runs): series keep O(1) incremental
+        #: Bounded mode (service runs): the frame keeps O(1) incremental
         #: aggregates instead of every sample, so RAM stays flat over
         #: arbitrary horizons.  The report statistics remain available;
         #: raw sample access does not (stream them via ``attach_sink``).
         self.bounded = bounded
-        series_cls = BoundedTimeSeries if bounded else TimeSeries
-        self.series: Dict[str, TimeSeries] = {
-            name: series_cls(name) for name in self.SERIES
-        }
+        #: One row per tick, one column per ``SERIES`` name;
+        #: ``series[name]`` reads a column.
+        self.series = SampleFrame(self.SERIES, bounded=bounded)
         #: Optional per-window streaming sink (service mode); explicitly
         #: not pickled — the runner reattaches it on checkpoint resume.
         self._sink = None
@@ -358,24 +352,30 @@ class ClusterSampler:
             self._agg_headroom = headroom_sum
         committed = cluster.committed_capacity_cores()
         n_active = cluster.n_active_hosts()
+        n_parked = cluster.n_parked_hosts()
         vm_count = cluster.vm_count
-        s = self.series
-        s["demand_cores"].append(now, demand)
-        s["active_capacity_cores"].append(now, cluster.active_capacity_cores())
-        s["committed_capacity_cores"].append(now, committed)
-        s["power_w"].append(now, power_total)
-        s["active_hosts"].append(now, n_active)
-        s["parked_hosts"].append(now, cluster.n_parked_hosts())
-        s["transitioning_hosts"].append(now, cluster.n_transitioning_hosts())
-        s["shortfall_cores"].append(now, shortfall)
-        s["vm_count"].append(now, vm_count)
+        # One row in ``SERIES`` order.
+        self.series.append(
+            now,
+            (
+                demand,
+                cluster.active_capacity_cores(),
+                committed,
+                power_total,
+                n_active,
+                n_parked,
+                cluster.n_transitioning_hosts(),
+                shortfall,
+                vm_count,
+                gold_sf,
+                silver_sf,
+                bronze_sf,
+            ),
+        )
         epoch_s = self.epoch_s
         class_sf = (gold_sf, silver_sf, bronze_sf)
         class_d = (gold_d, silver_d, bronze_d)
-        for (priority, name), sf_value, d_value in zip(
-            self._CLASS_COLUMNS, class_sf, class_d
-        ):
-            s[name].append(now, sf_value)
+        for priority, sf_value, d_value in zip(self._CLASSES, class_sf, class_d):
             self.class_shortfall_core_s[priority] += sf_value * epoch_s
             self.class_demand_core_s[priority] += d_value * epoch_s
         self.shortfall_core_s += shortfall * epoch_s
@@ -389,7 +389,7 @@ class ClusterSampler:
                     "demand_cores": demand,
                     "power_w": power_total,
                     "active_hosts": n_active,
-                    "parked_hosts": cluster.n_parked_hosts(),
+                    "parked_hosts": n_parked,
                     "committed_capacity_cores": committed,
                     "shortfall_cores": shortfall,
                     "vm_count": vm_count,

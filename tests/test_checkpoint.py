@@ -8,6 +8,7 @@ validator certifies the resumed runs too.
 """
 
 import json
+import pickle
 
 import pytest
 
@@ -171,8 +172,10 @@ class TestRejection:
         # schema 6 pickled each host's latency generator, which a machine
         # now makes on its first jittered transition; schema 7 pickled a
         # cluster without the cores and memory-capacity arrays its
-        # planning views read.  The manifest check must refuse all seven
-        # before anything is unpickled.
+        # planning views read; schema 8 pickled a sampler whose series
+        # were a dict of list-backed series, not one sample frame.  The
+        # manifest check must refuse all eight before anything is
+        # unpickled.
         import repro.core.checkpoint as checkpoint
 
         path = self._one_checkpoint(tmp_path)
@@ -183,7 +186,7 @@ class TestRejection:
             raise AssertionError("an old-schema payload was unpickled")
 
         monkeypatch.setattr(checkpoint, "pickle", type("P", (), {"loads": unpickled}))
-        for schema in (1, 2, 3, 4, 5, 6, 7):
+        for schema in (1, 2, 3, 4, 5, 6, 7, 8):
             path.write_bytes(
                 magic + b"\n"
                 + json.dumps(dict(manifest, schema=schema), sort_keys=True).encode()
@@ -259,9 +262,15 @@ class TestBoundedSeries:
 
     def test_bounded_series_keeps_no_samples(self):
         bounded = run_scenario(s3_policy(), bounded_series=True, **KW)
-        series = bounded.sampler.series["power_w"]
-        assert len(series._times) == 0
+        frame = bounded.sampler.series
+        series = frame["power_w"]
         assert len(series) > 0
+        # The frame's pickle does not grow with its rows: only the row
+        # count's encoding may widen.
+        size = len(pickle.dumps(frame))
+        for _ in range(1000):
+            frame.append(frame.last_t + 60.0, [1.0] * len(frame))
+        assert len(pickle.dumps(frame)) <= size + 8
         with pytest.raises(RuntimeError, match="no samples"):
             series.values
         # The trace is unaffected by the series representation.

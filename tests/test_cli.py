@@ -193,6 +193,8 @@ BAD = [
     (["fuzz", "--workers", "0"], "argument --workers"),
     (["fuzz", "--shrink-budget", "-5"], "argument --shrink-budget"),
     (["fuzz", "--campaign", "0"], "argument --campaign"),
+    # Ran and printed "campaign seed -1"; run and compare refused it.
+    (["fuzz", "--campaign", "1", "--seed", "-1"], "argument --seed"),
     (["branch", "ck.repro", "--hours", "-1"], "argument --hours"),
     # Contradictory pairs.
     (["run", "--bounded", "--timeline"], "argument --timeline"),
@@ -210,6 +212,23 @@ BAD = [
 @pytest.mark.parametrize("argv, needle", BAD, ids=[" ".join(argv) for argv, _ in BAD])
 def test_bad_invocation_is_usage_error(argv, needle, refused):
     refused(argv, needle)
+
+
+@pytest.mark.parametrize("env", ["0", "-4", "x"])
+def test_compare_bad_repro_workers_is_usage_error(env, tmp_path, monkeypatch, capsys):
+    # It used to end in a ValueError traceback (exit 1); branch and fuzz
+    # exit 2 with the same message.
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("REPRO_WORKERS", env)
+    monkeypatch.setattr(
+        "repro.cli.run_scenarios", lambda *a, **kw: pytest.fail("compare ran")
+    )
+    argv = ["compare", "--hosts", "4", "--vms", "8", "--hours", "1", "--no-cache"]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert err == "repro compare: REPRO_WORKERS must be an integer >= 1, got {!r}\n".format(env)
+    assert out == ""
+    assert list(tmp_path.iterdir()) == []
 
 
 # -- (c) the removed verbs' scenarios, built by hand --------------------
