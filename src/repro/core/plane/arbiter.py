@@ -53,7 +53,7 @@ from repro.datacenter.vm import VM
 from repro.fold import left_sum
 from repro.migration.engine import MigrationEngine
 from repro.placement.balancer import LoadBalancer
-from repro.placement.evacuation import TargetView, plan_evacuation
+from repro.placement.evacuation import plan_evacuation
 from repro.placement.planning import PlanningView
 from repro.power.states import PowerState
 from repro.sim import ResumeSpec
@@ -608,11 +608,10 @@ class PowerAwareManager:
         now = self.env.now
         target = evac_cpu_target if evac_cpu_target is not None else self.config.cpu_target
         parks = 0
-        # One target view for the round: nothing a plan reads changes
-        # between candidates (the evacuations started here first run at
-        # a later event) except the ``evacuating`` flag of the hosts
-        # started, which leave the views as they leave the placeable set.
-        targets: Optional[TargetView] = None
+        # Every candidate plans on the round's view: nothing a plan reads
+        # changes between candidates (the evacuations started here first
+        # run at a later event) except the ``evacuating`` flag of the
+        # hosts started, which ``mark_evacuating`` mirrors into the view.
         for host in self._park_candidates(view):
             if parks >= self.config.max_parks_per_round:
                 break
@@ -620,15 +619,12 @@ class PowerAwareManager:
                 break
             if not self._can_spare(host):
                 break
-            if targets is None:
-                targets = TargetView.of(view, target)
-            plan = targets.plan(host, trace=self.log.trace)
+            plan = plan_evacuation(view, host, target, self.log.trace)
             if plan is None:
                 continue
             task = _EvacuationTask(host, plan)
             self._evacs[host.name] = task
             host.evacuating = True
-            targets.drop(host)
             view.mark_evacuating(host)
             self.log.emit(
                 ManagerDecision(
@@ -808,22 +804,15 @@ class PowerAwareManager:
     ) -> Optional[Host]:
         """Re-plan where ``vm`` should land for a retried migration.
 
-        Re-runs the evacuation planner over the host's *remaining* VMs so
-        the retry sees current loads and reservations; the original
-        destination may be picked again if it is still the best target.
+        Re-runs the evacuation planner over the *whole* source host, on
+        the cluster's view now, so the retry sees current loads and
+        reservations; the original destination may be picked again if it
+        is still the best target.  A plan needs every VM on the host, so
+        while a sibling VM is still migrating it fails, and the caller
+        then cancels the evacuation.
         """
-        now = self.env.now
-        targets = [
-            t
-            for t in self.cluster.placeable_hosts()
-            if t is not task.host and not t.evacuating
-        ]
         plan = plan_evacuation(
-            task.host,
-            targets,
-            cpu_target=self.config.cpu_target,
-            trace=self.log.trace,
-            now=now,
+            self._planning_view(), task.host, self.config.cpu_target, self.log.trace
         )
         if plan is None:
             return None
@@ -874,13 +863,7 @@ class PowerAwareManager:
         if host.state.is_parked:
             return True
         now = self.env.now
-        plan = plan_evacuation(
-            host,
-            [t for t in self.cluster.placeable_hosts() if t is not host],
-            cpu_target=1.0,
-            trace=self.log.trace,
-            now=now,
-        )
+        plan = plan_evacuation(self._planning_view(), host, 1.0, self.log.trace)
         if plan is None:
             host.in_maintenance = False
             self.log.emit(

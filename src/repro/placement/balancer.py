@@ -11,7 +11,7 @@ cost/benefit filter to avoid migration churn).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -61,21 +61,13 @@ class LoadBalancer:
     def __init__(self, config: Optional[BalanceConfig] = None) -> None:
         self.config = config or BalanceConfig()
 
-    def recommend(
-        self,
-        hosts: Sequence[Host],
-        now: float = 0.0,
-    ) -> List[Move]:
+    def moves(self, view: PlanningView) -> List[Move]:
         """Return up to ``max_moves_per_round`` de-overload/balance moves.
 
-        VM demand is read at ``now``; per-host loads are the hosts'
-        resident demand.  Sources are the active hosts, destinations the
-        placeable ones.
+        VM demand is read at the view's instant; per-host loads are the
+        hosts' resident demand.  Sources are the active hosts,
+        destinations the placeable ones.
         """
-        return self.moves(PlanningView.of_hosts(hosts, now))
-
-    def moves(self, view: PlanningView) -> List[Move]:
-        """:meth:`recommend` over a planning view's hosts."""
         cfg = self.config
         now = view.now
         # Utilization per host, mutated as moves are chosen.

@@ -33,7 +33,8 @@ class StreamingMetricsSink:
     Fresh start: truncates ``path`` and writes a one-line header.
     Resume: pass the checkpoint's ``resume_offset``/``resume_windows`` —
     the file is truncated back to the fsynced offset and emission
-    continues exactly where the checkpointed run stood.
+    continues exactly where the checkpointed run stood.  A file shorter
+    than the offset is refused (``ValueError``) and left as it is.
     """
 
     def __init__(
@@ -65,6 +66,14 @@ class StreamingMetricsSink:
             if not self.path.exists():
                 raise FileNotFoundError(
                     "cannot resume stream: {} does not exist".format(self.path)
+                )
+            size = self.path.stat().st_size
+            if size < resume_offset:
+                # ``truncate`` would pad the file with NUL bytes up to the
+                # offset: the windows before it are lost, not torn.
+                raise ValueError(
+                    "cannot resume stream: {} holds {} bytes, fewer than the "
+                    "checkpoint's offset {}".format(self.path, size, resume_offset)
                 )
             self._handle = open(  # reprolint: disable=RL016
                 self.path, "r+b"

@@ -7,6 +7,7 @@ from repro.datacenter import Cluster, Host, InsufficientCapacity, VM
 from repro.migration import MigrationEngine
 from repro.placement import (
     PackingError,
+    PlanningView,
     dot_product_packing,
     first_fit_decreasing,
     plan_evacuation,
@@ -111,9 +112,7 @@ class TestPlannerEnforcement:
         cluster.add_vm(mover, cluster.hosts[0])
         cluster.add_vm(resident, cluster.hosts[1])
         plan = plan_evacuation(
-            cluster.hosts[0],
-            cluster.hosts[1:],
-            now=0.0,
+            PlanningView.of_cluster(cluster, 0.0), cluster.hosts[0], 0.85
         )
         assert plan is not None
         assert plan[0][1] is cluster.hosts[2]
@@ -126,9 +125,7 @@ class TestPlannerEnforcement:
         cluster.add_vm(mover, cluster.hosts[0])
         cluster.add_vm(resident, cluster.hosts[1])
         plan = plan_evacuation(
-            cluster.hosts[0],
-            cluster.hosts[1:],
-            now=0.0,
+            PlanningView.of_cluster(cluster, 0.0), cluster.hosts[0], 0.85
         )
         assert plan is None
 

@@ -229,6 +229,19 @@ class TestStreaming:
         resume_scenario(path, stream=live)
         assert live.read_bytes() == golden
 
+    def test_stream_resume_refuses_a_file_shorter_than_its_offset(self, tmp_path):
+        live = tmp_path / "live.jsonl"
+        ckpt = _checkpointed(tmp_path, s3_policy(), "short", stream=live)
+        path, manifest = ckpt.checkpoints.saved[2]
+        offset = manifest["stream_offset"]
+        cut = live.read_bytes()[:200]
+        assert len(cut) < offset
+        live.write_bytes(cut)
+        with pytest.raises(ValueError, match="200 bytes.*offset {}".format(offset)) as info:
+            resume_scenario(path, stream=live)
+        assert str(live) in str(info.value)
+        assert live.read_bytes() == cut
+
     def test_stream_resume_requires_recorded_offset(self, tmp_path):
         ckpt = _checkpointed(tmp_path, s3_policy(), "nostream")
         path, _ = ckpt.checkpoints.saved[0]

@@ -1,8 +1,8 @@
 """The evacuation planner's capacity bound never refuses a plan best fit completes.
 
-``TargetView.bounded_demands`` refuses a host whose VMs need more memory
-or CPU than the view's other targets have spare together, before best
-fit runs.  The views below are seeded and random, built so that many sit
+``bounded_demands`` refuses a host whose VMs need more memory or CPU
+than the planning view's other placeable hosts have spare together,
+before best fit runs.  The views below are seeded and random, built so that many sit
 at the bound's edge: the candidate's demands and memories are packed
 into its targets' budgets to within 1e-9 on either side, next to
 targets with negative budgets, the candidate inside and outside the
@@ -16,7 +16,8 @@ import random
 import pytest
 
 from repro.datacenter import Host, VM
-from repro.placement.evacuation import TargetView
+from repro.placement.evacuation import bounded_demands, plan_evacuation
+from repro.placement.planning import PlanningView
 from repro.prototype import PROTOTYPE_BLADE
 from repro.sim import Environment
 from repro.telemetry import TraceBuffer
@@ -118,12 +119,12 @@ def check(seed):
     """Plan one view both ways; returns ``(refused, completed)``."""
     candidate, targets, cpu_target = random_view(seed)
     now = 0.0
-    view = TargetView(targets, cpu_target, now)
+    view = PlanningView.of_hosts(targets, now)
     movable = [vm for vm in candidate.vms.values() if not vm.migrating]
     pinned = len(movable) != len(candidate.vms)
-    refused = not pinned and view.bounded_demands(candidate, movable) is None
+    refused = not pinned and bounded_demands(view, candidate, movable, cpu_target) is None
     got_trace = TraceBuffer()
-    got = view.plan(candidate, trace=got_trace)
+    got = plan_evacuation(view, candidate, cpu_target, trace=got_trace)
     want_trace = TraceBuffer()
     others = [t for t in targets if t is not candidate]
     want = reference_plan(candidate, others, cpu_target, want_trace, now)
@@ -151,10 +152,11 @@ def test_views_reach_every_edge():
                 grouped=0, tight=0)
     for seed in range(VIEWS):
         candidate, targets, cpu_target = random_view(seed)
-        view = TargetView(targets, cpu_target, 0.0)
+        view = PlanningView.of_hosts(targets, 0.0)
+        cpu, mem, _, _ = view.budgets(cpu_target)
         seen["inside" if candidate in targets else "outside"] += 1
-        seen["negative_cpu"] += any(c < 0.0 for c in view.cpu)
-        seen["negative_mem"] += any(m < 0.0 for m in view.mem)
+        seen["negative_cpu"] += any(c < 0.0 for c in cpu)
+        seen["negative_mem"] += any(m < 0.0 for m in mem)
         vms = list(candidate.vms.values())
         seen["pinned"] += any(vm.migrating for vm in vms)
         seen["grouped"] += any(vm.anti_affinity_group for vm in vms)
@@ -162,41 +164,54 @@ def test_views_reach_every_edge():
         for vm in vms:
             need += vm.demand_cores(0.0)
         spare = 0.0
-        for t, c in zip(view.hosts, view.cpu):
+        for t, c in zip(view.hosts, cpu):
             if t is not candidate and c > 0.0:
                 spare += c
         seen["tight"] += abs(need - spare) <= len(vms) * 1e-9
     assert min(seen.values()) >= 40, seen
 
 
-def test_memory_refusal_reads_no_demand(monkeypatch):
+def refuse_on_memory(monkeypatch, inside):
+    """``c``'s 12 GB against ``t``'s 8 GB free, ``c`` in the view when ``inside``."""
     env = Environment()
     host = Host(env, "c", PROTOTYPE_BLADE, cores=16.0, mem_gb=64.0)
     target = Host(env, "t", PROTOTYPE_BLADE, cores=16.0, mem_gb=8.0)
     host.place(VM("a", vcpus=2, mem_gb=6.0, trace=FlatTrace(0.5)))
     host.place(VM("b", vcpus=2, mem_gb=6.0, trace=FlatTrace(0.5)))
+    view = PlanningView.of_hosts([host, target] if inside else [target], 0.0)
     reads = []
     monkeypatch.setattr(VM, "demand_cores", lambda vm, t: reads.append(vm) or 1.0)
     trace = TraceBuffer()
-    assert TargetView([target], 0.85, 0.0).plan(host, trace=trace) is None
+    assert plan_evacuation(view, host, 0.85, trace=trace) is None
     assert reads == []
     assert trace.events == [EvacuationPlanned(0.0, "c", 2, ok=False)]
 
 
-def test_drop_keeps_the_spare_current():
+def test_memory_refusal_reads_no_demand(monkeypatch):
+    refuse_on_memory(monkeypatch, inside=False)
+
+
+def test_own_free_memory_is_no_spare(monkeypatch):
+    """In the view, the candidate's own 52 GB free still leaves 8 GB of spare."""
+    refuse_on_memory(monkeypatch, inside=True)
+
+
+def test_mark_evacuating_keeps_the_spares_current():
     env = Environment()
     hosts = [Host(env, "h{}".format(i), PROTOTYPE_BLADE, cores=4.0 + i, mem_gb=8.0)
              for i in range(4)]
     hosts[1].mem_reserved_gb = 10.0
-    view = TargetView(hosts, 1.0, 0.0)
-    assert (view.spare_cpu, view.spare_mem) == (4.0 + 5.0 + 6.0 + 7.0, 24.0)
-    view.drop(hosts[2])
-    assert (view.spare_cpu, view.spare_mem) == (4.0 + 5.0 + 7.0, 16.0)
-    assert hosts[2] not in view.hosts
+    view = PlanningView.of_hosts(hosts, 0.0)
+    assert view.budgets(1.0)[2:] == (4.0 + 5.0 + 6.0 + 7.0, 24.0)
+    view.mark_evacuating(hosts[2])
+    assert view.budgets(1.0)[2:] == (4.0 + 5.0 + 7.0, 16.0)
+    assert not view.placeable[2]
+    # The budgets themselves do not move; the host leaves the spares.
+    assert view.budgets(1.0)[0].tolist() == [4.0, 5.0, 6.0, 7.0]
 
 
 def test_duplicate_targets_rejected():
     env = Environment()
     host = Host(env, "h", PROTOTYPE_BLADE)
     with pytest.raises(ValueError, match="distinct"):
-        TargetView([host, host], 0.85, 0.0)
+        PlanningView.of_hosts([host, host], 0.0)

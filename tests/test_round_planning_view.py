@@ -2,11 +2,14 @@
 
 ``PowerAwareManager`` builds one :class:`PlanningView` per round and
 every per-host scan of the round reads it: the park-candidate order,
-the evacuation budgets and best fit (:class:`TargetView`) and the
-balancer's source and destination scans.  The references below are the
-host-walking versions those scans replaced: ``reference_candidates`` and
-``reference_shrink`` from ``test_shrink_round_view`` and, here, the
-balancer's load dict and scans.
+the evacuation budgets and best fit (``PlanningView.budgets`` and
+``plan_evacuation``) and the balancer's source and destination scans; a
+retried migration and a maintenance drain plan on a fresh view of the
+cluster.  The references below are the host-walking versions those
+scans replaced: ``reference_candidates``, ``reference_shrink`` and
+``reference_plan`` from ``test_shrink_round_view`` and, here, the
+balancer's load dict and scans and the target lists retries and drains
+built by hand.
 
 Each seeded round is built twice, identically: hosts cloned from a few
 templates (so loads, budgets and utilizations tie), anti-affinity
@@ -25,9 +28,11 @@ import pytest
 
 from repro.core import ManagerConfig, PowerAwareManager
 from repro.core.plane import DetectorReport, LocalDetectors
+from repro.core.plane.arbiter import _EvacuationTask
 from repro.datacenter import Cluster, Host, VM
 from repro.migration import MigrationEngine
 from repro.placement import BalanceConfig, LoadBalancer, Move
+from repro.placement.evacuation import plan_evacuation
 from repro.placement.planning import PlanningView
 from repro.prototype import LEGACY_BLADE, PROTOTYPE_BLADE
 from repro.sim import Environment
@@ -35,7 +40,11 @@ from repro.telemetry import Channel, TraceBuffer
 from repro.telemetry.lattice import DemandLattice
 from repro.trace_events import EvacuationPlanned
 from repro.workload import FlatTrace
-from tests.test_shrink_round_view import reference_candidates, reference_shrink
+from tests.test_shrink_round_view import (
+    reference_candidates,
+    reference_plan,
+    reference_shrink,
+)
 
 ROUNDS = 80
 
@@ -297,6 +306,115 @@ def test_rounds_reach_every_case():
     assert min(seen.values()) >= 5, seen
 
 
+# ----------------------------------------------------------------------
+# Retries and maintenance drains
+# ----------------------------------------------------------------------
+
+#: A lattice tick at fill, an instant between ticks after some flights
+#: moved, and the next tick (stale rows where a flight completed).
+INSTANTS = (0.0, 20.0, 60.0)
+
+
+def planned(events):
+    return [e for e in events if isinstance(e, EvacuationPlanned)]
+
+
+def retry_case(manager, trace, host):
+    """``_retry_destination`` for ``host``'s first VM against the hand-built targets."""
+    cluster = manager.cluster
+    now = manager.env.now
+    cpu_target = manager.config.cpu_target
+    host.evacuating = True
+    try:
+        targets = [
+            t for t in cluster.placeable_hosts() if t is not host and not t.evacuating
+        ]
+        want_trace = TraceBuffer()
+        want = reference_plan(host, targets, cpu_target, want_trace, now)
+        assert plan_evacuation(manager._planning_view(), host, cpu_target) == want
+        vm = next(iter(host.vms.values()))
+        if vm.migrating:
+            return want
+        before = len(trace.events)
+        got = manager._retry_destination(_EvacuationTask(host, []), vm)
+        assert got == (None if want is None else dict(want)[vm])
+        assert planned(trace.events[before:]) == want_trace.events
+        return want
+    finally:
+        host.evacuating = False
+
+
+def drain_case(manager, trace, host):
+    """``_maintenance_drain``'s plan for ``host`` against the hand-built targets.
+
+    The engine refuses every migration, so the drain aborts once it has
+    asked for each planned one: what it asked for is its plan.
+    """
+    cluster = manager.cluster
+    now = manager.env.now
+    held = host.in_maintenance
+    host.in_maintenance = True
+    targets = [t for t in cluster.placeable_hosts() if t is not host]
+    want_trace = TraceBuffer()
+    want = reference_plan(host, targets, 1.0, want_trace, now)
+    asked = []
+
+    def refuse(vm, dst):
+        asked.append((vm, dst))
+        raise RuntimeError("refused")
+
+    manager.engine.migrate = refuse
+    before = len(trace.events)
+    try:
+        drain = manager._maintenance_drain(host)
+        with pytest.raises(StopIteration) as stop:
+            next(drain)
+    finally:
+        del manager.engine.migrate
+        host.in_maintenance = held
+    assert stop.value.value is False
+    assert asked == ([] if want is None else want)
+    assert planned(trace.events[before:]) == want_trace.events
+    return want
+
+
+@pytest.mark.parametrize("seed", range(0, ROUNDS, 2))
+def test_retries_and_drains_plan_on_the_cluster_view(seed):
+    spec = random_spec(seed)
+    for at in INSTANTS:
+        manager, trace = build(spec)
+        manager.env.run(until=at)
+        for host in manager.cluster.hosts:
+            if host.is_active and not host.evacuating and host.vms:
+                retry_case(manager, trace, host)
+                drain_case(manager, trace, host)
+
+
+def test_retries_and_drains_reach_every_case():
+    seen = dict(planned=0, refused=0, pinned=0, taxed=0, reserved=0, off_tick=0, stale=0)
+    for seed in range(0, ROUNDS, 2):
+        spec = random_spec(seed)
+        for at in INSTANTS:
+            manager, trace = build(spec)
+            manager.env.run(until=at)
+            cluster = manager.cluster
+            lattice = cluster._lattice
+            if lattice is not None:
+                if lattice.resident_row(at) is None:
+                    seen["off_tick"] += 1
+                else:
+                    seen["stale"] += bool(lattice.resident_row(at)[1])
+            seen["taxed"] += any(h.migration_tax_cores > 0 for h in cluster.hosts)
+            seen["reserved"] += any(h.mem_reserved_gb > 0 for h in cluster.hosts)
+            for host in cluster.hosts:
+                if host.is_active and not host.evacuating and host.vms:
+                    seen["pinned"] += any(vm.migrating for vm in host.vms.values())
+                    for plan in (retry_case(manager, trace, host),
+                                 drain_case(manager, trace, host)):
+                        seen["planned" if plan is not None else "refused"] += 1
+    assert min(seen.values()) >= 5, seen
+
+
 def test_view_values_are_the_scalar_reads():
     for seed in range(0, ROUNDS, 4):
         manager, _ = build(random_spec(seed))
@@ -314,13 +432,13 @@ def test_view_values_are_the_scalar_reads():
 
 
 def test_one_shot_balancer_equals_the_host_walks():
-    """``recommend`` over any host list, not only a cluster's round view."""
+    """``moves`` over a view of any host list, not only a cluster's round view."""
     for seed in range(ROUNDS):
         spec = random_spec(seed)
         manager, _ = build(spec)
         hosts = manager.cluster.hosts
         config = manager.balancer.config
-        got = LoadBalancer(config).recommend(hosts, now=0.0)
+        got = LoadBalancer(config).moves(PlanningView.of_hosts(hosts, 0.0))
         want = reference_moves(config, hosts, 0.0)
         assert [(m.vm, m.src, m.dst, m.reason) for m in got] == [
             (m.vm, m.src, m.dst, m.reason) for m in want

@@ -1,7 +1,8 @@
-"""The shrink round's target view plans exactly like per-candidate planning.
+"""The shrink round's planning view plans exactly like per-candidate planning.
 
-``PowerAwareManager._shrink`` builds one :class:`TargetView` per round
-from the round's planning view and plans every park candidate on it.
+``PowerAwareManager._shrink`` plans every park candidate on the round's
+planning view, whose evacuation budgets and spares are built at the
+first plan and reset when a host starts evacuating.
 The reference below is the loop it replaced, kept here verbatim in
 behaviour: it walks the hosts for the candidate order and rebuilds the
 target list and every budget for each candidate.  Each case runs one
