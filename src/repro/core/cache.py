@@ -8,8 +8,7 @@ outcome:
 
 * the policy :class:`~repro.core.config.ManagerConfig` (all fields),
 * every ``run_scenario`` keyword argument (fleet spec, seed, horizon …),
-* the installed package version (:data:`repro.__version__`), a cache
-  schema number, and a sha256 of the package's own ``.py`` sources.
+* :func:`source_sha256`, the sha256 of the package's own ``.py`` sources.
 
 The key is built from a canonical JSON encoding, so two configs with the
 same values always hash identically regardless of construction order.
@@ -19,9 +18,10 @@ still *run*, they just skip the cache.
 
 Invalidation rules:
 
-* bumping ``repro.__version__`` or :data:`CACHE_SCHEMA`, or changing
-  any byte of the package's sources, invalidates every entry (stale
-  entries are simply never looked up again);
+* changing any byte of the package's sources invalidates every entry
+  (stale entries are simply never looked up again); checkpoints carry
+  the same digest (:mod:`repro.core.checkpoint`), so one rule decides
+  staleness for both;
 * ``ResultCache.clear()`` (or ``repro cache clear``) deletes everything;
 * the ``REPRO_NO_CACHE`` environment variable disables lookups entirely;
 * ``REPRO_CACHE_DIR`` relocates the cache (default
@@ -42,73 +42,11 @@ from typing import Any, Dict, Iterable, Optional, Union
 
 from repro.fold import left_sum
 
-#: Bump to invalidate every cached result after a format change.
-#: 2: report.extra gained the fault-recovery counters (wake_retries,
-#:    blacklists, escalations, hosts_repaired, retires_unknown).
-#: 3: report.extra gained the degraded-plane counters (migrations_started/
-#:    completed/aborted/failed, migration_retries, safe_mode_enters/exits,
-#:    telemetry_dropped).
-#: 4: report.extra gained the management-plane counters (wake_rejections,
-#:    detector_reports, detector_reports_dropped).
-#: 5: entries gained the digest-framed on-disk layout (magic + sha256
-#:    over the pickle payload); pre-frame entries are unreadable.
-#: 6: ScenarioArtifacts carries ``series``/``residency_s``/``transit_s``
-#:    instead of sampler/cluster/manager snapshots, and a traced spec
-#:    asks for its trace in ``kwargs`` instead of a ``trace`` field.
-#: 7: the key folds in a sha256 of the package's own sources, so results
-#:    recorded by different code are never served.
-#: 8: ScenarioArtifacts carries the sampler's ``SampleFrame`` as its
-#:    ``series`` instead of a dict of list-backed series.
-CACHE_SCHEMA = 8
-
 #: On-disk entry framing: magic line, sha256 hex of the payload, newline,
 #: pickle payload.  A read that fails any of these checks is *quarantined*
 #: (renamed aside for inspection), never trusted and never raised through
 #: to the caller — a torn cache entry must degrade to a cache miss.
 _ENTRY_MAGIC = b"REPROCACHE1\n"
-
-#: Every counter key ``run_scenario`` writes into ``report.extra``.
-#:
-#: Cached results round-trip ``extra`` through pickle, so a counter that
-#: exists in fresh runs but not in this list is exactly the kind of
-#: silent schema drift the CACHE_SCHEMA bumps above exist to prevent —
-#: reprolint RL013 cross-checks this list against the actual
-#: ``report.extra`` writes by AST, in both directions.  Adding a counter
-#: means adding it here *and* bumping :data:`CACHE_SCHEMA`.
-EXTRA_FIELDS = (
-    "reactive_wakes",
-    "wakes_requested",
-    "parks_completed",
-    "evacuations_aborted",
-    "balancer_moves",
-    "mean_admission_wait_s",
-    "pending_admissions_end",
-    "wake_failures",
-    "wake_retries",
-    "wake_rejections",
-    "blacklists",
-    "escalations",
-    "hosts_repaired",
-    "retires_unknown",
-    "hosts_out_of_service",
-    "cap_deferrals",
-    "migrations_started",
-    "migrations_completed",
-    "migrations_aborted",
-    "migrations_failed",
-    "migration_retries",
-    "safe_mode_enters",
-    "safe_mode_exits",
-    "telemetry_dropped",
-    "detector_reports",
-    "detector_reports_dropped",
-    "violation_gold",
-    "violation_silver",
-    "violation_bronze",
-    "churn_arrived",
-    "churn_rejected",
-    "churn_departed",
-)
 
 _ENV_DIR = "REPRO_CACHE_DIR"
 _ENV_DISABLE = "REPRO_NO_CACHE"
@@ -116,14 +54,6 @@ _ENV_DISABLE = "REPRO_NO_CACHE"
 
 class Uncacheable(TypeError):
     """The scenario contains state that has no canonical encoding."""
-
-
-def _package_version() -> str:
-    # Imported lazily: repro/__init__ imports repro.core, which imports
-    # this module — a top-level import would be circular.
-    import repro
-
-    return repro.__version__
 
 
 #: The package's source tree, whose bytes are part of every key.
@@ -142,6 +72,12 @@ def _source_sha256(root: Path) -> str:
         digest.update(path.relative_to(root).as_posix().encode("utf-8"))
         digest.update(path.read_bytes())
     return digest.hexdigest()
+
+
+def source_sha256() -> str:
+    """The running package's source digest: the identity of the code that
+    writes a cache entry or a checkpoint, and the only staleness rule."""
+    return _source_sha256(_PACKAGE_ROOT)
 
 
 def canonical(obj: Any) -> Any:
@@ -223,15 +159,13 @@ def scenario_digest(
 ) -> str:
     """Content hash identifying one ``run_scenario(config, **kwargs)`` call.
 
-    ``extra`` folds additional cache-key material (e.g. the fuzz
-    spec-grammar version) into the key; it is omitted from the payload
+    ``extra`` marks a key that describes something other than a plain
+    run (a branch from a checkpoint); it is omitted from the payload
     when None.
     """
     try:
         payload = {
-            "schema": CACHE_SCHEMA,
-            "version": _package_version(),
-            "source": _source_sha256(_PACKAGE_ROOT),
+            "source": source_sha256(),
             "config": canonical(config),
             "kwargs": canonical(kwargs),
         }
@@ -257,14 +191,13 @@ def default_cache_dir() -> Path:
 
 
 class ResultCache:
-    """Pickle-per-entry disk cache with an in-process read-through layer."""
+    """Pickle-per-entry disk cache: every hit reads and verifies its file."""
 
     def __init__(self, root: Union[str, "os.PathLike[str]", None] = None) -> None:
         self.root = Path(root).expanduser() if root else default_cache_dir()
         self.hits = 0
         self.misses = 0
         self.quarantined = 0
-        self._memory: Dict[str, Any] = {}
 
     # ------------------------------------------------------------------
     # Lookup / store
@@ -294,11 +227,8 @@ class ResultCache:
         """Return the cached value for ``key``, or None.
 
         Entries whose digest frame does not verify (torn write, bit rot,
-        or a pre-schema-5 file) are quarantined and reported as misses.
+        or an unframed file) are quarantined and reported as misses.
         """
-        if key in self._memory:
-            self.hits += 1
-            return self._memory[key]
         path = self._path(key)
         try:
             with open(path, "rb") as fh:
@@ -330,7 +260,6 @@ class ResultCache:
             self._quarantine(path)
             self.misses += 1
             return None
-        self._memory[key] = value
         self.hits += 1
         return value
 
@@ -338,7 +267,6 @@ class ResultCache:
         """Store ``value`` under ``key`` (digest-framed, atomic rename)."""
         from repro.core.atomicio import atomic_write
 
-        self._memory[key] = value
         payload = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
         digest = hashlib.sha256(payload).hexdigest().encode("ascii")
         atomic_write(self._path(key), _ENTRY_MAGIC + digest + b"\n" + payload)
@@ -364,7 +292,6 @@ class ResultCache:
                 removed += 1
             except OSError:
                 pass
-        self._memory.clear()
         return removed
 
     def __repr__(self) -> str:

@@ -38,12 +38,16 @@ File format
     {manifest JSON, one line}\\n
     <pickle payload>
 
-The manifest carries the schema version, the writing repro version, the
-payload byte count and its sha256.  Loads reject anything torn, stale or
-corrupted with a clear :class:`CheckpointError` — a bad checkpoint is
-never silently resumed.  Files are written through
-:func:`repro.core.atomicio.atomic_write` (tmp + fsync + rename), so a
-crash mid-save leaves the previous checkpoint intact.
+The manifest carries ``source``, the sha256 of the package sources that
+wrote the file (:func:`repro.core.cache.source_sha256`, the same digest
+that keys the result cache), the payload byte count and its sha256.
+Loads reject anything torn, corrupted or written by other code with a
+clear :class:`CheckpointError` — a bad checkpoint is never silently
+resumed, and one from other code is refused before its payload is
+unpickled, since its classes may no longer mean what they meant.  Files
+are written through :func:`repro.core.atomicio.atomic_write` (tmp +
+fsync + rename), so a crash mid-save leaves the previous checkpoint
+intact.
 """
 
 from __future__ import annotations
@@ -57,6 +61,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple, Union
 
 from repro.core.atomicio import atomic_write
+from repro.core.cache import source_sha256
 from repro.sim.environment import Environment
 from repro.sim.events import SharedTimeout, Timeout
 from repro.sim.process import Process, ResumeSpec
@@ -64,19 +69,6 @@ from repro.sim.process import Process, ResumeSpec
 if TYPE_CHECKING:
     from repro.core.config import ManagerConfig
     from repro.core.plane.arbiter import PowerAwareManager
-
-#: Bump on any incompatible change to the manifest or payload layout
-#: (2: one telemetry/report channel class, no neat manager subclass;
-#: 3: one demand lattice instead of per-object ``_grid*`` fields;
-#: 4: the plane's trace lives on its ``ManagementLog``, not on each
-#: component; 5: the trace event classes live in ``repro.trace_events``,
-#: and a pickle names each class's module; 6: the demand lattice keeps
-#: the slot its rows were rebuilt from and rows for VMs admitted after
-#: its fill; 7: a host machine holds the maker of its latency generator
-#: until its first jittered transition; 8: a cluster holds its hosts'
-#: cores and memory capacity as arrays for the planning view; 9: the
-#: sampler holds one sample frame instead of a dict of series).
-CHECKPOINT_SCHEMA = 9
 
 _MAGIC = b"REPROCKPT1\n"
 
@@ -218,16 +210,13 @@ def save_checkpoint(
     environment the records reference, so pickling preserves shared
     identity between record specs and the object graph).
     """
-    from repro import __version__
-
     payload = pickle.dumps(
         {"state": state, "records": records}, protocol=pickle.HIGHEST_PROTOCOL
     )
     manifest: Dict[str, Any] = dict(meta or {})
     manifest.update(
         {
-            "schema": CHECKPOINT_SCHEMA,
-            "repro_version": __version__,
+            "source": source_sha256(),
             "payload_bytes": len(payload),
             "sha256": hashlib.sha256(payload).hexdigest(),
         }
@@ -238,7 +227,11 @@ def save_checkpoint(
 
 
 def read_manifest(path: Union[str, Path]) -> Dict[str, Any]:
-    """Parse and validate a checkpoint's manifest without unpickling."""
+    """Parse and validate a checkpoint's manifest without unpickling.
+
+    Refuses a checkpoint written by other code, as :func:`load_checkpoint`
+    does, so a branch never keys its cache on a file it cannot resume.
+    """
     target = Path(path)
     if not target.exists():
         raise CheckpointError("no such checkpoint: {}".format(target))
@@ -253,23 +246,15 @@ def load_checkpoint(
     """Load and fully validate a checkpoint; never resumes a bad one.
 
     Returns ``(state, records, manifest)``.  Raises
-    :class:`CheckpointError` naming the exact defect — bad magic,
-    incompatible schema, stale writer version, truncation, or digest
-    mismatch — so operators can tell a torn file from a wrong one.
+    :class:`CheckpointError` naming the exact defect — bad magic, other
+    code's source digest, truncation, or digest mismatch — so operators
+    can tell a torn file from a wrong one.
     """
-    from repro import __version__
-
     target = Path(path)
     if not target.exists():
         raise CheckpointError("no such checkpoint: {}".format(target))
     data = target.read_bytes()
     manifest, payload = _split(data, target)
-    if manifest.get("repro_version") != __version__:
-        raise CheckpointError(
-            "stale checkpoint {}: written by repro {}, running {}".format(
-                target, manifest.get("repro_version"), __version__
-            )
-        )
     expected = manifest.get("payload_bytes")
     if not isinstance(expected, int) or len(payload) < expected:
         raise CheckpointError(
@@ -303,7 +288,8 @@ def load_checkpoint(
 
 
 def _split(data: bytes, target: Path) -> Tuple[Dict[str, Any], bytes]:
-    """Separate ``data`` into (manifest, payload), validating framing."""
+    """Separate ``data`` into (manifest, payload), validating framing and
+    the writer's source digest."""
     if not data.startswith(_MAGIC):
         raise CheckpointError(
             "not a repro checkpoint: {} (bad magic)".format(target)
@@ -322,10 +308,11 @@ def _split(data: bytes, target: Path) -> Tuple[Dict[str, Any], bytes]:
                 target, exc
             )
         ) from exc
-    if manifest.get("schema") != CHECKPOINT_SCHEMA:
+    written, running = manifest.get("source"), source_sha256()
+    if written != running:
         raise CheckpointError(
-            "incompatible checkpoint schema {} in {} (this build reads {})".format(
-                manifest.get("schema"), target, CHECKPOINT_SCHEMA
+            "stale checkpoint {}: written by source {}, running source {}".format(
+                target, written or "(none recorded)", running
             )
         )
     return manifest, data[header_end + 1:]
@@ -443,7 +430,6 @@ def rebind_config(
     manager.governor.config = config
     scoreboard = manager.scoreboard
     scoreboard.backoff_base_s = config.wake_backoff_base_s
-    scoreboard.backoff_max_s = config.wake_backoff_max_s
     scoreboard.blacklist_after_failures = config.blacklist_after_failures
     scoreboard.blacklist_hold_s = config.blacklist_hold_s
     detectors = manager.observer.detectors

@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Any, Optional
 
+from repro.datacenter.recovery import BACKOFF_MAX_S
 from repro.placement.balancer import BalanceConfig
 from repro.power.states import PowerState
 
@@ -60,7 +61,6 @@ class ManagerConfig:
     warm_pool_hosts: int = 2
     #: Attach an ondemand DVFS governor to every host (A5 ablation).
     enable_dvfs: bool = False
-    dvfs_target: float = 0.8
     #: Optional cluster power budget in watts: wakes that would project
     #: total power above it are deferred (peak shaving / branch-circuit
     #: limits).  None disables capping.
@@ -76,9 +76,8 @@ class ManagerConfig:
     admission_timeout_s: Optional[float] = None
     #: Fault recovery (see :mod:`repro.datacenter.recovery`): minimum wait
     #: before retrying a host whose wake failed; doubles per consecutive
-    #: failure up to ``wake_backoff_max_s``.
+    #: failure up to the scoreboard's ``BACKOFF_MAX_S`` ceiling.
     wake_backoff_base_s: float = 60.0
-    wake_backoff_max_s: float = 900.0
     #: After this many consecutive failures a host is blacklisted for
     #: ``blacklist_hold_s`` and the manager wakes *different* hosts.
     blacklist_after_failures: int = 3
@@ -92,30 +91,20 @@ class ManagerConfig:
     #: opportunistic and simply retried by the next balancing round): a
     #: failed mid-copy migration is retried up to this many times ...
     migration_retry_limit: int = 2
-    #: ... after an exponential backoff ``base * 2^(attempt-1)`` capped at
-    #: ``migration_backoff_max_s``, re-planning the destination when the
-    #: original target is no longer viable.
-    migration_backoff_base_s: float = 30.0
+    #: ... after an exponential backoff ``30 s * 2^(attempt-1)`` capped at
+    #: this, re-planning the destination when the original target is no
+    #: longer viable.
     migration_backoff_max_s: float = 300.0
     #: Total wall-clock budget for one VM's retry chain; once exceeded no
     #: further retry starts and the evacuation aborts (None = unbounded).
     migration_deadline_s: Optional[float] = 1800.0
     #: Safe-mode governor: freeze consolidation (no new evacuations or
     #: parks; in-flight evacuations drain) when the observed migration
-    #: failure fraction over ``safe_mode_window_s`` reaches this threshold
-    #: with at least ``safe_mode_min_failures`` failures observed, or the
-    #: telemetry snapshot the manager plans against is older than
-    #: ``safe_mode_telemetry_age_s``.  None disables the governor.
+    #: failure fraction reaches this threshold, or the telemetry the
+    #: manager plans against goes stale (window, failure floor, age limit
+    #: and hold are constants of :mod:`repro.core.plane.governor`).  None
+    #: disables the governor.
     safe_mode_failure_threshold: Optional[float] = 0.5
-    safe_mode_min_failures: int = 3
-    safe_mode_window_s: float = 1800.0
-    #: Telemetry-age trigger; only meaningful when a staleness model is
-    #: attached (ground-truth reads have age zero).
-    safe_mode_telemetry_age_s: Optional[float] = 600.0
-    #: Hysteresis: safe mode holds at least this long, and exits only once
-    #: the failure rate has fallen to half the entry threshold (and the
-    #: telemetry age back under its limit).
-    safe_mode_hold_s: float = 900.0
     #: Management-plane architecture (see :mod:`repro.core.plane`):
     #: "centralized" plans on the telemetry view directly; "neat" runs
     #: the OpenStack-Neat-style split — per-host local detectors feeding
@@ -148,18 +137,16 @@ class ManagerConfig:
             raise ValueError("deep_park_state must be a parked state")
         if self.warm_pool_hosts < 0:
             raise ValueError("warm_pool_hosts must be >= 0")
-        if not 0.0 < self.dvfs_target <= 1.0:
-            raise ValueError("dvfs_target must be in (0, 1]")
         if self.power_cap_w is not None and self.power_cap_w <= 0:
             raise ValueError("power_cap_w must be positive when set")
         if self.park_preference not in ("load", "efficiency"):
             raise ValueError("park_preference must be 'load' or 'efficiency'")
         if self.admission_timeout_s is not None and self.admission_timeout_s <= 0:
             raise ValueError("admission_timeout_s must be positive when set")
-        if self.wake_backoff_base_s <= 0:
-            raise ValueError("wake_backoff_base_s must be positive")
-        if self.wake_backoff_max_s < self.wake_backoff_base_s:
-            raise ValueError("wake_backoff_max_s must be >= wake_backoff_base_s")
+        if not 0.0 < self.wake_backoff_base_s <= BACKOFF_MAX_S:
+            raise ValueError(
+                "wake_backoff_base_s must be in (0, {}]".format(BACKOFF_MAX_S)
+            )
         if self.blacklist_after_failures < 1:
             raise ValueError("blacklist_after_failures must be >= 1")
         if self.blacklist_hold_s <= 0:
@@ -170,12 +157,8 @@ class ManagerConfig:
             raise ValueError("escalation_boost_hosts must be >= 1")
         if self.migration_retry_limit < 0:
             raise ValueError("migration_retry_limit must be >= 0")
-        if self.migration_backoff_base_s <= 0:
-            raise ValueError("migration_backoff_base_s must be positive")
-        if self.migration_backoff_max_s < self.migration_backoff_base_s:
-            raise ValueError(
-                "migration_backoff_max_s must be >= migration_backoff_base_s"
-            )
+        if self.migration_backoff_max_s <= 0:
+            raise ValueError("migration_backoff_max_s must be positive")
         if self.migration_deadline_s is not None and self.migration_deadline_s <= 0:
             raise ValueError("migration_deadline_s must be positive when set")
         if self.safe_mode_failure_threshold is not None and not (
@@ -184,17 +167,6 @@ class ManagerConfig:
             raise ValueError(
                 "safe_mode_failure_threshold must be in (0, 1] when set"
             )
-        if self.safe_mode_min_failures < 1:
-            raise ValueError("safe_mode_min_failures must be >= 1")
-        if self.safe_mode_window_s <= 0:
-            raise ValueError("safe_mode_window_s must be positive")
-        if (
-            self.safe_mode_telemetry_age_s is not None
-            and self.safe_mode_telemetry_age_s <= 0
-        ):
-            raise ValueError("safe_mode_telemetry_age_s must be positive when set")
-        if self.safe_mode_hold_s <= 0:
-            raise ValueError("safe_mode_hold_s must be positive")
         if self.plane not in ("centralized", "neat"):
             raise ValueError("plane must be 'centralized' or 'neat'")
         if self.neat_request_delay_s < 0:

@@ -122,10 +122,6 @@ class ScenarioSpec:
     config: ManagerConfig
     kwargs: Dict[str, Any] = field(default_factory=dict)
     label: Optional[str] = None
-    #: Extra cache-key material (e.g. the fuzz spec-grammar version, so a
-    #: grammar bump invalidates fuzz artifacts without touching other
-    #: cached scenarios).  Must be canonically encodable.
-    digest_extra: Optional[Dict[str, Any]] = None
 
     @property
     def name(self) -> str:
@@ -133,9 +129,7 @@ class ScenarioSpec:
 
     def digest(self) -> str:
         """Content hash for caching; raises ``Uncacheable`` when impossible."""
-        return scenario_digest(
-            self.config, self.kwargs, extra=self.digest_extra or None
-        )
+        return scenario_digest(self.config, self.kwargs)
 
     def run(self, fleet_store: Optional["FleetStore"] = None) -> ScenarioArtifacts:
         """Execute the scenario in this process and freeze the outcome.

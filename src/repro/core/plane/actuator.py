@@ -15,7 +15,7 @@ still sees the host parked, ``in_transition`` False and
 host.  The trace then shows two open ``off->active`` transitions (the
 ``state-machine``/``wake-exclusivity`` violation) and a retry attempt
 that failed to increase (the ``wake-backoff`` violation).  An in-flight
-set keyed on *dispatch*, not transition start, closes the window.
+record keyed on *dispatch*, not transition start, closes the window.
 
 Rejections are booked, not silent: ``log.wake_rejections`` counts them
 and a ``wake-rejected`` decision lands in the trace, so the corpus
@@ -24,7 +24,7 @@ reproducer can assert the fix fires where the bug used to.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable, Generator, Optional, Set
+from typing import TYPE_CHECKING, Any, Callable, Dict, Generator, List, Optional, Tuple
 
 from repro.sim import ResumeSpec
 from repro.trace_events import (
@@ -60,11 +60,12 @@ class WakeArbiter:
         #: Called after each wake resolves (success or failure); the
         #: manager hooks its pending-admission drain here.
         self._on_settled = on_settled
-        #: Hosts with a dispatched-but-unresolved wake.  Membership starts
+        #: Hosts with a dispatched-but-unresolved wake, by name, in
+        #: dispatch order, with the instant of dispatch.  Membership starts
         #: at *dispatch* (before the spawned process runs), which is what
         #: closes the same-instant double-wake window that transition
         #: state alone cannot see.
-        self._in_flight: Set[str] = set()
+        self._in_flight: Dict[str, Tuple["Host", float]] = {}
 
     # ------------------------------------------------------------------
     # Queries
@@ -73,6 +74,24 @@ class WakeArbiter:
     def wake_in_flight(self, host: str) -> bool:
         """True while a dispatched wake for ``host`` has not resolved."""
         return host in self._in_flight
+
+    def unstarted_wakes(self) -> List["Host"]:
+        """Hosts whose wake is dispatched but whose transition has not
+        begun, in dispatch order.
+
+        A wake's process starts later in the instant it is dispatched, so
+        these are this instant's dispatches whose host is still parked and
+        not moving: a power projection that counts only moving hosts
+        misses them.
+        """
+        now = self.env.now
+        return [
+            host
+            for host, dispatched_at in self._in_flight.values()
+            if dispatched_at == now
+            and not host.machine.in_transition
+            and host.state.is_parked
+        ]
 
     # ------------------------------------------------------------------
     # Wake requests
@@ -127,12 +146,12 @@ class WakeArbiter:
         )
 
     def _dispatch(self, host: "Host") -> "Process":
-        self._in_flight.add(host.name)
+        self._in_flight[host.name] = (host, self.env.now)
         return self.env.process(self._run_wake(host))
 
     def _run_wake(self, host: "Host") -> Generator["Event", Any, None]:
         yield self.env.process(host.wake())
-        self._in_flight.discard(host.name)
+        del self._in_flight[host.name]
         now = self.env.now
         if not host.is_active:
             # Injected wake failure: the scoreboard puts the host into

@@ -67,6 +67,10 @@ from repro.trace_events import (
     WatchdogWake,
 )
 
+#: First wait before retrying a failed evacuation migration, in seconds;
+#: it doubles per retry up to ``ManagerConfig.migration_backoff_max_s``.
+MIGRATION_BACKOFF_BASE_S = 30.0
+
 
 class _EvacuationTask:
     """Book-keeping for one evacuate-then-park operation."""
@@ -110,7 +114,6 @@ class PowerAwareManager:
         #: blacklisting (see :mod:`repro.datacenter.recovery`).
         self.scoreboard = WakeScoreboard(
             backoff_base_s=cfg.wake_backoff_base_s,
-            backoff_max_s=cfg.wake_backoff_max_s,
             blacklist_after_failures=cfg.blacklist_after_failures,
             blacklist_hold_s=cfg.blacklist_hold_s,
         )
@@ -243,7 +246,7 @@ class PowerAwareManager:
         for host in self.cluster.placeable_hosts():
             if not host.fits(vm):
                 continue
-            budget = host.cores * self.config.cpu_target - self._planning_load(host)
+            budget = host.cores * self.config.cpu_target - host.demand_cores(self.env.now)
             slack = budget - demand
             if slack < 0:
                 continue
@@ -254,13 +257,6 @@ class PowerAwareManager:
     def _admission_demand(self, vm: VM) -> float:
         """Planning demand for a not-yet-observed VM."""
         return max(vm.demand_cores(self.env.now), 0.25 * vm.vcpus)
-
-    def _planning_load(self, host: Host) -> float:
-        # Resident demand plus the migration tax is exactly what
-        # ``Host.demand_cores`` caches (same accumulation order), so the
-        # per-host walk this used to do collapses into the cached/grid
-        # read — bit-identical, O(1) at sampler-lattice instants.
-        return host.demand_cores(self.env.now)
 
     def _capacity_in_reserve(self) -> bool:
         return bool(self.cluster.parked_hosts()) or bool(self._evacs) or bool(
@@ -553,7 +549,9 @@ class PowerAwareManager:
         """Would waking ``host`` keep projected power under the cap?
 
         Projection is conservative: current draw plus the *peak* draw of
-        every host already waking and of the candidate.
+        every host already waking, of every wake dispatched whose
+        transition has not begun (earlier in this pass, or in an earlier
+        pass at this instant), and of the candidate.
         """
         cap = self.config.power_cap_w
         if cap is None:
@@ -561,6 +559,7 @@ class PowerAwareManager:
         projected = (
             self.cluster.power_w()
             + left_sum(h.profile.peak_w for h in self.cluster.waking_hosts())
+            + left_sum(h.profile.peak_w for h in self.arbiter.unstarted_wakes())
             + host.profile.peak_w
         )
         return projected <= cap
@@ -764,7 +763,7 @@ class PowerAwareManager:
                 task.cancel()
                 return
             backoff = min(
-                cfg.migration_backoff_base_s * (2 ** (attempt - 1)),
+                MIGRATION_BACKOFF_BASE_S * (2 ** (attempt - 1)),
                 cfg.migration_backoff_max_s,
             )
             deadline = cfg.migration_deadline_s

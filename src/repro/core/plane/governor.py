@@ -18,6 +18,16 @@ if TYPE_CHECKING:
     from repro.core.plane.log import ManagementLog
     from repro.core.plane.observer import ClusterObserver
 
+#: Window over which the observed migration failure fraction is taken, s.
+FAILURE_WINDOW_S = 1800.0
+#: Failures the window must hold before the rate can trip safe mode.
+MIN_FAILURES = 3
+#: Telemetry older than this trips safe mode, s.  Only a staleness model
+#: makes it matter: ground-truth reads have age zero.
+TELEMETRY_AGE_LIMIT_S = 600.0
+#: Shortest stay in safe mode, s.
+HOLD_S = 900.0
+
 
 class SafeModeGovernor:
     """Enter/exit safe mode based on failure rate and telemetry age."""
@@ -42,21 +52,17 @@ class SafeModeGovernor:
     def update(self, now: float, telemetry_age_s: float) -> None:
         """One governor round, fed the observer's staleness figure.
 
-        Exit is hysteretic: safe mode holds at least ``safe_mode_hold_s``
-        and releases only once the failure rate has fallen to half the
-        entry threshold (and telemetry is fresh again), so a plane that
+        Exit is hysteretic: safe mode holds at least :data:`HOLD_S` and
+        releases only once the failure rate has fallen to half the entry
+        threshold (and telemetry is fresh again), so a plane that
         oscillates around the threshold does not flap.
         """
-        cfg = self.config
-        threshold = cfg.safe_mode_failure_threshold
+        threshold = self.config.safe_mode_failure_threshold
         if threshold is None:
             return
-        rate, failures = self.observer.observed_failure_rate(
-            now, cfg.safe_mode_window_s
-        )
-        age_limit = cfg.safe_mode_telemetry_age_s
-        rate_trip = failures >= cfg.safe_mode_min_failures and rate >= threshold
-        age_trip = age_limit is not None and telemetry_age_s > age_limit
+        rate, failures = self.observer.observed_failure_rate(now, FAILURE_WINDOW_S)
+        rate_trip = failures >= MIN_FAILURES and rate >= threshold
+        age_trip = telemetry_age_s > TELEMETRY_AGE_LIMIT_S
         if not self._active:
             if rate_trip or age_trip:
                 self._active = True
@@ -70,10 +76,10 @@ class SafeModeGovernor:
                     )
                 )
             return
-        if now - self._entered_t < cfg.safe_mode_hold_s:
+        if now - self._entered_t < HOLD_S:
             return
-        calm = failures < cfg.safe_mode_min_failures or rate < 0.5 * threshold
-        fresh = age_limit is None or telemetry_age_s <= age_limit
+        calm = failures < MIN_FAILURES or rate < 0.5 * threshold
+        fresh = telemetry_age_s <= TELEMETRY_AGE_LIMIT_S
         if calm and fresh:
             self._active = False
             self.log.emit(SafeModeExit(now, dwell_s=now - self._entered_t))

@@ -287,7 +287,6 @@ def build_scenario(
         cores=host_cores,
         mem_gb=host_mem_gb,
         dvfs=dvfs,
-        dvfs_target=config.dvfs_target,
         faults=fault_model,
         fault_seed=seed,
         trace=buf,

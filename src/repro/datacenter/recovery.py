@@ -29,6 +29,9 @@ from typing import Dict, Optional
 
 _NEVER = float("-inf")
 
+#: Default ceiling of a host's wake backoff, in seconds.
+BACKOFF_MAX_S = 900.0
+
 
 @dataclass
 class HostWakeRecord:
@@ -53,7 +56,7 @@ class WakeScoreboard:
     def __init__(
         self,
         backoff_base_s: float = 60.0,
-        backoff_max_s: float = 900.0,
+        backoff_max_s: float = BACKOFF_MAX_S,
         blacklist_after_failures: int = 3,
         blacklist_hold_s: float = 1800.0,
     ) -> None:

@@ -443,13 +443,11 @@ class FuzzSpec:
     def scenario_spec(self) -> ScenarioSpec:
         """Materialize into a traced, cacheable :class:`ScenarioSpec`.
 
-        The spec grammar version is folded into the cache digest
-        (``digest_extra``) so cached fuzz artifacts are invalidated
-        whenever the grammar semantics change.
+        Its cache key is a plain spec's: a grammar change is a source
+        change, which the key's source digest already covers.
         """
         return ScenarioSpec(
             self.policy.manager_config(),
             kwargs=self.scenario_kwargs(),
             label=self.label,
-            digest_extra={"fuzz_spec_version": self.spec_version},
         )

@@ -10,7 +10,6 @@ from repro.power.states import (
     IllegalTransition,
     PowerState,
     TransitionSpec,
-    TRANSITIONAL_POWER_FALLBACK,
 )
 from repro.power.models import (
     LinearPowerModel,
@@ -34,6 +33,5 @@ __all__ = [
     "PowerState",
     "ServerPowerProfile",
     "TransitionSpec",
-    "TRANSITIONAL_POWER_FALLBACK",
     "specpower_like_model",
 ]

@@ -32,10 +32,6 @@ class PowerState(enum.Enum):
         return self is not PowerState.ACTIVE
 
 
-#: Watts assumed while in a transition whose spec omits power.
-TRANSITIONAL_POWER_FALLBACK = 150.0
-
-
 class IllegalTransition(RuntimeError):
     """Raised when a transition not present in the profile is requested."""
 

@@ -10,8 +10,8 @@ trace events nobody validates, a mutation path that forgets to bump
   the per-module rules over it and distills it into a
   :class:`ModuleSummary` — function/class tables with attribute-write
   and call sets, RNG-constructor sites with their seed provenance,
-  trace-event / registry / ``report.extra`` extractions, the
-  suppression map, and the ``# reprolint: hot`` registry.
+  trace-event / registry / ``flag()`` extractions, the suppression map,
+  and the ``# reprolint: hot`` registry.
 * **Pass 2** assembles the summaries into a :class:`ProjectContext`
   (module table, call-site index, class-attribute write map) that
   :class:`ProjectRule` subclasses analyze globally — RL012/RL013/RL014
@@ -67,7 +67,7 @@ _MUTATOR_METHODS = frozenset(
 )
 
 #: Module-constant names pass 1 records as registries for RL012/RL013.
-_REGISTRY_NAMES = frozenset({"EVENT_COVERAGE", "EXTRA_FIELDS", "RNG_STREAMS"})
+_REGISTRY_NAMES = frozenset({"EVENT_COVERAGE", "RNG_STREAMS"})
 
 #: Dotted names that construct an RNG (seed provenance is analyzed).
 _RNG_CONSTRUCTORS = frozenset(
@@ -169,11 +169,9 @@ class ModuleSummary:
     call_sites: List[CallSite] = field(default_factory=list)
     classes: Dict[str, ClassSummary] = field(default_factory=dict)
     trace_events: Dict[str, int] = field(default_factory=dict)  # tag -> line
-    #: Registry constants (dict registries map key -> [families..., line];
-    #: tuple registries map "" -> [values..., line]).
+    #: Registry constants: key -> [families..., line].
     registries: Dict[str, Dict[str, Any]] = field(default_factory=dict)
     flag_invariants: List[str] = field(default_factory=list)
-    extra_writes: List[List[Any]] = field(default_factory=list)  # [key, line]
     suppressions: Dict[int, FrozenSet[str]] = field(default_factory=dict)
 
     def in_packages(self, packages: Sequence[str]) -> bool:
@@ -557,25 +555,22 @@ def summarize_module(module: ModuleContext) -> ModuleSummary:
     for node in module.tree.body:
         if isinstance(node, ast.Assign) and len(node.targets) == 1:
             target = node.targets[0]
-            if isinstance(target, ast.Name) and target.id in _REGISTRY_NAMES:
-                if isinstance(node.value, ast.Dict):
-                    entries: Dict[str, Any] = {}
-                    for key, value in zip(node.value.keys, node.value.values):
-                        if not (
-                            isinstance(key, ast.Constant)
-                            and isinstance(key.value, str)
-                        ):
-                            continue
-                        families = _registry_entry(value)
-                        if families is not None:
-                            entries[key.value] = [families, key.lineno]
-                    summary.registries[target.id] = entries
-                elif isinstance(node.value, (ast.Tuple, ast.List)):
-                    values = _registry_entry(node.value)
-                    if values is not None:
-                        summary.registries[target.id] = {
-                            "": [values, node.lineno]
-                        }
+            if (
+                isinstance(target, ast.Name)
+                and target.id in _REGISTRY_NAMES
+                and isinstance(node.value, ast.Dict)
+            ):
+                entries: Dict[str, Any] = {}
+                for key, value in zip(node.value.keys, node.value.values):
+                    if not (
+                        isinstance(key, ast.Constant)
+                        and isinstance(key.value, str)
+                    ):
+                        continue
+                    families = _registry_entry(value)
+                    if families is not None:
+                        entries[key.value] = [families, key.lineno]
+                summary.registries[target.id] = entries
 
     for node in module.nodes:
         if isinstance(node, ast.ClassDef):
@@ -629,28 +624,6 @@ def summarize_module(module: ModuleContext) -> ModuleSummary:
                 and isinstance(node.args[0].value, str)
             ):
                 summary.flag_invariants.append(node.args[0].value)
-            # report.extra.update({...}) — counter keys into the report.
-            if (
-                isinstance(node.func, ast.Attribute)
-                and node.func.attr == "update"
-                and isinstance(node.func.value, ast.Attribute)
-                and node.func.value.attr == "extra"
-                and node.args
-                and isinstance(node.args[0], ast.Dict)
-            ):
-                for key in node.args[0].keys:
-                    if isinstance(key, ast.Constant) and isinstance(key.value, str):
-                        summary.extra_writes.append([key.value, key.lineno])
-        elif isinstance(node, ast.Assign):
-            for target in node.targets:
-                if (
-                    isinstance(target, ast.Subscript)
-                    and isinstance(target.value, ast.Attribute)
-                    and target.value.attr == "extra"
-                    and isinstance(target.slice, ast.Constant)
-                    and isinstance(target.slice.value, str)
-                ):
-                    summary.extra_writes.append([target.slice.value, target.lineno])
 
     # --- functions: hot registry, RNG sites ---------------------------
     # Only a module that calls an RNG constructor has sites to classify.

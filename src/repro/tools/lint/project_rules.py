@@ -13,9 +13,8 @@ already executed:
   function is tainted.
 * **RL013** — every trace event type must map to at least one registered
   validator invariant family (``EVENT_COVERAGE`` in
-  ``telemetry/validate.py``), and every counter written into
-  ``report.extra`` must appear in the cache-schema field list
-  (``EXTRA_FIELDS`` in ``core/cache.py``).
+  ``telemetry/validate.py``), and every family it names must be one a
+  validator ``flag()`` emits.
 * **RL014** — any method writing a field that feeds an epoch/rev-tagged
   memoized aggregate must bump the corresponding counter on every
   normally-terminating path (reaching-writes dataflow within the class).
@@ -147,13 +146,7 @@ class RngStreamProvenanceRule(ProjectRule):
         if found is None:
             return None
         _path, entries = found
-        labels: Set[str] = set()
-        for key, value in entries.items():
-            if key:
-                labels.add(key)
-            else:
-                labels.update(value[0])
-        return labels
+        return set(entries)
 
     def _taint_callers(
         self, project: ProjectContext, summary: ModuleSummary, site: RngSite
@@ -189,20 +182,15 @@ class RngStreamProvenanceRule(ProjectRule):
 
 class TraceCoverageRule(ProjectRule):
     rule_id = "RL013"
-    title = "trace events and report.extra counters must be registered"
+    title = "trace events must map to validator invariant families"
     rationale = (
-        "An event type no validator family covers (or a counter absent "
-        "from the cache schema's field list) is silently unverified "
-        "output — regressions in it never fail a replay or cache check."
+        "An event type no validator family covers is silently unverified "
+        "output — regressions in it never fail a replay."
     )
     scoped_packages = None
     skip_test_files = True
 
     def check_project(self, project: ProjectContext) -> Iterator[Finding]:
-        yield from self._check_event_coverage(project)
-        yield from self._check_extra_fields(project)
-
-    def _check_event_coverage(self, project: ProjectContext) -> Iterator[Finding]:
         coverage = project.registry("EVENT_COVERAGE")
         events: Dict[str, Tuple[str, int]] = {}
         invariants: Set[str] = set()
@@ -275,49 +263,6 @@ class TraceCoverageRule(ProjectRule):
                             path=registry_path,
                             line=line,
                         )
-
-    def _check_extra_fields(self, project: ProjectContext) -> Iterator[Finding]:
-        registry = project.registry("EXTRA_FIELDS")
-        if registry is None:
-            return
-        registry_path, entries = registry
-        declared: Dict[str, int] = {}
-        for key, value in entries.items():
-            if key:
-                declared[key] = value[1]
-            else:
-                for name in value[0]:
-                    declared[name] = value[1]
-        written: Dict[str, Tuple[str, int]] = {}
-        for summary in project.iter_modules():
-            if not self.module_in_scope(summary):
-                continue
-            for key, line in summary.extra_writes:
-                written.setdefault(key, (summary.path, line))
-        for key in sorted(written):
-            if key not in declared:
-                path, line = written[key]
-                yield Finding(
-                    rule=self.rule_id,
-                    message=(
-                        "counter '{}' is written into report.extra but "
-                        "missing from the EXTRA_FIELDS schema list "
-                        "(repro.core.cache)".format(key)
-                    ),
-                    path=path,
-                    line=line,
-                )
-        for key in sorted(declared):
-            if key not in written:
-                yield Finding(
-                    rule=self.rule_id,
-                    message=(
-                        "EXTRA_FIELDS declares counter '{}' that no "
-                        "producer writes into report.extra".format(key)
-                    ),
-                    path=registry_path,
-                    line=declared[key],
-                )
 
 
 class MemoInvalidationRule(ProjectRule):

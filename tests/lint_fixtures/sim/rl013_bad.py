@@ -1,9 +1,8 @@
-"""Fixture: RL013 — events/counters escaping the validation registries.
+"""Fixture: RL013 — events escaping the validation registry.
 
-One producer module carrying its own registries, with every mismatch
+One producer module carrying its own registry, with every mismatch
 direction represented: an uncovered event, a registry entry for a ghost
-event, a family no validator flags, a rogue ``report.extra`` counter,
-and a declared counter nobody writes.
+event, and a family no validator flags.
 """
 
 
@@ -20,22 +19,8 @@ EVENT_COVERAGE = {
     "ghost": ("sequence",),  # finding: no producer defines 'ghost'
 }
 
-EXTRA_FIELDS = (  # finding: 'phantom' declared but never written
-    "covered",
-    "phantom",
-)
-
 
 def validate(events, flag):
     for ev in events:
         if ev.seq < 0:
             flag("sequence", ev.seq, ev.t, "negative sequence number")
-
-
-def publish(report):
-    report.extra.update(
-        {
-            "covered": 1.0,
-            "rogue": 2.0,  # finding: not in EXTRA_FIELDS
-        }
-    )

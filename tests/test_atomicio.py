@@ -105,10 +105,12 @@ class TestCacheQuarantine:
         assert fresh.get("bad") is None
         assert [p.name for p in fresh.entries()] == ["good.pkl"]
 
-    def test_memory_layer_not_quarantined(self, tmp_path):
+    def test_same_instance_reads_its_file(self, tmp_path):
         cache = ResultCache(tmp_path)
         cache.put("hot", {"v": 9})
-        # Corrupt on disk; the in-process layer still serves the value.
-        (tmp_path / "hot.pkl").write_bytes(b"junk")
         assert cache.get("hot") == {"v": 9}
-        assert cache.quarantined == 0
+        # No in-process copy: corrupt on disk, and the instance that
+        # stored the value quarantines it like any other reader.
+        (tmp_path / "hot.pkl").write_bytes(b"junk")
+        assert cache.get("hot") is None
+        assert (cache.hits, cache.misses, cache.quarantined) == (1, 1, 1)

@@ -9,15 +9,12 @@ validator certifies the resumed runs too.
 
 import json
 import pickle
+import re
 
 import pytest
 
 from repro.core import ResultCache, branch_scenarios, run_scenario
-from repro.core.checkpoint import (
-    CHECKPOINT_SCHEMA,
-    CheckpointError,
-    read_manifest,
-)
+from repro.core.checkpoint import CheckpointError, read_manifest
 from repro.core.policies import hybrid_policy, s3_policy, s5_policy
 from repro.core.runner import resume_scenario
 from repro.datacenter import FaultModel, RepairModel
@@ -130,71 +127,55 @@ class TestRejection:
         with pytest.raises(CheckpointError, match="bad magic"):
             resume_scenario(path)
 
+    def _with_source(self, path, source):
+        """Rewrite ``path``'s manifest to name ``source`` (None: no source)."""
+        magic, _, payload = path.read_bytes().split(b"\n", 2)
+        manifest = read_manifest(path)
+        manifest.pop("source")
+        if source is not None:
+            manifest["source"] = source
+        path.write_bytes(
+            magic + b"\n"
+            + json.dumps(manifest, sort_keys=True).encode()
+            + b"\n"
+            + payload
+        )
+
     def test_stale_writer_version_rejected(self, tmp_path):
-        path = self._one_checkpoint(tmp_path)
-        raw = path.read_bytes()
-        magic, rest = raw.split(b"\n", 1)
-        header, payload = rest.split(b"\n", 1)
-        manifest = json.loads(header)
-        manifest["repro_version"] = "0.0.0-other"
-        path.write_bytes(
-            magic + b"\n"
-            + json.dumps(manifest, sort_keys=True).encode() + b"\n"
-            + payload
-        )
-        with pytest.raises(CheckpointError, match="stale"):
-            resume_scenario(path)
+        # The writer's version is the sha256 of its sources: a manifest
+        # naming other code is refused, and the error names both digests.
+        from repro.core.cache import source_sha256
 
-    def test_incompatible_schema_rejected(self, tmp_path):
         path = self._one_checkpoint(tmp_path)
-        raw = path.read_bytes()
-        magic, rest = raw.split(b"\n", 1)
-        header, payload = rest.split(b"\n", 1)
-        manifest = json.loads(header)
-        assert manifest["schema"] == CHECKPOINT_SCHEMA
-        manifest["schema"] = CHECKPOINT_SCHEMA + 1
-        path.write_bytes(
-            magic + b"\n"
-            + json.dumps(manifest, sort_keys=True).encode() + b"\n"
-            + payload
-        )
-        with pytest.raises(CheckpointError, match="schema"):
-            resume_scenario(path)
+        assert read_manifest(path)["source"] == source_sha256()
+        self._with_source(path, "0" * 64)
+        for read in (resume_scenario, read_manifest):
+            with pytest.raises(CheckpointError, match="stale checkpoint") as info:
+                read(path)
+            assert "written by source {}, running source {}".format(
+                "0" * 64, source_sha256()
+            ) in str(info.value)
 
-    def test_pre_channel_checkpoint_refused_by_schema(self, tmp_path, monkeypatch):
-        # Schema 1 pickled classes that no longer exist (the neat manager
-        # subclass); schema 2 pickled the per-object demand grids that the
-        # demand lattice replaced; schema 3 pickled the trace on each plane
-        # component and a ManagementLog without one, so a traced resume
-        # would drop every plane event; schema 4 pickled trace events
-        # under repro.telemetry.trace, which no longer defines them;
-        # schema 5 pickled a demand lattice without its rebuild slots;
-        # schema 6 pickled each host's latency generator, which a machine
-        # now makes on its first jittered transition; schema 7 pickled a
-        # cluster without the cores and memory-capacity arrays its
-        # planning views read; schema 8 pickled a sampler whose series
-        # were a dict of list-backed series, not one sample frame.  The
-        # manifest check must refuse all eight before anything is
+    def test_other_code_refused_before_unpickling(self, tmp_path, monkeypatch):
+        # A checkpoint pickles the classes of the code that wrote it, which
+        # other code may have moved or changed: a manifest that names
+        # other code, or no source at all (every checkpoint written before
+        # manifests carried one), is refused before the payload is
         # unpickled.
         import repro.core.checkpoint as checkpoint
 
         path = self._one_checkpoint(tmp_path)
-        magic, _, payload = path.read_bytes().split(b"\n", 2)
-        manifest = read_manifest(path)
+        original = path.read_bytes()
 
         def unpickled(data):
-            raise AssertionError("an old-schema payload was unpickled")
+            raise AssertionError("another code's payload was unpickled")
 
         monkeypatch.setattr(checkpoint, "pickle", type("P", (), {"loads": unpickled}))
-        for schema in (1, 2, 3, 4, 5, 6, 7, 8):
-            path.write_bytes(
-                magic + b"\n"
-                + json.dumps(dict(manifest, schema=schema), sort_keys=True).encode()
-                + b"\n"
-                + payload
-            )
+        for source, written in (("0" * 64, "0" * 64), (None, "(none recorded)")):
+            path.write_bytes(original)
+            self._with_source(path, source)
             with pytest.raises(
-                CheckpointError, match=f"incompatible checkpoint schema {schema}"
+                CheckpointError, match=r"written by source {}".format(re.escape(written))
             ):
                 resume_scenario(path)
 
@@ -205,7 +186,7 @@ class TestRejection:
     def test_manifest_carries_runner_metadata(self, tmp_path):
         path = self._one_checkpoint(tmp_path)
         manifest = read_manifest(path)
-        assert manifest["schema"] == CHECKPOINT_SCHEMA
+        assert set(manifest) >= {"source", "payload_bytes", "sha256"}
         assert manifest["policy"] == s3_policy().name
         assert manifest["seed"] == KW["seed"]
         assert manifest["horizon_s"] == KW["horizon_s"]

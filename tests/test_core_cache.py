@@ -83,15 +83,8 @@ class TestScenarioDigest:
             s3_policy(), dict(kw, fault_model=FaultModel(wake_failure_rate=0.1))
         ) != base
 
-    def test_sensitive_to_package_version(self, monkeypatch):
-        import repro
-
-        kw = dict(n_hosts=4, seed=1)
-        before = scenario_digest(s3_policy(), kw)
-        monkeypatch.setattr(repro, "__version__", "999.0.0")
-        assert scenario_digest(s3_policy(), kw) != before
-
-    def test_sensitive_to_package_source(self, monkeypatch, tmp_path):
+    @staticmethod
+    def _edit_changes_key(monkeypatch, tmp_path, module, old, new):
         # A copy of the package stands in for it; one changed byte in one
         # module changes every key, and restoring the byte restores it.
         from repro.core import cache as cache_module
@@ -103,20 +96,32 @@ class TestScenarioDigest:
             ignore=shutil.ignore_patterns("__pycache__"),
         )
         monkeypatch.setattr(cache_module, "_PACKAGE_ROOT", root)
+        cache_module._source_sha256.cache_clear()
         kw = dict(n_hosts=4, seed=1)
         before = scenario_digest(s3_policy(), kw)
-        module = root / "core" / "plane" / "observer.py"
-        original = module.read_bytes()
-        mutated = original.replace(
-            b"UNDERLOAD_THRESHOLD = 0.3", b"UNDERLOAD_THRESHOLD = 0.4"
-        )
+        path = root / module
+        original = path.read_bytes()
+        mutated = original.replace(old, new)
         assert mutated != original
-        module.write_bytes(mutated)
+        path.write_bytes(mutated)
         cache_module._source_sha256.cache_clear()
         assert scenario_digest(s3_policy(), kw) != before
-        module.write_bytes(original)
+        path.write_bytes(original)
         cache_module._source_sha256.cache_clear()
         assert scenario_digest(s3_policy(), kw) == before
+
+    def test_sensitive_to_package_version(self, monkeypatch, tmp_path):
+        # The version is a line of the package's sources, not a key field.
+        self._edit_changes_key(
+            monkeypatch, tmp_path, "__init__.py",
+            b'__version__ = "', b'__version__ = "999.',
+        )
+
+    def test_sensitive_to_package_source(self, monkeypatch, tmp_path):
+        self._edit_changes_key(
+            monkeypatch, tmp_path, "core/plane/observer.py",
+            b"UNDERLOAD_THRESHOLD = 0.3", b"UNDERLOAD_THRESHOLD = 0.4",
+        )
 
     def test_source_is_read_once_and_stable(self):
         from repro.core import cache as cache_module

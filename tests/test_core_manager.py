@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core import ManagerConfig, PowerAwareManager
-from repro.datacenter import Cluster, VM
+from repro.datacenter import Cluster, Host, VM
 from repro.migration import MigrationEngine
 from repro.power import PowerState
 from repro.prototype import PROTOTYPE_BLADE
@@ -293,6 +293,39 @@ class TestPowerCap:
         # Demand surge cannot be served beyond the cap; no more than the
         # allowed hosts ever come up after consolidation.
         assert len(cluster.active_hosts()) <= 2
+
+    def test_one_pass_counts_the_wakes_it_dispatched(self):
+        # Two active hosts and two asleep; the cap leaves room for one
+        # more host at peak, not two.  A two-host shortfall dispatches the
+        # first wake, whose process starts later in the instant, so the
+        # second projection must count that host as well as the moving
+        # ones: one wake, one deferral.
+        env = Environment()
+        hosts = [
+            Host(env, "host-{:03d}".format(i), PROTOTYPE_BLADE,
+                 initial_state=PowerState.ACTIVE if i < 2 else PowerState.SLEEP)
+            for i in range(4)
+        ]
+        cluster = Cluster(env, hosts)
+        peak = PROTOTYPE_BLADE.peak_w
+        cfg = ManagerConfig(power_cap_w=cluster.power_w() + 1.5 * peak)
+        trace = TraceBuffer(label="cap")
+        manager = PowerAwareManager(
+            env, cluster, MigrationEngine(env), cfg, trace=trace
+        )
+        manager._grow(2 * hosts[0].cores, reactive=True)
+        actions = [
+            (e.action, e.host) for e in trace.events
+            if isinstance(e, ManagerDecision)
+        ]
+        assert actions == [("wake", "host-002"), ("cap-defer", "host-003")]
+        assert [h.name for h in manager.arbiter.unstarted_wakes()] == ["host-002"]
+        env.run(until=3600.0)
+        assert manager.arbiter.unstarted_wakes() == []
+        assert [h.name for h in cluster.active_hosts()] == [
+            "host-000", "host-001", "host-002"
+        ]
+        assert manager.log.cap_deferrals == 1
 
     def test_invalid_cap_rejected(self):
         with pytest.raises(ValueError):

@@ -226,7 +226,6 @@ class TestRetryPolicy:
             park_delay_rounds=0,
             min_active_hosts=1,
             migration_retry_limit=2,
-            migration_backoff_base_s=30.0,
             migration_backoff_max_s=300.0,
             migration_deadline_s=7200.0,
             # Keep the governor out of these focused retry tests.
@@ -408,10 +407,6 @@ class TestSafeMode:
             park_delay_rounds=0,
             min_active_hosts=1,
             safe_mode_failure_threshold=0.5,
-            safe_mode_min_failures=3,
-            safe_mode_window_s=1800.0,
-            safe_mode_telemetry_age_s=600.0,
-            safe_mode_hold_s=900.0,
         )
         base.update(kw)
         return ManagerConfig(**base)

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.core import ScenarioSpec
 from repro.datacenter.faults import Brownout, FailureBurst
 from repro.fuzz.generate import generate_spec
 from repro.fuzz.spec import (
@@ -138,18 +139,15 @@ class TestScenarioBridge:
         scenario = spec.scenario_spec()
         assert scenario.kwargs["trace"] is True
         assert scenario.label == spec.label
-        assert scenario.digest_extra == {"fuzz_spec_version": SPEC_VERSION}
         assert scenario.digest()  # cacheable: no Uncacheable raised
 
-    def test_digest_keyed_on_grammar_version(self):
-        # The same scenario without the fuzz digest_extra must hash
-        # differently, so a grammar bump invalidates only fuzz artifacts.
-        spec = FuzzSpec(seed=5)
-        scenario = spec.scenario_spec()
-        import dataclasses
-
-        plain = dataclasses.replace(scenario, digest_extra=None)
-        assert plain.digest() != scenario.digest()
+    def test_digest_is_a_plain_spec_digest(self):
+        # A grammar change is a source change, which every key's source
+        # digest covers: a fuzz spec's key is that of a plain spec with
+        # the same config and kwargs.
+        scenario = FuzzSpec(seed=5).scenario_spec()
+        plain = ScenarioSpec(scenario.config, kwargs=dict(scenario.kwargs))
+        assert plain.digest() == scenario.digest()
 
     def test_equal_specs_share_a_digest(self):
         a = FuzzSpec(seed=5).scenario_spec()

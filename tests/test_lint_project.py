@@ -2,9 +2,9 @@
 and the seeded-mutation guarantees.
 
 RL013 fixtures are linted one file at a time: the registry lookup takes
-the first module (in path order) that defines ``EVENT_COVERAGE`` /
-``EXTRA_FIELDS``, so sweeping the bad and good fixtures together would
-cross-contaminate their registries.
+the first module (in path order) that defines ``EVENT_COVERAGE``, so
+sweeping the bad and good fixtures together would cross-contaminate
+their registries.
 """
 
 from __future__ import annotations

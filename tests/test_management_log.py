@@ -15,7 +15,6 @@ from pathlib import Path
 import pytest
 
 from repro.core import run_scenario, s3_policy
-from repro.core.cache import EXTRA_FIELDS
 from repro.core.plane import ManagementLog
 from repro.core.plane.log import FOLDS
 from repro.datacenter import (
@@ -340,7 +339,7 @@ class TestPinnedRuns:
             "detector_reports_dropped",
             "mean_admission_wait_s",
         }
-        reported = plane & set(EXTRA_FIELDS)
+        reported = plane & set().union(*PINNED.values())
         assert len(reported) == 19
         for key in sorted(reported):
             assert any(extra[key] > 0 for extra in PINNED.values()), key

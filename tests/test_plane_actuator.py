@@ -97,6 +97,23 @@ class TestWakeArbiter:
             trace, require_run_end=False
         ).invariants_violated() == []
 
+    def test_unstarted_wakes_end_when_the_transition_begins(self):
+        env, host, log, sb, trace, arb = build_arbiter()
+        host._injector = _ScriptedInjector(failures=[True])
+        arb.request_wake(host, detail="reactive")
+        assert arb.unstarted_wakes() == [host]
+        while not host.machine.in_transition:
+            env.step()
+        assert arb.unstarted_wakes() == []
+        # The failed transition ends with the host parked again; until
+        # the wake resolves it is in flight, but no longer unstarted.
+        while host.machine.in_transition:
+            env.step()
+        assert arb.wake_in_flight("h0")
+        assert arb.unstarted_wakes() == []
+        env.run(until=3600.0)
+        assert not arb.wake_in_flight("h0")
+
     def test_rejection_leaves_scoreboard_untouched(self):
         env, host, log, sb, trace, arb = build_arbiter()
         arb.request_wake(host, detail="reactive")
